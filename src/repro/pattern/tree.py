@@ -13,12 +13,15 @@ A tree pattern names the tuple field holding the context nodes
 the last step of the main path (Definition 4.1).
 
 The structure is immutable-by-convention: the merge operations used by
-the algebraic rules (d)/(e) return new patterns.
+the algebraic rules (d)/(e) return new patterns.  That is what makes the
+``cached_property`` analyses below sound: an answer computed once per
+pattern object stays true, and the evaluators read it per input tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import List, Optional
 
 from ..guard.errors import ReproError
@@ -86,6 +89,19 @@ class PatternPath:
     def last(self) -> PatternStep:
         return self.steps[-1]
 
+    @cached_property
+    def is_downward(self) -> bool:
+        """All axes, predicate branches included, are within the
+        tree-pattern fragment (downward)."""
+        return all(step.axis.is_downward
+                   and all(branch.is_downward for branch in step.predicates)
+                   for step in self.steps)
+
+    @cached_property
+    def has_position(self) -> bool:
+        """One of this path's own steps is positional (``step[n]``)."""
+        return any(step.position is not None for step in self.steps)
+
     def replace_last(self, step: PatternStep) -> "PatternPath":
         return PatternPath(self.steps[:-1] + (step,))
 
@@ -122,6 +138,10 @@ class TreePattern:
 
     def output_fields(self) -> List[str]:
         """All output-field annotations, in root-to-leaf lexical order."""
+        return list(self._output_fields)
+
+    @cached_property
+    def _output_fields(self) -> tuple[str, ...]:
         fields: list[str] = []
 
         def collect(path: PatternPath) -> None:
@@ -132,25 +152,19 @@ class TreePattern:
                     collect(predicate)
 
         collect(self.path)
-        return fields
+        return tuple(fields)
 
     def is_single_output_at_extraction_point(self) -> bool:
         """True when the only output field sits on the extraction point —
         the case in which the operator's semantics coincides with XPath
         (Section 4.1)."""
-        fields = self.output_fields()
+        fields = self._output_fields
         return (len(fields) == 1
                 and self.extraction_point.output_field == fields[0])
 
     def is_downward(self) -> bool:
         """All axes are within the tree-pattern fragment (downward)."""
-
-        def check(path: PatternPath) -> bool:
-            return all(step.axis.is_downward
-                       and all(check(p) for p in step.predicates)
-                       for step in path.steps)
-
-        return check(self.path)
+        return self.path.is_downward
 
     # -- merge operations used by the optimizer -----------------------------
 

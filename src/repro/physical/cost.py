@@ -20,9 +20,12 @@ NLJoin         ``NL_VISIT · visited``, where ``visited`` is the region the
 TwigJoin       ``TJ_SETUP + TJ_SCAN · streams`` — every query node's
                region-restricted stream is swept once, with a fixed
                per-evaluation machinery cost
-SCJoin         ``SC_SCAN · streams · passes`` — one array scan per spine
-               step plus one extra pass per predicate branch (the
-               multi-pass degradation on complex patterns)
+SCJoin         ``SC_SCAN · streams + SC_BRANCH_PASS · branch_streams`` —
+               one array scan per query node, plus one bottom-up pass
+               per predicate branch; that pass reads the branch steps'
+               whole tag streams inside the region, because it is not
+               narrowed by the steps above it ("each branch adds a
+               pass", Section 5.2)
 Streaming      ``ST_SCAN · region`` — one pass over every event in the
                context region
 =============  ==============================================================
@@ -37,8 +40,12 @@ The relative weights were re-checked against the EXPERIMENTS.md §E4/E2
 procedure after the summary switch-over: the summary estimates are
 uniformly ≤ the tag-count estimates and preserve every regime boundary
 (NLJoin on selective child chains, SCJoin/TwigJoin on rooted descendant
-paths, the branch penalty on SCJoin), so the fitted constants carry
-over unchanged.
+paths, the branch penalty on SCJoin), so the NLJoin, TwigJoin and
+Streaming constants carry over unchanged.  The two SCJoin weights were
+refitted when its branches became set-at-a-time semi-joins
+(``benchmarks/bench_cost_fit.py``, EXPERIMENTS.md §E2): a branch used to
+cost a pass over *everything* (``SC_BRANCH_PASS · streams · branches``)
+and now costs a pass over its own streams.
 """
 
 from __future__ import annotations
@@ -59,8 +66,8 @@ from ..xmltree.summary import PathSummary
 NL_VISIT = 1.0
 TJ_SCAN = 0.45
 TJ_SETUP = 120.0
-SC_SCAN = 0.18
-SC_BRANCH_PASS = 0.35
+SC_SCAN = 0.24
+SC_BRANCH_PASS = 0.07
 ST_SCAN = 0.9
 
 _CHILD_LIKE = (Axis.CHILD, Axis.ATTRIBUTE, Axis.SELF)
@@ -134,6 +141,13 @@ class CostModel:
     def spine_steps(self, path: PatternPath) -> int:
         return len(path.steps)
 
+    def branch_streams(self, path: PatternPath, region: int) -> float:
+        """Stream elements SCJoin's bottom-up branch passes read inside
+        the region: the flat tag statistics of every step below a
+        predicate of the spine."""
+        return sum(self._tag_count_volume(branch, region)
+                   for step in path.steps for branch in step.predicates)
+
     def branch_count(self, path: PatternPath) -> int:
         total = 0
         for step in path.steps:
@@ -163,11 +177,10 @@ class CostModel:
                  path: PatternPath) -> CostEstimate:
         region = self.region_size(contexts)
         streams = self.stream_volume(path, region)
-        branches = self.branch_count(path)
         return CostEstimate({
             "nljoin": NL_VISIT * self.navigation_visits(contexts, path),
             "twigjoin": TJ_SETUP + TJ_SCAN * streams,
             "scjoin": (SC_SCAN * streams
-                       + SC_BRANCH_PASS * streams * branches),
+                       + SC_BRANCH_PASS * self.branch_streams(path, region)),
             "streaming": ST_SCAN * region,
         })

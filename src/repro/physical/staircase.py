@@ -21,11 +21,17 @@ result boundary — exactly the staircase join of Grust et al., which is
 defined over the integer pre/post plane, not over heap objects.
 
 Patterns are evaluated spine-step-by-spine-step (each step one
-staircase join); predicate branches are existential semi-joins that
-filter the step's output.  This set-at-a-time, multi-pass style is
-precisely why the paper finds SCJoin "can degrade for complex tree
-patterns while TwigJoin is always well-behaved" (Section 5): every
-branch adds passes over the candidate sets.
+staircase join).  A predicate branch is a *bottom-up semi-join* that
+filters the step's whole sorted output at once: innermost step first,
+each branch step reads its stream once inside the hull of the
+candidates' regions (two binary searches) and keeps the entries that
+satisfy what hangs below them; the candidates are then filtered against
+that list — one ``parent``-column gather for ``child``/``attribute``,
+one binary search per candidate for ``descendant``.  This is the
+paper's "each branch adds a pass" (Section 5): the cost of a twig is
+one pass per query node over that node's stream, never candidates ×
+region.  Only positional branch steps are walked per candidate, because
+positions count per context node by definition.
 
 Axes outside the downward fragment fall back to NLJoin.
 """
@@ -41,13 +47,14 @@ from ..xmltree.axes import Axis
 from ..xmltree.columnar import KIND_ELEMENT, ColumnarDocument
 from ..xmltree.document import IndexedDocument
 from ..xmltree.node import Node
-from ..xmltree.nodetest import (ElementTest, NameTest, NodeTest, TextTest,
-                                WildcardTest)
 from .base import Binding, TreePatternAlgorithm
 from .nljoin import NLJoin
 
-_SUPPORTED_AXES = (Axis.CHILD, Axis.DESCENDANT, Axis.DESCENDANT_OR_SELF,
-                   Axis.ATTRIBUTE, Axis.SELF)
+#: ``_child_join`` gathers over the contexts' hull instead of scanning
+#: one region per context when the hull holds at most this many stream
+#: entries per context (a region scan costs two binary searches and a
+#: slice before it reads its first entry).
+_GATHER_FANOUT = 16
 
 
 class StaircaseJoin(TreePatternAlgorithm):
@@ -74,19 +81,11 @@ class StaircaseJoin(TreePatternAlgorithm):
 
     def match_single(self, document: IndexedDocument,
                      contexts: List[Node], path: PatternPath) -> List[Node]:
-        if not _supported(path):
+        if not path.is_downward:
             return self._fallback.match_single(document, contexts, path)
-        columns = document.columns
         # Into integer space: sorted, duplicate-free context pres.
-        current: List[int] = sorted({node.pre for node in contexts})
-        for step in path.steps:
-            if step.position is not None:
-                current = self._positional_step(columns, current, step)
-                continue
-            current = self._staircase_step(columns, current, step)
-            for branch in step.predicates:
-                current = [pre for pre in current
-                           if self._branch_exists(columns, pre, branch)]
+        current = self._walk(document.columns,
+                             sorted({node.pre for node in contexts}), path)
         # Out of integer space: nodes exist only at the result boundary.
         return chaos_point("scjoin.match",
                            [document.node_at(pre) for pre in current])
@@ -100,6 +99,21 @@ class StaircaseJoin(TreePatternAlgorithm):
         return self._fallback.enumerate_bindings(document, context, path)
 
     # -- the join ----------------------------------------------------------------
+
+    def _walk(self, columns: ColumnarDocument, current: List[int],
+              path: PatternPath) -> List[int]:
+        """Evaluate ``path`` forward from the context pres, one
+        staircase join per step."""
+        for step in path.steps:
+            if not current:
+                break
+            if step.position is not None:
+                current = self._positional_step(columns, current, step)
+                continue
+            current = self._staircase_step(columns, current, step)
+            for branch in step.predicates:
+                current = self._semi_join(columns, current, branch)
+        return current
 
     def _staircase_step(self, columns: ColumnarDocument,
                         contexts: List[int],
@@ -142,7 +156,7 @@ class StaircaseJoin(TreePatternAlgorithm):
     def _descendant_join(self, columns: ColumnarDocument,
                          contexts: List[int], step: PatternStep,
                          include_self: bool) -> List[int]:
-        pres = _stream(columns, step.test)
+        pres = step.test.stream(columns)
         end_column = columns.end
         pruned = _prune_covered(contexts, end_column)
         result: List[int] = []
@@ -163,9 +177,24 @@ class StaircaseJoin(TreePatternAlgorithm):
 
     def _child_join(self, columns: ColumnarDocument,
                     contexts: List[int], step: PatternStep) -> List[int]:
-        pres = _stream(columns, step.test)
+        pres = step.test.stream(columns)
         end_column = columns.end
         parent_column = columns.parent
+        low = bisect_left(pres, contexts[0] + 1)
+        high = bisect_right(pres, max(map(end_column.__getitem__, contexts)))
+        if (len(contexts) == 1
+                or high - low <= _GATHER_FANOUT * len(contexts)):
+            # One context, or many close together: one gather of the
+            # parent column over the hull slice, which comes out in
+            # stream order — sorted and duplicate-free.
+            if self.metrics is not None:
+                self.metrics.stream_scanned[self.name] += high - low
+                self.metrics.nodes_visited[self.name] += high - low
+            if self.governor is not None:
+                self.governor.tick(high - low + 1)
+            members = set(contexts)
+            return [pre for pre in pres[low:high]
+                    if parent_column[pre] in members]
         # Children of distinct contexts are disjoint, but nested contexts
         # interleave regions; detect the (common) non-nested case to skip
         # the merge.
@@ -207,8 +236,7 @@ class StaircaseJoin(TreePatternAlgorithm):
             previous_end = max(previous_end, end_column[context])
             survivors = self._staircase_step(columns, [context], step)
             for branch in step.predicates:
-                survivors = [pre for pre in survivors
-                             if self._branch_exists(columns, pre, branch)]
+                survivors = self._semi_join(columns, survivors, branch)
             index = step.position - 1
             if 0 <= index < len(survivors):
                 merged.append(survivors[index])
@@ -216,48 +244,67 @@ class StaircaseJoin(TreePatternAlgorithm):
             merged = sorted(set(merged))
         return merged
 
-    def _branch_exists(self, columns: ColumnarDocument, context: int,
-                       branch: PatternPath) -> bool:
-        """Existential semi-join of a predicate branch from one node."""
-        current = [context]
-        for step in branch.steps:
-            if step.position is not None:
-                current = self._positional_step(columns, current, step)
+    def _semi_join(self, columns: ColumnarDocument,
+                   candidates: Sequence[int],
+                   branch: PatternPath) -> Sequence[int]:
+        """Existential semi-join of a predicate branch: the candidates
+        (sorted pres) from which ``branch`` has a match."""
+        if branch.has_position:
+            # Positions count per context node: walk from each candidate.
+            return [pre for pre in candidates
+                    if self._walk(columns, [pre], branch)]
+        return self._having(columns, candidates, branch.steps, 0)
+
+    def _having(self, columns: ColumnarDocument, candidates: Sequence[int],
+                steps: Sequence[PatternStep], index: int) -> Sequence[int]:
+        """The candidates from which ``steps[index:]`` has a match,
+        computed bottom-up: the step's stream inside the candidates'
+        hull, narrowed to the entries satisfying what hangs below them,
+        then one set-at-a-time filter of the candidates against it."""
+        if not len(candidates):
+            return candidates
+        step = steps[index]
+        axis = step.axis
+        if axis is Axis.SELF:
+            satisfying = self._staircase_step(columns, candidates, step)
+        else:
+            end_column = columns.end
+            # Where a candidate's matches start relative to its ``pre``.
+            offset = 0 if axis is Axis.DESCENDANT_OR_SELF else 1
+            if axis is Axis.ATTRIBUTE:
+                # Attributes directly follow their owner element.
+                last = columns.attributes_of(candidates[-1]).stop - 1
             else:
-                current = self._staircase_step(columns, current, step)
-                for nested in step.predicates:
-                    current = [pre for pre in current
-                               if self._branch_exists(columns, pre,
-                                                      nested)]
-            if not current:
-                return False
-        return bool(current)
-
-
-def _supported(path: PatternPath) -> bool:
-    for step in path.steps:
-        if step.axis not in _SUPPORTED_AXES:
-            return False
-        if isinstance(step.test, TextTest) and step.axis not in (
-                Axis.CHILD, Axis.DESCENDANT, Axis.DESCENDANT_OR_SELF):
-            return False
-        if not all(_supported(branch) for branch in step.predicates):
-            return False
-    return True
-
-
-def _stream(columns: ColumnarDocument, test: NodeTest) -> Sequence[int]:
-    """The document-wide sorted ``pre`` stream matching a node test."""
-    if isinstance(test, NameTest):
-        return columns.element_stream(test.name)
-    if isinstance(test, ElementTest) and test.name is not None:
-        return columns.element_stream(test.name)
-    if isinstance(test, (WildcardTest, ElementTest)):
-        return columns.element_pres
-    if isinstance(test, TextTest):
-        return columns.text_pres
-    # node(): attributes are only reachable via the attribute axis.
-    return columns.non_attribute_pres
+                last = max(map(end_column.__getitem__, candidates))
+            pres = step.test.stream(columns, axis is Axis.ATTRIBUTE)
+            low = bisect_left(pres, candidates[0] + offset)
+            high = bisect_right(pres, last)
+            satisfying = pres[low:high]
+            if self.metrics is not None:
+                self.metrics.stream_scanned[self.name] += high - low
+                self.metrics.nodes_visited[self.name] += high - low
+            if self.governor is not None:
+                self.governor.tick(high - low + len(candidates) + 1)
+        for branch in step.predicates:
+            satisfying = self._semi_join(columns, satisfying, branch)
+        if index + 1 < len(steps):
+            satisfying = self._having(columns, satisfying, steps, index + 1)
+        if axis is Axis.SELF:
+            return satisfying
+        if not len(satisfying):
+            return []
+        if axis in (Axis.CHILD, Axis.ATTRIBUTE):
+            parents = set(map(columns.parent.__getitem__, satisfying))
+            return [pre for pre in candidates if pre in parents]
+        # descendant(-or-self): the first satisfying entry at or after
+        # the candidate's region start must still lie inside the region.
+        count = len(satisfying)
+        kept: List[int] = []
+        for pre in candidates:
+            at = bisect_left(satisfying, pre + offset)
+            if at < count and satisfying[at] <= end_column[pre]:
+                kept.append(pre)
+        return kept
 
 
 def _prune_covered(contexts: List[int], end_column) -> List[int]:

@@ -41,8 +41,7 @@ from ..xmltree.axes import Axis
 from ..xmltree.columnar import KIND_ATTRIBUTE, ColumnarDocument
 from ..xmltree.document import IndexedDocument
 from ..xmltree.node import Node
-from ..xmltree.nodetest import (ElementTest, NameTest, NodeTest, TextTest,
-                                WildcardTest)
+from ..xmltree.nodetest import NodeTest, TextTest
 from .base import Binding, TreePatternAlgorithm
 from .nljoin import NLJoin
 
@@ -189,32 +188,10 @@ def _supported(path: PatternPath) -> bool:
 def _stream_for(columns: ColumnarDocument, context_pre: int,
                 context_end: int, node: _QueryNode) -> Sequence[int]:
     """The region-restricted ``pre`` stream for one query node."""
-    include_self = node.axis is Axis.DESCENDANT_OR_SELF
-    test = node.test
-    if node.axis is Axis.ATTRIBUTE:
-        if isinstance(test, NameTest):
-            pres = columns.attribute_stream(test.name)
-        else:
-            pres = columns.all_attribute_pres
-        return _region_slice(pres, context_pre, context_end,
-                             include_self=False)
-    if isinstance(test, NameTest):
-        return _region_slice(columns.element_stream(test.name),
-                             context_pre, context_end, include_self)
-    if isinstance(test, (WildcardTest, ElementTest)):
-        sliced = _region_slice(columns.element_pres, context_pre,
-                               context_end, include_self)
-        if isinstance(test, ElementTest) and test.name is not None:
-            name_id = columns.name_id
-            names = columns.names
-            return [pre for pre in sliced
-                    if names[name_id[pre]] == test.name]
-        return sliced
-    # node(): every node in the region — except attributes, which are
-    # only reachable via the attribute axis, never as children or
-    # descendants.
-    return _region_slice(columns.non_attribute_pres, context_pre,
-                         context_end, include_self)
+    return _region_slice(
+        node.test.stream(columns, node.axis is Axis.ATTRIBUTE),
+        context_pre, context_end,
+        include_self=node.axis is Axis.DESCENDANT_OR_SELF)
 
 
 def _region_slice(pres: Sequence[int], context_pre: int, context_end: int,

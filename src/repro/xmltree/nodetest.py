@@ -8,6 +8,7 @@ kind tests ``node()``, ``text()`` and ``element()``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .node import AttributeNode, ElementNode, Node, TextNode
 
@@ -17,6 +18,14 @@ class NodeTest:
     """Base class: matches principal-axis nodes only."""
 
     def matches(self, node: Node, principal_kind: str = "element") -> bool:
+        raise NotImplementedError
+
+    def stream(self, columns, attribute: bool = False) -> Sequence[int]:
+        """The document-wide sorted ``pre`` stream of a
+        :class:`~repro.xmltree.columnar.ColumnarDocument` holding every
+        node this test selects: on the attribute axis when ``attribute``
+        is set, else on the child/descendant axes (which never reach
+        attributes)."""
         raise NotImplementedError
 
     def to_string(self) -> str:
@@ -37,6 +46,11 @@ class NameTest(NodeTest):
             return isinstance(node, AttributeNode) and node.name == self.name
         return isinstance(node, ElementNode) and node.name == self.name
 
+    def stream(self, columns, attribute: bool = False) -> Sequence[int]:
+        if attribute:
+            return columns.attribute_stream(self.name)
+        return columns.element_stream(self.name)
+
     def to_string(self) -> str:
         return self.name
 
@@ -50,6 +64,11 @@ class WildcardTest(NodeTest):
             return isinstance(node, AttributeNode)
         return isinstance(node, ElementNode)
 
+    def stream(self, columns, attribute: bool = False) -> Sequence[int]:
+        if attribute:
+            return columns.all_attribute_pres
+        return columns.element_pres
+
     def to_string(self) -> str:
         return "*"
 
@@ -61,6 +80,11 @@ class AnyKindTest(NodeTest):
     def matches(self, node: Node, principal_kind: str = "element") -> bool:
         return True
 
+    def stream(self, columns, attribute: bool = False) -> Sequence[int]:
+        if attribute:
+            return columns.all_attribute_pres
+        return columns.non_attribute_pres
+
     def to_string(self) -> str:
         return "node()"
 
@@ -71,6 +95,9 @@ class TextTest(NodeTest):
 
     def matches(self, node: Node, principal_kind: str = "element") -> bool:
         return isinstance(node, TextNode)
+
+    def stream(self, columns, attribute: bool = False) -> Sequence[int]:
+        return () if attribute else columns.text_pres
 
     def to_string(self) -> str:
         return "text()"
@@ -86,6 +113,13 @@ class ElementTest(NodeTest):
         if not isinstance(node, ElementNode):
             return False
         return self.name is None or node.name == self.name
+
+    def stream(self, columns, attribute: bool = False) -> Sequence[int]:
+        if attribute:
+            return ()
+        if self.name is None:
+            return columns.element_pres
+        return columns.element_stream(self.name)
 
     def to_string(self) -> str:
         return f"element({self.name})" if self.name else "element()"

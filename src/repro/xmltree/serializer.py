@@ -8,11 +8,17 @@ from .node import AttributeNode, DocumentNode, ElementNode, Node, TextNode
 
 
 def _escape_text(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    # A literal CR would be read back as LF (XML 1.0 §2.11 line-end
+    # normalization), so it travels as a character reference.
+    return (text.replace("&", "&amp;").replace("<", "&lt;")
+            .replace(">", "&gt;").replace("\r", "&#13;"))
 
 
 def _escape_attribute(text: str) -> str:
-    return _escape_text(text).replace('"', "&quot;")
+    # Literal tab/LF/CR in an attribute value are read back as spaces
+    # (XML 1.0 §3.3.3 attribute-value normalization).
+    return (_escape_text(text).replace('"', "&quot;")
+            .replace("\t", "&#9;").replace("\n", "&#10;"))
 
 
 def serialize(node: Node, indent: Optional[int] = None) -> str:
@@ -22,6 +28,8 @@ def serialize(node: Node, indent: Optional[int] = None) -> str:
     element per line; mixed/text content is always emitted verbatim so
     round-tripping unindented documents is lossless.
     """
+    if isinstance(node, ElementNode):
+        return _serialize_element(node, indent)
     if isinstance(node, TextNode):
         return _escape_text(node.text)
     if isinstance(node, AttributeNode):
@@ -30,52 +38,57 @@ def serialize(node: Node, indent: Optional[int] = None) -> str:
         chunks = [serialize(child, indent) for child in node.children]
         separator = "\n" if indent is not None else ""
         return separator.join(chunks)
-    if isinstance(node, ElementNode):
-        parts: list[str] = []
-        _serialize_element(node, parts, indent, 0)
-        return "".join(parts)
     raise TypeError(f"cannot serialize {type(node).__name__}")
 
 
-def _open_tag(element: ElementNode, self_closing: bool) -> str:
-    attributes = "".join(
-        f' {attribute.name}="{_escape_attribute(attribute.value)}"'
-        for attribute in element.attributes)
-    return f"<{element.name}{attributes}{'/' if self_closing else ''}>"
+def _serialize_element(root: ElementNode, indent: Optional[int]) -> str:
+    """Serialize one element subtree in a single pass over an explicit
+    stack (no recursion: the paper's §5.3 documents are depth 15+).
 
-
-def _serialize_element(root: ElementNode, parts: list[str], indent: Optional[int], depth: int) -> None:
-    """Serialize one element subtree using an explicit stack.
-
-    Work items are ("node", node, depth) and ("close", tag-name, depth,
-    pretty) pairs; "close" with pretty=True is preceded by a newline and
-    indentation.
+    The stack holds nodes still to be written and ready-made closing
+    tags.  ``level``/``levels`` are touched only when ``indent`` is set:
+    the nesting level of the node being written, and the level to return
+    to at each pending closing tag.
     """
-    stack: list[tuple] = [("node", root, depth)]
+    parts: list[str] = []
+    append = parts.append
+    stack: list = [root]
+    level = 0
+    levels: list[int] = []
     while stack:
         item = stack.pop()
-        if item[0] == "close":
-            _, tag, level, pretty = item
-            if pretty:
-                parts.append("\n" + " " * ((indent or 0) * level))
-            parts.append(f"</{tag}>")
+        kind = type(item)
+        if kind is str:
+            append(item)
+            if indent is not None:
+                level = levels.pop()
             continue
-        _, node, level = item
-        if isinstance(node, TextNode):
-            parts.append(_escape_text(node.text))
+        if kind is TextNode:
+            append(_escape_text(item.text))
             continue
-        assert isinstance(node, ElementNode)
-        if indent is not None and level > depth:
-            parts.append("\n" + " " * (indent * level))
-        if not node.children:
-            parts.append(_open_tag(node, self_closing=True))
+        name = item._name
+        children = item._children
+        if indent is not None and level:
+            append("\n" + " " * (indent * level))
+        opening = "<" + name
+        if item._attributes:
+            opening += "".join(
+                [f' {attribute._name}="{_escape_attribute(attribute.value)}"'
+                 for attribute in item._attributes])
+        if not children:
+            append(opening + "/>")
             continue
-        parts.append(_open_tag(node, self_closing=False))
-        has_text = any(isinstance(child, TextNode) for child in node.children)
-        pretty_close = indent is not None and not has_text
-        stack.append(("close", node.name, level, pretty_close))
-        for child in reversed(node.children):
-            # Inside mixed content, suppress indentation by keeping the
-            # child at the parent's level when text is present.
-            child_level = level + 1 if not has_text else depth
-            stack.append(("node", child, child_level))
+        append(opening + ">")
+        closing = "</" + name + ">"
+        if indent is not None:
+            levels.append(level)
+            # Inside mixed content indentation is suppressed: children
+            # restart at level 0 and the closing tag stays on the line.
+            if any(type(child) is TextNode for child in children):
+                level = 0
+            else:
+                closing = "\n" + " " * (indent * level) + closing
+                level += 1
+        stack.append(closing)
+        stack.extend(reversed(children))
+    return "".join(parts)

@@ -2,11 +2,15 @@
 
 import pytest
 
+from repro.data import member_document
+from repro.guard import (BudgetExceeded, Budgets, ChaosSpec, InjectedFault,
+                         ResourceGovernor, inject)
+from repro.obs import ExecMetrics
 from repro.pattern import parse_pattern
 from repro.physical import (HeuristicChooser, NLJoin, StackTreeJoin,
                             StaircaseJoin, Strategy, TwigJoin,
                             make_algorithm)
-from repro.xmltree import IndexedDocument
+from repro.xmltree import IndexedDocument, serialize
 
 DOC = IndexedDocument.from_string(
     '<site><people>'
@@ -156,6 +160,129 @@ class TestAgreement:
                    for algorithm in ALGORITHMS}
         reference = results["nljoin"]
         assert all(result == reference for result in results.values())
+
+
+TWIGS = IndexedDocument.from_string(
+    '<r><a id="1"><a><b x="1">t</b></a><c/></a>'
+    '<a><b><c><b/></c></b>tail</a>'
+    '<a id="3"><c><a><b><b x="2"/></b></a></c></a><b/></r>')
+
+
+class TestBranchSemiJoin:
+    """SCJoin filters a branch set-at-a-time, bottom-up; NLJoin walks it
+    per node.  Shapes the fuzzers generate rarely."""
+
+    PATTERNS = [
+        # candidates nested inside candidates
+        "IN#d/descendant::a[descendant::b]{o}",
+        "IN#d/descendant::a[descendant::a[child::b]]{o}",
+        # descendant-or-self and self branch steps
+        "IN#d/descendant::b[descendant-or-self::b[@x]]{o}",
+        "IN#d/descendant::*[self::a]{o}",
+        "IN#d/descendant::*[self::a[@id]/child::c]{o}",
+        "IN#d/descendant::node()[self::text()]{o}",
+        "IN#d/descendant::a[child::b/self::b[child::c]]{o}",
+        # attribute and text() branches, wildcard and node() tests
+        "IN#d/descendant::a[@id]{o}",
+        "IN#d/descendant::*[@*]{o}",
+        "IN#d/descendant::*[attribute::node()]/child::*{o}",
+        "IN#d/descendant::a[child::text()]{o}",
+        "IN#d/descendant::*[descendant::text()]{o}",
+        "IN#d/descendant::a[child::*[child::*]]{o}",
+        "IN#d/descendant::a[child::node()]{o}",
+        "IN#d/descendant::*[descendant-or-self::node()[@x]]{o}",
+        # a positional step inside a branch, alone and above a branch
+        "IN#d/descendant::a[child::*[1][self::c]]{o}",
+        "IN#d/descendant::a[descendant::b[2]]{o}",
+        "IN#d/descendant::a[child::b[child::c][1]/child::c]{o}",
+        # a branch under a branch, two branches on one step
+        "IN#d/descendant::a[child::b[child::c[child::b]]]{o}",
+        "IN#d/descendant::a[child::c][@id]/child::c[child::a]{o}",
+        # an empty satisfying set
+        "IN#d/descendant::a[child::zzz]{o}",
+        "IN#d/descendant::a[child::b[descendant::zzz]]{o}",
+        "IN#d/descendant::a[@zzz]{o}",
+    ]
+
+    @pytest.mark.parametrize("pattern_text", PATTERNS)
+    def test_agrees_with_nljoin(self, pattern_text):
+        """From every single node (the document root, and contexts deep
+        in the document) and from all nodes at once, attributes and
+        text included."""
+        nodes = [TWIGS.node_at(pre) for pre in range(TWIGS.size)]
+        for contexts in [[node] for node in nodes] + [nodes]:
+            expected = single(NLJoin(), TWIGS, pattern_text, contexts)
+            assert single(StaircaseJoin(), TWIGS, pattern_text,
+                          contexts) == expected
+
+    def test_some_case_is_not_vacuous(self):
+        matched = [text for text in self.PATTERNS
+                   if single(NLJoin(), TWIGS, text)]
+        assert len(matched) >= len(self.PATTERNS) - 4
+
+
+@pytest.fixture(scope="module")
+def forest():
+    """20 000 nodes, 6 tags: 100 independent 200-node MemBeR trees."""
+    blocks = [serialize(member_document(200, depth=5, tag_count=6,
+                                        seed=index).root)
+              for index in range(100)]
+    return IndexedDocument.from_string(
+        "<forest>" + "".join(blocks) + "</forest>")
+
+
+class TestStaircaseWork:
+    TWIG = parse_pattern(
+        "IN#d/descendant::t01[child::t02[child::t03[child::t04]]]{o}").path
+
+    @staticmethod
+    def scanned(document, path):
+        algorithm = StaircaseJoin()
+        metrics = ExecMetrics()
+        algorithm.attach_metrics(metrics)
+        result = algorithm.match_single(document, [document.root], path)
+        assert result
+        assert result == NLJoin().match_single(document, [document.root],
+                                               path)
+        return metrics.stream_scanned["scjoin"]
+
+    def test_branch_work_is_one_pass_per_query_node(self, forest):
+        """Pins the set-at-a-time branches: each query node's stream is
+        read about once."""
+        streams = sum(len(forest.stream(tag))
+                      for tag in ("t01", "t02", "t03", "t04"))
+        assert self.scanned(forest, self.TWIG) <= 2 * streams
+
+    def test_nested_candidates_do_not_multiply_the_work(self):
+        """Single-tag depth-15 document: every candidate's region holds
+        other candidates, so per-candidate branch evaluation reads
+        candidates x region entries (22 passes here, not 3)."""
+        from repro.data import deep_member_document
+        deep = deep_member_document(5000, depth=15)
+        path = parse_pattern("IN#d/descendant::t1[descendant::t1"
+                             "[descendant::t1]]{o}").path
+        assert self.scanned(deep, path) <= 2 * 3 * len(deep.stream("t1"))
+
+    def test_branch_kernels_charge_the_step_budget(self, forest):
+        spine = parse_pattern("IN#d/descendant::t01{o}").path
+        governor = ResourceGovernor(Budgets(max_steps=10**9))
+        algorithm = StaircaseJoin()
+        algorithm.attach_governor(governor)
+        algorithm.match_single(forest, [forest.root], spine)
+        spine_steps = governor.steps
+        # A budget the spine fits in trips inside the branch kernels.
+        algorithm.attach_governor(
+            ResourceGovernor(Budgets(max_steps=spine_steps + 10)))
+        with pytest.raises(BudgetExceeded) as exc:
+            algorithm.match_single(forest, [forest.root], self.TWIG)
+        assert exc.value.code.startswith("REPRO-BUDGET")
+
+    def test_chaos_site_still_fires(self, forest):
+        with inject(ChaosSpec(site="scjoin.match")) as injector:
+            with pytest.raises(InjectedFault):
+                StaircaseJoin().match_single(forest, [forest.root],
+                                             self.TWIG)
+        assert injector.visits == ["scjoin.match"]
 
 
 class TestFallbacks:

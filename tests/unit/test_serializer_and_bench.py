@@ -1,13 +1,16 @@
 """Serializer details and the benchmark-harness utilities."""
 
 import os
+from xml.etree import ElementTree
 
 import pytest
 
 from repro.bench import (QE_QUERIES, STRATEGY_LABELS, generate_variants,
                          geometric_mean, render_table, scale, scaled,
                          table1_node_counts, time_call)
+from repro.data import deep_member_document
 from repro.xmltree import parse_xml, serialize
+from repro.xmltree.node import ElementNode
 
 
 class TestSerializer:
@@ -60,6 +63,55 @@ class TestSerializer:
         doc = parse_xml("<a>x &amp; y</a>")
         text_node = doc.document_element.children[0]
         assert serialize(text_node) == "x &amp; y"
+
+    def test_whitespace_references_survive_conforming_parsers(self):
+        """A literal tab/LF/CR in an attribute value is read back as a
+        space, a literal CR in text as LF (XML 1.0 §3.3.3, §2.11): they
+        must travel as character references."""
+        source = '<a b="x&#10;y&#9;z&#13;w">t&#13;u\nv\tw</a>'
+        text = serialize(parse_xml(source))
+        assert text == source
+        ours = parse_xml(text).document_element
+        assert ours.get_attribute("b") == "x\ny\tz\rw"
+        assert ours.string_value() == "t\ru\nv\tw"
+        theirs = ElementTree.fromstring(text)
+        assert theirs.get("b") == "x\ny\tz\rw"
+        assert theirs.text == "t\ru\nv\tw"
+        attribute = parse_xml(source).document_element.attributes[0]
+        assert serialize(attribute) == 'b="x&#10;y&#9;z&#13;w"'
+
+    def test_pretty_mode_mixed_content(self):
+        """Indentation stops at mixed content (its text is significant)
+        and restarts, from level 0, below element-only content inside."""
+        doc = parse_xml("<a><b>one<c><d/><e>x</e></c>two</b><f/></a>")
+        assert serialize(doc, indent=2) == (
+            "<a>\n"
+            "  <b>one<c>\n"
+            "  <d/>\n"
+            "  <e>x</e>\n"
+            "</c>two</b>\n"
+            "  <f/>\n"
+            "</a>")
+
+    def test_attribute_only_element(self):
+        doc = parse_xml('<a><b x="1" y="&amp;"/></a>')
+        assert serialize(doc) == '<a><b x="1" y="&amp;"/></a>'
+        assert serialize(doc, indent=1) == \
+            '<a>\n <b x="1" y="&amp;"/>\n</a>'
+
+    def test_deep_document_needs_no_recursion(self):
+        """The paper's §5.3 documents are depth 15+; go far beyond the
+        interpreter's recursion limit to pin the explicit stack."""
+        deep = deep_member_document(3000, depth=15)
+        text = serialize(deep.root)
+        assert serialize(parse_xml(text)) == text
+        root = leaf = ElementNode("n")
+        for _ in range(5000):
+            child = ElementNode("n")
+            leaf.append_child(child)
+            leaf = child
+        assert serialize(root) == "<n>" * 5000 + "<n/>" + "</n>" * 5000
+        assert serialize(root, indent=0).count("\n") == 10000
 
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):
