@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import FrozenSet, List, Optional, Tuple
 
+from ..guard.errors import InternalError
 from ..pattern import PatternPath, TreePattern, single_step_pattern
 from ..xmltree.axes import Axis
 from ..xqcore.cast import Var
@@ -107,13 +108,16 @@ def optimize_plan(plan: ItemPlan,
         return plan
     optimizer = _Optimizer(options, _FieldNamer(plan))
     for _ in range(_MAX_PASSES):
-        optimizer.changed = False
-        plan = optimizer.rewrite(plan, insensitive=False,
-                                 live=frozenset())
-        if not optimizer.changed:
+        rewritten = optimizer.rewrite(plan, insensitive=False,
+                                      live=frozenset())
+        if rewritten is plan:
             return plan
-    raise RuntimeError("algebraic optimization did not reach a fixpoint "
-                       f"within {_MAX_PASSES} passes")
+        plan = rewritten
+    raise InternalError(
+        f"algebraic optimization (optimize_plan) did not reach a fixpoint "
+        f"within {_MAX_PASSES} passes: a rule keeps firing, or rebuilds an "
+        f"operator without changing it (a rule must return its input when "
+        f"it does not fire)", stage="optimize", max_passes=_MAX_PASSES)
 
 
 def _fields_read(plan: Plan) -> FrozenSet[str]:
@@ -170,75 +174,60 @@ class _Optimizer:
     def __init__(self, options: OptimizerOptions, namer: _FieldNamer) -> None:
         self.options = options
         self.namer = namer
-        self.changed = False
 
     # -- traversal ----------------------------------------------------------
 
     def rewrite(self, plan: Plan, insensitive: bool,
                 live: FrozenSet[str]) -> Plan:
+        """One top-down pass; returns ``plan`` itself when nothing fired
+        anywhere below it, so "changed" is an identity test."""
         plan = self._apply_rules(plan, insensitive, live)
-        return self._rewrite_children(plan, insensitive, live)
-
-    def _mark(self, plan: Plan) -> Plan:
-        self.changed = True
-        return plan
+        children = plan.children()
+        if not children:
+            return plan
+        new_children = self._rewrite_children(plan, insensitive, live)
+        if all(new is old for new, old in zip(new_children, children)):
+            return plan
+        return plan.replace_children(new_children)
 
     def _rewrite_children(self, plan: Plan, insensitive: bool,
-                          live: FrozenSet[str]) -> Plan:
+                          live: FrozenSet[str]) -> List[Plan]:
+        """The rewritten children, in ``plan.children()`` order, each
+        under the order-sensitivity and live fields its position implies."""
         if isinstance(plan, DDOPlan):
-            return DDOPlan(self.rewrite(plan.input, True, live))
+            return [self.rewrite(plan.input, True, live)]
         if isinstance(plan, MapToItem):
             dep = self.rewrite(plan.dep, insensitive, frozenset())
-            input_plan = self.rewrite(plan.input, insensitive,
-                                      _fields_read(dep))
-            return MapToItem(dep, input_plan)
+            return [dep, self.rewrite(plan.input, insensitive,
+                                      _fields_read(dep))]
         if isinstance(plan, MapFromItem):
             source_insensitive = insensitive and plan.index_field is None
-            return MapFromItem(plan.bind_field,
-                               self.rewrite(plan.input, source_insensitive,
-                                            frozenset()),
-                               plan.index_field)
+            return [self.rewrite(plan.input, source_insensitive,
+                                 frozenset())]
         if isinstance(plan, Select):
             predicate = self.rewrite(plan.predicate, True, frozenset())
-            input_plan = self.rewrite(plan.input, insensitive,
-                                      live | _fields_read(predicate))
-            return Select(predicate, input_plan)
+            return [predicate,
+                    self.rewrite(plan.input, insensitive,
+                                 live | _fields_read(predicate))]
         if isinstance(plan, TupleTreePattern):
-            input_live = live | {plan.pattern.input_field}
-            return TupleTreePattern(plan.pattern,
-                                    self.rewrite(plan.input, insensitive,
-                                                 input_live))
-        if isinstance(plan, TreeJoin):
-            return TreeJoin(plan.axis, plan.test,
-                            self.rewrite(plan.input, insensitive, live))
-        if isinstance(plan, FnCall):
-            arg_insensitive = plan.name in _EBV_FUNCTIONS
-            return FnCall(plan.name,
-                          [self.rewrite(arg, arg_insensitive, live)
-                           for arg in plan.args])
-        if isinstance(plan, (Compare, Logical)):
-            left = self.rewrite(plan.left, True, live)
-            right = self.rewrite(plan.right, True, live)
-            return type(plan)(plan.op, left, right)
-        if isinstance(plan, Arith):
-            return Arith(plan.op, self.rewrite(plan.left, False, live),
-                         self.rewrite(plan.right, False, live))
+            return [self.rewrite(plan.input, insensitive,
+                                 live | {plan.pattern.input_field})]
         if isinstance(plan, IfPlan):
-            return IfPlan(self.rewrite(plan.condition, True, live),
-                          self.rewrite(plan.then_branch, insensitive, live),
-                          self.rewrite(plan.else_branch, insensitive, live))
+            return [self.rewrite(plan.condition, True, live),
+                    self.rewrite(plan.then_branch, insensitive, live),
+                    self.rewrite(plan.else_branch, insensitive, live)]
         if isinstance(plan, LetPlan):
-            return LetPlan(plan.var,
-                           self.rewrite(plan.value, False, live),
-                           self.rewrite(plan.body, insensitive, live))
-        if isinstance(plan, SeqPlan):
-            return SeqPlan([self.rewrite(item, insensitive, live)
-                            for item in plan.items])
-        if isinstance(plan, TypeswitchPlan):
-            children = [self.rewrite(child, False, live)
-                        for child in plan.children()]
-            return plan.replace_children(children)
-        return plan
+            return [self.rewrite(plan.value, False, live),
+                    self.rewrite(plan.body, insensitive, live)]
+        if isinstance(plan, FnCall):
+            insensitive = plan.name in _EBV_FUNCTIONS
+        elif isinstance(plan, (Compare, Logical)):
+            insensitive = True
+        elif isinstance(plan, (Arith, TypeswitchPlan)):
+            insensitive = False
+        # ... and TreeJoin and SeqPlan hand theirs down unchanged.
+        return [self.rewrite(child, insensitive, live)
+                for child in plan.children()]
 
     # -- rule dispatch --------------------------------------------------------
 
@@ -248,7 +237,7 @@ class _Optimizer:
             rewritten = self._try_rules(plan, insensitive, live)
             if rewritten is plan:
                 return plan
-            plan = self._mark(rewritten)
+            plan = rewritten
 
     def _try_rules(self, plan: Plan, insensitive: bool,
                    live: FrozenSet[str]) -> Plan:

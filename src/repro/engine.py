@@ -20,7 +20,7 @@ physical algorithm choice at execution time.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import astuple, dataclass, field
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -60,6 +60,21 @@ DEFAULT_MAX_DOCUMENT_SIZE = 64 * 1024 * 1024
 #: (:mod:`repro.algebra.eval`) and the produce/consume plan compiler
 #: (:mod:`repro.compiled`).
 BACKENDS = ("interpreted", "compiled")
+
+
+@contextmanager
+def _typed_depth_errors(metrics: PipelineMetrics):
+    """Query text is external input: a query nested deeper than the
+    (recursive) compile stages can walk is an :class:`InputError`, not a
+    raw ``RecursionError``.  The stage that gave up is the last one
+    ``metrics`` timed."""
+    try:
+        yield
+    except RecursionError as err:
+        stage = next(reversed(metrics.stages), "parse")
+        raise InputError(
+            f"query nests too deeply: the {stage} stage exceeded the "
+            f"recursion limit", stage=stage) from err
 
 
 @dataclass
@@ -264,7 +279,8 @@ class Engine:
                     tracing.event("plan_cache_hit")
                 return cached
         metrics = PipelineMetrics()
-        with maybe_span(tracing, "compile_pipeline"):
+        with _typed_depth_errors(metrics), \
+                maybe_span(tracing, "compile_pipeline"):
             with metrics.stage("parse"), maybe_span(tracing, "parse"):
                 surface = resolve_abbreviations(parse_query(query))
             with metrics.stage("normalize"), \

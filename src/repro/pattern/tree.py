@@ -63,6 +63,15 @@ class PatternStep:
             text += f"[{self.position}]"
         return text
 
+    @property
+    def keeps_context(self) -> bool:
+        """The step returns its context node whatever its kind
+        (``self::node()``, ``descendant-or-self::node()``) — the only way
+        a path goes on from an attribute node, which has no children and
+        no entry in the element/text ``pre`` streams."""
+        return (self.axis in (Axis.SELF, Axis.DESCENDANT_OR_SELF)
+                and isinstance(self.test, AnyKindTest))
+
     def with_position(self, position: int) -> "PatternStep":
         return replace(self, position=position)
 
@@ -101,6 +110,31 @@ class PatternPath:
     def has_position(self) -> bool:
         """One of this path's own steps is positional (``step[n]``)."""
         return any(step.position is not None for step in self.steps)
+
+    @cached_property
+    def attribute_sensitive(self) -> bool:
+        """Attributes taken as context nodes can show in the answer: the
+        first step keeps its context (:attr:`PatternStep.keeps_context`)
+        or the path :attr:`continues_from_attribute`.  False for nearly
+        every pattern, which is all an evaluation has to read."""
+        return self.steps[0].keeps_context or self.continues_from_attribute
+
+    @cached_property
+    def continues_from_attribute(self) -> bool:
+        """Some step or predicate branch is taken *from* the attributes
+        an earlier step selected and keeps them
+        (:attr:`PatternStep.keeps_context`): outside what the stream
+        algorithms evaluate, so they hand the pattern to NLJoin."""
+        at_attribute = False
+        for step in self.steps:
+            if at_attribute and step.keeps_context:
+                return True
+            at_attribute = at_attribute or step.axis is Axis.ATTRIBUTE
+            if any(branch.continues_from_attribute
+                   or (at_attribute and branch.steps[0].keeps_context)
+                   for branch in step.predicates):
+                return True
+        return False
 
     def replace_last(self, step: PatternStep) -> "PatternPath":
         return PatternPath(self.steps[:-1] + (step,))

@@ -25,7 +25,7 @@ from ..guard.governor import ResourceGovernor
 from ..obs import ExecMetrics
 from ..pattern import PatternPath, TreePattern
 from ..xmltree.document import IndexedDocument, ddo
-from ..xmltree.node import Node
+from ..xmltree.node import AttributeNode, Node
 from ..xmltree.summary import PathSummary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -163,6 +163,20 @@ class TreePatternAlgorithm:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__}>"
+
+
+def steps_from_attribute(path: PatternPath, contexts: List[Node]) -> bool:
+    """Does ``path`` take a step from an attribute node that returns the
+    attribute itself (``@x/self::node()``, ``@x/descendant-or-self::node()``
+    — the attribute selected by an earlier step or handed in as a context
+    node)?  The stream algorithms read element/text ``pre`` streams, where
+    an attribute is never its own ``self``; they evaluate such patterns
+    with their NLJoin fallback.  Asked only of an
+    :attr:`~repro.pattern.PatternPath.attribute_sensitive` path, so an
+    ordinary evaluation pays one cached attribute read; nothing is
+    decided per candidate."""
+    return path.continues_from_attribute or any(
+        isinstance(node, AttributeNode) for node in contexts)
 
 
 def distinct_doc_order(nodes: List[Node]) -> List[Node]:

@@ -35,7 +35,7 @@ from ..xmltree.document import IndexedDocument
 from ..xmltree.node import AttributeNode, ElementNode, Node
 from ..xmltree.nodetest import (ElementTest, NameTest, NodeTest, TextTest,
                                 WildcardTest)
-from .base import Binding, TreePatternAlgorithm
+from .base import Binding, TreePatternAlgorithm, steps_from_attribute
 from .nljoin import NLJoin
 
 _SUPPORTED_AXES = (Axis.CHILD, Axis.DESCENDANT, Axis.DESCENDANT_OR_SELF,
@@ -66,7 +66,9 @@ class StackTreeJoin(TreePatternAlgorithm):
 
     def match_single(self, document: IndexedDocument,
                      contexts: List[Node], path: PatternPath) -> List[Node]:
-        if not _supported(path):
+        if not _supported(path) or (
+                path.attribute_sensitive
+                and steps_from_attribute(path, contexts)):
             return self._fallback.match_single(document, contexts, path)
         current = _dedup_sorted(contexts)
         for step in path.steps:

@@ -47,7 +47,7 @@ from ..xmltree.axes import Axis
 from ..xmltree.columnar import KIND_ELEMENT, ColumnarDocument
 from ..xmltree.document import IndexedDocument
 from ..xmltree.node import Node
-from .base import Binding, TreePatternAlgorithm
+from .base import Binding, TreePatternAlgorithm, steps_from_attribute
 from .nljoin import NLJoin
 
 #: ``_child_join`` gathers over the contexts' hull instead of scanning
@@ -81,7 +81,9 @@ class StaircaseJoin(TreePatternAlgorithm):
 
     def match_single(self, document: IndexedDocument,
                      contexts: List[Node], path: PatternPath) -> List[Node]:
-        if not path.is_downward:
+        if not path.is_downward or (
+                path.attribute_sensitive
+                and steps_from_attribute(path, contexts)):
             return self._fallback.match_single(document, contexts, path)
         # Into integer space: sorted, duplicate-free context pres.
         current = self._walk(document.columns,

@@ -30,7 +30,8 @@ from ..xmltree.axes import Axis
 from ..xmltree.document import IndexedDocument
 from ..xmltree.node import AttributeNode, ElementNode, Node
 from ..xmltree.nodetest import TextTest
-from .base import Binding, TreePatternAlgorithm, distinct_doc_order
+from .base import (Binding, TreePatternAlgorithm, distinct_doc_order,
+                   steps_from_attribute)
 from .nljoin import NLJoin
 from .twigjoin import _QueryNode, _build_query_tree
 
@@ -76,7 +77,9 @@ class StreamingXPath(TreePatternAlgorithm):
 
     def match_single(self, document: IndexedDocument,
                      contexts: List[Node], path: PatternPath) -> List[Node]:
-        if not _supported(path):
+        if not _supported(path) or (
+                path.attribute_sensitive
+                and steps_from_attribute(path, contexts)):
             return self._fallback.match_single(document, contexts, path)
         results: list[Node] = []
         for context in contexts:

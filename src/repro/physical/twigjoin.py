@@ -42,7 +42,7 @@ from ..xmltree.columnar import KIND_ATTRIBUTE, ColumnarDocument
 from ..xmltree.document import IndexedDocument
 from ..xmltree.node import Node
 from ..xmltree.nodetest import NodeTest, TextTest
-from .base import Binding, TreePatternAlgorithm
+from .base import Binding, TreePatternAlgorithm, steps_from_attribute
 from .nljoin import NLJoin
 
 _SUPPORTED_AXES = (Axis.CHILD, Axis.DESCENDANT, Axis.DESCENDANT_OR_SELF,
@@ -125,7 +125,9 @@ class TwigJoin(TreePatternAlgorithm):
 
     def match_single(self, document: IndexedDocument,
                      contexts: List[Node], path: PatternPath) -> List[Node]:
-        if not _supported(path):
+        if not _supported(path) or (
+                path.attribute_sensitive
+                and steps_from_attribute(path, contexts)):
             return self._fallback.match_single(document, contexts, path)
         columns = document.columns
         results: List[int] = []
@@ -140,7 +142,9 @@ class TwigJoin(TreePatternAlgorithm):
 
     def enumerate_bindings(self, document: IndexedDocument, context: Node,
                            path: PatternPath) -> List[Binding]:
-        if not _supported(path):
+        if not _supported(path) or (
+                path.attribute_sensitive
+                and steps_from_attribute(path, [context])):
             return self._fallback.enumerate_bindings(document, context, path)
         columns = document.columns
         nodes: List[_QueryNode] = []

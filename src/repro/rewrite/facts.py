@@ -23,12 +23,16 @@ The crucial composite rule (the "loop rule"): for
 the concatenated loop result is sorted and duplicate-free — successive
 iterations produce blocks from disjoint subtrees in document order.
 The rules are deliberately conservative (``False`` is always sound).
+
+The rewriting passes ask at every binder and every ``ddo``; so that a
+pass derives each node's facts once, it hands all its calls one
+:data:`FactsMemo`, which lives for that traversal only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Set
+from typing import Dict, FrozenSet, Tuple
 
 from ..xmltree.axes import Axis
 from ..xqcore.cast import (CCall, CDDO, CEmpty, CExpr, CFor, CGenCmp, CIf,
@@ -49,6 +53,14 @@ UNKNOWN = Facts(ord_nodup=False, singleton=False, separated=False)
 SINGLETON = Facts(ord_nodup=True, singleton=True, separated=True)
 ORDERED = Facts(ord_nodup=True, singleton=False, separated=False)
 ORDERED_SEPARATED = Facts(ord_nodup=True, singleton=False, separated=True)
+
+#: Facts already derived during one traversal, by ``id(node)``.  Binders
+#: are identity-based and never shadow, so within one pass a node always
+#: sits under the same bindings and its facts are a function of the node.
+#: Lifetime rule: one memo per traversal, never kept across passes — a
+#: rewritten ``let`` value changes the facts of its variable.  The entry
+#: holds the node so that its ``id`` cannot be reused while the memo lives.
+FactsMemo = Dict[int, Tuple[CExpr, Facts]]
 
 #: axes whose result from a *single* context node is in document order
 #: and duplicate-free.
@@ -80,12 +92,17 @@ _SINGLETON_FUNCTIONS = frozenset({
 _ORDERED_FUNCTIONS = frozenset({"op:union"}) | _SINGLETON_FUNCTIONS
 
 
-def sequence_facts(expr: CExpr, env: Dict[Var, Facts] | None = None) -> Facts:
-    """Compute the facts for ``expr`` under variable-fact bindings."""
-    return _facts(expr, env or {})
+def sequence_facts(expr: CExpr, env: Dict[Var, Facts] | None = None,
+                   memo: FactsMemo | None = None) -> Facts:
+    """Compute the facts for ``expr`` under variable-fact bindings.
+
+    A rewriting pass hands every call of one traversal the same ``memo``
+    so that each node is analysed once per pass (see :data:`FactsMemo`).
+    """
+    return _facts(expr, env or {}, {} if memo is None else memo)
 
 
-def _facts(expr: CExpr, env: Dict[Var, Facts]) -> Facts:
+def _facts(expr: CExpr, env: Dict[Var, Facts], memo: FactsMemo) -> Facts:
     if isinstance(expr, (CLit, CGenCmp, CLogical, CArith)):
         return SINGLETON
     if isinstance(expr, CEmpty):
@@ -94,22 +111,29 @@ def _facts(expr: CExpr, env: Dict[Var, Facts]) -> Facts:
         if expr.var in env:
             return env[expr.var]
         return _default_var_facts(expr.var)
+    known = memo.get(id(expr))
+    if known is None:
+        known = memo[id(expr)] = (expr, _derive(expr, env, memo))
+    return known[1]
+
+
+def _derive(expr: CExpr, env: Dict[Var, Facts], memo: FactsMemo) -> Facts:
     if isinstance(expr, CDDO):
-        inner = _facts(expr.arg, env)
+        inner = _facts(expr.arg, env, memo)
         # Sorting and deduplicating is a set operation: separation is
         # preserved, never created.
         return Facts(ord_nodup=True, singleton=inner.singleton,
                      separated=inner.separated)
     if isinstance(expr, CStep):
-        return _step_facts(expr, env)
+        return _step_facts(expr, env, memo)
     if isinstance(expr, CLet):
-        value_facts = _facts(expr.value, env)
-        return _facts(expr.body, {**env, expr.var: value_facts})
+        value_facts = _facts(expr.value, env, memo)
+        return _facts(expr.body, {**env, expr.var: value_facts}, memo)
     if isinstance(expr, CFor):
-        return _for_facts(expr, env)
+        return _for_facts(expr, env, memo)
     if isinstance(expr, CIf):
-        then_facts = _facts(expr.then_branch, env)
-        else_facts = _facts(expr.else_branch, env)
+        then_facts = _facts(expr.then_branch, env, memo)
+        else_facts = _facts(expr.else_branch, env, memo)
         return Facts(
             ord_nodup=then_facts.ord_nodup and else_facts.ord_nodup,
             singleton=then_facts.singleton and else_facts.singleton,
@@ -120,13 +144,14 @@ def _facts(expr: CExpr, env: Dict[Var, Facts]) -> Facts:
                      separated=expr.name in _SINGLETON_FUNCTIONS)
     if isinstance(expr, CSeq):
         if len(expr.items) == 1:
-            return _facts(expr.items[0], env)
+            return _facts(expr.items[0], env, memo)
         return UNKNOWN
     if isinstance(expr, CTypeswitch):
-        branch_facts = [_facts(case.body, {**env, case.var: UNKNOWN})
+        branch_facts = [_facts(case.body, {**env, case.var: UNKNOWN}, memo)
                         for case in expr.cases]
         branch_facts.append(
-            _facts(expr.default_body, {**env, expr.default_var: UNKNOWN}))
+            _facts(expr.default_body, {**env, expr.default_var: UNKNOWN},
+                   memo))
         return Facts(
             ord_nodup=all(facts.ord_nodup for facts in branch_facts),
             singleton=all(facts.singleton for facts in branch_facts),
@@ -134,8 +159,9 @@ def _facts(expr: CExpr, env: Dict[Var, Facts]) -> Facts:
     return UNKNOWN
 
 
-def _step_facts(expr: CStep, env: Dict[Var, Facts]) -> Facts:
-    input_facts = _facts(expr.input, env)
+def _step_facts(expr: CStep, env: Dict[Var, Facts],
+                memo: FactsMemo) -> Facts:
+    input_facts = _facts(expr.input, env, memo)
     axis = expr.axis
     if input_facts.singleton:
         if axis in _ORDERED_FROM_SINGLETON:
@@ -158,13 +184,14 @@ def _step_facts(expr: CStep, env: Dict[Var, Facts]) -> Facts:
     return UNKNOWN
 
 
-def _for_facts(expr: CFor, env: Dict[Var, Facts]) -> Facts:
-    source_facts = _facts(expr.source, env)
+def _for_facts(expr: CFor, env: Dict[Var, Facts],
+               memo: FactsMemo) -> Facts:
+    source_facts = _facts(expr.source, env, memo)
     inner_env = dict(env)
     inner_env[expr.var] = SINGLETON
     if expr.position_var is not None:
         inner_env[expr.position_var] = SINGLETON
-    body_facts = _facts(expr.body, inner_env)
+    body_facts = _facts(expr.body, inner_env, memo)
     if source_facts.singleton and expr.where is None:
         # Exactly one iteration: the loop's value is the body's.
         return body_facts

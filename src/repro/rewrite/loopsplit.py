@@ -23,38 +23,40 @@ compilation phase expects (the paper's Q1-tp shape).
 
 from __future__ import annotations
 
-from ..xqcore.cast import CExpr, CFor, free_vars
+from ..xqcore.cast import CExpr, CFor, UsageMemo, usage_counts
 
 
 def split_loops(expr: CExpr) -> CExpr:
-    """Apply loop splitting everywhere, to fixpoint."""
-    while True:
-        rewritten = _rewrite(expr)
-        if rewritten is expr:
-            return expr
-        expr = rewritten
+    """Apply loop splitting everywhere, in one top-down traversal.
+
+    Returns ``expr`` itself when nothing split; a split can enable
+    another one above it, which the caller's fixpoint loop
+    (:func:`repro.rewrite.pipeline.rewrite_to_tpnf`) picks up.
+    """
+    return _rewrite(expr, {})
 
 
-def _rewrite(expr: CExpr) -> CExpr:
-    expr = _split_here(expr)
+def _rewrite(expr: CExpr, memo: UsageMemo) -> CExpr:
+    """``memo``: free variables per node, derived once per traversal."""
+    expr = _split_here(expr, memo)
     children = expr.children()
     if not children:
         return expr
-    new_children = [_rewrite(child) for child in children]
+    new_children = [_rewrite(child, memo) for child in children]
     if all(new is old for new, old in zip(new_children, children)):
         return expr
     return expr.replace_children(new_children)
 
 
-def _split_here(expr: CExpr) -> CExpr:
+def _split_here(expr: CExpr, memo: UsageMemo) -> CExpr:
     while (isinstance(expr, CFor) and expr.position_var is None
            and isinstance(expr.body, CFor)
            and expr.body.position_var is None):
         outer, inner = expr, expr.body
         x = outer.var
-        if inner.where is not None and x in free_vars(inner.where):
+        if inner.where is not None and x in usage_counts(inner.where, memo):
             break
-        if x in free_vars(inner.body):
+        if x in usage_counts(inner.body, memo):
             break
         new_source = CFor(x, None, outer.source, outer.where, inner.source)
         expr = CFor(inner.var, None, new_source, inner.where, inner.body)

@@ -2,10 +2,21 @@
 
 Runs the four rule families — type rewritings, FLWOR rewritings,
 document-order rewritings and loop splitting — in the paper's order,
-iterating the whole sequence until a fixpoint.  Each family individually
-shrinks or preserves the expression (no family undoes another), so the
-iteration terminates; a round cap turns a hypothetical divergence into a
-loud error instead of a hang.
+round after round, until a fixpoint.  Each family is one traversal that
+returns **its input object** when no rule fired (every ``_rewrite``
+rebuilds a node only if a child came back different), so the fixpoint
+test is ``is``: the driver stops as soon as every family in a row has
+handed its input back.  Nothing here prints or compares expressions to
+decide anything.  A new rule must keep that contract: return the node it
+was given unless it really rewrote it — a rule that rebuilds an equal
+node never lets the driver stop, and runs into the round cap below.
+
+Each family individually shrinks or preserves the expression (no family
+undoes another), so the iteration terminates; the cap turns a
+hypothetical divergence into a loud error instead of a hang.  Static
+analyses (sequence facts, types, variable usage) are derived once per
+node per traversal, in memos owned by the family's pass and dropped with
+it (see :data:`repro.rewrite.facts.FactsMemo`).
 """
 
 from __future__ import annotations
@@ -13,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Tuple
 
+from ..guard.errors import InternalError
 from ..xqcore.cast import CExpr
-from ..xqcore.pretty import alpha_canonical
 from .docorder import remove_redundant_ddo
 from .flwor import rewrite_flwor
 from .loopsplit import split_loops
@@ -65,16 +76,21 @@ def rewrite_to_tpnf(expr: CExpr,
     if not passes:
         return expr
 
-    previous = alpha_canonical(expr)
-    for _ in range(_MAX_ROUNDS):
-        for name, rule in passes:
-            rewritten = rule(expr)
-            if trace is not None and rewritten is not expr:
-                trace.record(name, rewritten)
-            expr = rewritten
-        current = alpha_canonical(expr)
-        if current == previous:
-            return expr
-        previous = current
-    raise RuntimeError("core rewriting did not reach a fixpoint "
-                       f"within {_MAX_ROUNDS} rounds")
+    quiet = 0   # consecutive passes that returned their input
+    for turn in range(_MAX_ROUNDS * len(passes)):
+        name, rule = passes[turn % len(passes)]
+        rewritten = rule(expr)
+        if rewritten is expr:
+            quiet += 1
+            if quiet == len(passes):
+                return expr
+            continue
+        quiet = 0
+        if trace is not None:
+            trace.record(name, rewritten)
+        expr = rewritten
+    raise InternalError(
+        f"core rewriting (rewrite_to_tpnf) did not reach a fixpoint within "
+        f"{_MAX_ROUNDS} rounds: a rule keeps firing, or rebuilds a node "
+        f"without changing it (a rule must return its input when it does "
+        f"not fire)", stage="rewrite", max_rounds=_MAX_ROUNDS)

@@ -18,20 +18,22 @@ dispatch produced by predicate normalization into either a plain
 
 from __future__ import annotations
 
-from ..typing import ItemType, TypeEnv, infer_type
+from ..typing import ItemType, TypeEnv, TypeMemo, infer_type
 from ..xqcore.cast import (CaseClause, CExpr, CFor, CLet, CTypeswitch, CVar)
 
 
 def rewrite_typeswitches(expr: CExpr) -> CExpr:
     """Apply both typeswitch rules everywhere, threading a type env."""
-    return _rewrite(expr, TypeEnv())
+    return _rewrite(expr, TypeEnv(), {})
 
 
-def _rewrite(expr: CExpr, env: TypeEnv) -> CExpr:
-    expr = _rewrite_children(expr, env)
+def _rewrite(expr: CExpr, env: TypeEnv, memo: TypeMemo) -> CExpr:
+    """``memo``: the types inferred so far in this traversal (each node is
+    typed once per pass; see :data:`repro.typing.types.TypeMemo`)."""
+    expr = _rewrite_children(expr, env, memo)
     if not isinstance(expr, CTypeswitch):
         return expr
-    input_type = infer_type(expr.input, env)
+    input_type = infer_type(expr.input, env, memo)
     remaining: list[CaseClause] = []
     for case in expr.cases:
         if case.seqtype != "numeric":
@@ -52,38 +54,40 @@ def _rewrite(expr: CExpr, env: TypeEnv) -> CExpr:
                        expr.default_body)
 
 
-def _rewrite_children(expr: CExpr, env: TypeEnv) -> CExpr:
+def _rewrite_children(expr: CExpr, env: TypeEnv,
+                      memo: TypeMemo) -> CExpr:
     """Recurse into children with the right type bindings in scope."""
     if isinstance(expr, CLet):
-        value = _rewrite(expr.value, env)
-        inner = env.bind(expr.var, infer_type(value, env))
-        body = _rewrite(expr.body, inner)
+        value = _rewrite(expr.value, env, memo)
+        inner = env.bind(expr.var, infer_type(value, env, memo))
+        body = _rewrite(expr.body, inner, memo)
         if value is expr.value and body is expr.body:
             return expr
         return CLet(expr.var, value, body)
     if isinstance(expr, CFor):
-        source = _rewrite(expr.source, env)
-        inner = env.bind(expr.var, infer_type(source, env))
+        source = _rewrite(expr.source, env, memo)
+        inner = env.bind(expr.var, infer_type(source, env, memo))
         if expr.position_var is not None:
             inner = inner.bind(expr.position_var, ItemType.NUMERIC)
-        where = _rewrite(expr.where, inner) if expr.where is not None else None
-        body = _rewrite(expr.body, inner)
+        where = (None if expr.where is None
+                 else _rewrite(expr.where, inner, memo))
+        body = _rewrite(expr.body, inner, memo)
         if source is expr.source and where is expr.where and body is expr.body:
             return expr
         return CFor(expr.var, expr.position_var, source, where, body)
     if isinstance(expr, CTypeswitch):
-        input_expr = _rewrite(expr.input, env)
-        input_type = infer_type(input_expr, env)
+        input_expr = _rewrite(expr.input, env, memo)
+        input_type = infer_type(input_expr, env, memo)
         cases = []
         changed = input_expr is not expr.input
         for case in expr.cases:
             case_type = (ItemType.NUMERIC if case.seqtype == "numeric"
                          else ItemType.ANY)
-            body = _rewrite(case.body, env.bind(case.var, case_type))
+            body = _rewrite(case.body, env.bind(case.var, case_type), memo)
             changed = changed or body is not case.body
             cases.append(CaseClause(case.seqtype, case.var, body))
         default_body = _rewrite(expr.default_body,
-                                env.bind(expr.default_var, input_type))
+                                env.bind(expr.default_var, input_type), memo)
         changed = changed or default_body is not expr.default_body
         if not changed:
             return expr
@@ -91,7 +95,7 @@ def _rewrite_children(expr: CExpr, env: TypeEnv) -> CExpr:
     children = expr.children()
     if not children:
         return expr
-    new_children = [_rewrite(child, env) for child in children]
+    new_children = [_rewrite(child, env, memo) for child in children]
     if all(new is old for new, old in zip(new_children, children)):
         return expr
     return expr.replace_children(new_children)

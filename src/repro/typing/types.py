@@ -15,7 +15,7 @@ matches ``numeric()`` either, so ``EMPTY`` counts as disjoint).
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict
+from typing import Dict, Tuple
 
 from ..xqcore.cast import (CCall, CDDO, CEmpty, CExpr, CFor, CGenCmp, CIf,
                            CArith, CLet, CLit, CLogical, CSeq, CStep,
@@ -97,19 +97,30 @@ class TypeEnv:
         return self.bindings.get(var, ItemType.ANY)
 
 
-def infer_type(expr: CExpr, env: TypeEnv | None = None) -> ItemType:
+#: ``id(node)`` → (node, its type), for the nodes typed so far in one
+#: traversal; same lifetime rule as :data:`repro.rewrite.facts.FactsMemo`
+#: (a rewritten binding changes its variable's type).
+TypeMemo = Dict[int, Tuple[CExpr, ItemType]]
+
+
+def infer_type(expr: CExpr, env: TypeEnv | None = None,
+               memo: TypeMemo | None = None) -> ItemType:
     """Infer the coarse item type of a core expression.
 
     Global (externally bound) variables default to ``NODES`` because in
     this engine external variables always hold documents or nodes —
     matching Galax, where the typeswitch rules rely on the static type of
-    the document.
+    the document.  A rewriting pass hands all its calls one ``memo``.
     """
-    env = env or TypeEnv()
-    return _infer(expr, env)
+    return _infer(expr, env or TypeEnv(), {} if memo is None else memo)
 
 
-def _infer(expr: CExpr, env: TypeEnv) -> ItemType:
+def _infer(expr: CExpr, env: TypeEnv, memo: TypeMemo) -> ItemType:
+    if isinstance(expr, (CSeq, CLet, CFor, CIf, CTypeswitch)):
+        known = memo.get(id(expr))
+        if known is None:
+            known = memo[id(expr)] = (expr, _infer_nested(expr, env, memo))
+        return known[1]
     if isinstance(expr, CLit):
         if isinstance(expr.value, bool):
             return ItemType.BOOLEAN
@@ -123,43 +134,48 @@ def _infer(expr: CExpr, env: TypeEnv) -> ItemType:
         if bound is not None:
             return bound
         return _default_var_type(expr.var)
-    if isinstance(expr, CSeq):
-        result = ItemType.EMPTY
-        for item in expr.items:
-            result = result.union(_infer(item, env))
-        return result
     if isinstance(expr, (CStep, CDDO)):
         return ItemType.NODES
-    if isinstance(expr, CLet):
-        value_type = _infer(expr.value, env)
-        return _infer(expr.body, env.bind(expr.var, value_type))
-    if isinstance(expr, CFor):
-        source_type = _infer(expr.source, env)
-        inner = env.bind(expr.var, source_type)
-        if expr.position_var is not None:
-            inner = inner.bind(expr.position_var, ItemType.NUMERIC)
-        return _infer(expr.body, inner)
-    if isinstance(expr, CIf):
-        return _infer(expr.then_branch, env).union(
-            _infer(expr.else_branch, env))
     if isinstance(expr, CCall):
         return _FUNCTION_TYPES.get(expr.name, ItemType.ANY)
     if isinstance(expr, (CGenCmp, CLogical)):
         return ItemType.BOOLEAN
     if isinstance(expr, CArith):
         return ItemType.NUMERIC
-    if isinstance(expr, CTypeswitch):
-        result = ItemType.EMPTY
-        input_type = _infer(expr.input, env)
-        for case in expr.cases:
-            case_type = (ItemType.NUMERIC if case.seqtype == "numeric"
-                         else ItemType.ANY)
-            result = result.union(
-                _infer(case.body, env.bind(case.var, case_type)))
-        result = result.union(
-            _infer(expr.default_body, env.bind(expr.default_var, input_type)))
-        return result
     return ItemType.ANY
+
+
+def _infer_nested(expr: CExpr, env: TypeEnv, memo: TypeMemo) -> ItemType:
+    """The types that depend on sub-expressions (the five classes
+    :func:`_infer` remembers)."""
+    if isinstance(expr, CSeq):
+        result = ItemType.EMPTY
+        for item in expr.items:
+            result = result.union(_infer(item, env, memo))
+        return result
+    if isinstance(expr, CLet):
+        value_type = _infer(expr.value, env, memo)
+        return _infer(expr.body, env.bind(expr.var, value_type), memo)
+    if isinstance(expr, CFor):
+        source_type = _infer(expr.source, env, memo)
+        inner = env.bind(expr.var, source_type)
+        if expr.position_var is not None:
+            inner = inner.bind(expr.position_var, ItemType.NUMERIC)
+        return _infer(expr.body, inner, memo)
+    if isinstance(expr, CIf):
+        return _infer(expr.then_branch, env, memo).union(
+            _infer(expr.else_branch, env, memo))
+    # CTypeswitch: the union of its clauses.
+    result = ItemType.EMPTY
+    input_type = _infer(expr.input, env, memo)
+    for case in expr.cases:
+        case_type = (ItemType.NUMERIC if case.seqtype == "numeric"
+                     else ItemType.ANY)
+        result = result.union(
+            _infer(case.body, env.bind(case.var, case_type), memo))
+    return result.union(
+        _infer(expr.default_body,
+               env.bind(expr.default_var, input_type), memo))
 
 
 def _default_var_type(var: Var) -> ItemType:

@@ -21,11 +21,15 @@ Two consumers sit on top:
   :mod:`repro.physical.cost`, replacing flat document-wide tag counts.
 
 Both are memoized per (pattern, start point): the prefilter runs once
-per ``TupleTreePattern`` evaluation, which happens per input tuple.
+per ``TupleTreePattern`` evaluation, which happens per input tuple.  The
+memo is keyed by the pattern *object* and lives exactly as long as it
+(:meth:`PathSummary._memo_for`): a plan that is dropped — plan cache
+off, LRU eviction — takes its entries along.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
@@ -60,6 +64,22 @@ SUMMARY_AXES = frozenset({
 
 class _Unsupported(Exception):
     """Internal: the pattern leaves the fragment the summary models."""
+
+
+_UNSET = object()
+
+
+class _PatternMemo:
+    """What the summary has worked out for one live pattern path."""
+
+    __slots__ = ("ref", "embeds", "volume")
+
+    def __init__(self, ref: "weakref.ref") -> None:
+        #: kept alive here so that its callback fires with the pattern.
+        self.ref = ref
+        #: start point → does the path embed from there?
+        self.embeds: Dict[Point, bool] = {}
+        self.volume: object = _UNSET
 
 
 @dataclass
@@ -112,9 +132,7 @@ class PathSummary:
         self.total_elements = 0
         self.total_text = 0
         self._node_paths: Dict[int, Point] = {}
-        self._embed_cache: Dict[Tuple[object, Point], bool] = {}
-        self._volume_cache: Dict[object, Optional[float]] = {}
-        self._patterns: Dict[int, object] = {}
+        self._pattern_memo: Dict[int, _PatternMemo] = {}
         self._build(document.root)
 
     # -- construction -------------------------------------------------------
@@ -222,8 +240,10 @@ class PathSummary:
             points: Iterable[Point] = self._all_points()
         else:
             points = {self.path_of(node) for node in contexts}
+        embeds = self._memo_for(path).embeds
         try:
-            return any(self._point_embeds(path, point) for point in points)
+            return any(self._point_embeds(path, embeds, point)
+                       for point in points)
         except _Unsupported:
             return True
 
@@ -231,20 +251,32 @@ class PathSummary:
         yield ()
         yield from self.stats
 
-    def _point_embeds(self, path: "PatternPath", point: Point) -> bool:
-        key = (self._pattern_key(path), point)
-        cached = self._embed_cache.get(key)
+    def _point_embeds(self, path: "PatternPath", embeds: Dict[Point, bool],
+                      point: Point) -> bool:
+        cached = embeds.get(point)
         if cached is None:
-            cached = self._embeds(path.steps, {point})
-            self._embed_cache[key] = cached
+            cached = embeds[point] = self._embeds(path.steps, {point})
         return cached
 
-    def _pattern_key(self, path: "PatternPath") -> object:
+    def _memo_for(self, path: "PatternPath") -> _PatternMemo:
         # Patterns inside a compiled plan are stable objects; keying the
         # memo by identity avoids rehashing the recursive dataclass on
-        # every input tuple.
-        self._patterns[id(path)] = path
-        return id(path)
+        # every input tuple (one dict probe per evaluation).  Lifetime
+        # rule: an entry lives exactly as long as its pattern object.
+        # The weak reference's callback drops it while the pattern is
+        # being freed — before its address, the key, can be given to
+        # another object — so nothing pins a pattern and no entry can be
+        # read for the wrong one.  ``dict.get``/``pop``/item assignment
+        # are atomic, which is all the sharing between service threads
+        # needs: two threads racing on a new pattern both compute, one
+        # record wins.
+        key = id(path)
+        memo = self._pattern_memo.get(key)
+        if memo is None:
+            drop = self._pattern_memo.pop
+            memo = self._pattern_memo[key] = _PatternMemo(
+                weakref.ref(path, lambda _ref: drop(key, None)))
+        return memo
 
     def _embeds(self, steps, points: Set[Point]) -> bool:
         current = points
@@ -264,12 +296,8 @@ class PathSummary:
         return True
 
     def _branch_embeds(self, branch: "PatternPath", point: Point) -> bool:
-        key = (self._pattern_key(branch), point)
-        cached = self._embed_cache.get(key)
-        if cached is None:
-            cached = self._embeds(branch.steps, {point})
-            self._embed_cache[key] = cached
-        return cached
+        return self._point_embeds(branch, self._memo_for(branch).embeds,
+                                  point)
 
     # -- one-step transitions ----------------------------------------------
 
@@ -376,15 +404,14 @@ class PathSummary:
         tag-count stream estimate in the cost model.  ``None`` when the
         pattern leaves the summarizable fragment.
         """
-        key = self._pattern_key(path)
-        if key in self._volume_cache:
-            return self._volume_cache[key]
-        try:
-            volume = self._volume(path.steps, set(self._all_points()))
-        except _Unsupported:
-            volume = None
-        self._volume_cache[key] = volume
-        return volume
+        memo = self._memo_for(path)
+        if memo.volume is _UNSET:
+            try:
+                memo.volume = self._volume(path.steps,
+                                           set(self._all_points()))
+            except _Unsupported:
+                memo.volume = None
+        return memo.volume
 
     def _volume(self, steps, points: Set[Point]) -> float:
         total = 0.0

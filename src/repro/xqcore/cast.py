@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..xmltree.axes import Axis
 from ..xmltree.nodetest import NodeTest
@@ -385,6 +385,34 @@ def usage_count(expr: CExpr, var: Var) -> int:
         return total
 
     return count(expr, 1)
+
+
+#: ``id(node)`` → (node, its :func:`usage_counts`); lives for one traversal.
+UsageMemo = Dict[int, Tuple[CExpr, Dict[Var, int]]]
+
+
+def usage_counts(expr: CExpr, memo: UsageMemo) -> Dict[Var, int]:
+    """:func:`usage_count` of every free variable of ``expr`` at once,
+    saturating at 2 ("many"); the keys are exactly :func:`free_vars`.
+
+    Computed bottom-up and remembered per node in ``memo``, so a pass
+    that asks at every binder walks each node once.  The entry holds the
+    node, which keeps its ``id`` from being reused while the memo lives.
+    """
+    if isinstance(expr, CVar):
+        return {expr.var: 1}
+    known = memo.get(id(expr))
+    if known is not None:
+        return known[1]
+    counts: Dict[Var, int] = {}
+    for index, child in enumerate(expr.children()):
+        in_loop = index > 0 and isinstance(expr, CFor)
+        for var, uses in usage_counts(child, memo).items():
+            counts[var] = 2 if in_loop else min(2, counts.get(var, 0) + uses)
+    for var in expr.bound_vars():
+        counts.pop(var, None)
+    memo[id(expr)] = (expr, counts)
+    return counts
 
 
 def substitute(expr: CExpr, var: Var, replacement: CExpr) -> CExpr:

@@ -10,7 +10,7 @@ only if they are equal up to variable renaming.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List, Optional, Tuple
 
 from .cast import (CaseClause, CCall, CDDO, CEmpty, CExpr, CFor, CGenCmp,
                    CIf, CArith, CLet, CLit, CLogical, CSeq, CStep,
@@ -62,7 +62,33 @@ def _assign_names(expr: CExpr, unique_names: bool) -> Dict[Var, str]:
     return names
 
 
+#: one output line: its indentation level relative to the rendered node,
+#: and its text.  ``None`` marks a line that is never indented — the tail
+#: of a multi-line child embedded inside a one-line construct.
+_Line = Tuple[Optional[int], str]
+
+
+def _block(text: str) -> List[_Line]:
+    """Lines of an embedded text: only the first one follows the pad."""
+    first, *rest = text.split("\n")
+    return [(0, first)] + [(None, line) for line in rest]
+
+
+def _nested(lines: List[_Line]) -> List[_Line]:
+    return [(None if level is None else level + 1, text)
+            for level, text in lines]
+
+
+def _join(lines: List[_Line], depth: int) -> str:
+    return "\n".join(text if level is None
+                     else "  " * (depth + level) + text
+                     for level, text in lines)
+
+
 class _Printer:
+    """Renders every node once: :meth:`lines` does not depend on the
+    depth, so nesting a child deeper only shifts its lines."""
+
     def __init__(self, names: Dict[Var, str], bare_dot_steps: bool = True) -> None:
         self.names = names
         self.bare_dot_steps = bare_dot_steps
@@ -70,83 +96,79 @@ class _Printer:
     def var(self, var: Var) -> str:
         return "$" + self.names.get(var, f"{var.name}?{var.uid}")
 
+    def render(self, expr: CExpr, depth: int) -> str:
+        return _join(self.lines(expr), depth)
+
+    def flat(self, expr: CExpr) -> str:
+        """The rendering at depth 0, for embedding in a line."""
+        return self.render(expr, 0).strip()
+
     def inline(self, expr: CExpr) -> str:
         """A compact one-line rendering for binding values and sources."""
-        return " ".join(self.render(expr, 0).split())
+        return " ".join(self.flat(expr).split())
 
-    def render(self, expr: CExpr, depth: int) -> str:
-        pad = "  " * depth
+    def lines(self, expr: CExpr) -> List[_Line]:
         if isinstance(expr, CLit):
             if isinstance(expr.value, str):
-                return pad + '"' + expr.value.replace('"', '""') + '"'
+                return [(0, '"' + expr.value.replace('"', '""') + '"')]
             if isinstance(expr.value, bool):
-                return pad + ("fn:true()" if expr.value else "fn:false()")
-            return pad + repr(expr.value)
+                return [(0, "fn:true()" if expr.value else "fn:false()")]
+            return [(0, repr(expr.value))]
         if isinstance(expr, CEmpty):
-            return pad + "()"
+            return [(0, "()")]
         if isinstance(expr, CVar):
-            return pad + self.var(expr.var)
+            return [(0, self.var(expr.var))]
         if isinstance(expr, CSeq):
-            rendered = ", ".join(self.render(item, 0) for item in expr.items)
-            return f"{pad}({rendered})"
+            rendered = ", ".join(self.render(item, 0)
+                                 for item in expr.items)
+            return _block(f"({rendered})")
         if isinstance(expr, CDDO):
-            compact = self.inline(expr.arg)
+            inner = self.lines(expr.arg)
+            compact = " ".join(_join(inner, 0).split())
             if len(compact) <= 60:
-                return f"{pad}ddo({compact})"
-            inner = self.render(expr.arg, depth + 1)
-            return f"{pad}ddo(\n{inner})"
+                return [(0, f"ddo({compact})")]
+            inner = _nested(inner)
+            inner[-1] = (inner[-1][0], inner[-1][1] + ")")
+            return [(0, "ddo(")] + inner
         if isinstance(expr, CStep):
-            input_text = self.render(expr.input, 0)
             step_text = f"{expr.axis.value}::{expr.test.to_string()}"
             if (self.bare_dot_steps and isinstance(expr.input, CVar)
                     and expr.input.var.name == "dot"):
-                return pad + step_text
-            return f"{pad}{input_text}/{step_text}"
+                return [(0, step_text)]
+            return _block(f"{self.render(expr.input, 0)}/{step_text}")
         if isinstance(expr, CLet):
             value = self.inline(expr.value)
-            body = self.render(expr.body, depth)
-            return f"{pad}let {self.var(expr.var)} := {value}\n{body}"
+            return ([(0, f"let {self.var(expr.var)} := {value}")]
+                    + self.lines(expr.body))
         if isinstance(expr, CFor):
             at_clause = (f" at {self.var(expr.position_var)}"
                          if expr.position_var is not None else "")
             source = self.inline(expr.source)
-            lines = [f"{pad}for {self.var(expr.var)}{at_clause} in {source}"]
+            lines = [(0, f"for {self.var(expr.var)}{at_clause} in {source}")]
             if expr.where is not None:
-                lines.append(f"{pad}where " + self.inline(expr.where))
-            lines.append(f"{pad}return")
-            lines.append(self.render(expr.body, depth + 1))
-            return "\n".join(lines)
+                lines.append((0, "where " + self.inline(expr.where)))
+            lines.append((0, "return"))
+            return lines + _nested(self.lines(expr.body))
         if isinstance(expr, CIf):
-            condition = self.render(expr.condition, 0).strip()
-            then_branch = self.render(expr.then_branch, depth + 1)
-            else_branch = self.render(expr.else_branch, depth + 1)
-            return (f"{pad}if ({condition})\n{pad}then\n{then_branch}\n"
-                    f"{pad}else\n{else_branch}")
+            return (_block(f"if ({self.flat(expr.condition)})")
+                    + [(0, "then")] + _nested(self.lines(expr.then_branch))
+                    + [(0, "else")] + _nested(self.lines(expr.else_branch)))
         if isinstance(expr, CCall):
             name = "ddo" if expr.name == "fs:distinct-doc-order" else expr.name
-            args = ", ".join(self.render(arg, 0).strip() for arg in expr.args)
-            return f"{pad}{name}({args})"
+            args = ", ".join(self.flat(arg) for arg in expr.args)
+            return _block(f"{name}({args})")
         if isinstance(expr, CGenCmp):
-            left = self.render(expr.left, 0).strip()
-            right = self.render(expr.right, 0).strip()
-            return f"{pad}{left} {expr.op} {right}"
-        if isinstance(expr, CArith):
-            left = self.render(expr.left, 0).strip()
-            right = self.render(expr.right, 0).strip()
-            return f"{pad}({left} {expr.op} {right})"
-        if isinstance(expr, CLogical):
-            left = self.render(expr.left, 0).strip()
-            right = self.render(expr.right, 0).strip()
-            return f"{pad}({left} {expr.op} {right})"
+            return _block(f"{self.flat(expr.left)} {expr.op} "
+                          f"{self.flat(expr.right)}")
+        if isinstance(expr, (CArith, CLogical)):
+            return _block(f"({self.flat(expr.left)} {expr.op} "
+                          f"{self.flat(expr.right)})")
         if isinstance(expr, CTypeswitch):
-            input_text = self.inline(expr.input)
-            lines = [f"{pad}typeswitch ({input_text})"]
+            lines = [(0, f"typeswitch ({self.inline(expr.input)})")]
             for case in expr.cases:
-                body = self.render(case.body, 0).strip()
-                lines.append(f"{pad}  case {self.var(case.var)} as "
-                             f"{case.seqtype}() return {body}")
-            default = self.render(expr.default_body, 0).strip()
-            lines.append(f"{pad}  default {self.var(expr.default_var)} "
-                         f"return {default}")
-            return "\n".join(lines)
+                lines += _block(f"  case {self.var(case.var)} as "
+                                f"{case.seqtype}() return "
+                                f"{self.flat(case.body)}")
+            return lines + _block(f"  default {self.var(expr.default_var)} "
+                                  f"return {self.flat(expr.default_body)}")
         raise TypeError(f"cannot print {type(expr).__name__}")

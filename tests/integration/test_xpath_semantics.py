@@ -269,3 +269,62 @@ class TestStrategyConformance:
         for query, expected in self.CASES:
             assert values(engine, query, strategy=strategy) == expected, \
                 (query, strategy)
+
+
+class TestStepsFromAttributes:
+    """A step taken *from an attribute*: the attribute is its own
+    ``self``, has no children and is no element.  Expected lists are
+    written by hand — NLJoin alone was the oracle that hid the stream
+    algorithms answering ``[]`` here — and NLJoin on the unoptimized plan
+    is checked against them too."""
+
+    XML = '<r><a x="1" y="2">t<b x="3"><c/></b></a><a><b/></a></r>'
+    STRATEGIES = ("nljoin", "twigjoin", "scjoin", "stacktree", "streaming",
+                  "auto", "cost", "item")
+    #: the attribute is the previous step of the same pattern …
+    SAME_PATTERN = "$input//a/@x/{axis}::{test}"
+    #: … or the context node of a per-tuple pattern.
+    PER_TUPLE = "for $v in $input//@x return $v/{axis}::{test}"
+    #: (shape, axis, test) → the values of the attributes returned; every
+    #: other combination below is empty.
+    KEPT = {
+        (SAME_PATTERN, "self", "node()"): ["1"],
+        (SAME_PATTERN, "descendant-or-self", "node()"): ["1"],
+        (PER_TUPLE, "self", "node()"): ["1", "3"],
+        (PER_TUPLE, "descendant-or-self", "node()"): ["1", "3"],
+    }
+
+    @pytest.fixture(scope="class")
+    def stores(self, tmp_path_factory):
+        in_memory = Engine.from_xml(self.XML)
+        path = str(tmp_path_factory.mktemp("attr") / "doc.rpxc")
+        in_memory.document.save(path)
+        return {"object": in_memory,
+                "columnar": Engine.from_columnar_file(path)}
+
+    @pytest.mark.parametrize("axis", ["self", "descendant-or-self",
+                                      "child", "descendant"])
+    @pytest.mark.parametrize("test", ["node()", "*", "text()", "x", "b"])
+    @pytest.mark.parametrize("shape", [SAME_PATTERN, PER_TUPLE])
+    def test_every_strategy_and_store(self, stores, shape, axis, test):
+        query = shape.format(axis=axis, test=test)
+        expected = self.KEPT.get((shape, axis, test), [])
+        for store, engine in stores.items():
+            assert values(engine, query, strategy="nljoin",
+                          optimize=False) == expected, (query, store)
+            for strategy in self.STRATEGIES:
+                assert values(engine, query,
+                              strategy=strategy) == expected, \
+                    (query, strategy, store)
+
+    def test_branches_hanging_off_an_attribute(self, stores):
+        for query, expected in [
+                ("$input//a[@x/self::node()]/b/@x", ["3"]),
+                ("$input//b/@x[descendant-or-self::node()]", ["3"]),
+                ("$input//b/@x[child::node()]", []),
+                ("$input//@y/self::node()/self::node()", ["2"])]:
+            for store, engine in stores.items():
+                for strategy in self.STRATEGIES:
+                    assert values(engine, query,
+                                  strategy=strategy) == expected, \
+                        (query, strategy, store)

@@ -5,11 +5,20 @@ the optimizing pipeline (under every physical strategy) and compared to
 the unoptimized reference evaluation.
 """
 
+import gc
+
 from hypothesis import given, settings, strategies as st
 
 from repro import Engine
 from repro.algebra.optimizer import OptimizerOptions
 from repro.data import member_document
+from repro.rewrite import RewriteTrace, rewrite_to_tpnf
+from tests.support import qgen
+from tests.support.rewrite_checks import (ABLATION_OPTIONS,
+                                          assert_analyses_fresh,
+                                          assert_identity_contract,
+                                          assert_same_normal_form,
+                                          normalized)
 
 _ENGINES = {seed: Engine(member_document(180, depth=5, tag_count=3,
                                          seed=seed + 100))
@@ -117,3 +126,62 @@ def test_compilation_deterministic(seed, query):
     first = engine.compile(query).canonical_plan()
     second = engine.compile(query).canonical_plan()
     assert first == second
+
+
+# -- the change-tracked rewriting contract, on the derandomized qgen stream --
+
+
+def check_rewriting_contract(query):
+    """Identity fixpoint, the string fixpoint's normal form under every
+    ablation option set, and per-pass analyses equal to fresh ones after
+    every pass (see ``tests/support/rewrite_checks.py``)."""
+    core = normalized(query)
+    assert_identity_contract(core)
+    for options in ABLATION_OPTIONS.values():
+        assert_same_normal_form(core, options)
+    trace = RewriteTrace()
+    rewrite_to_tpnf(core, trace=trace)
+    for expr in [core] + [snapshot for _, snapshot in trace.steps]:
+        assert_analyses_fresh(expr)
+
+
+@given(query=qgen.member_queries())
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_member_stream_rewriting_contract(query):
+    check_rewriting_contract(query)
+
+
+@given(query=qgen.xmark_queries())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_xmark_stream_rewriting_contract(query):
+    check_rewriting_contract(query)
+
+
+def test_cold_compiles_do_not_accumulate():
+    """2 000 compile + execute cycles with the plan cache off leave the
+    heap and the summary's per-pattern memo where the first 100 left
+    them: a dropped plan takes its patterns' memo entries along (at the
+    parent commit every pattern ever seen stayed pinned — 2.5 KB per
+    cycle)."""
+    # a document of its own: the module's engines keep cached plans,
+    # whose patterns rightly keep their entries.
+    engine = Engine(member_document(180, depth=5, tag_count=3, seed=100),
+                    plan_cache_size=0)
+    queries = ["$input//t01[t02]/t03", "$input//t02[.//t03]",
+               "$input/t01/t02[1]/t03", "count($input//t03)",
+               "$input//t01[t02[t03]]/t02", "$input//t03[t01]/t02[t03]",
+               "for $x in $input//t01 where $x/t02 return $x/t03",
+               "$input//t02/t03[1]", "$input//t01//t02[t01]",
+               "for $x in $input//t02 return $x/t01[t03]"]
+    summary = engine.document.summary
+
+    def cycles(count):
+        for index in range(count):
+            engine.run(queries[index % len(queries)])
+        gc.collect()
+        return len(gc.get_objects()), len(summary._pattern_memo)
+
+    objects_early, memo_early = cycles(100)
+    objects_late, memo_late = cycles(1900)
+    assert memo_late <= memo_early <= 8
+    assert objects_late <= objects_early + 200

@@ -64,6 +64,35 @@ class TestInputValidation:
         with pytest.raises(InputError):
             Engine(people_doc, fallback_chain=["nljoin", "quantum"])
 
+    @pytest.mark.parametrize("optimize", [True, False])
+    @pytest.mark.parametrize("steps", [900, 2000])
+    def test_too_deep_query_is_a_typed_error(self, people_engine, optimize,
+                                             steps):
+        """Query text is external input: a raw RecursionError from any
+        compile stage becomes REPRO-INPUT naming the stage."""
+        with pytest.raises(InputError) as exc:
+            people_engine.compile("$input" + "/a" * steps,
+                                  optimize=optimize, use_cache=False)
+        assert exc.value.code == "REPRO-INPUT"
+        assert "nests too deeply" in exc.value.message
+        assert exc.value.context["stage"] in (
+            "parse", "normalize", "rewrite", "compile", "optimize")
+        assert isinstance(exc.value.__cause__, RecursionError)
+
+    def test_too_deep_for_a_later_stage_names_that_stage(self,
+                                                         people_engine):
+        """300 steps parse and normalize; the recursive rule families
+        are the first to run out of stack."""
+        with pytest.raises(InputError) as exc:
+            people_engine.compile("$input" + "/a" * 300, use_cache=False)
+        assert exc.value.context["stage"] in ("rewrite", "compile",
+                                              "optimize")
+
+    def test_deep_but_walkable_query_compiles(self, people_engine):
+        compiled = people_engine.compile("$input" + "/a" * 100,
+                                         use_cache=False)
+        assert compiled.tree_pattern_count() == 1
+
 
 class TestBudgets:
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)

@@ -1,5 +1,7 @@
 """The algebraic tree-pattern rules (a)–(f) and the paper's plan shapes."""
 
+import pytest
+
 from repro.algebra import (Compare, Const, DDOPlan, FieldAccess, FnCall,
                            InputTuple, Logical, MapFromItem, MapToItem,
                            Select, TreeJoin, TupleTreePattern, VarPlan,
@@ -28,6 +30,33 @@ def ttp_count(plan):
 def patterns_of(plan):
     return [node.pattern.to_string() for node in walk_plan(plan)
             if isinstance(node, TupleTreePattern)]
+
+
+class TestFixpoint:
+    """``optimize_plan`` detects "nothing fired" by identity."""
+
+    def test_a_pass_that_fires_nothing_returns_its_input(self):
+        plan = optimized("$d//person[emailaddress]/name")
+        assert optimize_plan(plan) is plan
+
+    def test_plans_without_patterns_are_returned_as_is(self):
+        plan = TreeJoin(Axis.PARENT, NameTest("a"), FieldAccess("dot"))
+        assert optimize_plan(plan) is plan
+
+    def test_a_rule_that_rebuilds_without_changing_is_a_typed_error(
+            self, monkeypatch):
+        from repro.algebra import optimizer
+        from repro.guard import InternalError
+        monkeypatch.setattr(
+            optimizer._Optimizer, "_apply_rules",
+            lambda self, plan, insensitive, live:
+                plan.replace_children(plan.children()))
+        var = fresh_var("d", origin="external")
+        with pytest.raises(InternalError) as caught:
+            optimize_plan(DDOPlan(VarPlan(var)))
+        assert caught.value.code == "REPRO-INTERNAL"
+        assert caught.value.context["stage"] == "optimize"
+        assert "must return its input" in caught.value.message
 
 
 class TestIndividualRules:

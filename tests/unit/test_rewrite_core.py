@@ -1,22 +1,38 @@
-"""The four core rewrite families (paper Section 3), rule by rule."""
+"""The four core rewrite families (paper Section 3), rule by rule, and
+the change-tracked driver that runs them to the TPNF' fixpoint."""
 
+import importlib
+import pathlib
+import re
+
+import pytest
+
+import repro.rewrite.facts as facts_module
+import repro.rewrite.pipeline as pipeline_module
+from repro.guard import InternalError
 from repro.typing import ItemType, infer_type
 from repro.xmltree.axes import Axis
 from repro.xmltree.nodetest import NameTest
 from repro.xqcore import (CaseClause, CCall, CDDO, CEmpty, CExpr, CFor,
                           CGenCmp, CLet, CLit, CStep, CTypeswitch, CVar, Var,
-                          alpha_canonical, fresh_var, normalize_query,
+                          alpha_canonical, count_nodes, fresh_var, pretty,
                           usage_count, walk)
-from repro.rewrite import (RewriteOptions, remove_redundant_ddo,
-                           rewrite_flwor, rewrite_to_tpnf,
-                           rewrite_typeswitches, split_loops)
+from repro.rewrite import (RewriteOptions, RewriteTrace,
+                           remove_redundant_ddo, rewrite_flwor,
+                           rewrite_to_tpnf, rewrite_typeswitches,
+                           split_loops)
 from repro.rewrite.facts import sequence_facts
-from repro.xquery import parse_query
-from repro.xquery.abbrev import resolve_abbreviations
+from tests.support.rewrite_checks import (ABLATION_OPTIONS,
+                                          assert_analyses_fresh,
+                                          assert_identity_contract,
+                                          assert_same_normal_form, chain,
+                                          curated_queries, normalized)
+
+#: ``repro.xqcore.pretty`` the attribute is the function; this is the module.
+pretty_module = importlib.import_module("repro.xqcore.pretty")
 
 
-def norm(text):
-    return normalize_query(resolve_abbreviations(parse_query(text))).core
+norm = normalized
 
 
 def tpnf(text):
@@ -353,3 +369,153 @@ class TestTypeInference:
         assert ItemType.NUMERIC.union(ItemType.NUMERIC) is ItemType.NUMERIC
         assert ItemType.NUMERIC.union(ItemType.STRING) is ItemType.ANY
         assert ItemType.EMPTY.union(ItemType.NODES) is ItemType.NODES
+
+
+# -- the change-tracked driver --------------------------------------------------
+
+CURATED = curated_queries()
+
+
+def counted(monkeypatch, module, name):
+    """Count the calls of ``module.name`` for the rest of the test."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestIdentityFixpoint:
+    """``rewrite_to_tpnf`` stops on ``is``, never on a printed form."""
+
+    @pytest.mark.parametrize("name", sorted(CURATED))
+    def test_families_return_a_normal_form_itself(self, name):
+        assert_identity_contract(normalized(CURATED[name]))
+
+    @pytest.mark.parametrize("name", sorted(CURATED))
+    def test_same_normal_form_as_the_string_fixpoint(self, name):
+        core = normalized(CURATED[name])
+        for options in ABLATION_OPTIONS.values():
+            assert_same_normal_form(core, options)
+
+    def test_a_normal_form_costs_one_quiet_round(self, monkeypatch):
+        tpnf = rewrite_to_tpnf(normalized(chain("/t1[1]", 8)))
+        calls = [counted(monkeypatch, pipeline_module, name)
+                 for name in ("rewrite_typeswitches", "rewrite_flwor",
+                              "remove_redundant_ddo", "split_loops")]
+        trace = RewriteTrace()
+        assert rewrite_to_tpnf(tpnf, trace=trace) is tpnf
+        assert [len(family) for family in calls] == [1, 1, 1, 1]
+        assert trace.steps == []
+
+    def test_no_options_returns_the_input(self):
+        core = normalized("$d//a[b]/c")
+        assert rewrite_to_tpnf(core, options=RewriteOptions.none()) is core
+
+    def test_a_rule_that_rebuilds_without_changing_is_a_typed_error(
+            self, monkeypatch):
+        monkeypatch.setattr(
+            pipeline_module, "split_loops",
+            lambda expr: expr.replace_children(expr.children()))
+        with pytest.raises(InternalError) as caught:
+            rewrite_to_tpnf(normalized("$d/a/b"))
+        assert caught.value.code == "REPRO-INTERNAL"
+        assert caught.value.context["stage"] == "rewrite"
+        assert "must return its input" in caught.value.message
+
+    def test_rule_code_does_not_mention_a_printer(self):
+        """What the CI hygiene job greps for: nothing under
+        ``repro/rewrite`` (the ``annotate`` renderer aside) nor the
+        algebraic optimizer can print to decide."""
+        package = pathlib.Path(pipeline_module.__file__).parent
+        sources = [path for path in package.glob("*.py")
+                   if path.name != "annotate.py"]
+        sources.append(package.parent / "algebra" / "optimizer.py")
+        printers = re.compile(
+            r"\b(pretty|alpha_canonical|plan_canonical|plan_to_string)\b")
+        assert len(sources) == 9
+        for path in sources:
+            assert not printers.search(path.read_text(encoding="utf-8")), \
+                path.name
+
+
+class TestWorkIsCountedNotTimed:
+    """Passes and analysis evaluations per compile are O(rounds × nodes)."""
+
+    def work(self, monkeypatch, text):
+        core = normalized(text)
+        with monkeypatch.context() as patch:
+            derived = counted(patch, facts_module, "_derive")
+            passes = [counted(patch, pipeline_module, name)
+                      for name in ("rewrite_typeswitches", "rewrite_flwor",
+                                   "remove_redundant_ddo", "split_loops")]
+            rewrite_to_tpnf(core)
+        return count_nodes(core), sum(map(len, passes)), len(derived)
+
+    def test_doubling_a_path_doubles_the_analysis(self, monkeypatch):
+        nodes30, passes30, derived30 = self.work(monkeypatch,
+                                                 chain("/a", 30))
+        nodes60, passes60, derived60 = self.work(monkeypatch,
+                                                 chain("/a", 60))
+        assert passes60 == passes30 <= 8
+        assert nodes60 <= 2 * nodes30
+        # the parent commit re-derived the whole left-nested source at
+        # every binder: 4× and more per doubling.
+        assert derived60 <= 2.2 * derived30
+        assert derived60 <= 4 * nodes60
+
+    @pytest.mark.parametrize("step", ["/t1[1]", "/*[1]"])
+    def test_the_paper_chain_of_fifteen(self, monkeypatch, step):
+        """§5.3's k = 15 point: 5.6 s at the parent commit."""
+        nodes, passes, derived = self.work(monkeypatch, chain(step, 15))
+        assert passes <= 8
+        assert derived <= 4 * nodes
+
+
+class TestPerPassAnalyses:
+    """Memoised facts, types and free variables equal fresh ones on every
+    node, after every pass."""
+
+    @pytest.mark.parametrize("name", sorted(
+        name for name in CURATED
+        if "^" not in name or int(name.split("^")[1]) <= 6))
+    def test_memos_agree_with_fresh_analyses(self, name):
+        core = normalized(CURATED[name])
+        trace = RewriteTrace()
+        rewrite_to_tpnf(core, trace=trace)
+        for expr in [core] + [snapshot for _, snapshot in trace.steps]:
+            assert_analyses_fresh(expr)
+
+    def test_typeswitch_clause_variables_are_unknown_in_every_family(self):
+        """``sequence_facts`` binds clause variables to UNKNOWN; the
+        rewriters must see the same facts or the memo would depend on who
+        asked first: a loop over ``$v`` stays a loop."""
+        user = fresh_var("u")
+        case_var = fresh_var("v", origin="focus")
+        default_var = fresh_var("v", origin="focus")
+        x = fresh_var("x")
+        loop = CFor(x, None, CVar(default_var), None,
+                    step(Axis.CHILD, "a", CVar(x)))
+        switch = CTypeswitch(CVar(user),
+                             [CaseClause("numeric", case_var, CLit(1))],
+                             default_var, CDDO(loop))
+        assert rewrite_flwor(switch) is switch
+        assert remove_redundant_ddo(switch) is switch
+
+
+class TestPrinterIsLinear:
+    EXPECTED = pathlib.Path(__file__).with_name("data") / "chain15_core.txt"
+
+    def test_chain_of_fifteen_prints_what_it_always_printed(self,
+                                                            monkeypatch):
+        core = normalized(chain("/t1[1]", 15))
+        renders = counted(monkeypatch, pretty_module._Printer, "lines")
+        text = pretty(core)
+        assert text + "\n" == self.EXPECTED.read_text(encoding="utf-8")
+        # every node is rendered at most once (exponential before: each
+        # nested ddo(...) rendered its argument twice).
+        assert len(renders) <= count_nodes(core)

@@ -1,5 +1,9 @@
 """The structural path summary: construction, prefilter, selectivity."""
 
+import gc
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -150,6 +154,70 @@ class TestPatternVolume:
     def test_unsupported_axis_yields_none(self):
         summary = IndexedDocument.from_string(RECURSIVE_XML).summary
         assert summary.pattern_volume(path("parent::a")) is None
+
+
+class TestPatternMemoLifetime:
+    """The per-pattern memo is keyed by the pattern object and dies with
+    it: nothing pins a pattern, no entry outlives one."""
+
+    def test_entries_die_with_their_pattern(self):
+        summary = IndexedDocument.from_string(RECURSIVE_XML).summary
+        kept = path("desc::a[child::b]")
+        dropped = path("desc::a[child::b]")
+        for pattern in (kept, dropped):
+            assert summary.can_match(pattern)
+            assert summary.pattern_volume(pattern) > 0
+        assert len(summary._pattern_memo) == 4   # two paths, two branches
+        del dropped, pattern
+        gc.collect()
+        assert len(summary._pattern_memo) == 2
+        assert id(kept) in summary._pattern_memo
+        assert summary._pattern_memo[id(kept)].ref() is kept
+
+    def test_one_probe_per_evaluation_answers_from_the_memo(self):
+        summary = IndexedDocument.from_string(RECURSIVE_XML).summary
+        pattern = path("desc::a/child::b")
+        assert summary.can_match(pattern)
+        summary._embeds = None   # a second derivation would fail loudly
+        assert summary.can_match(pattern)
+
+    def test_threads_sharing_a_summary(self):
+        """Service threads compile cold against one summary: answers
+        stay right and no entry survives the plans that owned it."""
+        from repro import Engine
+        document = member_document(300, depth=5, tag_count=3, seed=5)
+        queries = ["$input//t01[t02]/t03", "$input//t02[.//t03]/t01",
+                   "$input//t03[t01][t02]", "$input/t01/t02[1]/t03"]
+        engine = Engine(document, plan_cache_size=0)
+        expected = {query: [node.pre for node in engine.run(query)]
+                    for query in queries}
+        failures = []
+
+        def worker(offset):
+            try:
+                for index in range(60):
+                    query = queries[(index + offset) % len(queries)]
+                    got = [node.pre for node in engine.run(query)]
+                    if got != expected[query]:
+                        failures.append((query, got))
+            except Exception as error:   # surfaced by the assert below
+                failures.append(error)
+
+        threads = [threading.Thread(target=worker, args=(offset,))
+                   for offset in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        gc.collect()
+        assert len(document.summary._pattern_memo) == 0
 
 
 # -- conservation property -----------------------------------------------------
