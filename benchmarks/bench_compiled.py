@@ -8,16 +8,14 @@ Two workloads, both straight from earlier experiment sections:
   steps and plain chains through the tuple machinery).
 
 The compiled backend fuses the tuple pipeline (``MapFromItem`` →
-``Select`` → …) into generated Python, so it wins exactly where that
-machinery dominates: positional chains (QE2/QE5, ``//t01/t02[1]``) and
-prefilter-era hot paths.  Pattern-join-bound queries (QE3/QE4/QE6 at
-this document shape) sit at parity because pattern evaluation is a
-pipeline breaker executed by the same physical algorithm in both
-backends — the table shows those too, honestly.
-
-``generate_table`` asserts a ≥ :data:`SPEEDUP_FLOOR` geometric-mean
-speedup over the declared :data:`HOT_PATHS` — the regression gate CI's
-``compiled-smoke`` job runs at ``REPRO_SCALE=0.25``.
+``Select`` → …) into generated Python and pushes one tuple at a time;
+the interpreter evaluates every operator once per batch of tuples.  On
+sub-millisecond rows (these documents) the two are within noise of each
+other; on tuple-heavy plans the interpreter is now the faster one
+(EXPERIMENTS.md E17).  Pattern-join-bound queries (QE3/QE4/QE6 at this
+document shape) sit at parity because the same physical algorithm does
+the work in both backends.  The table asserts byte-identical answers
+and prints the ratio; it gates no speed-up.
 
 Run styles:
 
@@ -30,24 +28,14 @@ from __future__ import annotations
 import pytest
 
 from repro import Engine
-from repro.bench import (QE_QUERIES, geometric_mean, render_table, scaled,
-                         time_call)
+from repro.bench import QE_QUERIES, render_table, scaled, time_call
 from repro.data import member_document
-
-#: asserted floor on the hot-path geometric-mean speedup.
-SPEEDUP_FLOOR = 1.3
 
 #: evaluator-bound queries on the E7 (summary experiment) document.
 E7_QUERIES = {
     "chain": "$input//t01/t02",
     "positional": "$input//t01/t02[1]",
 }
-
-#: the queries whose geometric-mean speedup is asserted: the
-#: evaluator-bound hot paths of E2 (positional chains QE2/QE5 plus the
-#: child-chain QE1) and of the E7 document.  Keys name (table, row).
-HOT_PATHS = (("E2", "QE1"), ("E2", "QE2"), ("E2", "QE5"),
-             ("E7", "chain"), ("E7", "positional"))
 
 BACKENDS = ("interpreted", "compiled")
 
@@ -88,10 +76,10 @@ def test_e7_backends(benchmark, engines, query_name, backend):
 
 
 def _measure(engine, queries, repeats):
-    """rows × {interpreted, compiled, speedup} cells; returns (cells,
-    speedups-by-row).  Byte-identity is asserted on every pair — a
-    benchmark must never time a wrong answer."""
-    cells, speedups = {}, {}
+    """rows × {interpreted, compiled, speedup} cells.  Byte-identity is
+    asserted on every pair — a benchmark must never time a wrong
+    answer."""
+    cells = {}
     for label, query in queries.items():
         plan = engine.compile(query)
         reference = engine.execute(plan, backend="interpreted")
@@ -106,8 +94,7 @@ def _measure(engine, queries, repeats):
         speedup = (timings["interpreted"] / timings["compiled"]
                    if timings["compiled"] > 0 else float("inf"))
         cells[(label, "speedup")] = speedup
-        speedups[label] = speedup
-    return cells, speedups
+    return cells
 
 
 def generate_table(e2_nodes=None, e7_nodes=None, repeats=5) -> str:
@@ -120,24 +107,10 @@ def generate_table(e2_nodes=None, e7_nodes=None, repeats=5) -> str:
               "vs compiled backend",
     }
     columns = ["interpreted", "compiled", "speedup"]
-    sections = []
-    hot = {}
-    for table, queries in workloads.items():
-        cells, speedups = _measure(engines[table], queries, repeats)
-        sections.append(render_table(titles[table], list(queries),
-                                     columns, cells))
-        for label, speedup in speedups.items():
-            if (table, label) in HOT_PATHS:
-                hot[(table, label)] = speedup
-    assert set(hot) == set(HOT_PATHS)
-    mean = geometric_mean(list(hot.values()))
-    gate = (f"hot-path geometric-mean speedup: {mean:.2f}x over "
-            f"{', '.join(f'{t}:{q}' for t, q in HOT_PATHS)} "
-            f"(floor {SPEEDUP_FLOOR}x)")
-    assert mean >= SPEEDUP_FLOOR, (
-        f"compiled backend regressed: hot-path geomean {mean:.2f}x "
-        f"< {SPEEDUP_FLOOR}x floor")
-    return "\n\n".join(sections) + "\n\n" + gate
+    return "\n\n".join(
+        render_table(titles[table], list(queries), columns,
+                     _measure(engines[table], queries, repeats))
+        for table, queries in workloads.items())
 
 
 if __name__ == "__main__":

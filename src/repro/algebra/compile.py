@@ -14,8 +14,8 @@ The translation that produces the paper's plan P1 from Q1-tp:
   detection, which runs after the FLWOR rewritings have inlined the
   relevant ``let``s).
 
-Field names are uniquified per compilation so that the runtime's
-tuple-scope chain never sees shadowing.
+Field names are uniquified per compilation so that a tuple can carry
+the fields of its enclosing tuples without ever shadowing one.
 """
 
 from __future__ import annotations

@@ -344,8 +344,8 @@ class _Optimizer:
         from the renamed pattern is equivalent.  Dependent ``Op`` (e.g.
         the ``IN`` of a predicate conjunct) is fine: both sides evaluate
         ``Op`` in the same enclosing tuple context, and the extra fields
-        the right-hand side keeps are unreadable shadows of values the
-        scope chain would have supplied anyway (field names are unique).
+        the right-hand side keeps are unreadable copies of values the
+        enclosing tuple supplies anyway (field names are unique).
         """
         if plan.index_field is not None:
             return plan

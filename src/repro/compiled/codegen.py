@@ -1,14 +1,15 @@
 """Produce/consume plan compilation (ROADMAP item 1).
 
-The interpreter in :mod:`repro.algebra.eval` is strict and pull-based:
-every operator materializes its whole result, and every evaluation pays
-an isinstance-dispatch plus (when observability is attached) a metrics/
-governor/trace wrapper call.  This module removes that overhead by
-*compiling* a plan into one Python function: the tuple-sorted operator
-chains (``MapFromItem`` → ``Select`` → ``TupleTreePattern`` → …) fuse
-into nested loops with **tuple-at-a-time push semantics** — a tuple is a
-set of Python locals, pushed through the downstream stages' code the
-moment it is produced — and only the *pipeline breakers* materialize:
+The interpreter in :mod:`repro.algebra.eval` is set-at-a-time: every
+operator is evaluated once per batch of tuples and materializes one
+result per tuple, behind a dispatch and (when observability is attached)
+a metrics/governor/trace wrapper per batch.  This module takes the
+opposite route and *compiles* a plan into one Python function: the
+tuple-sorted operator chains (``MapFromItem`` → ``Select`` →
+``TupleTreePattern`` → …) fuse into nested loops with **tuple-at-a-time
+push semantics** — a tuple is a set of Python locals, pushed through the
+downstream stages' code the moment it is produced — and only the
+*pipeline breakers* materialize:
 
 * ``fs:ddo`` (sort + duplicate removal needs the whole sequence),
 * aggregation ``FnCall``\\ s whose argument drains a tuple pipeline,
@@ -25,15 +26,17 @@ downstream per-tuple code into the innermost loop body.
 The *fast* variant assumes no observability is attached — exactly the
 interpreter's ``metrics is None and governor is None and trace is None``
 early-out — and keeps only the semantics (including chaos points, which
-fire in plain runs too).  The *instrumented* variant re-emits every
-interpreter-side effect at the structurally matching point: one
-``operator_evals`` increment, span begin/end, ``record_op``, governor
-``tick``/``enter``/``leave``/``note_output`` per operator *activation*,
-with per-stage push counters standing in for the interpreter's
-``len(result)``.  Counter values are exact; only span *parentage* and
-governor *depth* differ inside fused pipelines (stages stay open while
-downstream per-tuple code runs) — the documented breaker-materialization
-tolerance the property suite allows for.
+fire in plain runs too).  The *instrumented* variant emits the
+interpreter's side effects once per operator *activation* (one tuple):
+one ``operator_evals`` increment, span begin/end, ``record_op``,
+governor ``tick``/``enter``/``leave``/``note_output``, with per-stage
+push counters standing in for the interpreter's result lengths.  The
+evaluator counters (``operator_evals``, ``items_produced``,
+``tuples_produced``) and the per-operator row totals are exactly the
+interpreter's, which charges them per activation too; what is counted
+per *call* — spans, ``record_op`` calls, ``pattern_evals`` — is per
+tuple here and per batch there (``tests/property/test_prop_compiled.py``
+lists what the two backends still share).
 
 Field names are uniquified at algebra-compile time (see
 ``repro.algebra.compile``), so tuple fields map to Python locals with a

@@ -7,9 +7,9 @@ checking, the dynamic-error raises — funnels through this module so the
 generated source stays small and the behaviour stays byte-identical to
 :mod:`repro.algebra.eval`.
 
-Every helper mirrors one code path of the interpreter, including error
-messages: the differential test wall compares the two backends down to
-the rendered error text.
+Every helper is the one-tuple form of a check the interpreter makes per
+batch, including error messages: the differential test wall compares
+the two backends down to the rendered error text.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ __all__ = ["context_nodes", "raise_dynamic", "ttp_eval", "unknown_field"]
 
 
 def ttp_eval(strategy, document, contexts, pattern):
-    """One pattern evaluation, exactly as ``_eval_ttp`` performs it:
-    through the ``eval.ttp`` chaos point, with budget/dynamic errors
-    propagated and any algorithm failure wrapped in
-    :class:`~repro.guard.AlgorithmError` (eligible for strategy
-    fallback)."""
+    """One tuple's pattern evaluation, guarded as the interpreter's
+    ``TupleTreePattern`` kernel guards a batch: through the ``eval.ttp``
+    chaos point, with budget/dynamic errors propagated and any algorithm
+    failure wrapped in :class:`~repro.guard.AlgorithmError` (eligible
+    for strategy fallback)."""
     try:
         return chaos_point(
             "eval.ttp", strategy.evaluate(document, contexts, pattern))
@@ -47,7 +47,7 @@ def ttp_eval(strategy, document, contexts, pattern):
 
 def context_nodes(values: Sequence_) -> List[Node]:
     """The pattern's context nodes from a tuple field's item sequence
-    (mirrors ``_context_nodes``)."""
+    (the interpreter's context check, for one tuple)."""
     nodes: list[Node] = []
     for value in values:
         if not isinstance(value, Node):
@@ -57,8 +57,8 @@ def context_nodes(values: Sequence_) -> List[Node]:
 
 
 def unknown_field(name: str) -> Sequence_:
-    """A field read that no enclosing tuple defines (mirrors
-    ``EvalContext.lookup_field`` falling off the scope chain)."""
+    """A field read that no enclosing tuple defines (the interpreter's
+    ``unknown tuple field`` error)."""
     raise DynamicError(f"unknown tuple field {name}")
 
 

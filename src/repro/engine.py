@@ -56,9 +56,9 @@ DEFAULT_FALLBACK_CHAIN: Tuple[str, ...] = ("nljoin", ITEM_EVALUATOR)
 #: refuses larger inputs unless ``max_document_size`` is raised/``None``.
 DEFAULT_MAX_DOCUMENT_SIZE = 64 * 1024 * 1024
 
-#: execution backends: the strict list-at-a-time interpreter
-#: (:mod:`repro.algebra.eval`) and the produce/consume plan compiler
-#: (:mod:`repro.compiled`).
+#: execution backends: the set-at-a-time (loop-lifted) interpreter
+#: (:mod:`repro.algebra.eval`) and the tuple-at-a-time produce/consume
+#: plan compiler (:mod:`repro.compiled`).
 BACKENDS = ("interpreted", "compiled")
 
 

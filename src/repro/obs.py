@@ -119,7 +119,8 @@ class ExecMetrics:
     items_produced: int = 0
     #: tuples appended to tuple-plan results.
     tuples_produced: int = 0
-    #: ``TupleTreePattern`` pattern evaluations (one per input tuple).
+    #: pattern kernel invocations: one per input tuple, or one per batch
+    #: of tuples where the algorithm has a batch kernel (SCJoin).
     pattern_evals: int = 0
     #: pattern evaluations skipped because the structural summary proved
     #: they cannot match (see :mod:`repro.xmltree.summary`).

@@ -188,13 +188,18 @@ class TreePattern:
         collect(self.path)
         return tuple(fields)
 
-    def is_single_output_at_extraction_point(self) -> bool:
-        """True when the only output field sits on the extraction point —
-        the case in which the operator's semantics coincides with XPath
-        (Section 4.1)."""
+    @cached_property
+    def single_output_field(self) -> Optional[str]:
+        """The pattern's output field when it is the only one and sits on
+        the extraction point — the case in which the operator's semantics
+        coincides with XPath (Section 4.1) — else ``None``."""
         fields = self._output_fields
-        return (len(fields) == 1
-                and self.extraction_point.output_field == fields[0])
+        if len(fields) == 1 and self.path.last.output_field == fields[0]:
+            return fields[0]
+        return None
+
+    def is_single_output_at_extraction_point(self) -> bool:
+        return self.single_output_field is not None
 
     def is_downward(self) -> bool:
         """All axes are within the tree-pattern fragment (downward)."""

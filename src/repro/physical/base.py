@@ -13,8 +13,11 @@ Every algorithm answers two requests about a
   nodes from a single context node, in root-to-leaf lexical order
   (the multi-output semantics illustrated in Section 4.1's example).
 
-:meth:`evaluate` is the template method the ``TupleTreePattern``
-operator calls; it dispatches between the two semantics.
+:meth:`evaluate` is the template method that dispatches between the
+two semantics for one input tuple; :meth:`evaluate_each`, which the
+``TupleTreePattern`` operator calls, answers a whole batch of tuples —
+by looping over :meth:`evaluate` unless the algorithm has a batch
+kernel (SCJoin does).
 """
 
 from __future__ import annotations
@@ -39,12 +42,13 @@ class TreePatternAlgorithm:
 
     name = "abstract"
 
-    #: every algorithm materializes the per-tuple binding list before
-    #: returning from :meth:`evaluate` (the join's build side), so the
-    #: compiled backend (:mod:`repro.compiled`) treats each pattern
-    #: evaluation as a pipeline breaker: upstream tuples push one at a
-    #: time, the bindings materialize here, and downstream code resumes
-    #: per binding.
+    #: every algorithm materializes its binding lists before returning
+    #: from :meth:`evaluate`/:meth:`evaluate_each` (the join's build
+    #: side).  The interpreter hands over a whole batch of tuples and
+    #: gets a list per tuple back; the compiled backend
+    #: (:mod:`repro.compiled`), which pushes tuples one at a time, treats
+    #: each pattern evaluation as a pipeline breaker: the bindings
+    #: materialize here and downstream code resumes per binding.
     is_pipeline_breaker = True
 
     #: counters this algorithm's work is recorded into; ``None`` (the
@@ -94,8 +98,8 @@ class TreePatternAlgorithm:
 
     def attach_trace(self, trace: "Optional[Trace]") -> None:
         """Record this algorithm's pattern evaluations as spans of
-        ``trace`` (one ``pattern:<name>`` span per :meth:`evaluate`
-        call, prune decisions as events).
+        ``trace`` (one ``pattern:<name>`` span per kernel invocation —
+        an :meth:`evaluate` call or a batch — prune decisions as events).
 
         Subclasses that delegate (fallbacks, choosers) override this to
         attach the same object to their inner algorithms.
@@ -113,46 +117,78 @@ class TreePatternAlgorithm:
     def evaluate(self, document: IndexedDocument, contexts: List[Node],
                  pattern: TreePattern) -> List[Binding]:
         """Evaluate a pattern for one input tuple's context nodes."""
+        return self._invoke(self._evaluate, document, contexts, pattern,
+                            each=False)
+
+    def evaluate_each(self, document: IndexedDocument, contexts: List[Node],
+                      pattern: TreePattern) -> List[List[Binding]]:
+        """Evaluate a pattern for a batch of input tuples: one context
+        node per tuple in, one binding list per tuple out —
+        ``[evaluate(document, [context], pattern) for context in
+        contexts]``, which is also the default implementation.  The
+        lists may be shared between tuples; callers do not mutate them."""
+        return [self.evaluate(document, [context], pattern)
+                for context in contexts]
+
+    def _invoke(self, kernel, document: IndexedDocument,
+                contexts: List[Node], pattern: TreePattern, each: bool):
+        """One kernel invocation and everything observable around it,
+        for :meth:`evaluate` (``each=False``: the contexts are one
+        tuple's, the kernel returns its bindings) and
+        :meth:`evaluate_each` (``each=True``: one tuple per context, the
+        kernel returns a binding list for each): the trace span, the
+        ``pattern_evals`` count, the budget charge and the structural
+        prefilter, which counts and answers per tuple."""
         trace = self.trace
-        if trace is None:
-            return self._evaluate(document, contexts, pattern)
-        span = trace.begin_span(f"pattern:{self.name}",
-                                contexts=len(contexts))
+        span = None if trace is None else trace.begin_span(
+            f"pattern:{self.name}", contexts=len(contexts))
         try:
-            result = self._evaluate(document, contexts, pattern)
+            metrics = self.metrics
+            if metrics is not None:
+                metrics.pattern_evals += 1
+            if self.governor is not None:
+                # A step per tuple answered; a kernel invocation is
+                # coarse enough to afford a clock read on top.
+                self.governor.tick(len(contexts) if each else 1)
+                self.governor.check_clock()
+            summary = self.summary
+            live = None
+            if (summary is not None and summary.document is document
+                    and contexts):
+                # The structural prefilter: a tuple from whose contexts
+                # no summary path can embed the pattern has a provably
+                # empty result and is kept from the algorithm.
+                live = summary.can_match_each(pattern.path, contexts) \
+                    if each else [summary.can_match(pattern.path, contexts)]
+                misses = sum(live)
+                if metrics is not None:
+                    metrics.prune_hits += len(live) - misses
+                    metrics.prune_misses += misses
+            if live is None or misses == len(live):
+                result = kernel(document, contexts, pattern)
+            else:
+                if trace is not None:
+                    trace.event("prune_hit",
+                                pattern=pattern.path.to_string())
+                # Only a batch can be answered in part.
+                answers = iter(kernel(document, [
+                    context for context, alive in zip(contexts, live)
+                    if alive], pattern) if misses else ())
+                result = [next(answers) if alive else []
+                          for alive in live] if each else []
         except BaseException:
-            trace.end_span(span, error=True)
+            if span is not None:
+                trace.end_span(span, error=True)
             raise
-        trace.end_span(span, rows=len(result))
+        if span is not None:
+            trace.end_span(span, rows=sum(map(len, result)) if each
+                           else len(result))
         return result
 
     def _evaluate(self, document: IndexedDocument, contexts: List[Node],
                   pattern: TreePattern) -> List[Binding]:
-        if self.metrics is not None:
-            self.metrics.pattern_evals += 1
-        if self.governor is not None:
-            # A pattern evaluation is coarse enough to afford a clock
-            # read on top of the step charge.
-            self.governor.tick()
-            self.governor.check_clock()
-        summary = self.summary
-        if (summary is not None and summary.document is document
-                and contexts):
-            # The structural prefilter: when no summary path can embed
-            # the pattern from these contexts, the result is provably
-            # empty and no algorithm needs to run.
-            if not summary.can_match(pattern.path, contexts):
-                if self.metrics is not None:
-                    self.metrics.prune_hits += 1
-                if self.trace is not None:
-                    self.trace.event("prune_hit",
-                                     pattern=pattern.path.to_string())
-                return []
-            if self.metrics is not None:
-                self.metrics.prune_misses += 1
-        if pattern.is_single_output_at_extraction_point():
-            out_field = pattern.extraction_point.output_field
-            assert out_field is not None
+        out_field = pattern.single_output_field
+        if out_field is not None:
             nodes = self.match_single(document, contexts, pattern.path)
             return [{out_field: node} for node in nodes]
         bindings: list[Binding] = []

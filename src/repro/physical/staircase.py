@@ -33,6 +33,13 @@ one pass per query node over that node's stream, never candidates ×
 region.  Only positional branch steps are walked per candidate, because
 positions count per context node by definition.
 
+A *batch* of input tuples (:meth:`StaircaseJoin.evaluate_each`, one
+context node per tuple) is answered by the same kernels, not by one walk
+per tuple: the distinct contexts are peeled into layers whose regions do
+not nest, each layer is walked once, and — a downward match inside a
+region can only have been reached from that region's root — the layer's
+sorted result is split back by ``[pre, end[pre]]``.
+
 Axes outside the downward fragment fall back to NLJoin.
 """
 
@@ -42,7 +49,7 @@ from bisect import bisect_left, bisect_right
 from typing import List, Sequence
 
 from ..guard.chaos import chaos_point
-from ..pattern import PatternPath, PatternStep
+from ..pattern import PatternPath, PatternStep, TreePattern
 from ..xmltree.axes import Axis
 from ..xmltree.columnar import KIND_ELEMENT, ColumnarDocument
 from ..xmltree.document import IndexedDocument
@@ -81,9 +88,7 @@ class StaircaseJoin(TreePatternAlgorithm):
 
     def match_single(self, document: IndexedDocument,
                      contexts: List[Node], path: PatternPath) -> List[Node]:
-        if not path.is_downward or (
-                path.attribute_sensitive
-                and steps_from_attribute(path, contexts)):
+        if _navigational(path, contexts):
             return self._fallback.match_single(document, contexts, path)
         # Into integer space: sorted, duplicate-free context pres.
         current = self._walk(document.columns,
@@ -99,6 +104,49 @@ class StaircaseJoin(TreePatternAlgorithm):
         # patterns use the navigational fallback (the optimizer only
         # emits single-output patterns — see DESIGN.md).
         return self._fallback.enumerate_bindings(document, context, path)
+
+    def evaluate_each(self, document: IndexedDocument, contexts: List[Node],
+                      pattern: TreePattern) -> List[List[Binding]]:
+        if (pattern.single_output_field is None
+                or _navigational(pattern.path, contexts)):
+            # Binding enumeration and the NLJoin fallbacks are per tuple.
+            return super().evaluate_each(document, contexts, pattern)
+        return self._invoke(self._match_each, document, contexts, pattern,
+                            each=True)
+
+    def _match_each(self, document: IndexedDocument, contexts: List[Node],
+                    pattern: TreePattern) -> List[List[Binding]]:
+        """``match_single`` from each context on its own, a layer of
+        contexts per walk."""
+        columns = document.columns
+        end_column = columns.end
+        pres = [node.pre for node in contexts]
+        # Peel: a context goes to the layer numbered by how many other
+        # contexts enclose it, so regions within a layer are disjoint
+        # and each layer is in document order.
+        layers: List[List[int]] = []
+        enclosing: List[int] = []       # ends of the open outer contexts
+        for pre in sorted(set(pres)):
+            while enclosing and enclosing[-1] < pre:
+                enclosing.pop()
+            if len(enclosing) == len(layers):
+                layers.append([])
+            layers[len(enclosing)].append(pre)
+            enclosing.append(end_column[pre])
+        out_field = pattern.single_output_field
+        node_at = document.node_at
+        answers = {}
+        for layer in layers:
+            matches = chaos_point("scjoin.match",
+                                  self._walk(columns, layer, pattern.path))
+            high = 0
+            for pre in layer:
+                low = bisect_left(matches, pre, high)
+                high = bisect_right(matches, end_column[pre], low)
+                answers[pre] = [{out_field: node_at(match)}
+                                for match in matches[low:high]]
+        # Duplicate contexts share one (never mutated) binding list.
+        return [answers[pre] for pre in pres]
 
     # -- the join ----------------------------------------------------------------
 
@@ -307,6 +355,12 @@ class StaircaseJoin(TreePatternAlgorithm):
             if at < count and satisfying[at] <= end_column[pre]:
                 kept.append(pre)
         return kept
+
+
+def _navigational(path: PatternPath, contexts: List[Node]) -> bool:
+    """The path is outside what the integer kernels evaluate."""
+    return not path.is_downward or (
+        path.attribute_sensitive and steps_from_attribute(path, contexts))
 
 
 def _prune_covered(contexts: List[int], end_column) -> List[int]:

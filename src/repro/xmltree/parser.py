@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..guard.errors import ReproError
+from ..guard.errors import InputError, ReproError
 from .node import AttributeNode, DocumentNode, ElementNode, Node, TextNode, assign_regions
 
 _PREDEFINED_ENTITIES = {
@@ -56,6 +56,9 @@ class _Parser:
         self.text = text
         self.pos = 0
         self.length = len(text)
+        #: nesting depth of the element being parsed (the document
+        #: element is 1); stays at the deepest point when parsing aborts.
+        self.depth = 1
 
     # -- low-level helpers -------------------------------------------------
 
@@ -233,7 +236,9 @@ class _Parser:
             elif self.startswith("<?"):
                 self.skip_until("?>")
             else:
+                self.depth += 1
                 child = self.parse_element()
+                self.depth -= 1
                 parent.append_child(child)
             text_start = self.pos
 
@@ -242,11 +247,20 @@ def parse_xml(text: str, uri: str = "") -> DocumentNode:
     """Parse an XML string into a numbered document tree.
 
     Syntax errors escape with a :class:`~repro.guard.errors.SourceSpan`
-    attached (line/column plus a caret-annotated snippet)."""
+    attached (line/column plus a caret-annotated snippet).  XML text is
+    external input: a document nested deeper than the (recursive) parser
+    can follow is an :class:`~repro.guard.errors.InputError`, not a raw
+    ``RecursionError``."""
+    parser = _Parser(text)
     try:
-        document = _Parser(text).parse_document(uri)
+        document = parser.parse_document(uri)
     except XMLSyntaxError as err:
         raise err.attach_source(text)
+    except RecursionError as err:
+        raise InputError(
+            f"document nests too deeply: the parser exceeded the "
+            f"recursion limit at element depth {parser.depth}",
+            depth=parser.depth) from err
     assign_regions(document)
     return document
 

@@ -20,8 +20,8 @@ Two consumers sit on top:
   per-query-node candidate cardinalities for the cost model of
   :mod:`repro.physical.cost`, replacing flat document-wide tag counts.
 
-Both are memoized per (pattern, start point): the prefilter runs once
-per ``TupleTreePattern`` evaluation, which happens per input tuple.  The
+Both are memoized per (pattern, start point): the prefilter is asked
+about every input tuple of a ``TupleTreePattern``.  The
 memo is keyed by the pattern *object* and lives exactly as long as it
 (:meth:`PathSummary._memo_for`): a plan that is dropped — plan cache
 off, LRU eviction — takes its entries along.
@@ -246,6 +246,18 @@ class PathSummary:
                        for point in points)
         except _Unsupported:
             return True
+
+    def can_match_each(self, path: "PatternPath",
+                       contexts: List[Node]) -> List[bool]:
+        """:meth:`can_match` answered for each context node on its own
+        (the prefilter's batch entry: however many contexts there are,
+        each distinct summary point among them is worked out once)."""
+        embeds = self._memo_for(path).embeds
+        try:
+            return [self._point_embeds(path, embeds, self.path_of(node))
+                    for node in contexts]
+        except _Unsupported:
+            return [True] * len(contexts)
 
     def _all_points(self) -> Iterator[Point]:
         yield ()

@@ -1,24 +1,33 @@
 """Observability parity between the compiled and interpreted backends.
 
-The compiled backend's instrumented variant re-emits every interpreter
-side effect at the structurally matching point, so for grammar-generated
-queries (:mod:`tests.support.qgen`) the two backends must agree on:
+The interpreter evaluates an operator once per *batch* of tuples, the
+compiled backend once per tuple; both charge their counters per tuple
+*activation*.  So for grammar-generated queries
+(:mod:`tests.support.qgen`) the two backends must agree on:
 
 * **results** — byte-identical sequences (the differential wall's
   invariant, re-checked here because metrics assertions are vacuous on
   diverging runs);
-* **ExecMetrics counters** — *exactly*: push-based stage counters count
-  the same activations and cardinalities the interpreter measures on
-  materialized lists;
-* **trace shape** — the span-name multiset and the per-operator
-  ``op_stats`` aggregates (name, calls, rows) match exactly.
+* **every evaluator counter** — ``operator_evals`` (same keys, same
+  values: an operator that is never activated leaves no key in either),
+  ``items_produced``, ``tuples_produced``, chooser decisions and
+  fallbacks, exactly;
+* **prefilter checks** — ``prune_hits`` and ``prune_misses``: one check
+  per context handed to a pattern, whatever the batch;
+* **per-operator rows** — the ``op_stats`` aggregates *(name, rows)*.
 
-What is deliberately *not* compared — the documented
-breaker-materialization tolerances (see ``docs/PIPELINE.md``): span
-*parentage* (fused stages stay open while downstream per-tuple code
-runs, so a consumer's span nests under the innermost open producer
-instead of under its plan parent) and per-span durations/governor depth
-(fused stages overlap in time).
+What is deliberately *not* compared, one reason each:
+
+* ``pattern_evals`` — counts kernel invocations: one per batch in the
+  interpreter, one per tuple in compiled code;
+* ``nodes_visited`` / ``stream_scanned`` — a batch kernel reads the hull
+  slice of all its contexts' regions, a single context reads its own
+  region;
+* span counts and ``op_stats.calls`` — one span and one ``record_op``
+  call per batch vs per activation;
+* span *parentage* and per-span durations/governor depth — fused stages
+  of compiled code stay open while downstream per-tuple code runs (see
+  ``docs/PIPELINE.md``).
 
 ``derandomize=True`` keeps the corpus fixed, so this is a seeded
 regression run rather than a flaky one.
@@ -56,15 +65,21 @@ def traced(engine, query, backend):
     return run
 
 
-def span_names(trace):
-    return Counter(span.name for span in trace.spans)
+#: counters that depend on how many tuples a kernel call answers.
+PER_CALL = ("pattern_evals", "visited.", "scanned.")
+
+
+def shared_counters(metrics):
+    """The counters both backends define the same way."""
+    return {name: value for name, value in metrics.counters().items()
+            if not name.startswith(PER_CALL)}
 
 
 def op_aggregates(trace):
     """Per-operator aggregates, identity-free: plan node ids differ
-    between runs only if plans differ, but the multiset of (name,
-    calls, rows) must not."""
-    return Counter((stat.name, stat.calls, stat.rows)
+    between runs only if plans differ, but the multiset of (name, rows)
+    must not."""
+    return Counter((stat.name, stat.rows)
                    for stat in trace.op_stats.values())
 
 
@@ -81,17 +96,14 @@ def assert_observability_parity(engine, query):
     assert rendered(compiled.results) == rendered(interpreted.results), (
         f"results diverged on {query!r}")
 
-    # Counters: exact equality, field by field.
+    # Counters: exact equality, key by key.
     assert isinstance(interpreted.metrics, ExecMetrics)
-    assert compiled.metrics.counters() == interpreted.metrics.counters(), (
-        f"ExecMetrics diverged on {query!r}")
-    assert compiled.metrics.operator_evals \
-        == interpreted.metrics.operator_evals
+    assert shared_counters(compiled.metrics) \
+        == shared_counters(interpreted.metrics), (
+            f"ExecMetrics diverged on {query!r}")
+    assert compiled.metrics.fallbacks == interpreted.metrics.fallbacks
 
-    # Trace shape: same spans (as a multiset) and the same exact
-    # per-operator cardinalities; parentage is the documented tolerance.
-    assert span_names(compiled.trace) == span_names(interpreted.trace), (
-        f"span-name multiset diverged on {query!r}")
+    # The same exact per-operator cardinalities.
     assert op_aggregates(compiled.trace) \
         == op_aggregates(interpreted.trace), (
             f"op_stats diverged on {query!r}")

@@ -198,3 +198,306 @@ class TestTupleOperators:
                for t in tuples]
         # first tuple matches twice, second not at all, third once
         assert ids == [("1", "2"), ("1", "3"), ("4", "5")]
+
+    def test_enclosing_tuple_from_the_context(self):
+        """A plan evaluated on its own starts from ``ctx.tuple_stack``:
+        ``IN``, outer fields at any nesting, and fields the plan binds
+        itself all resolve."""
+        context = ctx()
+        context.tuple_stack.append({"outer": [7]})
+        assert eval_tuples(InputTuple(), context) == [{"outer": [7]}]
+        assert eval_item(FieldAccess("outer"), context) == [7]
+        plan = MapToItem(SeqPlan([FieldAccess("outer"), FieldAccess("f")]),
+                         MapFromItem("f", Const((1, 2))))
+        assert eval_item(plan, context) == [7, 1, 7, 2]
+        context.tuple_stack.append({"inner": [8]})
+        assert eval_tuples(InputTuple(), context) \
+            == [{"outer": [7], "inner": [8]}]
+        assert eval_item(SeqPlan([FieldAccess("inner"),
+                                  FieldAccess("outer")]), context) == [8, 7]
+
+    def test_ttp_over_a_supplied_context_sequence(self):
+        """Only a caller-supplied tuple holds more than one context node
+        in a field: the pattern then has XPath semantics over the whole
+        sequence (document order, no duplicates)."""
+        b1, b2 = DOC.stream("b")
+        context = ctx()
+        context.tuple_stack.append({"dot": [b2, DOC.root, b1]})
+        pattern = parse_pattern("IN#dot/descendant-or-self::b{out}")
+        tuples = eval_tuples(TupleTreePattern(pattern, InputTuple()),
+                             context)
+        assert [t["out"] for t in tuples] == [[b1], [b2]]
+        assert all(t["dot"] == [b2, DOC.root, b1] for t in tuples)
+        context.tuple_stack[-1] = {"dot": []}
+        assert eval_tuples(TupleTreePattern(pattern, InputTuple()),
+                           context) == []
+
+    def test_results_are_copies_at_the_boundary(self):
+        context = ctx()
+        context.tuple_stack.append({"f": [1, 2]})
+        result = eval_item(FieldAccess("f"), context)
+        result.append(3)
+        assert context.tuple_stack[0]["f"] == [1, 2]
+        constant = Const((1,))
+        eval_item(constant, context).append(2)
+        assert eval_item(constant, context) == [1]
+
+
+# -- the loop-lifted evaluator: per-tuple semantics over batches --------------
+
+BOOM = Arith("div", Const((1,)), Const((0,)))           # 1 div 0
+TWO_ATOMS = FnCall("fn:boolean", [Const((1, 2))])       # EBV of (1, 2)
+
+
+def over(values, dep):
+    """``dep`` once per value, the value in field ``f``."""
+    return MapToItem(dep, MapFromItem("f", Const(tuple(values))))
+
+
+class TestLaziness:
+    """An operand or branch is evaluated for exactly the tuples that
+    need it — whatever else shares their batch."""
+
+    IS_ZERO = Compare("=", FieldAccess("f"), Const((0,)))
+    INVERSE = Arith("div", Const((1,)), FieldAccess("f"))   # raises on 0
+
+    def test_or_skips_the_tuples_the_left_decides(self):
+        plan = over([0, 1, 0, 2], Logical(
+            "or", self.IS_ZERO, Compare(">", self.INVERSE, Const((0,)))))
+        assert eval_item(plan, ctx()) == [True, True, True, True]
+
+    def test_and_skips_the_tuples_the_left_decides(self):
+        plan = over([0, 1, 0, 2], Logical(
+            "and", Compare("!=", FieldAccess("f"), Const((0,))),
+            Compare("<", self.INVERSE, Const((1,)))))
+        assert eval_item(plan, ctx()) == [False, False, False, True]
+
+    def test_right_operand_unreached_when_every_tuple_is_decided(self):
+        for op, left in (("or", True), ("and", False)):
+            for bad in (BOOM, TWO_ATOMS):
+                plan = over([1, 2, 3], Logical(op, Const((left,)), bad))
+                assert eval_item(plan, ctx()) == [left] * 3
+
+    def test_right_operand_raises_for_an_undecided_tuple(self):
+        plan = over([1, 2, 0], Logical(
+            "or", Compare("=", FieldAccess("f"), Const((1,))),
+            Compare(">", self.INVERSE, Const((0,)))))
+        with pytest.raises(DynamicError, match="division by zero"):
+            eval_item(plan, ctx())
+
+    def test_if_evaluates_each_branch_over_its_own_tuples(self):
+        plan = over([0, 4, 0, 2],
+                    IfPlan(self.IS_ZERO, Const(("zero",)), self.INVERSE))
+        assert eval_item(plan, ctx()) == ["zero", 0.25, "zero", 0.5]
+        plan = over([1, 2], IfPlan(self.IS_ZERO, TWO_ATOMS, Const((9,))))
+        assert eval_item(plan, ctx()) == [9, 9]
+        plan = over([1, 0], IfPlan(self.IS_ZERO, TWO_ATOMS, Const((9,))))
+        with pytest.raises(DynamicError, match="effective boolean"):
+            eval_item(plan, ctx())
+
+    def test_the_first_failing_tuple_decides_the_error(self):
+        plan = over([1, 0], IfPlan(self.IS_ZERO, TWO_ATOMS, BOOM))
+        with pytest.raises(DynamicError, match="division by zero"):
+            eval_item(plan, ctx())
+        plan = over([0, 1], IfPlan(self.IS_ZERO, TWO_ATOMS, BOOM))
+        with pytest.raises(DynamicError, match="effective boolean"):
+            eval_item(plan, ctx())
+
+    def typeswitch(self, numeric_body, default_body):
+        case_var, default_var = fresh_var("v"), fresh_var("v")
+        return TypeswitchPlan(
+            FieldAccess("f"),
+            [TypeswitchCase("numeric", case_var, numeric_body(case_var))],
+            default_var, default_body(default_var))
+
+    def test_typeswitch_routes_each_tuple_with_its_own_value(self):
+        plan = over([5, "a", 7, "b"], self.typeswitch(
+            lambda var: Arith("+", VarPlan(var), Const((1,))),
+            lambda var: FnCall("fn:concat", [VarPlan(var), Const(("!",))])))
+        assert eval_item(plan, ctx()) == [6, "a!", 8, "b!"]
+
+    def test_typeswitch_untaken_case_is_not_evaluated(self):
+        plan = over([5, 7], self.typeswitch(VarPlan, lambda var: BOOM))
+        assert eval_item(plan, ctx()) == [5, 7]
+        plan = over(["a", "b"], self.typeswitch(lambda var: BOOM, VarPlan))
+        assert eval_item(plan, ctx()) == ["a", "b"]
+        plan = over([5, "a"], self.typeswitch(VarPlan, lambda var: BOOM))
+        with pytest.raises(DynamicError, match="division by zero"):
+            eval_item(plan, ctx())
+
+    def test_let_binds_a_value_per_tuple(self):
+        var = fresh_var("x")
+        plan = over([1, 2, 3], LetPlan(
+            var, Arith("*", FieldAccess("f"), Const((10,))),
+            over([1, 2], Arith("+", VarPlan(var), FieldAccess("f")))))
+        assert eval_item(plan, ctx()) == [11, 12, 21, 22, 31, 32]
+
+    @pytest.mark.parametrize("query", [
+        "for $v in $input//v return ($v = 0 or 1 div $v > 0)",
+        "for $v in $input//v return ($v != 0 and 1 div $v < 1)",
+        "for $v in $input//v return if ($v = 0) then 0 else 1 div $v",
+        "$input//v[. = 0 or 1 div . > 0]",
+        "for $v in $input//v where $v >= 0 or boolean((1, 2)) return $v",
+    ])
+    def test_same_answer_as_the_unoptimized_plan(self, query):
+        from repro import Engine
+        engine = Engine.from_xml(
+            "<r><v>0</v><v>1</v><v>0</v><v>4</v><v>0</v></r>")
+        answer = engine.run(query)
+        assert answer == engine.run(query, optimize=False)
+        assert answer == engine.run(query, backend="compiled")
+        assert len(answer) == 5
+
+    def test_a_query_whose_right_operand_must_raise(self):
+        from repro import Engine
+        engine = Engine.from_xml("<r><v>1</v><v>0</v></r>")
+        for optimize in (True, False):
+            with pytest.raises(DynamicError, match="division by zero"):
+                engine.run("for $v in $input//v "
+                           "return ($v = 1 or 1 div $v > 0)",
+                           optimize=optimize)
+
+
+def positional_document(count):
+    """``count`` ``p`` elements, each with two ``q`` children numbered
+    ``<p index>.<q index>``."""
+    return IndexedDocument.from_string("<r>" + "".join(
+        f'<p><q n="{index}.1"/><q n="{index}.2"/></p>'
+        for index in range(count)) + "</r>")
+
+
+class TestBlocks:
+    """The block size is not observable: answers are those of
+    tuple-at-a-time evaluation whatever it is."""
+
+    @pytest.fixture(params=[1, 2, 3, 10_000])
+    def block(self, request, monkeypatch):
+        import repro.algebra.eval as evaluator
+        monkeypatch.setattr(evaluator, "BLOCK", request.param)
+        return request.param
+
+    def test_golden_corpus_is_block_invariant(self, block):
+        from tests.support.make_golden import (GOLDEN_DIR, golden_queries,
+                                               reference_engines,
+                                               render_results)
+        engines = reference_engines()
+        for stem, query in sorted(golden_queries().items()):
+            expected = (GOLDEN_DIR / f"{stem}.xml").read_text(
+                encoding="utf-8")
+            engine = engines[stem.split("_", 1)[0]]
+            assert render_results(engine.run(query)) == expected, (
+                f"{stem} differs with blocks of {block}")
+
+    @pytest.mark.parametrize("count", [255, 256, 257, 513])
+    def test_dependent_positional_step_across_block_edges(self, count):
+        from repro import Engine
+        engine = Engine(positional_document(count))
+        for position in (1, 2):
+            # ``q[n]`` stays a per-tuple Select under a dependent plan.
+            query = f"$input/r/p/q[{position}]"
+            assert engine.compile(query).tree_pattern_count() > 1
+            assert [node.get_attribute("n") for node in engine.run(query)] \
+                == [f"{index}.{position}" for index in range(count)]
+        assert engine.run("$input/r/p/q[3]") == []
+
+
+class TestCounting:
+    """Work is counted, not timed: the counters read per tuple
+    activation, the kernels run per batch."""
+
+    QUERY = "$input/desc::t01/desc::t02[1]/desc::t03[desc::t04]"
+
+    @pytest.fixture(scope="class")
+    def engine(self):
+        from repro import Engine
+        from repro.data import member_document
+        return Engine(member_document(600, depth=5, tag_count=4, seed=7))
+
+    def test_pattern_kernels_run_per_block_not_per_tuple(self, engine):
+        from repro.algebra.eval import BLOCK
+        from repro.obs import ExecMetrics
+        metrics = ExecMetrics()
+        engine.execute(engine.compile(self.QUERY), metrics=metrics)
+        tuples = metrics.operator_evals["InputTuple"]   # the t01 stream
+        assert tuples == 149
+        assert metrics.pattern_evals <= 3 * (1 + -(-tuples // BLOCK))
+        # ... while every evaluator counter reads as it did one tuple at
+        # a time (186 pattern evaluations then).
+        assert sum(metrics.operator_evals.values()) == 2190
+        assert metrics.tuples_produced == 999
+        assert metrics.items_produced == 1681
+        assert (metrics.prune_hits, metrics.prune_misses) == (123, 63)
+
+    def test_no_counter_for_an_operator_never_activated(self, engine):
+        from repro.obs import ExecMetrics
+        metrics = ExecMetrics()
+        engine.execute(engine.compile(
+            "for $x in $input//nosuch return count($x/t01)"),
+            metrics=metrics)
+        assert "FnCall" not in metrics.operator_evals
+        assert all(metrics.operator_evals.values())
+
+    def test_one_span_and_one_op_record_per_batch(self, engine):
+        from repro.trace import Tracer
+        run = engine.run_traced(self.QUERY, tracer=Tracer())
+        stats = {stat.name: stat for stat in run.trace.op_stats.values()}
+        assert stats["InputTuple"].rows == 149
+        assert stats["InputTuple"].calls == 1
+        patterns = [span for span in run.trace.spans
+                    if span.name == "pattern:scjoin"]
+        assert len(patterns) == run.metrics.pattern_evals == 3
+        assert sorted(span.attrs["contexts"] for span in patterns) \
+            == [1, 36, 149]     # 186 tuples in all
+
+
+class TestBudgets:
+    """Budgets keep their meaning: steps per activation, output per
+    activation, the clock at least once per batch."""
+
+    @pytest.fixture(scope="class")
+    def engine(self):
+        from repro import Engine
+        from repro.data import member_document
+        return Engine(member_document(600, depth=5, tag_count=4, seed=7),
+                      fallback_chain=())
+
+    def run(self, engine, **budgets):
+        from repro.guard import Budgets
+        return engine.execute(engine.compile(TestCounting.QUERY),
+                              budgets=Budgets(**budgets))
+
+    def test_max_output_bounds_one_activation(self, engine):
+        from repro.guard import BudgetExceeded
+        # The widest activation is the 149-tuple t01 stream (the whole
+        # run produces 999 tuples).
+        assert len(self.run(engine, max_output=149)) == 4
+        with pytest.raises(BudgetExceeded) as trip:
+            self.run(engine, max_output=148)
+        assert trip.value.code == "REPRO-BUDGET-OUTPUT"
+        assert trip.value.observed == 149
+
+    def test_max_steps_trips_within_a_block_of_tuple_at_a_time(self, engine):
+        from repro.algebra.eval import BLOCK
+        from repro.guard import BudgetExceeded
+        # Tuple-at-a-time evaluation charged 3023 steps for this run and
+        # tripped a budget of n at n + 1.
+        assert len(self.run(engine, max_steps=3023 + BLOCK)) == 4
+        with pytest.raises(BudgetExceeded):
+            self.run(engine, max_steps=3023 - BLOCK)
+        for limit in (1000, 2000):
+            with pytest.raises(BudgetExceeded) as trip:
+                self.run(engine, max_steps=limit)
+            assert trip.value.code == "REPRO-BUDGET-STEPS"
+            assert limit < trip.value.steps <= limit + BLOCK
+
+    def test_wall_budget_stops_a_join(self):
+        from repro import Engine
+        from repro.bench.xmark_queries import catalog_queries
+        from repro.data import xmark_document
+        from repro.guard import BudgetExceeded, Budgets
+        engine = Engine(xmark_document(40, seed=11))
+        compiled = engine.compile(catalog_queries()["XQ9"])
+        assert engine.execute(compiled)
+        with pytest.raises(BudgetExceeded) as trip:
+            engine.execute(compiled, budgets=Budgets(wall_seconds=0.001))
+        assert trip.value.code == "REPRO-BUDGET-WALL"

@@ -93,6 +93,42 @@ class TestInputValidation:
                                          use_cache=False)
         assert compiled.tree_pattern_count() == 1
 
+    @staticmethod
+    def nested(depth):
+        return "<a>" * depth + "</a>" * depth
+
+    def test_deep_but_parseable_document_answers(self):
+        engine = Engine.from_xml(self.nested(400))
+        assert engine.run("count($input//a)") == [400]
+
+    @pytest.mark.parametrize("depth", [500, 5000])
+    def test_too_deep_document_is_a_typed_error(self, depth, tmp_path,
+                                                capsys):
+        """XML text is external input: the recursive parser running out
+        of stack is REPRO-INPUT at every document entry point, never a
+        raw RecursionError."""
+        from repro.cli import main
+        from repro.serve import DocumentCatalog
+        from repro.xmltree import IndexedDocument
+        text = self.nested(depth)
+        path = tmp_path / "deep.xml"
+        path.write_text(text, encoding="utf-8")
+        catalog = DocumentCatalog()
+        catalog.add_xml("deep", text)
+        for load in (lambda: Engine.from_xml(text),
+                     lambda: IndexedDocument.from_string(text),
+                     lambda: Engine.from_file(str(path)),
+                     lambda: catalog.engine("deep")):
+            with pytest.raises(InputError) as exc:
+                load()
+            assert exc.value.code == "REPRO-INPUT"
+            assert "nests too deeply" in exc.value.message
+            assert 300 < exc.value.context["depth"] <= 500
+            assert isinstance(exc.value.__cause__, RecursionError)
+        assert main(["query", "count($input//a)", "--doc", str(path)]) == 2
+        assert "[REPRO-INPUT] document nests too deeply" \
+            in capsys.readouterr().err
+
 
 class TestBudgets:
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)

@@ -12,6 +12,8 @@ from repro.physical import (HeuristicChooser, NLJoin, StackTreeJoin,
                             make_algorithm)
 from repro.xmltree import IndexedDocument, serialize
 
+from tests.support.stores import both_stores
+
 DOC = IndexedDocument.from_string(
     '<site><people>'
     '<person id="p1"><name>John</name><emailaddress/>'
@@ -283,6 +285,194 @@ class TestStaircaseWork:
                 StaircaseJoin().match_single(forest, [forest.root],
                                              self.TWIG)
         assert injector.visits == ["scjoin.match"]
+
+
+# -- evaluate_each: a batch of tuples per kernel call ---------------------------
+
+#: ``a`` elements nested four deep, attributes, text, a childless ``a``
+#: between two that have matches, and a ``z`` the summary rules out.
+EACH_XML = (
+    '<r><a id="1">x<a id="2"><b/><a id="3"><a id="4"><b>t</b><c/></a>'
+    '<b>u<c/></b></a><b/></a><c><b/></c></a>'
+    '<a id="5"/><a id="6"><b/><b><c/></b><a id="7"><b/></a></a><z/></r>')
+
+EACH_PATTERNS = [
+    # first steps on every downward axis
+    "IN#x/child::b{o}", "IN#x/child::*{o}", "IN#x/child::text(){o}",
+    "IN#x/descendant::b{o}", "IN#x/descendant::node(){o}",
+    "IN#x/descendant-or-self::a{o}", "IN#x/descendant-or-self::node(){o}",
+    "IN#x/@id{o}", "IN#x/@*{o}",
+    "IN#x/self::a{o}", "IN#x/self::node(){o}", "IN#x/self::text(){o}",
+    # multi-step
+    "IN#x/child::a/child::b{o}", "IN#x/descendant::a/descendant::b{o}",
+    "IN#x/descendant-or-self::a/child::b/child::c{o}",
+    "IN#x/descendant::a/@id{o}", "IN#x/child::b/child::text(){o}",
+    # branches
+    "IN#x/descendant::a[child::b]{o}",
+    "IN#x/child::a[descendant::c]/child::b{o}",
+    "IN#x/descendant::b[child::c][child::text()]{o}",
+    "IN#x/descendant-or-self::a[@id][child::a[child::b]]{o}",
+    # positional first and inner steps
+    "IN#x/child::b[1]{o}", "IN#x/child::b[2]{o}",
+    "IN#x/descendant::a[2]{o}", "IN#x/descendant-or-self::a[1]{o}",
+    "IN#x/descendant::a/child::b[1]{o}",
+    "IN#x/child::a[1]/descendant::b[2]{o}",
+    "IN#x/descendant::a[child::b][2]/child::b{o}",
+    # positional branches
+    "IN#x/child::a[child::b[2]]{o}",
+    "IN#x/descendant::a[descendant::b[2]/child::c]{o}",
+    "IN#x/descendant-or-self::a[child::a[1]/child::b[2]]{o}",
+    # what has no batch kernel: several outputs, upward axes
+    "IN#x/descendant::a{p}/child::b{o}", "IN#x/parent::a{o}",
+    "IN#x/child::b/ancestor::a{o}",
+]
+
+
+def each_contexts(document):
+    """Unsorted, with duplicates, nested to depth 4, of every kind."""
+    a = {node.get_attribute("id"): node for node in document.stream("a")}
+    root = document.root.children[0]
+    (z,) = document.stream("z")
+    text = a["1"].children[0]
+    assert text.kind == "text"
+    return [a["6"], a["3"], document.root, a["1"], a["5"], a["3"],
+            a["4"], text, a["2"], a["1"].attributes[0], z, a["7"],
+            a["6"], root, document.stream("b")[0], a["4"]]
+
+
+def pres(bindings):
+    return [{name: node.pre for name, node in binding.items()}
+            for binding in bindings]
+
+
+@pytest.fixture(scope="module")
+def stores(tmp_path_factory):
+    """The document in both stores: parsed, and saved + mmap-opened."""
+    documents = both_stores(IndexedDocument.from_string(EACH_XML),
+                            tmp_path_factory.mktemp("each"))
+    yield documents
+    documents["columnar"].close()
+
+
+@pytest.mark.parametrize("store", ["object", "columnar"])
+@pytest.mark.parametrize("strategy", list(Strategy), ids=str)
+class TestEvaluateEach:
+    """``evaluate_each`` is ``evaluate`` per context, for every
+    strategy (the ``item`` pseudo-strategy runs NLJoin)."""
+
+    @pytest.mark.parametrize("use_summary", [False, True])
+    def test_equals_evaluate_per_context(self, stores, store, strategy,
+                                         use_summary):
+        document = stores[store]
+        contexts = each_contexts(document)
+        algorithm = make_algorithm(strategy, document)
+        algorithm.attach_summary(document.summary if use_summary else None)
+        empty = 0
+        for text in EACH_PATTERNS:
+            pattern = parse_pattern(text)
+            expected = [pres(algorithm.evaluate(document, [context],
+                                                pattern))
+                        for context in contexts]
+            got = algorithm.evaluate_each(document, contexts, pattern)
+            assert [pres(bindings) for bindings in got] == expected, text
+            assert any(expected), text
+            empty += sum(1 for bindings in expected if not bindings)
+            assert algorithm.evaluate_each(document, [], pattern) == []
+        assert empty   # contexts without a match sit between the others
+
+    def test_one_context_and_all_the_same_context(self, stores, store,
+                                                  strategy):
+        document = stores[store]
+        algorithm = make_algorithm(strategy, document)
+        pattern = parse_pattern("IN#x/descendant::a[child::b]{o}")
+        (inner,) = [node for node in document.stream("a")
+                    if node.get_attribute("id") == "2"]
+        once = pres(algorithm.evaluate(document, [inner], pattern))
+        assert once
+        for count in (1, 3):
+            got = algorithm.evaluate_each(document, [inner] * count,
+                                          pattern)
+            assert [pres(bindings) for bindings in got] == [once] * count
+
+
+class TestStaircaseBatch:
+    """What the SCJoin batch kernel does beyond agreeing."""
+
+    def run(self, document, text, contexts):
+        algorithm = StaircaseJoin()
+        metrics = ExecMetrics()
+        algorithm.attach_metrics(metrics)
+        algorithm.attach_summary(document.summary)
+        got = algorithm.evaluate_each(document, contexts,
+                                      parse_pattern(text))
+        return got, metrics
+
+    def test_one_kernel_invocation_per_batch(self, stores):
+        document = stores["object"]
+        contexts = each_contexts(document)
+        _, metrics = self.run(document, "IN#x/descendant::b{o}", contexts)
+        assert metrics.pattern_evals == 1
+        # The prefilter still counts contexts: attribute, text, ``z``,
+        # the childless ``b``... cannot embed ``descendant::b``.
+        assert metrics.prune_hits + metrics.prune_misses == len(contexts)
+        assert metrics.prune_hits >= 3
+
+    def test_per_tuple_patterns_keep_one_invocation_per_context(self, stores):
+        document = stores["object"]
+        contexts = each_contexts(document)
+        for text in ("IN#x/descendant::a{p}/child::b{o}",
+                     "IN#x/parent::a{o}",
+                     "IN#x/descendant-or-self::node(){o}"):
+            _, metrics = self.run(document, text, contexts)
+            assert metrics.pattern_evals == len(contexts), text
+
+    def test_a_batch_the_summary_rules_out_runs_no_kernel(self, stores):
+        document = stores["object"]
+        contexts = document.stream("z") + document.stream("c")
+        got, metrics = self.run(document, "IN#x/descendant::a{o}", contexts)
+        assert got == [[]] * len(contexts)
+        assert metrics.prune_hits == len(contexts)
+        assert not metrics.nodes_visited and not metrics.stream_scanned
+
+    def test_duplicate_contexts_share_their_answer(self, stores):
+        document = stores["object"]
+        (outer,) = [node for node in document.stream("a")
+                    if node.get_attribute("id") == "2"]
+        got, _ = self.run(document, "IN#x/child::b{o}", [outer, outer])
+        assert got[0] and got[0] is got[1]
+
+    def test_nesting_costs_a_walk_per_layer_not_per_context(self):
+        """Single-tag depth-15 document: 5000 contexts, each inside up
+        to 14 others, are answered by at most 15 stream reads."""
+        from repro.data import deep_member_document
+        deep = deep_member_document(5000, depth=15)
+        contexts = deep.stream("t1")
+        algorithm = StaircaseJoin()
+        metrics = ExecMetrics()
+        algorithm.attach_metrics(metrics)
+        got = algorithm.evaluate_each(
+            deep, contexts, parse_pattern("IN#x/descendant::t1{o}"))
+        assert [len(bindings) for bindings in got] \
+            == [node.end - node.pre for node in contexts]
+        assert metrics.stream_scanned["scjoin"] <= 15 * len(contexts)
+
+    def test_chaos_sites_fire_per_batch(self, stores):
+        document = stores["object"]
+        contexts = each_contexts(document)
+        with inject(ChaosSpec(site="scjoin.match")) as injector:
+            with pytest.raises(InjectedFault):
+                StaircaseJoin().evaluate_each(
+                    document, contexts, parse_pattern("IN#x/child::b{o}"))
+        assert injector.visits == ["scjoin.match"]
+
+    def test_batch_kernel_charges_the_step_budget(self, stores):
+        document = stores["object"]
+        contexts = each_contexts(document)
+        algorithm = StaircaseJoin()
+        algorithm.attach_governor(ResourceGovernor(Budgets(max_steps=10)))
+        with pytest.raises(BudgetExceeded):
+            algorithm.evaluate_each(document, contexts,
+                                    parse_pattern("IN#x/descendant::b{o}"))
 
 
 class TestFallbacks:
