@@ -564,9 +564,16 @@ def _command_serve_bench(args, out) -> int:
     return 0
 
 
+def _parse_file(path: str):
+    """An XML file as an indexed document (its uri is the path)."""
+    from .xmltree import IndexedDocument
+    with open(path, "r", encoding="utf-8") as handle:
+        return IndexedDocument.from_string(handle.read(), uri=path)
+
+
 def _command_index(args, out) -> int:
     import time as _time
-    from .xmltree import ColumnarDocument, IndexedDocument, parse_xml_file
+    from .xmltree import ColumnarDocument
 
     output = args.output
     if output is None:
@@ -574,7 +581,7 @@ def _command_index(args, out) -> int:
             else args.input
         output = stem + ".rpxc"
     started = _time.perf_counter()
-    document = IndexedDocument(parse_xml_file(args.input))
+    document = _parse_file(args.input)
     columns = document.columns
     size = document.save(output)
     elapsed = _time.perf_counter() - started
@@ -613,14 +620,13 @@ def _command_index(args, out) -> int:
 
 def _command_shard(args, out) -> int:
     import time as _time
-    from .xmltree import (ColumnarDocument, IndexedDocument,
-                          is_columnar_file, parse_xml_file)
+    from .xmltree import ColumnarDocument, is_columnar_file
     from .xmltree.shard import ShardManifest, write_shard_layout
 
     if is_columnar_file(args.input):
         columns = ColumnarDocument.open(args.input)
     else:
-        columns = IndexedDocument(parse_xml_file(args.input)).columns
+        columns = _parse_file(args.input).columns
     name = args.name
     if name is None:
         name = os.path.splitext(os.path.basename(args.input))[0]

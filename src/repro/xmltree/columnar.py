@@ -122,6 +122,19 @@ def _pad(length: int) -> int:
     return (-length) % _ALIGN
 
 
+_KIND_OF = {DocumentNode: KIND_DOCUMENT, ElementNode: KIND_ELEMENT,
+            AttributeNode: KIND_ATTRIBUTE, TextNode: KIND_TEXT}
+
+
+def _subclass_kind(node: object) -> int:
+    """The kind code of a node whose exact type is not a node class."""
+    for node_class, code in _KIND_OF.items():
+        if isinstance(node, node_class):
+            return code
+    raise StorageError(f"cannot columnarize a {type(node).__name__}",
+                       check="node-kind")
+
+
 class ColumnarDocument:
     """The region encoding of one document as contiguous integer columns.
 
@@ -183,8 +196,8 @@ class ColumnarDocument:
         end = array("i", bytes(4 * n))
         parent = array("i", bytes(4 * n))
         kind = array("B", bytes(n))
-        name_id = array("i", bytes(4 * n))
-        text_id = array("i", bytes(4 * n))
+        name_id = array("i", (-1,)) * n
+        text_id = array("i", (-1,)) * n
         names: List[str] = []
         name_index: Dict[str, int] = {}
         texts: List[str] = []
@@ -193,58 +206,52 @@ class ColumnarDocument:
         attribute_pres: Dict[str, array] = {}
         text_pres = array("i")
         element_pres = array("i")
-
-        def intern_name(name: str) -> int:
-            slot = name_index.get(name)
-            if slot is None:
-                slot = name_index[name] = len(names)
-                names.append(name)
-            return slot
-
-        def intern_text(value: str) -> int:
-            slot = text_index.get(value)
-            if slot is None:
-                slot = text_index[value] = len(texts)
-                texts.append(value)
-            return slot
-
+        kind_of = _KIND_OF.get
         for pre, node in enumerate(nodes):
+            code = kind_of(type(node))
+            if code is None:
+                code = _subclass_kind(node)
             if node.pre != pre:
                 raise StorageError(
                     f"node table is not densely pre-numbered: position "
                     f"{pre} holds pre={node.pre}", check="dense-pre")
+            kind[pre] = code
             post[pre] = node.post
             level[pre] = node.level
             end[pre] = node.end
-            parent[pre] = node.parent.pre if node.parent is not None else -1
-            name_id[pre] = -1
-            text_id[pre] = -1
-            if isinstance(node, ElementNode):
-                kind[pre] = KIND_ELEMENT
-                slot = intern_name(node.name)
+            above = node.parent
+            parent[pre] = above.pre if above is not None else -1
+            if code == KIND_ELEMENT or code == KIND_ATTRIBUTE:
+                name = node._name
+                slot = name_index.get(name)
+                if slot is None:
+                    slot = name_index[name] = len(names)
+                    names.append(name)
                 name_id[pre] = slot
-                element_pres.append(pre)
-                tag_pres.setdefault(node.name, array("i")).append(pre)
-            elif isinstance(node, AttributeNode):
-                kind[pre] = KIND_ATTRIBUTE
-                name_id[pre] = intern_name(node.name)
-                text_id[pre] = intern_text(node.value)
-                attribute_pres.setdefault(node.name,
-                                          array("i")).append(pre)
-            elif isinstance(node, TextNode):
-                kind[pre] = KIND_TEXT
-                text_id[pre] = intern_text(node.text)
-                text_pres.append(pre)
-            elif isinstance(node, DocumentNode):
-                kind[pre] = KIND_DOCUMENT
-            else:
-                raise StorageError(
-                    f"cannot columnarize a {type(node).__name__}",
-                    check="node-kind")
+                if code == KIND_ELEMENT:
+                    element_pres.append(pre)
+                    streams = tag_pres
+                else:
+                    streams = attribute_pres
+                stream = streams.get(name)
+                if stream is None:
+                    stream = streams[name] = array("i")
+                stream.append(pre)
+            if code == KIND_ATTRIBUTE or code == KIND_TEXT:
+                if code == KIND_TEXT:
+                    text_pres.append(pre)
+                    value = node.text
+                else:
+                    value = node.value
+                slot = text_index.get(value)
+                if slot is None:
+                    slot = text_index[value] = len(texts)
+                    texts.append(value)
+                text_id[pre] = slot
         columns = cls(post=post, level=level, end=end, parent=parent,
                       kind=kind, name_id=name_id, text_id=text_id,
-                      names=names, texts=texts, tag_pres=dict(tag_pres),
-                      attribute_pres=dict(attribute_pres),
+                      names=names, texts=texts, tag_pres=tag_pres,
+                      attribute_pres=attribute_pres,
                       text_pres=text_pres, element_pres=element_pres,
                       uri=uri)
         columns.build_seconds = time.perf_counter() - started

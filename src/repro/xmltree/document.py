@@ -11,9 +11,11 @@ Since the columnar refactor the class is a *two-way facade* over
 
 tree-first
     built from a parsed :class:`DocumentNode` (the historical path);
-    the node table and streams are built eagerly as before, and the
-    integer columns the join inner loops scan are derived lazily on
-    first access to :attr:`columns`.
+    the node table and streams are built eagerly — the table comes
+    ready-made from the parser (:meth:`IndexedDocument.from_string`) or
+    from one walk of a hand-built tree — and the integer columns the
+    join inner loops scan are derived lazily on first access to
+    :attr:`columns`.
 column-first
     built from a :class:`ColumnarDocument` — typically mmap-opened from
     a saved index file via :meth:`IndexedDocument.open`.  The joins run
@@ -43,7 +45,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .columnar import (KIND_ATTRIBUTE, KIND_DOCUMENT, KIND_ELEMENT,
                        ColumnarDocument, StorageError)
 from .node import AttributeNode, DocumentNode, ElementNode, Node, TextNode
-from .parser import parse_xml
+from .parser import parse_nodes
 
 _PRE_KEY = attrgetter("pre")
 
@@ -56,7 +58,8 @@ class IndexedDocument:
     """
 
     def __init__(self, root: Optional[DocumentNode] = None, *,
-                 columns: Optional[ColumnarDocument] = None) -> None:
+                 columns: Optional[ColumnarDocument] = None,
+                 _table: Optional[list[Node]] = None) -> None:
         if (root is None) == (columns is None):
             raise ValueError(
                 "IndexedDocument takes exactly one of root= or columns=")
@@ -75,7 +78,16 @@ class IndexedDocument:
         self._tree_lock = threading.Lock()
         self._store_kind = "object" if root is not None else "columnar"
         if root is not None:
-            self._build()
+            # The table must be younger than this object and older than
+            # the streams ``_build`` makes.  The collector scans
+            # containers oldest first and re-threads what it reaches
+            # only through a younger one in the order it is reached:
+            # through the table that is document order, through the
+            # streams tag by tag, and every later full collection in
+            # the process then takes twice as long (same objects).
+            # Hence a copy of the parser's table, which is older.
+            self._build(list(_table) if _table is not None
+                        else self._walk())
         else:
             # Streams of pre numbers come straight from the columns; no
             # node object exists until something dereferences one.
@@ -83,7 +95,8 @@ class IndexedDocument:
 
     @classmethod
     def from_string(cls, text: str, uri: str = "") -> "IndexedDocument":
-        return cls(parse_xml(text, uri))
+        table = parse_nodes(text, uri)
+        return cls(table[0], _table=table)
 
     @classmethod
     def open(cls, path: Union[str, os.PathLike],
@@ -121,6 +134,8 @@ class IndexedDocument:
         if self._columns is None:
             with self._columns_lock:
                 if self._columns is None:
+                    if self._nodes_by_pre is None:
+                        raise _closed_store()
                     self._columns = ColumnarDocument.from_nodes(
                         self._nodes_by_pre, uri=self._root.uri)
         return self._columns
@@ -168,7 +183,8 @@ class IndexedDocument:
             self._materialize()
         return self._text_stream
 
-    def _build(self) -> None:
+    def _walk(self) -> list[Node]:
+        """The node table of a tree that did not come with one."""
         table: list[Node] = []
         stack: list[Node] = [self._root]
         while stack:
@@ -179,6 +195,9 @@ class IndexedDocument:
                     table.append(attribute)
             stack.extend(reversed(node.children))
         table.sort(key=_PRE_KEY)
+        return table
+
+    def _build(self, table: list[Node]) -> None:
         self._nodes_by_pre = table
         tag_streams: dict[str, list[ElementNode]] = {}
         attribute_streams: dict[str, list[AttributeNode]] = {}
@@ -211,49 +230,58 @@ class IndexedDocument:
                 return
             columns = self._columns
             if columns is None:
-                raise StorageError(
-                    "document store was closed before its node tree "
-                    "was materialized", check="closed")
-            kind_col = columns.kind
-            post_col = columns.post
-            level_col = columns.level
-            end_col = columns.end
-            parent_col = columns.parent
-            n = columns.n
+                raise _closed_store()
+            # Plain bytes/lists and local tables: a mapped column
+            # unpacks an int, a lazy string table decodes, per index.
+            names = list(columns.names)
+            texts = list(columns.texts)
+            new = object.__new__
             table: list[Node] = []
             tag_streams: dict[str, list[ElementNode]] = {}
             attribute_streams: dict[str, list[AttributeNode]] = {}
             text_stream: list[TextNode] = []
             root: Optional[DocumentNode] = None
-            for pre in range(n):
-                kind = kind_col[pre]
+            for kind, post, level, end, parent_pre, name_id, text_id in zip(
+                    bytes(columns.kind), list(columns.post),
+                    list(columns.level), list(columns.end),
+                    list(columns.parent), list(columns.name_id),
+                    list(columns.text_id)):
                 node: Node
                 if kind == KIND_ELEMENT:
-                    node = ElementNode(columns.name_of(pre))
-                    tag_streams.setdefault(node.name, []).append(node)
+                    node = new(ElementNode)
+                    node._name = name = names[name_id]
+                    node._children = []
+                    node._attributes = []
+                    stream = tag_streams.get(name)
+                    if stream is None:
+                        stream = tag_streams[name] = []
+                    stream.append(node)
                 elif kind == KIND_ATTRIBUTE:
-                    node = AttributeNode(columns.name_of(pre),
-                                         columns.text_of(pre))
-                    attribute_streams.setdefault(node.name,
-                                                 []).append(node)
+                    node = new(AttributeNode)
+                    node._name = name = names[name_id]
+                    node.value = texts[text_id]
+                    stream = attribute_streams.get(name)
+                    if stream is None:
+                        stream = attribute_streams[name] = []
+                    stream.append(node)
                 elif kind == KIND_DOCUMENT:
-                    node = DocumentNode(columns.uri)
-                    root = node
+                    node = root = DocumentNode(columns.uri)
                 else:
-                    node = TextNode(columns.text_of(pre))
+                    node = new(TextNode)
+                    node.text = texts[text_id]
                     text_stream.append(node)
-                node.pre = pre
-                node.post = post_col[pre]
-                node.level = level_col[pre]
-                node.end = end_col[pre]
-                parent_pre = parent_col[pre]
+                node.pre = len(table)
+                node.post = post
+                node.level = level
+                node.end = end
                 if parent_pre >= 0:
-                    parent = table[parent_pre]
-                    node.parent = parent
+                    node.parent = parent = table[parent_pre]
                     if kind == KIND_ATTRIBUTE:
                         parent._attributes.append(node)
                     else:
                         parent._children.append(node)
+                else:
+                    node.parent = None
                 table.append(node)
             if root is None:
                 raise StorageError("column store has no document node",
@@ -363,6 +391,11 @@ class IndexedDocument:
                               for tag, stream in self._tag_pres.items()}
             self._columns.close()
             self._columns = None
+
+
+def _closed_store() -> StorageError:
+    return StorageError("document store was closed before its node tree "
+                        "was materialized", check="closed")
 
 
 def document_order(nodes: Iterable[Node]) -> list[Node]:

@@ -6,16 +6,24 @@ character data, CDATA sections, comments and processing instructions
 Namespaces are treated lexically (prefixed names are kept verbatim),
 which matches how the paper's queries use plain QNames.
 
-The parser builds :class:`~repro.xmltree.node.DocumentNode` trees and
-assigns the region encoding before returning.
+The parser is one scan with an explicit stack of open elements: a
+compiled pattern takes a whole tag and the character data after it, and
+every node gets its region encoding (``pre``/``post``/``level``/``end``
+— the numbering of :func:`~repro.xmltree.node.assign_regions`) when it
+is made or closed.  The nodes come out as a dense table in document
+order (:func:`parse_nodes`), so a parsed document needs no numbering
+pass and no walk to index it.  Where the patterns do not match, the
+construct at hand is looked at character by character to say what is
+wrong with it.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import re
+from typing import Dict, List, Optional, Tuple
 
-from ..guard.errors import InputError, ReproError
-from .node import AttributeNode, DocumentNode, ElementNode, Node, TextNode, assign_regions
+from ..guard.errors import ReproError
+from .node import AttributeNode, DocumentNode, ElementNode, Node, TextNode
 
 _PREDEFINED_ENTITIES = {
     "lt": "<",
@@ -25,8 +33,31 @@ _PREDEFINED_ENTITIES = {
     "quot": '"',
 }
 
-_NAME_START_EXTRA = set("_:")
-_NAME_EXTRA = set("_:-.")
+#: ``\w`` is ``str.isalnum()`` or ``_`` and ``\s`` is ``str.isspace()``,
+#: so this is the name-character rule of :func:`_name_end`; its stricter
+#: first-character rule is checked once per distinct name.
+_NAME = r"[\w:][\w:.\-]*"
+
+_ATTRIBUTE = re.compile(rf"""({_NAME})\s*=\s*(?:"([^"]*)"|'([^']*)')""")
+
+#: one tag and the character data that follows it.  Start tag: name (1),
+#: attribute run (2), the ``/`` of an empty element (3); end tag: name
+#: (4); text up to the next ``<`` (5).  The lookahead after the element
+#: name keeps ``<ab="1">`` from being read as element ``a`` with an
+#: attribute ``b``; every repetition starts on a different character
+#: than the one before it ends on, so a tag that does not match is given
+#: up in linear time.
+_TAG = re.compile(
+    rf"""<(?:({_NAME})(?=[\s/>])((?:\s*{_NAME}\s*=\s*(?:"[^"]*"|'[^']*'))*)"""
+    rf"""\s*(/?)|/({_NAME})\s*)>([^<]*)""")
+
+_ANGLE = re.compile("[<>]")
+_NOT_SPACE = re.compile(r"\S")
+
+#: the body of a numeric character reference, leading zeros apart: at
+#: most as many digits as U+10FFFF has.
+_CHARACTER_REFERENCE = re.compile(
+    r"#(?:[xX]0*([0-9a-fA-F]{1,6})|0*([0-9]{1,7}))")
 
 
 class XMLSyntaxError(ReproError):
@@ -43,226 +74,298 @@ class XMLSyntaxError(ReproError):
         self.position = position
 
 
+# -- character-level checks (diagnosis and rare constructs) -----------------
+
+def _skip_whitespace(text: str, pos: int) -> int:
+    found = _NOT_SPACE.search(text, pos)
+    return found.start() if found is not None else len(text)
+
+
+def _skip_past(text: str, opener: str, closer: str, pos: int) -> int:
+    """The end of the comment or PI that opens at ``pos``; the closer
+    shares no character with the opener (``<!-->`` is not a comment)."""
+    end = text.find(closer, pos + len(opener))
+    if end < 0:
+        raise XMLSyntaxError(
+            f"unterminated construct, expected {closer!r}", pos)
+    return end + len(closer)
+
+
+def _skip_misc(text: str, pos: int) -> int:
+    """Skip whitespace, comments, PIs, the XML declaration and a
+    DOCTYPE declaration (tolerating an internal subset)."""
+    while True:
+        pos = _skip_whitespace(text, pos)
+        if text.startswith("<?", pos):
+            pos = _skip_past(text, "<?", "?>", pos)
+        elif text.startswith("<!--", pos):
+            pos = _skip_past(text, "<!--", "-->", pos)
+        elif text.startswith("<!DOCTYPE", pos):
+            pos += len("<!DOCTYPE")
+            depth = 1
+            while depth:
+                angle = _ANGLE.search(text, pos)
+                if angle is None:
+                    raise XMLSyntaxError("unterminated DOCTYPE", len(text))
+                depth += 1 if angle.group() == "<" else -1
+                pos = angle.end()
+        else:
+            return pos
+
+
 def _is_name_start(ch: str) -> bool:
-    return ch.isalpha() or ch in _NAME_START_EXTRA
+    return ch.isalpha() or ch in "_:"
 
 
-def _is_name_char(ch: str) -> bool:
-    return ch.isalnum() or ch in _NAME_EXTRA
+def _name_end(text: str, pos: int) -> int:
+    """The end of the name that starts at ``pos``."""
+    if pos >= len(text) or not _is_name_start(text[pos]):
+        raise XMLSyntaxError("expected a name", pos)
+    pos += 1
+    while pos < len(text) and (text[pos].isalnum() or text[pos] in "_:-."):
+        pos += 1
+    return pos
 
 
-class _Parser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-        self.length = len(text)
-        #: nesting depth of the element being parsed (the document
-        #: element is 1); stays at the deepest point when parsing aborts.
-        self.depth = 1
+def _decode_entities(raw: str, start: int, at: int) -> str:
+    """``raw`` (found at ``text[start:]``) with its references replaced.
+    An unknown or unterminated reference is reported at ``at``, where
+    the scan stood when the run was decoded; a character reference that
+    names no Unicode scalar value at the reference itself."""
+    parts: List[str] = []
+    index = 0
+    while True:
+        amp = raw.find("&", index)
+        if amp < 0:
+            parts.append(raw[index:])
+            return "".join(parts)
+        parts.append(raw[index:amp])
+        semi = raw.find(";", amp + 1)
+        if semi < 0:
+            raise XMLSyntaxError("unterminated entity reference", at)
+        entity = raw[amp + 1:semi]
+        if entity.startswith("#"):
+            digits = _CHARACTER_REFERENCE.fullmatch(entity)
+            code = -1 if digits is None else \
+                int(digits.group(1), 16) if digits.group(1) else \
+                int(digits.group(2))
+            if not (0 <= code < 0xD800 or 0xDFFF < code <= 0x10FFFF):
+                raise XMLSyntaxError(
+                    f"invalid character reference &{entity};", start + amp)
+            parts.append(chr(code))
+        elif entity in _PREDEFINED_ENTITIES:
+            parts.append(_PREDEFINED_ENTITIES[entity])
+        else:
+            raise XMLSyntaxError(f"unknown entity &{entity};", at)
+        index = semi + 1
 
-    # -- low-level helpers -------------------------------------------------
 
-    def error(self, message: str) -> XMLSyntaxError:
-        return XMLSyntaxError(message, self.pos)
-
-    def peek(self) -> str:
-        if self.pos >= self.length:
-            raise self.error("unexpected end of input")
-        return self.text[self.pos]
-
-    def at_end(self) -> bool:
-        return self.pos >= self.length
-
-    def startswith(self, token: str) -> bool:
-        return self.text.startswith(token, self.pos)
-
-    def expect(self, token: str) -> None:
-        if not self.startswith(token):
-            raise self.error(f"expected {token!r}")
-        self.pos += len(token)
-
-    def skip_whitespace(self) -> None:
-        while self.pos < self.length and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def read_name(self) -> str:
-        start = self.pos
-        if self.at_end() or not _is_name_start(self.text[self.pos]):
-            raise self.error("expected a name")
-        self.pos += 1
-        while self.pos < self.length and _is_name_char(self.text[self.pos]):
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    def decode_entities(self, raw: str) -> str:
-        if "&" not in raw:
-            return raw
-        parts: list[str] = []
-        index = 0
-        while True:
-            amp = raw.find("&", index)
-            if amp < 0:
-                parts.append(raw[index:])
-                break
-            parts.append(raw[index:amp])
-            semi = raw.find(";", amp + 1)
-            if semi < 0:
-                raise self.error("unterminated entity reference")
-            entity = raw[amp + 1:semi]
-            if entity.startswith("#x") or entity.startswith("#X"):
-                parts.append(chr(int(entity[2:], 16)))
-            elif entity.startswith("#"):
-                parts.append(chr(int(entity[1:])))
-            elif entity in _PREDEFINED_ENTITIES:
-                parts.append(_PREDEFINED_ENTITIES[entity])
-            else:
-                raise self.error(f"unknown entity &{entity};")
-            index = semi + 1
-        return "".join(parts)
-
-    # -- grammar -----------------------------------------------------------
-
-    def parse_document(self, uri: str) -> DocumentNode:
-        document = DocumentNode(uri)
-        self.skip_misc()
-        if self.at_end() or not self.startswith("<"):
-            raise self.error("expected a document element")
-        element = self.parse_element()
-        document.append_child(element)
-        self.skip_misc()
-        if not self.at_end():
-            raise self.error("content after document element")
-        return document
-
-    def skip_misc(self) -> None:
-        """Skip whitespace, comments, PIs and the XML declaration."""
-        while True:
-            self.skip_whitespace()
-            if self.startswith("<?"):
-                self.skip_until("?>")
-            elif self.startswith("<!--"):
-                self.skip_until("-->")
-            elif self.startswith("<!DOCTYPE"):
-                self.skip_doctype()
-            else:
-                return
-
-    def skip_until(self, token: str) -> None:
-        end = self.text.find(token, self.pos)
+def _attributes(text: str, pos: int) -> List[Tuple[str, str]]:
+    """The attributes of the start tag whose name ends at ``pos``, read
+    character by character; the first thing wrong with the tag, left to
+    right, is raised.  The scanner comes here for a tag its patterns do
+    not take as it stands."""
+    pairs: List[Tuple[str, str]] = []
+    seen = set()
+    while True:
+        pos = _skip_whitespace(text, pos)
+        if text.startswith("/>", pos) or text.startswith(">", pos):
+            return pairs
+        end = _name_end(text, pos)
+        name = text[pos:end]
+        if name in seen:
+            raise XMLSyntaxError(f"duplicate attribute {name!r}", end)
+        seen.add(name)
+        pos = _skip_whitespace(text, end)
+        if not text.startswith("=", pos):
+            raise XMLSyntaxError("expected '='", pos)
+        pos = _skip_whitespace(text, pos + 1)
+        if pos >= len(text):
+            raise XMLSyntaxError("unexpected end of input", pos)
+        quote = text[pos]
+        if quote not in "'\"":
+            raise XMLSyntaxError("attribute value must be quoted", pos)
+        pos += 1
+        end = text.find(quote, pos)
         if end < 0:
-            raise self.error(f"unterminated construct, expected {token!r}")
-        self.pos = end + len(token)
+            raise XMLSyntaxError("unterminated attribute value", pos)
+        pairs.append((name, _decode_entities(text[pos:end], pos, pos)))
+        pos = end + 1
 
-    def skip_doctype(self) -> None:
-        # Skip a DOCTYPE declaration, tolerating an internal subset.
-        self.expect("<!DOCTYPE")
-        depth = 1
-        while depth > 0:
-            if self.at_end():
-                raise self.error("unterminated DOCTYPE")
-            ch = self.text[self.pos]
-            if ch == "<":
-                depth += 1
-            elif ch == ">":
-                depth -= 1
-            self.pos += 1
 
-    def parse_element(self) -> ElementNode:
-        self.expect("<")
-        name = self.read_name()
-        element = ElementNode(name)
-        seen_attributes: set[str] = set()
-        while True:
-            self.skip_whitespace()
-            if self.startswith("/>"):
-                self.pos += 2
-                return element
-            if self.startswith(">"):
-                self.pos += 1
-                break
-            attr_name = self.read_name()
-            if attr_name in seen_attributes:
-                raise self.error(f"duplicate attribute {attr_name!r}")
-            seen_attributes.add(attr_name)
-            self.skip_whitespace()
-            self.expect("=")
-            self.skip_whitespace()
-            quote = self.peek()
-            if quote not in ("'", '"'):
-                raise self.error("attribute value must be quoted")
-            self.pos += 1
-            end = self.text.find(quote, self.pos)
-            if end < 0:
-                raise self.error("unterminated attribute value")
-            value = self.decode_entities(self.text[self.pos:end])
-            self.pos = end + 1
-            element.set_attribute(attr_name, value)
-        self.parse_content(element)
-        self.expect("</")
-        close_name = self.read_name()
-        if close_name != name:
-            raise self.error(
-                f"mismatched end tag: expected </{name}>, found </{close_name}>")
-        self.skip_whitespace()
-        self.expect(">")
-        return element
+def _tag_error(text: str, pos: int, open_name: Optional[str]
+               ) -> XMLSyntaxError:
+    """What is wrong with the tag at ``pos``, inside ``open_name``."""
+    try:
+        if text.startswith("</", pos) and open_name is not None:
+            end = _name_end(text, pos + 2)
+            if text[pos + 2:end] != open_name:
+                return XMLSyntaxError(
+                    f"mismatched end tag: expected </{open_name}>, "
+                    f"found </{text[pos + 2:end]}>", end)
+            return XMLSyntaxError("expected '>'",
+                                  _skip_whitespace(text, end))
+        _attributes(text, _name_end(text, pos + 1))
+    except XMLSyntaxError as err:
+        return err
+    return XMLSyntaxError("malformed tag", pos)
 
-    def parse_content(self, parent: ElementNode) -> None:
-        """Parse element content iteratively (child elements use an
-        explicit stack via mutual recursion bounded by tree depth kept
-        shallow by re-entering :meth:`parse_element`)."""
-        text_start = self.pos
-        while True:
-            if self.at_end():
-                raise self.error("unterminated element content")
-            ch = self.text[self.pos]
-            if ch != "<":
-                self.pos += 1
-                continue
-            if self.pos > text_start:
-                raw = self.text[text_start:self.pos]
-                parent.append_child(TextNode(self.decode_entities(raw)))
-            if self.startswith("</"):
-                return
-            if self.startswith("<!--"):
-                self.skip_until("-->")
-            elif self.startswith("<![CDATA["):
-                self.pos += len("<![CDATA[")
-                end = self.text.find("]]>", self.pos)
-                if end < 0:
-                    raise self.error("unterminated CDATA section")
-                parent.append_child(TextNode(self.text[self.pos:end]))
-                self.pos = end + 3
-            elif self.startswith("<?"):
-                self.skip_until("?>")
+
+# -- the scanner -------------------------------------------------------------
+
+def _scan(text: str, uri: str) -> List[Node]:
+    length = len(text)
+    find = text.find
+    tag_match = _TAG.match
+    new = object.__new__
+    pos = _skip_misc(text, 1 if text.startswith("\ufeff") else 0)
+    if not text.startswith("<", pos):
+        raise XMLSyntaxError("expected a document element", pos)
+    match = tag_match(text, pos)
+    if match is None or match.group(1) is None:
+        raise _tag_error(text, pos, None)
+    document = DocumentNode(uri)
+    document.pre = document.level = 0
+    table: List[Node] = [document]
+    append = table.append
+    #: every distinct name met, once its first character is checked;
+    #: nodes of one name share one string.
+    names: Dict[str, str] = {}
+    stack: List[Node] = []
+    parent: Node = document
+    level = 0       # of ``parent``
+    pre, post = 1, 0
+    while True:
+        # ``match`` is the tag at ``pos``, a child of ``parent``.
+        name, run, empty, closing, tail = match.groups()
+        if name is not None:
+            if name not in names:
+                if not _is_name_start(name[0]):
+                    raise _tag_error(text, pos, None)
+                names[name] = name
+            node = new(ElementNode)
+            node.pre = pre
+            node.level = level + 1
+            node.parent = parent
+            node._name = names[name]
+            node._children = []
+            node._attributes = attributes = []
+            parent._children.append(node)
+            append(node)
+            pre += 1
+            if run:
+                # Anything but plain, distinct, well-named attributes is
+                # left to the character-level reader and its messages.
+                pairs = _attributes(text, match.start(2)) if "&" in run \
+                    else [(key, double or single) for key, double, single
+                          in _ATTRIBUTE.findall(run)]
+                for key, value in pairs:
+                    if key not in names:
+                        if not _is_name_start(key[0]):
+                            raise _tag_error(text, pos, None)
+                        names[key] = key
+                    attribute = new(AttributeNode)
+                    attribute.pre = attribute.end = pre
+                    attribute.post = post
+                    attribute.level = level + 2
+                    attribute.parent = node
+                    attribute._name = names[key]
+                    attribute.value = value
+                    attributes.append(attribute)
+                    append(attribute)
+                    pre += 1
+                    post += 1
+                if len(pairs) > 1 and len(dict(pairs)) < len(pairs):
+                    raise _tag_error(text, pos, None)
+            if empty:
+                node.post = post
+                node.end = pre - 1
+                post += 1
             else:
-                self.depth += 1
-                child = self.parse_element()
-                self.depth -= 1
-                parent.append_child(child)
-            text_start = self.pos
+                stack.append(parent)
+                parent = node
+                level += 1
+        else:
+            if closing != parent._name:
+                raise _tag_error(text, pos, parent._name)
+            parent.post = post
+            parent.end = pre - 1
+            post += 1
+            parent = stack.pop()
+            level -= 1
+        if not level:
+            break
+        pos = match.end()
+        while True:
+            # ``tail`` is the character data that ends at ``pos``.
+            if pos == length:
+                raise XMLSyntaxError("unterminated element content", pos)
+            if tail:
+                node = new(TextNode)
+                node.pre = node.end = pre
+                node.post = post
+                node.level = level + 1
+                node.parent = parent
+                node.text = _decode_entities(tail, pos - len(tail), pos) \
+                    if "&" in tail else tail
+                parent._children.append(node)
+                append(node)
+                pre += 1
+                post += 1
+            match = tag_match(text, pos)
+            if match is not None:
+                break
+            if text.startswith("<!--", pos):
+                start = _skip_past(text, "<!--", "-->", pos)
+            elif text.startswith("<?", pos):
+                start = _skip_past(text, "<?", "?>", pos)
+            elif text.startswith("<![CDATA[", pos):
+                pos += len("<![CDATA[")
+                start = find("]]>", pos)
+                if start < 0:
+                    raise XMLSyntaxError("unterminated CDATA section", pos)
+                node = new(TextNode)
+                node.pre = node.end = pre
+                node.post = post
+                node.level = level + 1
+                node.parent = parent
+                node.text = text[pos:start]
+                parent._children.append(node)
+                append(node)
+                pre += 1
+                post += 1
+                start += 3
+            else:
+                raise _tag_error(text, pos, parent._name)
+            pos = find("<", start)
+            if pos < 0:
+                pos = length
+            tail = text[start:pos]
+    document.post = post
+    document.end = pre - 1
+    pos = _skip_misc(text, match.end() - len(tail))
+    if pos < length:
+        raise XMLSyntaxError("content after document element", pos)
+    return table
+
+
+def parse_nodes(text: str, uri: str = "") -> List[Node]:
+    """Parse an XML string into its numbered nodes: a dense table in
+    document order (``table[n].pre == n``, the document node first).
+    One leading U+FEFF is skipped.
+
+    Syntax errors escape with a :class:`~repro.guard.errors.SourceSpan`
+    attached (line/column plus a caret-annotated snippet)."""
+    try:
+        return _scan(text, uri)
+    except XMLSyntaxError as err:
+        raise err.attach_source(text)
 
 
 def parse_xml(text: str, uri: str = "") -> DocumentNode:
-    """Parse an XML string into a numbered document tree.
-
-    Syntax errors escape with a :class:`~repro.guard.errors.SourceSpan`
-    attached (line/column plus a caret-annotated snippet).  XML text is
-    external input: a document nested deeper than the (recursive) parser
-    can follow is an :class:`~repro.guard.errors.InputError`, not a raw
-    ``RecursionError``."""
-    parser = _Parser(text)
-    try:
-        document = parser.parse_document(uri)
-    except XMLSyntaxError as err:
-        raise err.attach_source(text)
-    except RecursionError as err:
-        raise InputError(
-            f"document nests too deeply: the parser exceeded the "
-            f"recursion limit at element depth {parser.depth}",
-            depth=parser.depth) from err
-    assign_regions(document)
-    return document
+    """Parse an XML string into a numbered document tree (see
+    :func:`parse_nodes`)."""
+    return parse_nodes(text, uri)[0]
 
 
 def parse_xml_file(path: str) -> DocumentNode:

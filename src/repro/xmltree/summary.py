@@ -36,7 +36,8 @@ from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
                     Set, Tuple, Union)
 
 from .axes import Axis
-from .node import (AttributeNode, DocumentNode, ElementNode, Node, TextNode)
+from .columnar import KIND_ATTRIBUTE, KIND_ELEMENT, KIND_TEXT
+from .node import AttributeNode, ElementNode, Node, TextNode
 from .nodetest import (AnyKindTest, ElementTest, NameTest, TextTest,
                        WildcardTest)
 
@@ -133,52 +134,59 @@ class PathSummary:
         self.total_text = 0
         self._node_paths: Dict[int, Point] = {}
         self._pattern_memo: Dict[int, _PatternMemo] = {}
-        self._build(document.root)
+        self._build(document.columns)
 
-    # -- construction -------------------------------------------------------
-
-    def _build(self, root: DocumentNode) -> None:
-        interned: Dict[Tuple[int, str], TagPath] = {}
-        stack: List[Tuple[Node, TagPath]] = [(root, ())]
-        while stack:
-            node, parent_path = stack.pop()
-            for child in node.children:
-                if isinstance(child, ElementNode):
-                    key = (id(parent_path), child.name)
-                    path = interned.get(key)
-                    if path is None:
-                        path = parent_path + (child.name,)
-                        interned[key] = path
-                    stats = self.stats.get(path)
-                    if stats is None:
-                        stats = PathStats(path)
-                        self.stats[path] = stats
-                        self.children[path] = set()
-                        self.text_counts[path] = 0
-                        self.tag_paths.setdefault(child.name, []).append(path)
-                    stats.count += 1
-                    self.total_elements += 1
-                    self.children[parent_path].add(child.name)
-                    if parent_path:
-                        self.stats[parent_path].child_tags[child.name] += 1
-                    for attribute in child.attributes:
-                        stats.attributes.add(attribute.name)
-                    stack.append((child, path))
-                elif isinstance(child, TextNode):
-                    self.text_counts[parent_path] += 1
-                    self.total_text += 1
-                    if parent_path:
-                        self.stats[parent_path].text_count += 1
-        # Bottom-up pass: subtree height and text reachability per path.
-        for path in sorted(self.stats, key=len, reverse=True):
-            stats = self.stats[path]
+    def _build(self, columns) -> None:
+        """One pass over the ``kind``/``parent``/``name_id`` columns —
+        no node object is touched, so summarising an mmap-opened
+        document leaves its tree unmaterialized — then one pass over
+        the distinct paths, bottom-up."""
+        names = list(columns.names)
+        # The document point: it collects like a path and is not one.
+        document = PathStats(())
+        #: the stats each element (or the document) counts under, by pre.
+        by_pre: List[Optional[PathStats]] = []
+        place = by_pre.append
+        #: (id of the parent's stats, name id) → stats, parents first.
+        interned: Dict[Tuple[int, int], Tuple[PathStats, PathStats]] = {}
+        # Plain bytes/lists: a mapped column unpacks an int per index.
+        for kind, parent, name_id in zip(bytes(columns.kind),
+                                         list(columns.parent),
+                                         list(columns.name_id)):
+            if kind == KIND_ELEMENT:
+                above = by_pre[parent]
+                found = interned.get((id(above), name_id))
+                if found is None:
+                    stats = PathStats(above.path + (names[name_id],))
+                    found = interned[id(above), name_id] = (stats, above)
+                found[0].count += 1
+                place(found[0])
+            elif kind == KIND_TEXT:
+                by_pre[parent].text_count += 1
+                place(None)
+            elif kind == KIND_ATTRIBUTE:
+                by_pre[parent].attributes.add(names[name_id])
+                place(None)
+            else:
+                place(document)
+        for stats, above in interned.values():
+            path, tag = stats.path, stats.path[-1]
+            self.stats[path] = stats
+            self.children[path] = set()
+            self.children[above.path].add(tag)
+            self.text_counts[path] = stats.text_count
+            self.tag_paths.setdefault(tag, []).append(path)
+            self.total_elements += stats.count
+            self.total_text += stats.text_count
+            above.child_tags[tag] = stats.count
+        self.text_counts[()] = document.text_count
+        self.total_text += document.text_count
+        # A path is first met after its parent path, so the reverse of
+        # that order is bottom-up: subtree height and text reachability.
+        for stats, above in reversed(interned.values()):
             stats.text_below += stats.text_count
-            parent = path[:-1]
-            if parent:
-                parent_stats = self.stats[parent]
-                parent_stats.height = max(parent_stats.height,
-                                          stats.height + 1)
-                parent_stats.text_below += stats.text_below
+            above.height = max(above.height, stats.height + 1)
+            above.text_below += stats.text_below
 
     # -- basic lookups ------------------------------------------------------
 
@@ -197,16 +205,24 @@ class PathSummary:
             return _ATTR
         if isinstance(node, TextNode):
             return _TEXT
-        cached = self._node_paths.get(node.pre)
+        known = self._node_paths
+        cached = known.get(node.pre)
         if cached is not None:
             return cached
-        names: List[str] = []
-        current: Optional[Node] = node
-        while current is not None and isinstance(current, ElementNode):
-            names.append(current.name)
-            current = current.parent
-        path: Point = tuple(reversed(names))
-        self._node_paths[node.pre] = path
+        # Climb to the nearest ancestor whose path is known, then name
+        # the way back down: in a deep document a node's neighbours
+        # share all but the last few steps.
+        path: Point = ()
+        unnamed: List[Node] = []
+        while isinstance(node, ElementNode):
+            cached = known.get(node.pre)
+            if cached is not None:
+                path = cached
+                break
+            unnamed.append(node)
+            node = node.parent
+        for node in reversed(unnamed):
+            path = known[node.pre] = path + (node.name,)
         return path
 
     def _strict_descendants(self, prefix: TagPath) -> Iterator[TagPath]:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from repro.xmltree import (Axis, IndexedDocument, assign_regions,
                            axis_nodes, ddo, parse_xml, serialize)
 from repro.xmltree.node import DocumentNode, ElementNode, TextNode
+from tests.support.nodes import check_parser_numbering
 
 TAGS = ["a", "b", "c"]
 
@@ -123,3 +124,48 @@ def test_streams_cover_all_elements(tree):
     doc = build(tree)
     total = sum(len(doc.stream(tag)) for tag in TAGS)
     assert total == len(doc.all_elements())
+
+
+# -- the parser numbers as assign_regions does --------------------------------
+
+_CHARACTER_DATA = st.one_of(
+    st.text(alphabet="xy z\n", min_size=1, max_size=5),
+    st.sampled_from([" ", "\n  ", "&lt;", "&amp;", "&#65;", "&#x42;",
+                     "<![CDATA[<&>]]>", "<![CDATA[]]>", "<!-- c -->",
+                     "<?pi d?>"]))
+
+
+@st.composite
+def xml_texts(draw, max_depth=4):
+    """Well-formed XML text with mixed content, attributes, CDATA,
+    comments, PIs, references and whitespace-only text."""
+
+    def element(depth):
+        tag = draw(st.sampled_from(TAGS + ["n:s", "_u"]))
+        attributes = "".join(
+            f"{draw(st.sampled_from([' ', '', '  ']))}{name}="
+            f"{quote}{draw(st.sampled_from(['', 'v', '&quot;', '<']))}"
+            f"{quote}"
+            for name, quote in zip(
+                draw(st.lists(st.sampled_from(["i", "j", "k:l"]),
+                              unique=True, max_size=3)),
+                "\"'\""))
+        head = f"<{tag} {attributes}".rstrip() if attributes else f"<{tag}"
+        if depth >= max_depth or draw(st.integers(0, 3)) == 0:
+            return head + draw(st.sampled_from(["/>", " />"]))
+        content = "".join(
+            element(depth + 1) if draw(st.booleans())
+            else draw(_CHARACTER_DATA)
+            for _ in range(draw(st.integers(0, 4))))
+        return f"{head}>{content}</{tag}{draw(st.sampled_from(['', ' ']))}>"
+
+    prolog = draw(st.sampled_from(
+        ["", "<?xml version='1.0'?>\n", "<!DOCTYPE a [<!ELEMENT a ANY>]>",
+         "<!-- lead -->\n"]))
+    return prolog + element(0) + draw(st.sampled_from(["", "\n", "<!--t-->"]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(xml_texts())
+def test_parser_numbering_is_assign_regions_numbering(text):
+    check_parser_numbering(text)

@@ -148,6 +148,54 @@ class TestFromNodesErrors:
             ColumnarDocument.from_nodes(sorted(doc.nodes_by_pre,
                                                key=lambda n: n.pre))
         assert err.value.code == "REPRO-STORAGE"
+        assert err.value.context["check"] == "dense-pre"
+
+    def test_shuffled_table_is_rejected(self):
+        table = IndexedDocument.from_string("<a><b/>t<c x='1'/></a>"
+                                            ).nodes_by_pre
+        with pytest.raises(StorageError) as err:
+            ColumnarDocument.from_nodes(table[:2] + table[:1:-1])
+        assert err.value.context["check"] == "dense-pre"
+
+    def test_foreign_object_is_rejected(self):
+        from repro.xmltree.node import Node
+        table = list(IndexedDocument.from_string("<a><b/></a>"
+                                                 ).nodes_by_pre)
+        stranger = Node()
+        stranger.pre, stranger.post = 2, table[2].post
+        stranger.level = stranger.end = 2
+        stranger.parent = table[1]
+        for foreign in (stranger, object(), "b"):
+            with pytest.raises(StorageError) as err:
+                ColumnarDocument.from_nodes(table[:2] + [foreign])
+            assert err.value.code == "REPRO-STORAGE"
+            assert err.value.context["check"] == "node-kind"
+
+    def test_subclassed_nodes_keep_their_kind(self):
+        class Marked(ElementNode):
+            __slots__ = ()
+
+        document = DocumentNode()
+        outer = Marked("a")
+        outer.append_child(TextNode("t"))
+        document.append_child(outer)
+        assign_regions(document)
+        columns = IndexedDocument(document).columns
+        assert list(columns.kind) == [KIND_DOCUMENT, KIND_ELEMENT,
+                                      KIND_TEXT]
+        assert columns.name_of(1) == "a"
+
+    def test_closed_store_without_a_tree_stays_a_typed_error(self,
+                                                             tmp_path):
+        path = tmp_path / "closed.rpxc"
+        IndexedDocument.from_string("<a><b/></a>").save(path)
+        opened = IndexedDocument.open(path)
+        opened.close()
+        for touch in (lambda: opened.root, lambda: opened.summary,
+                      lambda: opened.columns):
+            with pytest.raises(StorageError) as err:
+                touch()
+            assert err.value.context["check"] == "closed"
 
 
 class TestFacade:

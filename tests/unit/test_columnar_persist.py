@@ -8,7 +8,10 @@ silently wrong answer.
 """
 
 import io
+import json
 import struct
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +72,30 @@ class TestRoundTrip:
                 query, strategy=strategy)]
             assert got == expected
         assert serialize(reopened.root) == serialize(doc.root)
+
+    @pytest.mark.skipif(sys.byteorder != "little",
+                        reason="the fixture was written little-endian")
+    def test_file_the_previous_build_path_wrote(self, tmp_path):
+        """``parent_written.rpxc`` was saved by the recursive parser's
+        build path from the ``nested-attributes`` text of
+        ``parser_nodes.json``: today's build writes the same bytes and
+        reads those."""
+        data = Path(__file__).parent / "data"
+        text = json.loads((data / "parser_nodes.json").read_text("utf-8"))[
+            "nested-attributes"]["text"]
+        written = data / "parent_written.rpxc"
+        doc = IndexedDocument.from_string(text)
+        doc.save(tmp_path / "now.rpxc")
+        assert (tmp_path / "now.rpxc").read_bytes() == written.read_bytes()
+        reopened = IndexedDocument.open(written)
+        try:
+            reopened.columns.validate()
+            for query in ("$input//b[c]", "$input//d/text()",
+                          "$input/a/@kind"):
+                assert [serialize(n) for n in Engine(reopened).run(query)] \
+                    == [serialize(n) for n in Engine(doc).run(query)] != []
+        finally:
+            reopened.close()
 
     def test_open_without_verify(self, saved):
         _, path = saved

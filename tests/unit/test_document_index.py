@@ -1,7 +1,10 @@
 """IndexedDocument: tag streams, region slices, document order utilities."""
 
+import gc
+
 from repro.xmltree import (IndexedDocument, ddo, document_order,
                            is_distinct_doc_ordered, parse_xml)
+from tests.support.nodes import check_parser_numbering
 
 
 def make():
@@ -45,6 +48,34 @@ class TestStreams:
     def test_all_elements(self):
         doc = make()
         assert len(doc.all_elements()) == 6
+
+
+class TestParserTable:
+    def test_table_from_the_parser_is_the_walked_table(self):
+        check_parser_numbering("<a><b><a><c/></a></b><c/><b/></a>")
+        check_parser_numbering('<a id="1"><b id="2" x="3">t</b>u</a>')
+
+    def test_uri_reaches_the_document_node(self):
+        doc = IndexedDocument.from_string("<a/>", uri="mem:a")
+        assert doc.root.uri == "mem:a"
+        assert doc.nodes_by_pre[0] is doc.root
+
+    def test_table_is_younger_than_its_owner_and_older_than_streams(self):
+        """Allocation order decides how long every later full
+        collection takes (see ``IndexedDocument.__init__``): nodes,
+        then the document object, then the table, then the streams."""
+        gc.collect()
+        gc.disable()
+        try:
+            doc = IndexedDocument.from_string(
+                "<a>" + "<b x='1'><c>t</c></b>" * 50 + "</a>")
+            tracked = {id(item): place
+                       for place, item in enumerate(gc.get_objects())}
+        finally:
+            gc.enable()
+        order = [tracked[id(item)] for item in (
+            doc.nodes_by_pre[-1], doc, doc.nodes_by_pre, doc.tag_streams)]
+        assert order == sorted(order)
 
 
 class TestRegionSlices:

@@ -3,15 +3,18 @@
 import gc
 import sys
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import IndexedDocument
+from repro import Engine, IndexedDocument
 from repro.data import member_document, xmark_document
 from repro.pattern import parse_pattern
 from repro.xmltree import PathSummary
-from repro.xmltree.node import ElementNode
+from repro.xmltree.node import DocumentNode, ElementNode
+from repro.xmltree.serializer import serialize
+from tests.support.nodes import TreeWalkSummary, summary_contents
 
 RECURSIVE_XML = ("<a><a><a><b/></a></a><b><a/></b>x</a>")
 ATTR_ONLY_XML = '<r><e a="1" b="2"/><e c="3"/></r>'
@@ -81,6 +84,106 @@ class TestConstruction:
 
 
 # -- the prefilter -------------------------------------------------------------
+
+class TestBuiltFromColumns:
+    """The summary reads the columns, never ``document.root``."""
+
+    QUERY = "$input//person[emailaddress]/name"
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("summary") / "site.rpxc"
+        document = xmark_document(400, seed=11)
+        document.save(path)
+        return document, str(path)
+
+    def test_equals_the_tree_walk_on_an_opened_file(self, saved,
+                                                    small_member_doc):
+        document, path = saved
+        opened = IndexedDocument.open(path)
+        try:
+            assert summary_contents(opened.summary) == \
+                summary_contents(TreeWalkSummary(document.root))
+            assert opened._root is None
+        finally:
+            opened.close()
+        for parsed in (IndexedDocument.from_string(RECURSIVE_XML),
+                       IndexedDocument.from_string(ATTR_ONLY_XML),
+                       IndexedDocument.from_string(
+                           serialize(small_member_doc.root))):
+            assert summary_contents(parsed.summary) == \
+                summary_contents(TreeWalkSummary(parsed.root))
+
+    def test_paths_come_in_document_order(self):
+        summary = IndexedDocument.from_string(
+            "<r><b><a/></b><a><b/></a><b><c/></b></r>").summary
+        assert list(summary.stats) == [
+            ("r",), ("r", "b"), ("r", "b", "a"), ("r", "a"),
+            ("r", "a", "b"), ("r", "b", "c")]
+        assert summary.tag_paths["b"] == [("r", "b"), ("r", "a", "b")]
+
+    def test_compile_does_not_materialize_the_tree(self, saved):
+        _, path = saved
+        gc.collect()
+        tracemalloc.start()
+        try:
+            engine = Engine.from_columnar_file(path)
+            compiled = engine.compile(self.QUERY)
+            traced, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        try:
+            assert engine.document._root is None
+            assert engine.document._nodes_by_pre is None
+            assert traced < 1_000_000
+            assert engine.execute(compiled)
+            assert engine.document._root is not None
+        finally:
+            engine.document.close()
+
+    def test_first_results_materialize_exactly_once(self, saved,
+                                                    monkeypatch):
+        document, path = saved
+        engine = Engine.from_columnar_file(path)
+        compiled = engine.compile(self.QUERY)
+        entered, built = [], []
+        materialize = IndexedDocument._materialize
+
+        def counted(self):
+            entered.append(threading.get_ident())
+            return materialize(self)
+
+        class CountedDocumentNode(DocumentNode):
+            def __init__(self, uri=""):
+                built.append(uri)
+                super().__init__(uri)
+
+        monkeypatch.setattr(IndexedDocument, "_materialize", counted)
+        monkeypatch.setattr("repro.xmltree.document.DocumentNode",
+                            CountedDocumentNode)
+        barrier = threading.Barrier(6)
+        answers = []
+
+        def first_result():
+            barrier.wait(timeout=10)
+            answers.append(len(engine.execute(compiled)))
+
+        threads = [threading.Thread(target=first_result)
+                   for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        try:
+            assert not any(thread.is_alive() for thread in threads)
+            assert answers == [len(Engine(document).run(self.QUERY))] * 6
+            # Threads that race past the unlocked check all enter; the
+            # one that takes the lock first builds the tree, once.
+            assert 1 <= len(entered) <= 6
+            assert len(built) == 1
+        finally:
+            engine.document.close()
+
 
 class TestCanMatch:
     @pytest.fixture(scope="class")
