@@ -18,7 +18,9 @@ a field name).  Laziness is per tuple: ``Logical`` evaluates its right
 operand, and ``IfPlan``/``TypeswitchPlan`` each branch, only over the
 tuples that need it.  Result sequences are shared between tuples and
 operators and never mutated; :func:`eval_item` copies once, at the API
-boundary.
+boundary.  The one-item sequence that binds a node to a field is shared
+furthest: it is made once per node and kept on it (:func:`_one`), so
+binding a node allocates the tuple and nothing else.
 
 ``TupleTreePattern`` hands the context nodes of all its input tuples to
 the :class:`~repro.physical.base.TreePatternAlgorithm` carried by the
@@ -71,6 +73,17 @@ _NO_TUPLE: Tuple_ = {}
 
 _TRUE: Sequence_ = [True]
 _FALSE: Sequence_ = [False]
+
+
+def _one(node: Node) -> Sequence_:
+    """``[node]``, the same list every time.  A list per binding was a
+    third of what a tuple-heavy plan keeps alive between young
+    collections, and that volume is what brings on full ones (see
+    :data:`BLOCK`)."""
+    sequence = node.singleton
+    if sequence is None:
+        sequence = node.singleton = [node]
+    return sequence
 
 
 @dataclass
@@ -377,7 +390,8 @@ def _map_from_item(plan: MapFromItem, tuples, ctx) -> Owned:
             zip(tuples, _eval(plan.input, tuples, ctx))):
         for index, item in enumerate(items, start=1):
             tuple_ = dict(outer)
-            tuple_[bind_field] = [item]
+            tuple_[bind_field] = _one(item) if isinstance(item, Node) \
+                else [item]
             if index_field is not None:
                 tuple_[index_field] = [index]
             produced.append(tuple_)
@@ -429,7 +443,7 @@ def _ttp(plan: TupleTreePattern, tuples, ctx) -> Owned:
         for binding in bindings:
             extended = dict(tuple_)
             for field_name, node in binding.items():
-                extended[field_name] = [node]
+                extended[field_name] = _one(node)
             produced.append(extended)
         owners.extend([owner] * len(bindings))
     return produced, owners

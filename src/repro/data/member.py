@@ -123,5 +123,4 @@ def approximate_size_bytes(document: IndexedDocument) -> int:
     2.1 MB / 4.3 MB / ... columns)."""
     # An element serializes to roughly "<tNN></tNN>" = 11 bytes.
     return sum(2 * (len(node.name or "") + 2) + 1
-               for node in document.nodes_by_pre
-               if isinstance(node, ElementNode))
+               for node in document.all_elements())

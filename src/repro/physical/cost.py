@@ -100,10 +100,14 @@ class CostModel:
         self.summary = document.summary if summary is CostModel._UNSET \
             else summary
         self.size = max(document.size, 1)
-        elements = document.all_elements()
-        child_counts = [len(element.children) for element in elements]
-        self.average_fanout = (sum(child_counts) / len(child_counts)
-                               if child_counts else 1.0)
+        # Children per element, counted on the columns: a node that is
+        # no attribute and whose parent is not the document node.
+        columns = document.columns
+        parent = columns.parent
+        children = sum(1 for pre in columns.non_attribute_pres
+                       if parent[pre] > 0)
+        elements = len(columns.element_pres)
+        self.average_fanout = children / elements if elements else 1.0
 
     # -- statistics -----------------------------------------------------------
 

@@ -133,12 +133,9 @@ def _stream(document: IndexedDocument, step: PatternStep) -> List[Node]:
     test = step.test
     if step.axis is Axis.ATTRIBUTE:
         if isinstance(test, NameTest):
-            return list(document.attribute_streams.get(test.name, []))
-        attributes = [attribute
-                      for element in document.all_elements()
-                      for attribute in element.attributes]
-        attributes.sort(key=lambda node: node.pre)
-        return attributes
+            return list(document.attribute_stream(test.name))
+        return [node for node in document.nodes_by_pre
+                if isinstance(node, AttributeNode)]
     if isinstance(test, NameTest):
         return list(document.stream(test.name))
     if isinstance(test, (WildcardTest, ElementTest)):

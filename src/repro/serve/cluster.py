@@ -435,13 +435,15 @@ class _ProcessTransport:
         self.reader = threading.Thread(
             target=self._reader_loop,
             name=f"repro-cluster-reader-{index}", daemon=True)
+        #: set by the reader thread when the worker's pipe ends.
+        self._dead = False
 
     @property
     def pid(self) -> Optional[int]:
         return self.process.pid
 
     def alive(self) -> bool:
-        return self.process.poll() is None
+        return not self._dead
 
     def start(self, init: Dict[str, Any]) -> None:
         self.send(init)
@@ -461,6 +463,7 @@ class _ProcessTransport:
                 self.service._on_frame(self.index, message)
         except Exception:
             pass
+        self._dead = True
         self.service._on_worker_exit(self.index, self)
 
     def shutdown(self) -> None:
@@ -562,7 +565,7 @@ class ClusterService:
                  queue_limit: int = DEFAULT_QUEUE_LIMIT,
                  catalog: Optional[DocumentCatalog] = None,
                  transport: str = "process",
-                 backend: str = "compiled",
+                 backend: str = "interpreted",
                  use_summary: bool = True,
                  default_budgets: Optional[Budgets] = None,
                  clock=time.perf_counter,

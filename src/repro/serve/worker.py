@@ -39,6 +39,7 @@ import pickle
 import struct
 import sys
 import time
+from bisect import bisect_left
 from dataclasses import replace
 from typing import Any, BinaryIO, Dict, List, Optional, Tuple
 
@@ -136,7 +137,7 @@ class ShardWorker:
 
     def __init__(self, worker_index: int,
                  documents: Dict[str, Dict[str, str]],
-                 backend: str = "compiled",
+                 backend: str = "interpreted",
                  use_summary: bool = True,
                  default_budgets: Optional[Budgets] = None) -> None:
         self.worker_index = worker_index
@@ -161,7 +162,7 @@ class ShardWorker:
         options = init.get("engine", {})
         return cls(worker_index=init["worker_index"],
                    documents=init["documents"],
-                   backend=options.get("backend", "compiled"),
+                   backend=options.get("backend", "interpreted"),
                    use_summary=options.get("use_summary", True),
                    default_budgets=options.get("default_budgets"))
 
@@ -249,12 +250,8 @@ class ShardWorker:
         if shard is None:
             return [("n", item.pre) if isinstance(item, Node)
                     else ("v", item) for item in results]
-        runs = self._manifest(document).runs_for(shard)
-        encoded: List[Tuple[str, Any]] = []
         for item in results:
-            if isinstance(item, Node):
-                encoded.append(("n", _to_global(runs, item.pre)))
-            else:
+            if not isinstance(item, Node):
                 # The scatter planner only ships node-producing plans;
                 # an atomic here means the plan walker and the engine
                 # disagree — surface it loudly.
@@ -262,7 +259,9 @@ class ShardWorker:
                     f"shard task produced a non-node item "
                     f"{type(item).__name__}; query {task['query']!r} "
                     f"should not have been scattered")
-        return encoded
+        runs = self._manifest(document).runs_for(shard)
+        return [("n", pre) for pre in _to_global(
+            runs, [item.pre for item in results])]
 
     def _budgets_for(self, remaining: Optional[float]) -> Optional[Budgets]:
         """Tighten-only mapping of the coordinator's per-shard deadline
@@ -283,11 +282,23 @@ class ShardWorker:
         self._engines.clear()
 
 
-def _to_global(runs, local_pre: int) -> int:
+def _to_global(runs, local_pres: List[int]) -> List[int]:
+    """Global ``pre`` numbers of a shard's result, which is in document
+    order as the merge needs it: the runs are ascending too, so each
+    covers one slice of the list, found by one bisect."""
+    remapped: List[int] = []
+    low = 0
     for run in runs:
-        if run.local_start <= local_pre < run.local_start + run.length:
-            return run.global_start + (local_pre - run.local_start)
-    raise InternalError(f"result pre {local_pre} outside the shard's runs")
+        high = bisect_left(local_pres, run.local_start + run.length, low)
+        if low < high and local_pres[low] < run.local_start:
+            break
+        shift = run.global_start - run.local_start
+        remapped.extend([pre + shift for pre in local_pres[low:high]])
+        low = high
+    if low < len(local_pres):
+        raise InternalError(
+            f"result pre {local_pres[low]} outside the shard's runs")
+    return remapped
 
 
 # -- subprocess entry --------------------------------------------------------

@@ -43,6 +43,7 @@ import io
 import mmap
 import os
 import struct
+import threading
 import time
 import zlib
 from array import array
@@ -50,7 +51,8 @@ from typing import BinaryIO, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..guard.chaos import InjectedFault, chaos_point
 from ..guard.errors import ReproError
-from .node import AttributeNode, DocumentNode, ElementNode, Node, TextNode
+from .node import (AttributeNode, DocumentNode, DocumentShell, ElementNode,
+                   ElementShell, Node, TextNode)
 from .nodetest import (AnyKindTest, ElementTest, NameTest, NodeTest,
                        TextTest, WildcardTest)
 
@@ -123,7 +125,10 @@ def _pad(length: int) -> int:
 
 
 _KIND_OF = {DocumentNode: KIND_DOCUMENT, ElementNode: KIND_ELEMENT,
-            AttributeNode: KIND_ATTRIBUTE, TextNode: KIND_TEXT}
+            AttributeNode: KIND_ATTRIBUTE, TextNode: KIND_TEXT,
+            DocumentShell: KIND_DOCUMENT, ElementShell: KIND_ELEMENT}
+
+_NEW = object.__new__
 
 
 def _subclass_kind(node: object) -> int:
@@ -177,6 +182,10 @@ class ColumnarDocument:
         self.path = path
         self._non_attribute_pres: Optional[Sequence[int]] = None
         self._all_attribute_pres: Optional[Sequence[int]] = None
+        #: the node objects made so far, by ``pre`` (see :attr:`nodes`);
+        #: written with ``_lock`` held, read without.
+        self._nodes: Optional[List[Optional[Node]]] = None
+        self._lock = threading.Lock()
         #: wall seconds of the producing build/open, for instrumentation
         #: (benchmarks and the engine's ``columnar`` pipeline stage).
         self.build_seconds: float = 0.0
@@ -339,6 +348,125 @@ class ColumnarDocument:
             return test.name is None or \
                 self.names[self.name_id[pre]] == test.name
         return False
+
+    # -- node objects, made on demand ---------------------------------------
+
+    @property
+    def nodes(self) -> List[Optional[Node]]:
+        """The node table: one slot per ``pre``, ``None`` until
+        :meth:`node` is asked for that node.  Every view of these
+        columns shares it, so a ``pre`` has one node object."""
+        if self._nodes is None:
+            with self._lock:
+                if self._nodes is None:
+                    self._nodes = [None] * len(self.kind)
+        return self._nodes
+
+    def node(self, pre: int) -> Node:
+        """The node numbered ``pre``, made now — with those of its
+        ancestors that do not exist yet, as shells — unless it exists.
+        Nothing else of the document is touched."""
+        nodes = self.nodes
+        with self._lock:
+            made = nodes[pre]
+            if made is not None:
+                return made
+            parent_of = self.parent
+            missing = [pre]
+            above = parent_of[pre]
+            while above >= 0 and nodes[above] is None:
+                if above >= missing[-1]:
+                    raise StorageError(
+                        f"parent[{missing[-1]}]={above} is not before "
+                        f"its child", check="parent-before-child",
+                        path=self.path)
+                missing.append(above)
+                above = parent_of[above]
+            made = nodes[above] if above >= 0 else None
+            while missing:
+                made = self._new_node(missing.pop(), made)
+            return made
+
+    def all_nodes(self) -> List[Node]:
+        """The node table with every slot filled (elements as shells
+        where nothing has read their content)."""
+        nodes = self.nodes
+        with self._lock:
+            parent_of = self.parent
+            for pre, made in enumerate(nodes):
+                if made is None:
+                    above = parent_of[pre]
+                    self._new_node(pre,
+                                   nodes[above] if above >= 0 else None)
+        return nodes
+
+    def expand(self, shell: Node) -> None:
+        """Give a shell its ``_children`` (and ``_attributes``): nodes
+        that exist are taken from the table, the others made."""
+        with self._lock:
+            if not isinstance(shell, (ElementShell, DocumentShell)):
+                return      # another thread came first
+            nodes, kind, end = self._nodes, self.kind, self.end
+            child = shell.pre + 1
+            last = shell.end
+            attributes: List[Node] = []
+            while child <= last and kind[child] == KIND_ATTRIBUTE:
+                attributes.append(nodes[child]
+                                  or self._new_node(child, shell))
+                child += 1
+            children: List[Node] = []
+            while child <= last:
+                children.append(nodes[child]
+                                or self._new_node(child, shell))
+                if end[child] < child:
+                    raise StorageError(
+                        f"end[{child}]={end[child]} is before the node",
+                        check="end-interval", path=self.path)
+                child = end[child] + 1
+            # ``_children`` last: a reader that finds it set, without
+            # the lock, must find the rest set too.
+            if isinstance(shell, ElementShell):
+                shell._attributes = attributes
+                shell._children = children
+                shell.__class__ = ElementNode
+            else:
+                shell._children = children
+                shell.__class__ = DocumentNode
+
+    def _new_node(self, pre: int, parent: Optional[Node]) -> Node:
+        """Make the node numbered ``pre`` and put it in the table: the
+        one place a node of a column store comes from.  ``_lock`` is
+        held and ``parent`` is the node of ``self.parent[pre]``."""
+        kind = self.kind[pre]
+        node: Node
+        if parent is None:
+            if pre or kind != KIND_DOCUMENT:
+                raise StorageError("column store has no document node",
+                                   check="root", path=self.path)
+            node = _NEW(DocumentShell)
+            node.uri = self.uri
+            node._owner = self
+        elif kind == KIND_ELEMENT:
+            node = _NEW(ElementShell)
+            node._name = self.names[self.name_id[pre]]
+        elif kind == KIND_TEXT:
+            node = _NEW(TextNode)
+            node.text = self.texts[self.text_id[pre]]
+        elif kind == KIND_ATTRIBUTE:
+            node = _NEW(AttributeNode)
+            node._name = self.names[self.name_id[pre]]
+            node.value = self.texts[self.text_id[pre]]
+        else:
+            raise StorageError(f"node {pre} has kind code {kind}",
+                               check="node-kind", path=self.path)
+        node.pre = pre
+        node.post = self.post[pre]
+        node.level = self.level[pre]
+        node.end = self.end[pre]
+        node.parent = parent
+        node.singleton = None
+        self._nodes[pre] = node
+        return node
 
     # -- invariants --------------------------------------------------------
 
@@ -636,26 +764,22 @@ class ColumnarDocument:
     def close(self) -> None:
         """Release the mmap of a disk-backed store (no-op otherwise).
 
-        Our own views into the map are dropped first; if a caller still
-        holds an exported view (a stream slice, a lazy string table),
-        the map cannot be unmapped eagerly — the reference is released
-        and the OS mapping goes away when the last view is collected.
-        After closing, column access raises; close only when no engine
-        holds the document anymore."""
+        A store that has made a node first copies its columns, streams
+        and string tables out of the map, one copy each, and goes on as
+        an in-memory store: the nodes handed out can still be expanded.
+        A store that has made none drops its views, and column access
+        raises from then on.
+
+        If a caller still holds an exported view (a stream slice, a
+        lazy string table), the map cannot be unmapped eagerly — the
+        reference is released and the OS mapping goes away when the
+        last view is collected."""
         if self._source is not None:
-            # Drop the lazily-derived views first: releasing an mmap
-            # with exported memoryviews raises BufferError.
-            self.post = self.level = self.end = self.parent = None
-            self.kind = self.name_id = self.text_id = None
-            self.tag_pres = {}
-            self.attribute_pres = {}
-            self.text_pres = self.element_pres = None
-            self._non_attribute_pres = None
-            self._all_attribute_pres = None
-            if isinstance(self.names, _LazyStrings):
-                self.names = list(self.names)
-            if isinstance(self.texts, _LazyStrings):
-                self.texts = list(self.texts)
+            with self._lock:
+                if self._nodes is not None and self._nodes[0] is not None:
+                    self._copy_out()
+                else:
+                    self._drop_views()
             try:
                 self._source.close()
             except BufferError:
@@ -667,10 +791,39 @@ class ColumnarDocument:
             self._source_file.close()
             self._source_file = None
 
+    def _drop_views(self) -> None:
+        # Releasing an mmap with exported memoryviews raises
+        # BufferError, so ours go first.
+        self.post = self.level = self.end = self.parent = None
+        self.kind = self.name_id = self.text_id = None
+        self.tag_pres = {}
+        self.attribute_pres = {}
+        self.text_pres = self.element_pres = None
+        self._non_attribute_pres = None
+        self._all_attribute_pres = None
+        self._nodes = None
+        self.names = self.texts = ()
+
+    def _copy_out(self) -> None:
+        for name in _INT_COLUMNS + ("text_pres", "element_pres"):
+            setattr(self, name, _int32_copy(getattr(self, name)))
+        self.kind = array("B", self.kind.tobytes())
+        self.tag_pres = {tag: _int32_copy(stream)
+                         for tag, stream in self.tag_pres.items()}
+        self.attribute_pres = {name: _int32_copy(stream) for name, stream
+                               in self.attribute_pres.items()}
+        self.names = self.names.copy()
+        self.texts = self.texts.copy()
+
     @property
     def is_mapped(self) -> bool:
         """True when the columns live in a disk mmap."""
         return self._source is not None
+
+    @property
+    def is_closed(self) -> bool:
+        """True once :meth:`close` has dropped the columns."""
+        return self.kind is None
 
     def nbytes(self) -> int:
         """Approximate byte footprint of the integer columns (the
@@ -692,6 +845,10 @@ class ColumnarDocument:
 
 
 # -- encoding helpers ----------------------------------------------------------
+
+def _int32_copy(view) -> array:
+    return array("i", view.tobytes())
+
 
 def _int32_bytes(column) -> bytes:
     if isinstance(column, array):
@@ -733,6 +890,13 @@ class _LazyStrings(Sequence[str]):
 
     def __len__(self) -> int:
         return len(self._offsets)
+
+    def copy(self) -> "_LazyStrings":
+        """The same table over bytes of its own, not the map's."""
+        copied = _LazyStrings(_int32_copy(self._offsets),
+                              bytes(self._blob))
+        copied._cache = self._cache
+        return copied
 
     def __getitem__(self, slot):
         if isinstance(slot, slice):

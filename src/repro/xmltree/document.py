@@ -1,33 +1,29 @@
-"""Document wrapper: node table, per-tag streams and document order.
+"""Document wrapper: columns, per-tag streams, nodes on demand.
 
 The structural-join algorithms (TwigJoin, Staircase join) do not navigate
 the tree; they scan *streams*: for each element tag, the sorted (by
-``pre``) list of elements with that tag.  :class:`IndexedDocument` builds
-these streams once per document, together with a dense array of all
-nodes indexed by ``pre`` number.
+``pre``) list of elements with that tag.  :class:`IndexedDocument` holds
+these streams together with the table of nodes indexed by ``pre``
+number.
 
-Since the columnar refactor the class is a *two-way facade* over
-:class:`~repro.xmltree.columnar.ColumnarDocument`:
+A parsed document (:meth:`IndexedDocument.from_string`) and an opened
+one (:meth:`IndexedDocument.open`) are the same thing: a
+:class:`~repro.xmltree.columnar.ColumnarDocument` — integer columns and
+``pre`` streams, which the scanner appends to and ``open`` maps — and a
+node table that starts empty.  The joins run on the columns.
+:meth:`IndexedDocument.node_at` makes the one node asked for (and the
+shells of its ancestors) the first time it is asked for, and an
+element's children come into being when something reads them, so a
+query costs node objects in proportion to its result, not to the
+document.  The accessors that hand out nodes in bulk
+(:attr:`nodes_by_pre`, :meth:`stream`, :attr:`text_stream`, …) go
+through the same constructor, each for exactly the nodes it returns.
 
-tree-first
-    built from a parsed :class:`DocumentNode` (the historical path);
-    the node table and streams are built eagerly — the table comes
-    ready-made from the parser (:meth:`IndexedDocument.from_string`) or
-    from one walk of a hand-built tree — and the integer columns the
-    join inner loops scan are derived lazily on first access to
-    :attr:`columns`.
-column-first
-    built from a :class:`ColumnarDocument` — typically mmap-opened from
-    a saved index file via :meth:`IndexedDocument.open`.  The joins run
-    directly on the integer columns; the object tree (and every
-    node-level accessor: :attr:`root`, :attr:`nodes_by_pre`,
-    :attr:`tag_streams`, …) is materialized lazily, in one linear pass
-    with no re-parse and no re-indexing, the first time something
-    actually needs node objects (usually result serialization).
-
-Either way, every consumer of the old API — the seven strategies, the
-path summary, the prefilter, serve, trace — sees the same attributes
-with the same meaning.
+A tree put together by hand or by a generator (``IndexedDocument(root)``)
+is walked once for its table and streams, and its columns are derived
+on first access to :attr:`columns`.  Either way, every consumer — the
+seven strategies, the path summary, the prefilter, serve, trace — sees
+the same attributes with the same meaning.
 
 The module also provides :func:`ddo` — sorting by document order with
 duplicate elimination — the dynamic counterpart of the special function
@@ -42,61 +38,53 @@ from bisect import bisect_left, bisect_right
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence, Union
 
-from .columnar import (KIND_ATTRIBUTE, KIND_DOCUMENT, KIND_ELEMENT,
-                       ColumnarDocument, StorageError)
+from .columnar import ColumnarDocument, StorageError
 from .node import AttributeNode, DocumentNode, ElementNode, Node, TextNode
-from .parser import parse_nodes
+from .parser import parse_columns
 
 _PRE_KEY = attrgetter("pre")
 
 
 class IndexedDocument:
-    """A parsed document plus the indexes the join algorithms need.
+    """A document plus the indexes the join algorithms need.
 
-    Construct with a parsed ``root`` (tree-first) or a ``columns``
-    store (column-first) — exactly one of the two.
+    Construct with a ``columns`` store, or with the ``root`` of a tree —
+    exactly one of the two.  The root of a parsed tree stands for the
+    columns it was parsed into, so ``IndexedDocument(parse_xml(text))``
+    is ``IndexedDocument.from_string(text)``; such a tree is a view and
+    must not have been changed.
     """
 
     def __init__(self, root: Optional[DocumentNode] = None, *,
-                 columns: Optional[ColumnarDocument] = None,
-                 _table: Optional[list[Node]] = None) -> None:
+                 columns: Optional[ColumnarDocument] = None) -> None:
         if (root is None) == (columns is None):
             raise ValueError(
                 "IndexedDocument takes exactly one of root= or columns=")
-        self._root = root
+        if root is not None and root._owner is not None:
+            columns = root._owner
         self._columns = columns
-        self._nodes_by_pre: Optional[list[Node]] = None
         self._pres: Optional[list[int]] = None
-        self._tag_streams: Optional[dict[str, list[ElementNode]]] = None
-        self._tag_pres: Optional[dict[str, Sequence[int]]] = None
-        self._attribute_streams: Optional[
-            dict[str, list[AttributeNode]]] = None
-        self._text_stream: Optional[list[TextNode]] = None
         self._summary = None
         self._summary_lock = threading.Lock()
         self._columns_lock = threading.Lock()
-        self._tree_lock = threading.Lock()
-        self._store_kind = "object" if root is not None else "columnar"
-        if root is not None:
-            # The table must be younger than this object and older than
-            # the streams ``_build`` makes.  The collector scans
-            # containers oldest first and re-threads what it reaches
-            # only through a younger one in the order it is reached:
-            # through the table that is document order, through the
-            # streams tag by tag, and every later full collection in
-            # the process then takes twice as long (same objects).
-            # Hence a copy of the parser's table, which is older.
-            self._build(list(_table) if _table is not None
-                        else self._walk())
-        else:
-            # Streams of pre numbers come straight from the columns; no
-            # node object exists until something dereferences one.
+        self._text_stream: Optional[list[TextNode]] = None
+        if columns is not None:
+            self._store_kind = "columnar"
+            #: shared with ``columns``: ``None`` where no node was made.
+            self._nodes: Sequence[Optional[Node]] = columns.nodes
             self._tag_pres = columns.tag_pres
+            self._attribute_pres = columns.attribute_pres
+            # Filled a name at a time, for the names asked for.
+            self._tag_streams: dict[str, list[ElementNode]] = {}
+            self._attribute_streams: dict[str, list[AttributeNode]] = {}
+        else:
+            self._store_kind = "object"
+            self._uri = root.uri
+            self._build(_walk(root))
 
     @classmethod
     def from_string(cls, text: str, uri: str = "") -> "IndexedDocument":
-        table = parse_nodes(text, uri)
-        return cls(table[0], _table=table)
+        return cls(columns=parse_columns(text, uri))
 
     @classmethod
     def open(cls, path: Union[str, os.PathLike],
@@ -114,12 +102,10 @@ class IndexedDocument:
 
     @property
     def store_kind(self) -> str:
-        """``"columnar"`` when column-first (opened from a saved index
-        or built from a :class:`ColumnarDocument`), ``"object"`` when
-        built from a parsed tree."""
+        """``"columnar"`` when born from columns (parsed, opened from a
+        saved index or built from a :class:`ColumnarDocument`),
+        ``"object"`` when built from a tree made by hand."""
         return self._store_kind
-
-    # -- lazy column derivation (tree-first documents) -----------------------
 
     @property
     def columns(self) -> ColumnarDocument:
@@ -127,17 +113,15 @@ class IndexedDocument:
         :mod:`repro.xmltree.columnar`), the representation the
         staircase/twig join inner loops scan.
 
-        Column-first documents carry it from birth; tree-first
-        documents derive it lazily, exactly once (double-check
-        locked), from the dense node table.
+        A document made from a tree derives it on first access, exactly
+        once (double-check locked), from the dense node table.
         """
         if self._columns is None:
             with self._columns_lock:
                 if self._columns is None:
-                    if self._nodes_by_pre is None:
-                        raise _closed_store()
+                    self._check_open()
                     self._columns = ColumnarDocument.from_nodes(
-                        self._nodes_by_pre, uri=self._root.uri)
+                        self._nodes, uri=self._uri)
         return self._columns
 
     @property
@@ -146,59 +130,108 @@ class IndexedDocument:
         behind :attr:`columns`)."""
         return self._columns is not None
 
-    # -- lazy tree materialization (column-first documents) ------------------
+    # -- nodes ----------------------------------------------------------------
 
     @property
     def root(self) -> DocumentNode:
-        if self._root is None:
-            self._materialize()
-        return self._root
+        return self.node_at(0)
+
+    def node_at(self, pre: int) -> Node:
+        """The node with the given ``pre`` number; on a document born
+        from columns, made at the first call that asks for it.
+
+        O(1) by construction on densely numbered tables (the normal
+        case: :func:`~repro.xmltree.node.assign_regions` numbers every
+        node, attributes included, consecutively).  If the table is
+        *not* dense — e.g. a document wrapped around a re-rooted
+        fragment that kept its original numbers — the lookup degrades
+        to a binary search instead of silently returning the wrong
+        node.  Unknown ``pre`` values raise :class:`KeyError`, never
+        :class:`IndexError` and never a negative-index alias.
+        """
+        table = self._nodes
+        if 0 <= pre < len(table):
+            node = table[pre]
+            if node is None:
+                node = self._columns.node(pre)
+            if node.pre == pre:
+                return node
+        self._check_open()
+        if pre >= 0 and self._store_kind == "object":
+            # Sparse table: fall back to bisect over the sorted pres.
+            if self._pres is None:
+                self._pres = [node.pre for node in table]
+            index = bisect_left(self._pres, pre)
+            if index < len(table) and table[index].pre == pre:
+                return table[index]
+        raise KeyError(f"no node with pre={pre}")
+
+    def _nodes_at(self, pres: Sequence[int]) -> list:
+        """The nodes numbered ``pres`` of a document born from columns,
+        those that do not exist yet made now."""
+        table, make = self._nodes, self.columns.node
+        return [table[pre] or make(pre) for pre in pres]
 
     @property
-    def nodes_by_pre(self) -> list[Node]:
-        if self._nodes_by_pre is None:
-            self._materialize()
-        return self._nodes_by_pre
+    def nodes_by_pre(self) -> Sequence[Node]:
+        """Every node, in document order."""
+        if self._store_kind == "columnar":
+            return self.columns.all_nodes()
+        return self._nodes
 
-    @property
-    def tag_streams(self) -> dict[str, list[ElementNode]]:
-        if self._tag_streams is None:
-            self._materialize()
-        return self._tag_streams
+    def all_elements(self) -> list[ElementNode]:
+        if self._store_kind == "columnar":
+            return self._nodes_at(self.columns.element_pres)
+        return [node for node in self._nodes
+                if isinstance(node, ElementNode)]
+
+    # -- stream access ------------------------------------------------------
 
     @property
     def tag_pres(self) -> dict[str, Sequence[int]]:
-        # Available without any node object in both modes.
         return self._tag_pres
+
+    def stream(self, tag: str) -> list[ElementNode]:
+        """All elements with ``tag``, sorted by ``pre``."""
+        return self._stream(self._tag_streams, self._tag_pres, tag)
+
+    def attribute_stream(self, name: str) -> list[AttributeNode]:
+        """All attributes named ``name``, sorted by ``pre``."""
+        return self._stream(self._attribute_streams, self._attribute_pres,
+                            name)
+
+    def _stream(self, streams: dict, pres_of: dict, name: str) -> list:
+        stream = streams.get(name)
+        if stream is None:
+            pres = pres_of.get(name)
+            if not pres:
+                self._check_open()
+                return []
+            stream = streams[name] = self._nodes_at(pres)
+        return stream
+
+    @property
+    def tag_streams(self) -> dict[str, list[ElementNode]]:
+        for tag in self._tag_pres:
+            self.stream(tag)
+        self._check_open()
+        return self._tag_streams
 
     @property
     def attribute_streams(self) -> dict[str, list[AttributeNode]]:
-        if self._attribute_streams is None:
-            self._materialize()
+        for name in self._attribute_pres:
+            self.attribute_stream(name)
+        self._check_open()
         return self._attribute_streams
 
     @property
     def text_stream(self) -> list[TextNode]:
         if self._text_stream is None:
-            self._materialize()
+            self._text_stream = self._nodes_at(self.columns.text_pres)
         return self._text_stream
 
-    def _walk(self) -> list[Node]:
-        """The node table of a tree that did not come with one."""
-        table: list[Node] = []
-        stack: list[Node] = [self._root]
-        while stack:
-            node = stack.pop()
-            table.append(node)
-            if isinstance(node, ElementNode):
-                for attribute in node.attributes:
-                    table.append(attribute)
-            stack.extend(reversed(node.children))
-        table.sort(key=_PRE_KEY)
-        return table
-
     def _build(self, table: list[Node]) -> None:
-        self._nodes_by_pre = table
+        self._nodes = table
         tag_streams: dict[str, list[ElementNode]] = {}
         attribute_streams: dict[str, list[AttributeNode]] = {}
         text_stream: list[TextNode] = []
@@ -216,101 +249,22 @@ class IndexedDocument:
             tag: [element.pre for element in stream]
             for tag, stream in tag_streams.items()
         }
-
-    def _materialize(self) -> None:
-        """Rebuild the object tree from the columns: one linear pass,
-        region numbers copied straight from the columns — no XML
-        parse, no :func:`~repro.xmltree.node.assign_regions`, no sort.
-
-        Double-check locked so concurrent first dereferences (a serve
-        worker pool serializing its first results) materialize once.
-        """
-        with self._tree_lock:
-            if self._nodes_by_pre is not None:
-                return
-            columns = self._columns
-            if columns is None:
-                raise _closed_store()
-            # Plain bytes/lists and local tables: a mapped column
-            # unpacks an int, a lazy string table decodes, per index.
-            names = list(columns.names)
-            texts = list(columns.texts)
-            new = object.__new__
-            table: list[Node] = []
-            tag_streams: dict[str, list[ElementNode]] = {}
-            attribute_streams: dict[str, list[AttributeNode]] = {}
-            text_stream: list[TextNode] = []
-            root: Optional[DocumentNode] = None
-            for kind, post, level, end, parent_pre, name_id, text_id in zip(
-                    bytes(columns.kind), list(columns.post),
-                    list(columns.level), list(columns.end),
-                    list(columns.parent), list(columns.name_id),
-                    list(columns.text_id)):
-                node: Node
-                if kind == KIND_ELEMENT:
-                    node = new(ElementNode)
-                    node._name = name = names[name_id]
-                    node._children = []
-                    node._attributes = []
-                    stream = tag_streams.get(name)
-                    if stream is None:
-                        stream = tag_streams[name] = []
-                    stream.append(node)
-                elif kind == KIND_ATTRIBUTE:
-                    node = new(AttributeNode)
-                    node._name = name = names[name_id]
-                    node.value = texts[text_id]
-                    stream = attribute_streams.get(name)
-                    if stream is None:
-                        stream = attribute_streams[name] = []
-                    stream.append(node)
-                elif kind == KIND_DOCUMENT:
-                    node = root = DocumentNode(columns.uri)
-                else:
-                    node = new(TextNode)
-                    node.text = texts[text_id]
-                    text_stream.append(node)
-                node.pre = len(table)
-                node.post = post
-                node.level = level
-                node.end = end
-                if parent_pre >= 0:
-                    node.parent = parent = table[parent_pre]
-                    if kind == KIND_ATTRIBUTE:
-                        parent._attributes.append(node)
-                    else:
-                        parent._children.append(node)
-                else:
-                    node.parent = None
-                table.append(node)
-            if root is None:
-                raise StorageError("column store has no document node",
-                                   check="root", path=columns.path)
-            # Publish the complete structures in one step; readers that
-            # race past the lock see either nothing or everything.
-            self._tag_streams = tag_streams
-            self._attribute_streams = attribute_streams
-            self._text_stream = text_stream
-            self._root = root
-            self._nodes_by_pre = table
-
-    # -- stream access ------------------------------------------------------
+        self._attribute_pres = {name: [attribute.pre for attribute in stream]
+                                for name, stream
+                                in attribute_streams.items()}
 
     @property
     def size(self) -> int:
-        """Total node count — answered from the columns when the node
-        table does not exist yet."""
-        if self._nodes_by_pre is not None:
-            return len(self._nodes_by_pre)
-        return self._columns.n
+        """Total node count."""
+        self._check_open()
+        return len(self._nodes)
 
-    def stream(self, tag: str) -> list[ElementNode]:
-        """All elements with ``tag``, sorted by ``pre``."""
-        return self.tag_streams.get(tag, [])
-
-    def all_elements(self) -> list[ElementNode]:
-        return [node for node in self.nodes_by_pre
-                if isinstance(node, ElementNode)]
+    def _check_open(self) -> None:
+        """A closed document has no table; any other has a document
+        node's slot at least."""
+        if not self._nodes:
+            raise StorageError("document store was closed before any "
+                               "node of it was made", check="closed")
 
     def stream_in_region(self, tag: str, context: Node,
                          include_self: bool = False) -> list[ElementNode]:
@@ -324,13 +278,16 @@ class IndexedDocument:
         """
         pres = self._tag_pres.get(tag)
         if not pres:
+            self._check_open()
             return []
         low_key = context.pre if include_self else context.pre + 1
         low = bisect_left(pres, low_key)
         high = bisect_right(pres, context.end)
         if low >= high:
             return []
-        stream = self.tag_streams[tag]
+        stream = self._tag_streams.get(tag)
+        if stream is None:
+            return self._nodes_at(pres[low:high])
         return stream[low:high]
 
     @property
@@ -352,50 +309,38 @@ class IndexedDocument:
                     self._summary = PathSummary(self)
         return self._summary
 
-    def node_at(self, pre: int) -> Node:
-        """The node with the given ``pre`` number.
-
-        O(1) by construction on densely numbered tables (the normal
-        case: :func:`~repro.xmltree.node.assign_regions` numbers every
-        node, attributes included, consecutively).  If the table is
-        *not* dense — e.g. a document wrapped around a re-rooted
-        fragment that kept its original numbers — the lookup degrades
-        to a binary search instead of silently returning the wrong
-        node.  Unknown ``pre`` values raise :class:`KeyError`, never
-        :class:`IndexError` and never a negative-index alias.
-        """
-        table = self.nodes_by_pre
-        if 0 <= pre < len(table):
-            node = table[pre]
-            if node.pre == pre:
-                return node
-        if pre >= 0:
-            # Sparse table: fall back to bisect over the sorted pres.
-            if self._pres is None:
-                self._pres = [node.pre for node in table]
-            index = bisect_left(self._pres, pre)
-            if index < len(table) and table[index].pre == pre:
-                return table[index]
-        raise KeyError(f"no node with pre={pre}")
-
     def close(self) -> None:
-        """Release the mmap behind a column-first document (no-op for
-        tree-first documents).
+        """Release the mmap behind an opened document (no-op for any
+        other).
 
-        The integer streams are detached into plain lists first, so a
-        document whose object tree was already materialized keeps
-        answering queries (it simply becomes an ordinary in-memory
-        document)."""
-        if self._columns is not None and self._columns.is_mapped:
-            self._tag_pres = {tag: list(stream)
-                              for tag, stream in self._tag_pres.items()}
-            self._columns.close()
-            self._columns = None
+        A document that has handed out a node takes its columns out of
+        the map first (:meth:`ColumnarDocument.close`): it and the nodes
+        keep working, as an ordinary in-memory document.  One that has
+        not stays closed, and whatever is asked of it raises a
+        ``REPRO-STORAGE`` error."""
+        columns = self._columns
+        if columns is not None and columns.is_mapped:
+            columns.close()
+            self._tag_pres = columns.tag_pres
+            self._attribute_pres = columns.attribute_pres
+            if columns.is_closed:
+                self._columns = None
+                self._nodes = ()
 
 
-def _closed_store() -> StorageError:
-    return StorageError("document store was closed before its node tree "
-                        "was materialized", check="closed")
+def _walk(root: DocumentNode) -> list[Node]:
+    """The node table of a tree that did not come with one."""
+    table: list[Node] = []
+    stack: list[Node] = [root]
+    while stack:
+        node = stack.pop()
+        table.append(node)
+        if isinstance(node, ElementNode):
+            for attribute in node.attributes:
+                table.append(attribute)
+        stack.extend(reversed(node.children))
+    table.sort(key=_PRE_KEY)
+    return table
 
 
 def document_order(nodes: Iterable[Node]) -> list[Node]:

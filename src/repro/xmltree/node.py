@@ -21,6 +21,15 @@ node's parent and children.
 Nodes are identity-based: two nodes are equal only if they are the same
 Python object, and document order between nodes of the same tree is the
 order of their ``pre`` numbers.
+
+A node of a parsed or opened document is made from the document's
+columns when it is first asked for (see
+:meth:`~repro.xmltree.columnar.ColumnarDocument.node`).  An element or
+document node starts as a *shell* — :class:`ElementShell`,
+:class:`DocumentShell` — whose ``_children``/``_attributes`` slots are
+empty; the first read of either fills both and turns the shell into a
+plain :class:`ElementNode`/:class:`DocumentNode`, so that every later
+read is an ordinary slot read.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from typing import Iterator, Optional, Sequence
 class Node:
     """Base class for all XDM nodes."""
 
-    __slots__ = ("pre", "post", "level", "end", "parent")
+    __slots__ = ("pre", "post", "level", "end", "parent", "singleton")
 
     kind = "node"
 
@@ -41,6 +50,9 @@ class Node:
         self.level: int = -1
         self.end: int = -1
         self.parent: Optional[Node] = None
+        #: ``[self]`` once an evaluator has bound this node to a tuple
+        #: field (``repro.algebra.eval._one``); never changed in place.
+        self.singleton: Optional[list] = None
 
     # -- structural predicates -------------------------------------------
 
@@ -117,7 +129,7 @@ class DocumentNode(Node):
     parsing modes.
     """
 
-    __slots__ = ("_children", "uri")
+    __slots__ = ("_children", "uri", "_owner")
 
     kind = "document"
 
@@ -125,6 +137,9 @@ class DocumentNode(Node):
         super().__init__()
         self.uri = uri
         self._children: list[Node] = []
+        #: the column store this tree is a view of; ``None`` for a tree
+        #: put together by hand.
+        self._owner = None
 
     @property
     def children(self) -> Sequence[Node]:
@@ -247,6 +262,41 @@ class TextNode(Node):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         snippet = self.text if len(self.text) <= 20 else self.text[:17] + "..."
         return f"<TextNode {snippet!r} pre={self.pre}>"
+
+
+class _Shell:
+    """A node whose ``_children`` (and ``_attributes``) are still in
+    the columns of the store that made it.
+
+    ``__getattr__`` runs only for a slot that is empty, which on a
+    shell is one of those two: the store at the top of the parent chain
+    fills them and assigns the plain class, and the plain class has no
+    ``__getattr__`` (a class that has one reads every slot slower).
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        if name != "_children" and name != "_attributes":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        top = self
+        while top.parent is not None:
+            top = top.parent
+        top._owner.expand(self)
+        return getattr(self, name)
+
+
+class ElementShell(_Shell, ElementNode):
+    """An :class:`ElementNode` before the first read of its content."""
+
+    __slots__ = ()
+
+
+class DocumentShell(_Shell, DocumentNode):
+    """A :class:`DocumentNode` before the first read of its children."""
+
+    __slots__ = ()
 
 
 def assign_regions(document: DocumentNode) -> int:

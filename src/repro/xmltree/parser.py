@@ -8,22 +8,28 @@ which matches how the paper's queries use plain QNames.
 
 The parser is one scan with an explicit stack of open elements: a
 compiled pattern takes a whole tag and the character data after it, and
-every node gets its region encoding (``pre``/``post``/``level``/``end``
-— the numbering of :func:`~repro.xmltree.node.assign_regions`) when it
-is made or closed.  The nodes come out as a dense table in document
-order (:func:`parse_nodes`), so a parsed document needs no numbering
-pass and no walk to index it.  Where the patterns do not match, the
-construct at hand is looked at character by character to say what is
-wrong with it.
+every node is one entry appended to the columns of a
+:class:`~repro.xmltree.columnar.ColumnarDocument` — its region encoding
+(``pre``/``post``/``level``/``end``, the numbering of
+:func:`~repro.xmltree.node.assign_regions`), its parent, its name and
+value as dictionary slots, its place in the stream of its tag
+(:func:`parse_columns`).  No node object is made: a parsed document
+needs no numbering pass, no walk and no derivation to index it, and
+its nodes come from the columns when they are asked for.  Where the
+patterns do not match, the construct at hand is looked at character by
+character to say what is wrong with it.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
 from typing import Dict, List, Optional, Tuple
 
 from ..guard.errors import ReproError
-from .node import AttributeNode, DocumentNode, ElementNode, Node, TextNode
+from .columnar import (KIND_ATTRIBUTE, KIND_DOCUMENT, KIND_ELEMENT,
+                       KIND_TEXT, ColumnarDocument)
+from .node import DocumentNode, Node
 
 _PREDEFINED_ENTITIES = {
     "lt": "<",
@@ -213,45 +219,66 @@ def _tag_error(text: str, pos: int, open_name: Optional[str]
 
 # -- the scanner -------------------------------------------------------------
 
-def _scan(text: str, uri: str) -> List[Node]:
+def _scan(text: str, uri: str) -> ColumnarDocument:
     length = len(text)
     find = text.find
     tag_match = _TAG.match
-    new = object.__new__
     pos = _skip_misc(text, 1 if text.startswith("\ufeff") else 0)
     if not text.startswith("<", pos):
         raise XMLSyntaxError("expected a document element", pos)
     match = tag_match(text, pos)
     if match is None or match.group(1) is None:
         raise _tag_error(text, pos, None)
-    document = DocumentNode(uri)
-    document.pre = document.level = 0
-    table: List[Node] = [document]
-    append = table.append
-    #: every distinct name met, once its first character is checked;
-    #: nodes of one name share one string.
-    names: Dict[str, str] = {}
-    stack: List[Node] = []
-    parent: Node = document
+    # The columns, one entry per node in ``pre`` order; the document
+    # node is there already.  An element's ``post`` and ``end`` are
+    # written when it closes.  Lists until the scan ends: appending to
+    # one takes two thirds of the time appending to an ``array`` does.
+    kind_of = [KIND_DOCUMENT]
+    post_of, level_of, end_of = [0], [0], [0]
+    parent_of, name_of, text_of = [-1], [-1], [-1]
+    add_kind, add_post, add_level, add_end = (
+        kind_of.append, post_of.append, level_of.append, end_of.append)
+    add_parent, add_name, add_text = (
+        parent_of.append, name_of.append, text_of.append)
+    #: names and values in order of first appearance, and the slot of
+    #: each; a name gets one once its first character is checked.
+    names: List[str] = []
+    name_slots: Dict[str, int] = {}
+    texts: List[str] = []
+    text_slots: Dict[str, int] = {}
+    tag_pres: Dict[str, List[int]] = {}
+    attribute_pres: Dict[str, List[int]] = {}
+    text_pres: List[int] = []
+    element_pres: List[int] = []
+    add_text_pre, add_element_pre = text_pres.append, element_pres.append
+    #: ``pre`` and name of the elements open around ``parent``.
+    stack: List[Tuple[int, Optional[str]]] = []
+    parent, parent_name = 0, None
     level = 0       # of ``parent``
     pre, post = 1, 0
     while True:
         # ``match`` is the tag at ``pos``, a child of ``parent``.
         name, run, empty, closing, tail = match.groups()
         if name is not None:
-            if name not in names:
+            slot = name_slots.get(name)
+            if slot is None:
                 if not _is_name_start(name[0]):
                     raise _tag_error(text, pos, None)
-                names[name] = name
-            node = new(ElementNode)
-            node.pre = pre
-            node.level = level + 1
-            node.parent = parent
-            node._name = names[name]
-            node._children = []
-            node._attributes = attributes = []
-            parent._children.append(node)
-            append(node)
+                slot = name_slots[name] = len(names)
+                names.append(name)
+            stream = tag_pres.get(name)
+            if stream is None:
+                stream = tag_pres[name] = []
+            stream.append(pre)
+            add_element_pre(pre)
+            add_kind(KIND_ELEMENT)
+            add_post(0)
+            add_level(level + 1)
+            add_end(0)
+            add_parent(parent)
+            add_name(slot)
+            add_text(-1)
+            element = pre
             pre += 1
             if run:
                 # Anything but plain, distinct, well-named attributes is
@@ -260,56 +287,73 @@ def _scan(text: str, uri: str) -> List[Node]:
                     else [(key, double or single) for key, double, single
                           in _ATTRIBUTE.findall(run)]
                 for key, value in pairs:
-                    if key not in names:
+                    slot = name_slots.get(key)
+                    if slot is None:
                         if not _is_name_start(key[0]):
                             raise _tag_error(text, pos, None)
-                        names[key] = key
-                    attribute = new(AttributeNode)
-                    attribute.pre = attribute.end = pre
-                    attribute.post = post
-                    attribute.level = level + 2
-                    attribute.parent = node
-                    attribute._name = names[key]
-                    attribute.value = value
-                    attributes.append(attribute)
-                    append(attribute)
+                        slot = name_slots[key] = len(names)
+                        names.append(key)
+                    stream = attribute_pres.get(key)
+                    if stream is None:
+                        stream = attribute_pres[key] = []
+                    stream.append(pre)
+                    add_name(slot)
+                    slot = text_slots.get(value)
+                    if slot is None:
+                        slot = text_slots[value] = len(texts)
+                        texts.append(value)
+                    add_text(slot)
+                    add_kind(KIND_ATTRIBUTE)
+                    add_post(post)
+                    add_level(level + 2)
+                    add_end(pre)
+                    add_parent(element)
                     pre += 1
                     post += 1
                 if len(pairs) > 1 and len(dict(pairs)) < len(pairs):
                     raise _tag_error(text, pos, None)
             if empty:
-                node.post = post
-                node.end = pre - 1
+                post_of[element] = post
+                end_of[element] = pre - 1
                 post += 1
             else:
-                stack.append(parent)
-                parent = node
+                stack.append((parent, parent_name))
+                parent, parent_name = element, name
                 level += 1
         else:
-            if closing != parent._name:
-                raise _tag_error(text, pos, parent._name)
-            parent.post = post
-            parent.end = pre - 1
+            if closing != parent_name:
+                raise _tag_error(text, pos, parent_name)
+            post_of[parent] = post
+            end_of[parent] = pre - 1
             post += 1
-            parent = stack.pop()
+            parent, parent_name = stack.pop()
             level -= 1
         if not level:
             break
         pos = match.end()
+        literal = False
         while True:
-            # ``tail`` is the character data that ends at ``pos``.
+            # ``tail`` is the character data that ends at ``pos``, or —
+            # ``literal`` — the CDATA section that does, a text node
+            # even when empty.
             if pos == length:
                 raise XMLSyntaxError("unterminated element content", pos)
-            if tail:
-                node = new(TextNode)
-                node.pre = node.end = pre
-                node.post = post
-                node.level = level + 1
-                node.parent = parent
-                node.text = _decode_entities(tail, pos - len(tail), pos) \
-                    if "&" in tail else tail
-                parent._children.append(node)
-                append(node)
+            if tail or literal:
+                if "&" in tail and not literal:
+                    tail = _decode_entities(tail, pos - len(tail), pos)
+                literal = False
+                slot = text_slots.get(tail)
+                if slot is None:
+                    slot = text_slots[tail] = len(texts)
+                    texts.append(tail)
+                add_text(slot)
+                add_text_pre(pre)
+                add_kind(KIND_TEXT)
+                add_post(post)
+                add_level(level + 1)
+                add_end(pre)
+                add_parent(parent)
+                add_name(-1)
                 pre += 1
                 post += 1
             match = tag_match(text, pos)
@@ -324,35 +368,38 @@ def _scan(text: str, uri: str) -> List[Node]:
                 start = find("]]>", pos)
                 if start < 0:
                     raise XMLSyntaxError("unterminated CDATA section", pos)
-                node = new(TextNode)
-                node.pre = node.end = pre
-                node.post = post
-                node.level = level + 1
-                node.parent = parent
-                node.text = text[pos:start]
-                parent._children.append(node)
-                append(node)
-                pre += 1
-                post += 1
-                start += 3
+                tail, literal, pos = text[pos:start], True, start + 3
+                continue
+            elif text.startswith("<", pos):
+                raise _tag_error(text, pos, parent_name)
             else:
-                raise _tag_error(text, pos, parent._name)
+                start = pos     # character data after a CDATA section
             pos = find("<", start)
             if pos < 0:
                 pos = length
             tail = text[start:pos]
-    document.post = post
-    document.end = pre - 1
+    post_of[0] = post
+    end_of[0] = pre - 1
     pos = _skip_misc(text, match.end() - len(tail))
     if pos < length:
         raise XMLSyntaxError("content after document element", pos)
-    return table
+    return ColumnarDocument(
+        post=array("i", post_of), level=array("i", level_of),
+        end=array("i", end_of), parent=array("i", parent_of),
+        kind=array("B", kind_of), name_id=array("i", name_of),
+        text_id=array("i", text_of), names=names, texts=texts,
+        tag_pres={name: array("i", stream)
+                  for name, stream in tag_pres.items()},
+        attribute_pres={name: array("i", stream)
+                        for name, stream in attribute_pres.items()},
+        text_pres=array("i", text_pres),
+        element_pres=array("i", element_pres), uri=uri)
 
 
-def parse_nodes(text: str, uri: str = "") -> List[Node]:
-    """Parse an XML string into its numbered nodes: a dense table in
-    document order (``table[n].pre == n``, the document node first).
-    One leading U+FEFF is skipped.
+def parse_columns(text: str, uri: str = "") -> ColumnarDocument:
+    """Parse an XML string into the columns of its document (see
+    :mod:`repro.xmltree.columnar`): the scanner appends to them and
+    makes no node object.  One leading U+FEFF is skipped.
 
     Syntax errors escape with a :class:`~repro.guard.errors.SourceSpan`
     attached (line/column plus a caret-annotated snippet)."""
@@ -362,10 +409,17 @@ def parse_nodes(text: str, uri: str = "") -> List[Node]:
         raise err.attach_source(text)
 
 
+def parse_nodes(text: str, uri: str = "") -> List[Node]:
+    """Parse an XML string into its numbered nodes: a dense table in
+    document order (``table[n].pre == n``, the document node first)."""
+    return parse_columns(text, uri).all_nodes()
+
+
 def parse_xml(text: str, uri: str = "") -> DocumentNode:
-    """Parse an XML string into a numbered document tree (see
-    :func:`parse_nodes`)."""
-    return parse_nodes(text, uri)[0]
+    """Parse an XML string into a numbered document tree: the root of
+    a tree whose nodes are made as they are reached (see
+    :meth:`~repro.xmltree.columnar.ColumnarDocument.node`)."""
+    return parse_columns(text, uri).node(0)
 
 
 def parse_xml_file(path: str) -> DocumentNode:

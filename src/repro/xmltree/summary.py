@@ -149,10 +149,10 @@ class PathSummary:
         place = by_pre.append
         #: (id of the parent's stats, name id) → stats, parents first.
         interned: Dict[Tuple[int, int], Tuple[PathStats, PathStats]] = {}
-        # Plain bytes/lists: a mapped column unpacks an int per index.
+        # Iterated, not indexed: a mapped column unpacks an int per
+        # index, and a list of the column would box every one at once.
         for kind, parent, name_id in zip(bytes(columns.kind),
-                                         list(columns.parent),
-                                         list(columns.name_id)):
+                                         columns.parent, columns.name_id):
             if kind == KIND_ELEMENT:
                 above = by_pre[parent]
                 found = interned.get((id(above), name_id))

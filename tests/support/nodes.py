@@ -1,5 +1,6 @@
-"""Oracles for the document build path: a field-by-field node dump and
-the tree-walk path-summary builder the production one replaced."""
+"""Oracles for the document build path: a field-by-field node dump, a
+count of the nodes made on demand and the tree-walk path-summary builder
+the production one replaced."""
 
 from __future__ import annotations
 
@@ -11,6 +12,11 @@ from repro.xmltree.node import (AttributeNode, DocumentNode, ElementNode,
                                 Node, TextNode)
 from repro.xmltree.parser import parse_nodes
 from repro.xmltree.summary import PathStats
+
+
+def made_nodes(document: IndexedDocument) -> int:
+    """How many node objects a document born from columns has made."""
+    return sum(node is not None for node in document.columns.nodes)
 
 
 def tree_nodes(root: DocumentNode) -> List[Node]:

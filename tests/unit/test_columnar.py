@@ -12,13 +12,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Engine
-from repro.xmltree import (ColumnarDocument, IndexedDocument, StorageError,
-                           assign_regions, serialize)
+from repro.xmltree import (ColumnarDocument, E, IndexedDocument,
+                           StorageError, assign_regions, build_document,
+                           serialize)
 from repro.xmltree.columnar import (KIND_ATTRIBUTE, KIND_DOCUMENT,
                                     KIND_ELEMENT, KIND_TEXT)
 from repro.xmltree.node import DocumentNode, ElementNode, TextNode
 from repro.xmltree.nodetest import (AnyKindTest, ElementTest, NameTest,
                                     TextTest, WildcardTest)
+from tests.support.nodes import made_nodes
 
 TAGS = ("a", "b", "c")
 ATTR_NAMES = ("id", "lang", "ref")
@@ -206,12 +208,19 @@ class TestFacade:
         return IndexedDocument.from_string(self.XML)
 
     def test_tree_first_columns_are_lazy_and_cached(self):
-        doc = self.doc()
+        doc = build_document(
+            E("site", E("person", E("name", "John"), id="p1"), key="k1"))
         assert not doc.has_columns
         columns = doc.columns
         assert doc.has_columns
         assert doc.columns is columns
         assert doc.store_kind == "object"
+
+    def test_parsed_document_is_born_from_columns(self):
+        doc = self.doc()
+        assert doc.has_columns
+        assert doc.store_kind == "columnar"
+        assert made_nodes(doc) == 0
 
     def test_column_first_materializes_identical_tree(self):
         doc = self.doc()
@@ -232,8 +241,8 @@ class TestFacade:
     def test_column_first_size_without_materialization(self):
         rebuilt = IndexedDocument(columns=self.doc().columns)
         assert rebuilt.size == len(self.doc().nodes_by_pre)
-        # size did not force the tree into existence
-        assert rebuilt._nodes_by_pre is None
+        # size did not force a single node into existence
+        assert made_nodes(rebuilt) == 0
 
     def test_exactly_one_source_required(self):
         doc = self.doc()
@@ -279,7 +288,7 @@ class TestNodeAt:
         # A table that kept non-dense pre numbers (e.g. a re-rooted
         # fragment): position indexing would alias, the bisect fallback
         # must not.
-        doc = IndexedDocument.from_string("<a><b/><c/><d/></a>")
+        doc = build_document(E("a", E("b"), E("c"), E("d")))
         for node in doc.nodes_by_pre:
             node.pre *= 2
             node.end = node.end * 2 + 1

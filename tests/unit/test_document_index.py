@@ -2,9 +2,11 @@
 
 import gc
 
-from repro.xmltree import (IndexedDocument, ddo, document_order,
+from repro import Engine
+from repro.xmltree import (AttributeNode, DocumentNode, ElementNode,
+                           IndexedDocument, TextNode, ddo, document_order,
                            is_distinct_doc_ordered, parse_xml)
-from tests.support.nodes import check_parser_numbering
+from tests.support.nodes import check_parser_numbering, made_nodes
 
 
 def make():
@@ -60,22 +62,21 @@ class TestParserTable:
         assert doc.root.uri == "mem:a"
         assert doc.nodes_by_pre[0] is doc.root
 
-    def test_table_is_younger_than_its_owner_and_older_than_streams(self):
-        """Allocation order decides how long every later full
-        collection takes (see ``IndexedDocument.__init__``): nodes,
-        then the document object, then the table, then the streams."""
+    def test_parsing_and_compiling_make_no_node(self):
+        """The scanner appends to columns and a compile reads them: no
+        node object exists until a result is asked for."""
+        counted = (DocumentNode, ElementNode, AttributeNode, TextNode)
         gc.collect()
-        gc.disable()
-        try:
-            doc = IndexedDocument.from_string(
-                "<a>" + "<b x='1'><c>t</c></b>" * 50 + "</a>")
-            tracked = {id(item): place
-                       for place, item in enumerate(gc.get_objects())}
-        finally:
-            gc.enable()
-        order = [tracked[id(item)] for item in (
-            doc.nodes_by_pre[-1], doc, doc.nodes_by_pre, doc.tag_streams)]
-        assert order == sorted(order)
+        before = {id(item) for item in gc.get_objects()
+                  if isinstance(item, counted)}
+        engine = Engine.from_xml(
+            "<a>" + "<b x='1'><c>t</c></b>" * 50 + "</a>")
+        compiled = engine.compile("$input//b[c]/@x")
+        born = [item for item in gc.get_objects()
+                if isinstance(item, counted) and id(item) not in before]
+        assert born == []
+        assert made_nodes(engine.document) == 0
+        assert len(engine.execute(compiled)) == 50
 
 
 class TestRegionSlices:

@@ -14,7 +14,8 @@ from repro.pattern import parse_pattern
 from repro.xmltree import PathSummary
 from repro.xmltree.node import DocumentNode, ElementNode
 from repro.xmltree.serializer import serialize
-from tests.support.nodes import TreeWalkSummary, summary_contents
+from tests.support.nodes import (TreeWalkSummary, made_nodes,
+                                 summary_contents)
 
 RECURSIVE_XML = ("<a><a><a><b/></a></a><b><a/></b>x</a>")
 ATTR_ONLY_XML = '<r><e a="1" b="2"/><e c="3"/></r>'
@@ -104,7 +105,7 @@ class TestBuiltFromColumns:
         try:
             assert summary_contents(opened.summary) == \
                 summary_contents(TreeWalkSummary(document.root))
-            assert opened._root is None
+            assert made_nodes(opened) == 0
         finally:
             opened.close()
         for parsed in (IndexedDocument.from_string(RECURSIVE_XML),
@@ -133,40 +134,29 @@ class TestBuiltFromColumns:
         finally:
             tracemalloc.stop()
         try:
-            assert engine.document._root is None
-            assert engine.document._nodes_by_pre is None
+            assert made_nodes(engine.document) == 0
             assert traced < 1_000_000
-            assert engine.execute(compiled)
-            assert engine.document._root is not None
+            rows = engine.execute(compiled)
+            # The rows, and a shell for each of their ancestors.
+            ancestors = {id(above) for row in rows
+                         for above in row.iter_ancestors()}
+            assert rows
+            assert made_nodes(engine.document) == len(rows) + len(ancestors)
         finally:
             engine.document.close()
 
-    def test_first_results_materialize_exactly_once(self, saved,
-                                                    monkeypatch):
+    def test_first_results_materialize_exactly_once(self, saved):
+        """Six threads ask for their first rows at once: every ``pre``
+        comes out as one object, whichever thread made it."""
         document, path = saved
         engine = Engine.from_columnar_file(path)
         compiled = engine.compile(self.QUERY)
-        entered, built = [], []
-        materialize = IndexedDocument._materialize
-
-        def counted(self):
-            entered.append(threading.get_ident())
-            return materialize(self)
-
-        class CountedDocumentNode(DocumentNode):
-            def __init__(self, uri=""):
-                built.append(uri)
-                super().__init__(uri)
-
-        monkeypatch.setattr(IndexedDocument, "_materialize", counted)
-        monkeypatch.setattr("repro.xmltree.document.DocumentNode",
-                            CountedDocumentNode)
         barrier = threading.Barrier(6)
         answers = []
 
         def first_result():
             barrier.wait(timeout=10)
-            answers.append(len(engine.execute(compiled)))
+            answers.append(engine.execute(compiled))
 
         threads = [threading.Thread(target=first_result)
                    for _ in range(6)]
@@ -176,11 +166,15 @@ class TestBuiltFromColumns:
             thread.join(timeout=30)
         try:
             assert not any(thread.is_alive() for thread in threads)
-            assert answers == [len(Engine(document).run(self.QUERY))] * 6
-            # Threads that race past the unlocked check all enter; the
-            # one that takes the lock first builds the tree, once.
-            assert 1 <= len(entered) <= 6
-            assert len(built) == 1
+            assert len(answers) == 6
+            expected = Engine(document).run(self.QUERY)
+            for rows in answers:
+                assert [row.pre for row in rows] == \
+                    [row.pre for row in expected]
+                assert all(ours is first
+                           for ours, first in zip(rows, answers[0]))
+            assert {id(row.root()) for row in answers[0]} == \
+                {id(engine.document.root)}
         finally:
             engine.document.close()
 
