@@ -1,29 +1,41 @@
-"""Plan evaluation, set-at-a-time (loop-lifted).
+"""Plan evaluation, set-at-a-time (loop-lifted), over column batches.
 
 Every operator is evaluated once for a whole *batch* of tuples — the
 ``iter``-tagged input table of Grust et al.'s loop-lifting — and answers
-per tuple: an item operator maps ``tuples → [one item sequence per
-tuple]``, a tuple operator ``tuples → (output tuples, owners)``, where
-``owners[k]`` is the index of the input tuple that output tuple ``k``
-belongs to (non-decreasing: operators keep input order).
+per row: an item operator maps ``batch → [one item sequence per row]``,
+a tuple operator ``batch → (output batch, owners)``, where ``owners[k]``
+is the index of the input row that output row ``k`` belongs to
+(non-decreasing: operators keep input order).
+
+A batch (:class:`Batch`) is that table held by column, ``field → list``
+with one item sequence per row, and no record is made per tuple.  A
+batch made from another one — by ``MapFromItem``, ``TupleTreePattern``,
+``Select``, a ``LetPlan``/typeswitch binding, a branch's subset of the
+rows, a block — holds the columns it adds, the batch it came from and
+the row of that batch each of its rows continues.  So "a tuple produced
+inside a dependent plan carries the fields of its enclosing tuple"
+(field names are uniquified at compile time: a merge, never a shadow)
+costs nothing until an inherited field is read, and then one gather of
+its column — a slice for a block, the parent's list itself for a
+binding; ``IN#f`` is a column read.  ``LetPlan``/typeswitch variables
+are columns under their :class:`~repro.xqcore.cast.Var` (never equal to
+a field name).  Rows become ``dict``s at the API boundary only
+(:func:`eval_tuples`).
 
 A dependent sub-plan (``MapToItem.dep``, ``Select.predicate``) runs over
-the tuples its operator's input produced, at most :data:`BLOCK` at a
-time.  A tuple produced inside a dependent plan carries the fields of
-its enclosing tuple (field names are uniquified at compile time, so this
-is a merge, never a shadow): ``IN#f`` is a plain read of the current
-tuple.  ``LetPlan``/typeswitch variables are per-tuple values and ride
-in the tuple under their :class:`~repro.xqcore.cast.Var` (never equal to
-a field name).  Laziness is per tuple: ``Logical`` evaluates its right
-operand, and ``IfPlan``/``TypeswitchPlan`` each branch, only over the
-tuples that need it.  Result sequences are shared between tuples and
+the rows its operator's input produced, at most :data:`BLOCK` at a time.
+Laziness is per row: ``Logical`` evaluates its right operand, and
+``IfPlan``/``TypeswitchPlan`` each branch, only over the rows that need
+it.  Columns and result sequences are shared between batches and
 operators and never mutated; :func:`eval_item` copies once, at the API
 boundary.  The one-item sequence that binds a node to a field is shared
-furthest: it is made once per node and kept on it (:func:`_one`), so
-binding a node allocates the tuple and nothing else.
+furthest: it is made once per node and kept on it (:func:`_one`), and a
+``position`` is cut from one table of ``[1], [2], …``, so a binding
+allocates a slot in a column and nothing else.
 
-``TupleTreePattern`` hands the context nodes of all its input tuples to
-the :class:`~repro.physical.base.TreePatternAlgorithm` carried by the
+``TupleTreePattern`` reads the context nodes of all its input rows as one
+column and hands them to the
+:class:`~repro.physical.base.TreePatternAlgorithm` carried by the
 evaluation context in one ``evaluate_each`` call — this is the paper's
 "choosing a tree pattern algorithm" seam.
 """
@@ -57,33 +69,100 @@ from .runtime import (DynamicError, Sequence_, effective_boolean_value,
 
 Tuple_ = Dict[str, Sequence_]
 
-#: what a tuple operator returns: its output tuples and, per output
-#: tuple, the index of the input tuple it belongs to.
-Owned = Tuple[List[Tuple_], Sequence[int]]
-
-#: a dependent sub-plan sees at most this many tuples per call.  Bounding
-#: the batch is what keeps lifting a win inside a large process: the
-#: tuples of an unbounded inner batch (17 k for QE5) outlive the young
-#: collector generations, and the full collections they trigger cost
-#: more than lifting saves (docs/PIPELINE.md §6 has the measurement).
+#: a dependent sub-plan sees at most this many rows per call: the bound
+#: on how far past a deadline or a step budget one kernel call can run.
+#: It is no longer what keeps tail latency down — rows are not objects,
+#: so an unbounded batch gives the collector nothing to trip over
+#: (unbounded: 7 % less throughput, the same ``latency_p95_ms``;
+#: docs/PIPELINE.md §6 has the measurement).
 BLOCK = 256
-
-#: the one tuple of an evaluation outside every dependent plan.
-_NO_TUPLE: Tuple_ = {}
 
 _TRUE: Sequence_ = [True]
 _FALSE: Sequence_ = [False]
+_EMPTY: Sequence_ = []
+
+#: ``[1], [2], …``: ``MapFromItem``'s ``position`` column is cut from
+#: this table, so a position costs a list slot.  Fixed size and built at
+#: import: the ``QueryService`` threads share it, and growing it on
+#: demand would race between them.  Longer sequences get fresh lists
+#: past its end.
+_POSITIONS: List[Sequence_] = [[index] for index in range(1, 1025)]
 
 
 def _one(node: Node) -> Sequence_:
-    """``[node]``, the same list every time.  A list per binding was a
-    third of what a tuple-heavy plan keeps alive between young
-    collections, and that volume is what brings on full ones (see
-    :data:`BLOCK`)."""
+    """``[node]``, the same list every time: binding a node to a field
+    allocates a slot in the field's column and nothing else.  (The two
+    per-row loops read ``node.singleton`` first and call only on a
+    node's first binding.)"""
     sequence = node.singleton
     if sequence is None:
         sequence = node.singleton = [node]
     return sequence
+
+
+class Batch:
+    """``size`` tuples held as columns: ``columns[f][k]`` is the item
+    sequence of row ``k`` in field (or ``Var``) ``f``.  A batch made
+    from another one holds the columns it *adds*; every other field of
+    row ``k`` is that of row ``owners[k]`` of ``parent`` (of row ``k``
+    when ``owners`` is ``None``) and is gathered into ``columns`` the
+    first time it is read.  Columns, and the sequences in them, are
+    shared between batches and operators and never mutated."""
+
+    __slots__ = ("size", "columns", "added", "parent", "owners")
+
+    def __init__(self, size: int, columns: Dict[object, List[Sequence_]],
+                 parent: Optional["Batch"] = None,
+                 owners: Optional[Sequence[int]] = None) -> None:
+        self.size = size
+        self.columns = columns
+        #: the fields this batch adds, in the order a row lists them
+        #: (``columns`` also caches the inherited ones it has read).
+        self.added = tuple(columns)
+        self.parent = parent
+        self.owners = owners
+
+    def column(self, name) -> Optional[List[Sequence_]]:
+        """Field ``name`` of every row; ``None`` if the rows have none."""
+        column = self.columns.get(name)
+        if column is None and self.parent is not None:
+            column = self.parent.column(name)
+            if column is not None:
+                owners = self.owners
+                if type(owners) is range:   # a block: consecutive rows
+                    column = column[owners.start:owners.stop]
+                elif owners is not None:
+                    column = [column[owner] for owner in owners]
+                self.columns[name] = column
+        return column
+
+    def take(self, rows: Sequence[int]) -> "Batch":
+        """The rows at the given (ascending) indices, as a batch."""
+        return Batch(len(rows), {}, self, rows)
+
+    def rows(self) -> List[Tuple_]:
+        """Every row as a ``dict``: inherited fields first, outermost
+        batch first (the API boundary's view, :func:`eval_tuples`)."""
+        if self.parent is None:
+            rows: List[Tuple_] = [{} for _ in range(self.size)]
+        else:
+            inherited = self.parent.rows()
+            rows = [dict(inherited[owner])
+                    for owner in (self.owners if self.owners is not None
+                                  else range(self.size))]
+        for name in self.added:
+            for row, sequence in zip(rows, self.columns[name]):
+                row[name] = sequence
+        return rows
+
+
+#: what a tuple operator returns: its output batch and, per output row,
+#: the index of the input row it belongs to.
+Owned = Tuple[Batch, Sequence[int]]
+
+#: the one row of an evaluation outside every dependent plan.  Shared
+#: between threads and never written: it has no parent to gather from.
+_ROOT = Batch(1, {})
 
 
 @dataclass
@@ -127,28 +206,30 @@ def evaluate_plan(plan: Plan, context: EvalContext):
 
 def eval_item(plan: ItemPlan, ctx: EvalContext) -> Sequence_:
     """The plan's item sequence for the one tuple ``ctx`` describes."""
-    return list(_eval(plan, [_scope(ctx)], ctx)[0])
+    return list(_eval(plan, _scope(ctx), ctx)[0])
 
 
 def eval_tuples(plan: TuplePlan, ctx: EvalContext) -> List[Tuple_]:
     """The plan's tuple stream for the one tuple ``ctx`` describes."""
-    return _eval(plan, [_scope(ctx)], ctx)[0]
+    return _eval(plan, _scope(ctx), ctx)[0].rows()
 
 
-def _scope(ctx: EvalContext) -> Tuple_:
-    """The tuple a plan evaluated on its own starts from: the fields of
-    ``ctx.tuple_stack``, merged."""
+def _scope(ctx: EvalContext) -> Batch:
+    """The one-row batch a plan evaluated on its own starts from: the
+    fields of ``ctx.tuple_stack``, merged."""
+    if not ctx.tuple_stack:
+        return _ROOT
     merged: Tuple_ = {}
     for tuple_ in ctx.tuple_stack:
         merged.update(tuple_)
-    return merged if ctx.tuple_stack else _NO_TUPLE
+    return Batch(1, {name: [sequence] for name, sequence in merged.items()})
 
 
-def _eval(plan: Plan, tuples: List[Tuple_], ctx: EvalContext):
-    """One operator over a non-empty batch of tuples.  Counters and the
-    step budget are charged per tuple *activation* (``len(tuples)``), so
-    they read as they would tuple-at-a-time; a span, a ``record_op`` call
-    and a clock poll happen once per batch."""
+def _eval(plan: Plan, batch: Batch, ctx: EvalContext):
+    """One operator over a non-empty batch.  Counters and the step
+    budget are charged per tuple *activation* (``batch.size``), so they
+    read as they would tuple-at-a-time; a span, a ``record_op`` call and
+    a clock poll happen once per batch."""
     try:
         kernel = _KERNELS[type(plan)]
     except KeyError:
@@ -158,20 +239,20 @@ def _eval(plan: Plan, tuples: List[Tuple_], ctx: EvalContext):
     governor = ctx.governor
     trace = ctx.trace
     if metrics is None and governor is None and trace is None:
-        return kernel(plan, tuples, ctx)
+        return kernel(plan, batch, ctx)
     name = type(plan).__name__
     item = isinstance(plan, ItemPlan)
     if metrics is not None:
-        metrics.operator_evals[name] += len(tuples)
+        metrics.operator_evals[name] += batch.size
     span = trace.begin_span(name) if trace is not None else None
     try:
         if governor is None:
-            result = kernel(plan, tuples, ctx)
+            result = kernel(plan, batch, ctx)
         else:
-            governor.tick(len(tuples))
+            governor.tick(batch.size)
             governor.enter()
             try:
-                result = kernel(plan, tuples, ctx)
+                result = kernel(plan, batch, ctx)
             finally:
                 governor.leave()
             # ``max_output`` bounds what one activation materializes.
@@ -187,7 +268,7 @@ def _eval(plan: Plan, tuples: List[Tuple_], ctx: EvalContext):
         if metrics is not None:
             metrics.items_produced += rows
     else:
-        rows = len(result[0])
+        rows = result[0].size
         if metrics is not None:
             metrics.tuples_produced += rows
     if span is not None:
@@ -196,59 +277,60 @@ def _eval(plan: Plan, tuples: List[Tuple_], ctx: EvalContext):
     return result
 
 
-def _dependent(plan: ItemPlan, tuples: List[Tuple_],
+def _dependent(plan: ItemPlan, batch: Batch,
                ctx: EvalContext) -> List[Sequence_]:
-    """A dependent sub-plan over the tuples its operator's input
-    produced, :data:`BLOCK` at a time; never called for no tuples (an
-    operator that is not activated leaves no trace in the counters)."""
-    if len(tuples) <= BLOCK:
-        return _eval(plan, tuples, ctx) if tuples else []
+    """A dependent sub-plan over the rows its operator's input produced,
+    :data:`BLOCK` at a time; never evaluated for no rows (an operator
+    that is not activated leaves no trace in the counters)."""
+    size = batch.size
+    if size <= BLOCK:
+        return _eval(plan, batch, ctx) if size else []
     results: List[Sequence_] = []
-    for start in range(0, len(tuples), BLOCK):
-        results.extend(_eval(plan, tuples[start:start + BLOCK], ctx))
+    for start in range(0, size, BLOCK):
+        block = batch.take(range(start, min(start + BLOCK, size)))
+        results.extend(_eval(plan, block, ctx))
     return results
 
 
 def _routed(plans: Sequence[ItemPlan], taken: List[int],
-            tuples: List[Tuple_], ctx: EvalContext) -> List[Sequence_]:
-    """Tuple ``i`` takes branch ``plans[taken[i]]``: evaluate each
-    branch over exactly the tuples that take it and put the answers back
-    in batch order.  The branch of the earliest tuple goes first, so the
-    error the first failing tuple raises is the one that surfaces."""
+            batch: Batch, ctx: EvalContext) -> List[Sequence_]:
+    """Row ``i`` takes branch ``plans[taken[i]]``: evaluate each branch
+    over exactly the rows that take it and put the answers back in batch
+    order.  The branch of the earliest row goes first, so the error the
+    first failing row raises is the one that surfaces."""
     routes: Dict[int, List[int]] = {}
     for index, choice in enumerate(taken):
         routes.setdefault(choice, []).append(index)
-    results: list = [None] * len(tuples)
+    results: list = [None] * batch.size
     for choice, indices in routes.items():
-        if len(indices) == len(tuples):
-            return _eval(plans[choice], tuples, ctx)
-        answers = _eval(plans[choice],
-                        [tuples[index] for index in indices], ctx)
+        if len(indices) == batch.size:
+            return _eval(plans[choice], batch, ctx)
+        answers = _eval(plans[choice], batch.take(indices), ctx)
         for index, sequence in zip(indices, answers):
             results[index] = sequence
     return results
 
 
-# -- item operators: tuples → one sequence per tuple -------------------------
+# -- item operators: batch → one sequence per row ----------------------------
 
 
-def _const(plan: Const, tuples, ctx) -> List[Sequence_]:
-    return [list(plan.values)] * len(tuples)
+def _const(plan: Const, batch, ctx) -> List[Sequence_]:
+    return [list(plan.values)] * batch.size
 
 
-def _var(plan: VarPlan, tuples, ctx) -> List[Sequence_]:
-    var = plan.var
-    if var in tuples[0]:
-        return [tuple_[var] for tuple_ in tuples]
-    return [ctx.lookup_var(var)] * len(tuples)
+def _var(plan: VarPlan, batch, ctx) -> List[Sequence_]:
+    column = batch.column(plan.var)
+    if column is None:
+        column = [ctx.lookup_var(plan.var)] * batch.size
+    return column
 
 
-def _gather(tuples: List[Tuple_], name: str) -> List[Sequence_]:
-    """``IN#name`` of every tuple."""
-    try:
-        return [tuple_[name] for tuple_ in tuples]
-    except KeyError:
-        raise DynamicError(f"unknown tuple field {name}") from None
+def _field(batch: Batch, name: str) -> List[Sequence_]:
+    """``IN#name`` of every row."""
+    column = batch.column(name)
+    if column is None:
+        raise DynamicError(f"unknown tuple field {name}")
+    return column
 
 
 def _nodes(sequences: List[Sequence_], otherwise: str) -> List[Sequence_]:
@@ -260,111 +342,115 @@ def _nodes(sequences: List[Sequence_], otherwise: str) -> List[Sequence_]:
     return sequences
 
 
-def _tree_join(plan: TreeJoin, tuples, ctx) -> List[Sequence_]:
+def _tree_join(plan: TreeJoin, batch, ctx) -> List[Sequence_]:
     axis, test = plan.axis, plan.test
     return [[node for item in items for node in axis_step(item, axis, test)]
-            for items in _nodes(_eval(plan.input, tuples, ctx),
+            for items in _nodes(_eval(plan.input, batch, ctx),
                                 "TreeJoin over a non-node item")]
 
 
-def _ddo(plan: DDOPlan, tuples, ctx) -> List[Sequence_]:
-    return [ddo(items) for items in _nodes(_eval(plan.input, tuples, ctx),
+def _ddo(plan: DDOPlan, batch, ctx) -> List[Sequence_]:
+    return [ddo(items) for items in _nodes(_eval(plan.input, batch, ctx),
                                            "fs:ddo over a non-node item")]
 
 
-def _map_to_item(plan: MapToItem, tuples, ctx) -> List[Sequence_]:
-    produced, owners = _eval(plan.input, tuples, ctx)
-    results: List[Sequence_] = [[] for _ in tuples]
+def _map_to_item(plan: MapToItem, batch, ctx) -> List[Sequence_]:
+    produced, owners = _eval(plan.input, batch, ctx)
+    # A row's answer is the one non-empty sequence its produced rows
+    # gave, itself (sequences are shared), or a new list of several.
+    results: List[Sequence_] = [_EMPTY] * batch.size
+    joined = -1     # the row whose answer is a list made here
     for owner, items in zip(owners, _dependent(plan.dep, produced, ctx)):
-        results[owner].extend(items)
+        if not items:
+            continue
+        if results[owner] is _EMPTY:
+            results[owner] = items
+        elif owner == joined:
+            results[owner].extend(items)
+        else:
+            results[owner] = results[owner] + items
+            joined = owner
     return results
 
 
-def _fn_call(plan: FnCall, tuples, ctx) -> List[Sequence_]:
+def _fn_call(plan: FnCall, batch, ctx) -> List[Sequence_]:
     name = plan.name
     if not plan.args:
-        return [call_function(name, []) for _ in tuples]
-    args = [_eval(arg, tuples, ctx) for arg in plan.args]
-    return [call_function(name, list(per_tuple)) for per_tuple in zip(*args)]
+        return [call_function(name, []) for _ in range(batch.size)]
+    args = [_eval(arg, batch, ctx) for arg in plan.args]
+    return [call_function(name, list(per_row)) for per_row in zip(*args)]
 
 
-def _compare(plan: Compare, tuples, ctx) -> List[Sequence_]:
+def _compare(plan: Compare, batch, ctx) -> List[Sequence_]:
     op = plan.op
-    left = _eval(plan.left, tuples, ctx)
-    right = _eval(plan.right, tuples, ctx)
-    return [_TRUE if general_compare(op, *pair) else _FALSE
-            for pair in zip(left, right)]
+    left = _eval(plan.left, batch, ctx)
+    right = _eval(plan.right, batch, ctx)
+    return [_TRUE if general_compare(op, left_items, right_items) else _FALSE
+            for left_items, right_items in zip(left, right)]
 
 
-def _logical(plan: Logical, tuples, ctx) -> List[Sequence_]:
+def _logical(plan: Logical, batch, ctx) -> List[Sequence_]:
     # ``and`` is decided by a false left operand, ``or`` by a true one;
-    # the right operand sees only the tuples still undecided.
+    # the right operand sees only the rows still undecided.
     decided = plan.op == "or"
-    results = [_TRUE if decided else _FALSE] * len(tuples)
+    results = [_TRUE if decided else _FALSE] * batch.size
     undecided = [
-        index for index, left in enumerate(_eval(plan.left, tuples, ctx))
+        index for index, left in enumerate(_eval(plan.left, batch, ctx))
         if effective_boolean_value(left) != decided]
     if undecided:
-        rest = tuples if len(undecided) == len(tuples) \
-            else [tuples[index] for index in undecided]
+        rest = batch if len(undecided) == batch.size \
+            else batch.take(undecided)
         for index, right in zip(undecided, _eval(plan.right, rest, ctx)):
             results[index] = \
                 _TRUE if effective_boolean_value(right) else _FALSE
     return results
 
 
-def _arith(plan: Arith, tuples, ctx) -> List[Sequence_]:
+def _arith(plan: Arith, batch, ctx) -> List[Sequence_]:
     op = plan.op
-    left = _eval(plan.left, tuples, ctx)
-    right = _eval(plan.right, tuples, ctx)
+    left = _eval(plan.left, batch, ctx)
+    right = _eval(plan.right, batch, ctx)
     return [arithmetic(op, *pair) for pair in zip(left, right)]
 
 
-def _if(plan: IfPlan, tuples, ctx) -> List[Sequence_]:
-    conditions = _eval(plan.condition, tuples, ctx)
+def _if(plan: IfPlan, batch, ctx) -> List[Sequence_]:
+    conditions = _eval(plan.condition, batch, ctx)
     return _routed((plan.then_branch, plan.else_branch),
                    [0 if effective_boolean_value(condition) else 1
-                    for condition in conditions], tuples, ctx)
+                    for condition in conditions], batch, ctx)
 
 
-def _bound(tuples: List[Tuple_], values: List[Sequence_],
-           *variables: Var) -> List[Tuple_]:
-    """The tuples, each with its own value bound to ``variables``."""
-    bound = []
-    for tuple_, value in zip(tuples, values):
-        tuple_ = dict(tuple_)
-        for var in variables:
-            tuple_[var] = value
-        bound.append(tuple_)
-    return bound
+def _bound(batch: Batch, values: List[Sequence_], *variables: Var) -> Batch:
+    """The rows, each with its own value bound to ``variables``."""
+    return Batch(batch.size, {var: values for var in variables}, batch)
 
 
-def _let(plan: LetPlan, tuples, ctx) -> List[Sequence_]:
-    values = _eval(plan.value, tuples, ctx)
-    return _eval(plan.body, _bound(tuples, values, plan.var), ctx)
+def _let(plan: LetPlan, batch, ctx) -> List[Sequence_]:
+    values = _eval(plan.value, batch, ctx)
+    return _eval(plan.body, _bound(batch, values, plan.var), ctx)
 
 
-def _seq(plan: SeqPlan, tuples, ctx) -> List[Sequence_]:
-    results: List[Sequence_] = [[] for _ in tuples]
+def _seq(plan: SeqPlan, batch, ctx) -> List[Sequence_]:
+    results: List[Sequence_] = [[] for _ in range(batch.size)]
     for item_plan in plan.items:
-        for result, items in zip(results, _eval(item_plan, tuples, ctx)):
+        for result, items in zip(results, _eval(item_plan, batch, ctx)):
             result.extend(items)
     return results
 
 
-def _typeswitch(plan: TypeswitchPlan, tuples, ctx) -> List[Sequence_]:
-    values = _eval(plan.input, tuples, ctx)
+def _typeswitch(plan: TypeswitchPlan, batch, ctx) -> List[Sequence_]:
+    values = _eval(plan.input, batch, ctx)
     numeric = next((case for case in plan.cases
                     if case.seqtype == "numeric"), None)
     if numeric is None:
         return _eval(plan.default_body,
-                     _bound(tuples, values, plan.default_var), ctx)
-    # Both clause variables are bound on every tuple: a body reads its
+                     _bound(batch, values, plan.default_var), ctx)
+    # Both clause variables are bound on every row: a body reads its
     # own only.
     return _routed((numeric.body, plan.default_body),
                    [0 if _is_numeric_singleton(value) else 1
                     for value in values],
-                   _bound(tuples, values, numeric.var, plan.default_var),
+                   _bound(batch, values, numeric.var, plan.default_var),
                    ctx)
 
 
@@ -373,54 +459,58 @@ def _is_numeric_singleton(value: Sequence_) -> bool:
             and not isinstance(value[0], bool))
 
 
-# -- tuple operators: tuples → (output tuples, owners) -----------------------
+# -- tuple operators: batch → (output batch, owners) -------------------------
 
 
-def _input_tuple(plan: InputTuple, tuples, ctx) -> Owned:
-    if tuples[0] is _NO_TUPLE:
+def _input_tuple(plan: InputTuple, batch, ctx) -> Owned:
+    if batch is _ROOT:
         raise DynamicError("IN used outside a dependent plan")
-    return tuples, range(len(tuples))
+    return batch, range(batch.size)
 
 
-def _map_from_item(plan: MapFromItem, tuples, ctx) -> Owned:
-    bind_field, index_field = plan.bind_field, plan.index_field
-    produced: List[Tuple_] = []
+def _map_from_item(plan: MapFromItem, batch, ctx) -> Owned:
+    index_field = plan.index_field
+    bound: List[Sequence_] = []
+    positions: List[Sequence_] = []
     owners: List[int] = []
-    for owner, (outer, items) in enumerate(
-            zip(tuples, _eval(plan.input, tuples, ctx))):
-        for index, item in enumerate(items, start=1):
-            tuple_ = dict(outer)
-            tuple_[bind_field] = _one(item) if isinstance(item, Node) \
-                else [item]
-            if index_field is not None:
-                tuple_[index_field] = [index]
-            produced.append(tuple_)
-        owners.extend([owner] * len(items))
-    return produced, owners
+    for owner, items in enumerate(_eval(plan.input, batch, ctx)):
+        count = len(items)
+        if not count:
+            continue
+        for item in items:
+            bound.append((item.singleton or _one(item))
+                         if isinstance(item, Node) else [item])
+        owners.extend([owner] * count)
+        if index_field is not None:
+            positions.extend(_POSITIONS[:count])
+            if count > len(_POSITIONS):
+                positions.extend([index] for index in range(
+                    len(_POSITIONS) + 1, count + 1))
+    columns = {plan.bind_field: bound}
+    if index_field is not None:
+        columns[index_field] = positions
+    return Batch(len(bound), columns, batch, owners), owners
 
 
-def _select(plan: Select, tuples, ctx) -> Owned:
-    produced, owners = _eval(plan.input, tuples, ctx)
-    kept: List[Tuple_] = []
-    kept_owners: List[int] = []
-    for tuple_, owner, verdict in zip(
-            produced, owners, _dependent(plan.predicate, produced, ctx)):
-        if effective_boolean_value(verdict):
-            kept.append(tuple_)
-            kept_owners.append(owner)
-    return kept, kept_owners
+def _select(plan: Select, batch, ctx) -> Owned:
+    produced, owners = _eval(plan.input, batch, ctx)
+    kept = [row for row, verdict
+            in enumerate(_dependent(plan.predicate, produced, ctx))
+            if verdict is _TRUE or (verdict is not _FALSE
+                                    and effective_boolean_value(verdict))]
+    if len(kept) == produced.size:
+        return produced, owners
+    return produced.take(kept), [owners[row] for row in kept]
 
 
-def _ttp(plan: TupleTreePattern, tuples, ctx) -> Owned:
+def _ttp(plan: TupleTreePattern, batch, ctx) -> Owned:
     document, strategy, pattern = ctx.document, ctx.strategy, plan.pattern
     if document is None:
         raise DynamicError("TupleTreePattern requires an indexed document")
-    inputs, input_owners = _eval(plan.input, tuples, ctx)
-    produced: List[Tuple_] = []
-    owners: List[int] = []
-    if not inputs:
-        return produced, owners
-    contexts = _nodes(_gather(inputs, pattern.input_field),
+    inputs, input_owners = _eval(plan.input, batch, ctx)
+    if not inputs.size:
+        return inputs, input_owners
+    contexts = _nodes(_field(inputs, pattern.input_field),
                       "tree pattern context is not a node")
     try:
         if all(len(nodes) == 1 for nodes in contexts):
@@ -439,19 +529,30 @@ def _ttp(plan: TupleTreePattern, tuples, ctx) -> Owned:
         raise AlgorithmError(
             f"physical algorithm {name!r} failed: {err}",
             algorithm=name) from err
-    for tuple_, owner, bindings in zip(inputs, input_owners, matches):
-        for binding in bindings:
-            extended = dict(tuple_)
-            for field_name, node in binding.items():
-                extended[field_name] = _one(node)
-            produced.append(extended)
-        owners.extend([owner] * len(bindings))
-    return produced, owners
+    rows: List[int] = []    # the input row each match extends
+    columns: Dict[object, List[Sequence_]] = {}
+    out_field = pattern.single_output_field
+    if out_field is not None:
+        matched = columns[out_field] = []
+        for row, bindings in enumerate(matches):
+            if bindings:
+                for binding in bindings:
+                    node = binding[out_field]
+                    matched.append(node.singleton or _one(node))
+                rows.extend([row] * len(bindings))
+    else:
+        for row, bindings in enumerate(matches):
+            for binding in bindings:
+                for field_name, node in binding.items():
+                    columns.setdefault(field_name, []).append(_one(node))
+            rows.extend([row] * len(bindings))
+    return (Batch(len(rows), columns, inputs, rows),
+            [input_owners[row] for row in rows])
 
 
 _KERNELS: Dict[type, Callable] = {
     Const: _const, VarPlan: _var, TreeJoin: _tree_join, DDOPlan: _ddo,
-    FieldAccess: lambda plan, tuples, ctx: _gather(tuples, plan.field),
+    FieldAccess: lambda plan, batch, ctx: _field(batch, plan.field),
     MapToItem: _map_to_item,
     FnCall: _fn_call, Compare: _compare, Logical: _logical, Arith: _arith,
     IfPlan: _if, LetPlan: _let, SeqPlan: _seq, TypeswitchPlan: _typeswitch,

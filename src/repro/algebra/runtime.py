@@ -73,9 +73,22 @@ _OPERATORS = {
 }
 
 
+#: integers of at most this magnitude are exact as floats, so comparing
+#: two of them directly answers as the float comparison would.
+_EXACT = 2 ** 53
+
+
 def general_compare(op: str, left_seq: Sequence_, right_seq: Sequence_) -> bool:
     """Existential general comparison over atomized operands."""
     compare = _OPERATORS[op]
+    if len(left_seq) == 1 and len(right_seq) == 1:
+        # ``IN#position = 1``: two plain integers (``type``, so no
+        # ``bool``) need no atomization, coercion or loop.
+        left, right = left_seq[0], right_seq[0]
+        if (type(left) is int and type(right) is int
+                and -_EXACT <= left <= _EXACT
+                and -_EXACT <= right <= _EXACT):
+            return compare(left, right)
     left_atoms = atomize(left_seq)
     right_atoms = atomize(right_seq)
     for left in left_atoms:

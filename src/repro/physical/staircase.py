@@ -232,11 +232,10 @@ class StaircaseJoin(TreePatternAlgorithm):
         parent_column = columns.parent
         low = bisect_left(pres, contexts[0] + 1)
         high = bisect_right(pres, max(map(end_column.__getitem__, contexts)))
-        if (len(contexts) == 1
-                or high - low <= _GATHER_FANOUT * len(contexts)):
-            # One context, or many close together: one gather of the
-            # parent column over the hull slice, which comes out in
-            # stream order — sorted and duplicate-free.
+        if 1 < len(contexts) and high - low <= _GATHER_FANOUT * len(contexts):
+            # Many contexts close together: one gather of the parent
+            # column over the hull slice, which comes out in stream
+            # order — sorted and duplicate-free.
             if self.metrics is not None:
                 self.metrics.stream_scanned[self.name] += high - low
                 self.metrics.nodes_visited[self.name] += high - low
@@ -256,15 +255,25 @@ class StaircaseJoin(TreePatternAlgorithm):
                 nested = True
             end = end_column[context]
             previous_end = max(previous_end, end)
-            low = bisect_left(pres, context + 1)
-            high = bisect_right(pres, end)
+            at = bisect_left(pres, context + 1, low, high)
+            stop = bisect_right(pres, end, at, high)
+            visited = 0
+            # Skip as the staircase does: an entry that is not a child
+            # lies below one, and nothing inside an entry's own region is
+            # a child, so go on past that region.
+            while at < stop:
+                pre = pres[at]
+                visited += 1
+                if parent_column[pre] == context:
+                    merged.append(pre)
+                at += 1
+                if at < stop and pres[at] <= end_column[pre]:
+                    at = bisect_right(pres, end_column[pre], at, stop)
             if self.metrics is not None:
-                self.metrics.stream_scanned[self.name] += high - low
-                self.metrics.nodes_visited[self.name] += high - low
+                self.metrics.stream_scanned[self.name] += visited
+                self.metrics.nodes_visited[self.name] += visited
             if self.governor is not None:
-                self.governor.tick(high - low + 1)
-            merged.extend(pre for pre in pres[low:high]
-                          if parent_column[pre] == context)
+                self.governor.tick(visited + 1)
         if nested:
             merged = sorted(set(merged))
         return merged

@@ -90,6 +90,43 @@ def test_match_single_multi_context_agreement(seed, path, picks):
     assert pres == sorted(set(pres))
 
 
+#: few tags over many levels: most of a region's entries of a tag lie
+#: below another entry of that tag, which is what the child join skips.
+_NESTED_DOCS = [member_document(400, depth=9, tag_count=tags, seed=seed)
+                for tags, seed in ((1, 3), (2, 4), (2, 5))]
+
+
+@st.composite
+def child_paths(draw):
+    steps = draw(st.lists(
+        st.tuples(st.sampled_from(["t01", "t02", None]),
+                  st.sampled_from([None, None, 1, 2])),
+        min_size=1, max_size=5))
+    return PatternPath(tuple(
+        PatternStep(axis=Axis.CHILD,
+                    test=WildcardTest() if tag is None else NameTest(tag),
+                    position=position,
+                    output_field="o" if index == len(steps) - 1 else None)
+        for index, (tag, position) in enumerate(steps)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(_NESTED_DOCS), child_paths(),
+       st.lists(st.integers(min_value=0, max_value=399), min_size=1,
+                max_size=4))
+def test_child_skipping_agrees_with_navigation(doc, path, picks):
+    """One context, few far apart, nested ones: the skipping child join
+    finds the children NLJoin walks to."""
+    elements = doc.all_elements()
+    contexts = sorted({elements[p % len(elements)] for p in picks},
+                      key=lambda node: node.pre)
+    expected = NL.match_single(doc, contexts, path)
+    assert SC.match_single(doc, contexts, path) == expected
+    for context in contexts:
+        assert SC.match_single(doc, [context], path) \
+            == NL.match_single(doc, [context], path)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.sampled_from(list(_DOCS)), pattern_paths())
 def test_enumerate_bindings_agreement(seed, path):

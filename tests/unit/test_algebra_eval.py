@@ -358,6 +358,182 @@ class TestLaziness:
                            optimize=optimize)
 
 
+# -- column batches: the rows an operator chain produces ----------------------
+
+ROWS = IndexedDocument.from_string(
+    '<r><p n="1"><q>a</q><q>b</q></p><p n="2"><q>c</q></p><p n="3"/></r>')
+
+
+def rows_context():
+    """One enclosing tuple, given in two parts: ``outer`` and ``dot``."""
+    context = EvalContext(document=ROWS, strategy=NLJoin())
+    context.tuple_stack.append({"outer": [7]})
+    context.tuple_stack.append({"dot": [ROWS.root]})
+    return context
+
+
+def fields(rows):
+    """The rows, each as its ``(field, sequence)`` pairs in key order."""
+    return [list(row.items()) for row in rows]
+
+
+def chain():
+    """``x``/``i`` × ``p`` × ``q`` under the enclosing tuple: four
+    batches deep, six rows."""
+    numbered = MapFromItem("x", Const((1, 2)), index_field="i")
+    people = TupleTreePattern(parse_pattern("IN#dot/descendant::p{p}"),
+                              numbered)
+    return TupleTreePattern(parse_pattern("IN#p/child::q{q}"), people)
+
+
+def chain_rows(*kept):
+    """What :func:`chain` produces, cut to the ``x`` values in ``kept``."""
+    p1, p2, _ = ROWS.stream("p")
+    qa, qb, qc = ROWS.stream("q")
+    return [[("outer", [7]), ("dot", [ROWS.root]), ("x", [x]), ("i", [x]),
+             ("p", [p]), ("q", [q])]
+            for x in kept for p, q in ((p1, qa), (p1, qb), (p2, qc))]
+
+
+def nested(depth):
+    """``depth`` dependent plans inside one another: the innermost reads
+    a field of each level and of the enclosing tuple."""
+    names = ["a", "b", "c"][:depth]
+    plan = SeqPlan([FieldAccess("outer")]
+                   + [FieldAccess(name) for name in names])
+    for level, name in reversed(list(enumerate(names))):
+        scale = 10 ** level
+        plan = MapToItem(plan, MapFromItem(name, Const((scale, 2 * scale))))
+    return plan
+
+
+def check_hand_built_plans():
+    """Rows and answers as tuple-at-a-time evaluation gives them: every
+    field of every row, inherited ones first, in binding order."""
+    context = rows_context()
+    assert fields(eval_tuples(chain(), context)) == chain_rows(1, 2)
+    # Select: all rows, none, some — the predicate reads a field two
+    # batches up, the survivors keep every inherited field.
+    every = Select(Const((True,)), chain())
+    assert fields(eval_tuples(every, context)) == chain_rows(1, 2)
+    assert eval_tuples(Select(Const(()), chain()), context) == []
+    some = Select(Compare("=", FieldAccess("i"), Const((2,))), every)
+    assert fields(eval_tuples(some, context)) == chain_rows(2)
+    by_text = Select(Compare("=", FieldAccess("q"), Const(("b", "c"))),
+                     chain())
+    assert fields(eval_tuples(by_text, context)) \
+        == [row for row in chain_rows(1, 2)
+            if row[-1][1][0].string_value() in ("b", "c")]
+    # Two and three dependent plans deep.
+    assert eval_item(nested(2), context) == [
+        item for a in (1, 2) for b in (10, 20) for item in (7, a, b)]
+    assert eval_item(nested(3), context) == [
+        item for a in (1, 2) for b in (10, 20) for c in (100, 200)
+        for item in (7, a, b, c)]
+    # An inner input and an inner predicate that read outer fields.
+    doubled = MapToItem(
+        MapToItem(Arith("+", FieldAccess("a"), FieldAccess("b")),
+                  Select(Compare("<", Arith("+", FieldAccess("a"),
+                                            FieldAccess("b")),
+                                 FieldAccess("outer")),
+                         MapFromItem("b", SeqPlan([FieldAccess("a"),
+                                                   FieldAccess("i")])))),
+        MapFromItem("a", Const((1, 3, 5)), index_field="i"))
+    assert eval_item(doubled, context) == [2, 2, 6, 5]
+
+
+class TestColumnBatches:
+    """A batch is columns; what a plan answers does not show it."""
+
+    def test_hand_built_plans(self):
+        check_hand_built_plans()
+
+    def test_multi_output_pattern_lists_its_fields_in_binding_order(self):
+        doc = IndexedDocument.from_string(
+            '<r><a><c id="1"><d id="2"/><d id="3"/></c></a><a><c/></a></r>')
+        context = EvalContext(document=doc, strategy=NLJoin())
+        context.tuple_stack.append({"x": doc.stream("a")[:1]})
+        pattern = parse_pattern(
+            "IN#x/descendant-or-self::a/child::c{y}[@id]/child::d{z}")
+        rows = eval_tuples(TupleTreePattern(pattern, InputTuple()), context)
+        (c1, _), (d2, d3) = doc.stream("c"), doc.stream("d")
+        assert fields(rows) == [
+            [("x", doc.stream("a")[:1]), ("y", [c1]), ("z", [d])]
+            for d in (d2, d3)]
+
+    def test_let_and_both_typeswitch_variables_reach_inner_plans(self):
+        let_var, case_var, default_var = (fresh_var("x"), fresh_var("v"),
+                                          fresh_var("v"))
+
+        def inner(var):
+            # Read two dependent plans further in, past a Select.
+            return MapToItem(
+                SeqPlan([VarPlan(var), VarPlan(let_var), FieldAccess("g")]),
+                Select(Compare("!=", FieldAccess("g"), VarPlan(let_var)),
+                       MapFromItem("g", Const((1, 2)))))
+
+        plan = over([1, "2", 2], LetPlan(
+            let_var, FieldAccess("f"), TypeswitchPlan(
+                FieldAccess("f"),
+                [TypeswitchCase("numeric", case_var, inner(case_var))],
+                default_var, inner(default_var))))
+        assert eval_item(plan, ctx()) == [1, 1, 2, "2", "2", 1, 2, 2, 1]
+
+    def test_a_branch_no_row_takes_is_not_evaluated(self):
+        taken = over([1, 2], Arith("+", FieldAccess("f"), FieldAccess("g")))
+        plan = MapToItem(IfPlan(Compare(">", FieldAccess("g"), Const((0,))),
+                                taken, BOOM),
+                         MapFromItem("g", Const((10, 20, 30))))
+        assert eval_item(plan, ctx()) == [11, 12, 21, 22, 31, 32]
+        some = MapToItem(IfPlan(Compare("=", FieldAccess("g"), Const((20,))),
+                                FieldAccess("g"), taken),
+                         MapFromItem("g", Const((10, 20, 30))))
+        assert eval_item(some, ctx()) == [11, 12, 20, 31, 32]
+
+    @pytest.mark.parametrize("count", [255, 256, 257, 513])
+    def test_rows_across_block_edges(self, count):
+        context = ctx()
+        context.tuple_stack.append({"k": [3]})
+        plan = Select(
+            Compare("=", Arith("mod", FieldAccess("f"), FieldAccess("k")),
+                    Const((0,))),
+            MapFromItem("f", Const(tuple(range(count))), index_field="i"))
+        assert fields(eval_tuples(plan, context)) == [
+            [("k", [3]), ("f", [value]), ("i", [value + 1])]
+            for value in range(0, count, 3)]
+
+    def test_positions_past_the_shared_table(self):
+        from repro.algebra.eval import _POSITIONS
+        count = len(_POSITIONS) + 3
+        rows = eval_tuples(MapFromItem("f", Const(("v",) * count),
+                                       index_field="i"), ctx())
+        assert [row["i"] for row in rows] \
+            == [[index] for index in range(1, count + 1)]
+        assert _POSITIONS[-1] == [len(_POSITIONS)]
+
+    def test_the_first_failing_row_decides_the_error_across_blocks(self):
+        from repro.algebra.eval import BLOCK
+        values = [1] * (BLOCK + 1) + [0, "x"]   # both in the second block
+        plan = over(values, Arith("div", Const((1,)), FieldAccess("f")))
+        with pytest.raises(DynamicError, match="division by zero"):
+            eval_item(plan, ctx())
+        plan = over(values[:-2] + ["x", 0],
+                    Arith("div", Const((1,)), FieldAccess("f")))
+        with pytest.raises(DynamicError, match="cannot cast"):
+            eval_item(plan, ctx())
+
+    @pytest.mark.parametrize("plan", [
+        InputTuple(),
+        TupleTreePattern(parse_pattern("IN#dot/child::b{o}"), InputTuple()),
+        MapToItem(Const((1,)), InputTuple()),
+    ], ids=["in", "pattern", "map"])
+    def test_in_outside_a_dependent_plan_is_a_dynamic_error(self, plan):
+        from repro.algebra import evaluate_plan
+        with pytest.raises(DynamicError, match="outside a dependent") as err:
+            evaluate_plan(plan, ctx())
+        assert err.value.code == "REPRO-DYNAMIC"
+
+
 def positional_document(count):
     """``count`` ``p`` elements, each with two ``q`` children numbered
     ``<p index>.<q index>``."""
@@ -387,6 +563,9 @@ class TestBlocks:
             engine = engines[stem.split("_", 1)[0]]
             assert render_results(engine.run(query)) == expected, (
                 f"{stem} differs with blocks of {block}")
+
+    def test_hand_built_plans_are_block_invariant(self, block):
+        check_hand_built_plans()
 
     @pytest.mark.parametrize("count", [255, 256, 257, 513])
     def test_dependent_positional_step_across_block_edges(self, count):
@@ -448,6 +627,163 @@ class TestCounting:
         assert len(patterns) == run.metrics.pattern_evals == 3
         assert sorted(span.attrs["contexts"] for span in patterns) \
             == [1, 36, 149]     # 186 tuples in all
+
+
+def member_forest(blocks, seed=20070415):
+    """The benchmark suite's MemBeR forest: independent 200-node trees
+    of depth 5 over six tags."""
+    from repro import Engine
+    from repro.data import member_document
+    from repro.xmltree import serialize
+    return Engine.from_xml("<forest>" + "".join(
+        serialize(member_document(200, depth=5, tag_count=6,
+                                  seed=seed * 100003 + index).root)
+        for index in range(blocks)) + "</forest>")
+
+
+class TestPinnedCounters:
+    """What the evaluator counts and charges for the tuple-heavy
+    benchmark queries, pinned to the values list-of-dict batches gave:
+    ``operator_evals``, ``items_produced``, ``tuples_produced``,
+    ``pattern_evals``, the steps the evaluator charges, rows."""
+
+    PINNED = {
+        "QE2": ({"Compare": 154, "Const": 154, "DDOPlan": 1,
+                 "FieldAccess": 426, "InputTuple": 835, "MapFromItem": 837,
+                 "MapToItem": 1672, "Select": 835, "TupleTreePattern": 837,
+                 "VarPlan": 1}, 1125, 2210, 6, 5752, 5),
+        "QE5": ({"Compare": 1135, "Const": 1135, "DDOPlan": 1,
+                 "FieldAccess": 2430, "InputTuple": 835, "MapFromItem": 837,
+                 "MapToItem": 1672, "Select": 835, "TupleTreePattern": 837,
+                 "VarPlan": 1}, 6156, 4242, 6, 9718, 19),
+        "XQ2": ({"Compare": 123, "Const": 123, "FieldAccess": 342,
+                 "InputTuple": 60, "MapFromItem": 62, "MapToItem": 122,
+                 "Select": 60, "TupleTreePattern": 62, "VarPlan": 1},
+                856, 511, 3, 955, 48),
+        "XQ9": ({"Compare": 42, "FieldAccess": 86, "InputTuple": 84,
+                 "MapFromItem": 8, "MapToItem": 92, "Select": 7,
+                 "TupleTreePattern": 99, "VarPlan": 8}, 224, 229, 5, 426, 2),
+        "chain-12": ({"Compare": 23, "Const": 23, "FieldAccess": 58,
+                      "InputTuple": 11, "MapFromItem": 24, "MapToItem": 35,
+                      "Select": 12, "TupleTreePattern": 12, "VarPlan": 1},
+                     151, 81, 12, 199, 1),
+    }
+
+    @pytest.fixture(scope="class")
+    def requests(self):
+        from repro import Engine
+        from repro.bench import QE_QUERIES, catalog_queries
+        from repro.data import deep_member_document, xmark_document
+        member = member_forest(25)
+        queries = catalog_queries()
+        return {
+            "QE2": (member, QE_QUERIES["QE2"]),
+            "QE5": (member, QE_QUERIES["QE5"]),
+            "XQ2": (Engine(xmark_document(60, seed=20070416)),
+                    queries["XQ2"]),
+            "XQ9": (Engine(xmark_document(15, seed=19992001)),
+                    queries["XQ9"]),
+            "chain-12": (Engine(deep_member_document(3000, depth=15)),
+                         "$input" + "/t1[1]" * 12),
+        }
+
+    @staticmethod
+    def evaluator_steps(engine, compiled):
+        """The steps the evaluator itself charges: the governor is on
+        the context only, not attached to the pattern algorithm (whose
+        own charge is the stream entries it visits)."""
+        from repro.guard import Budgets
+        from repro.guard.governor import ResourceGovernor
+        from repro.physical import StaircaseJoin
+        root = [engine.document.root]
+        bindings = {var: root
+                    for var in compiled.normalized.global_vars.values()}
+        bindings[compiled.normalized.context_var] = root
+        governor = ResourceGovernor(Budgets(max_steps=10**9))
+        algorithm = StaircaseJoin()
+        algorithm.attach_summary(engine.document.summary)
+        eval_item(compiled.optimized, EvalContext(
+            document=engine.document, strategy=algorithm,
+            globals=bindings, governor=governor))
+        return governor.steps
+
+    @pytest.mark.parametrize("name", list(PINNED))
+    def test_counters_read_as_they_did(self, requests, name):
+        from repro.obs import ExecMetrics
+        engine, query = requests[name]
+        compiled = engine.compile(query)
+        metrics = ExecMetrics()
+        rows = engine.execute(compiled, metrics=metrics)
+        assert (dict(metrics.operator_evals), metrics.items_produced,
+                metrics.tuples_produced, metrics.pattern_evals,
+                self.evaluator_steps(engine, compiled), len(rows)) \
+            == self.PINNED[name]
+
+
+class TestSharedState:
+    """What evaluations on several threads share: the position table
+    and each node's one-item sequence, both read-only after creation."""
+
+    def test_eight_threads_agree_with_one(self):
+        import sys
+        import threading
+        from repro.bench import QE_QUERIES
+        engine = member_forest(25)
+        query = QE_QUERIES["QE5"]
+        expected = [node.pre for node in engine.run(query)]
+        assert expected
+        answers = [None] * 8
+
+        def work(slot):
+            answers[slot] = [[node.pre for node in engine.run(query)]
+                             for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(slot,))
+                       for slot in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert answers == [[expected] * 3] * 8
+
+
+class TestAllocation:
+    """The gate against a container per produced tuple: generation-0
+    collections count surviving container allocations, whatever the
+    host's speed.  One warm round of QE2 + QE5 + XQ2 on the benchmark
+    suite's documents, run and serialized, made 46 of them with
+    list-of-dict batches (229 in five rounds)."""
+
+    def test_a_round_makes_at_most_half_the_collections(self):
+        import gc
+        from repro import Engine
+        from repro.bench import QE_QUERIES, catalog_queries
+        from repro.data import xmark_document
+        from repro.xmltree import serialize
+        member = member_forest(100)
+        site = Engine.from_xml(
+            serialize(xmark_document(400, seed=20070416).root))
+        requests = [(member, QE_QUERIES["QE2"]), (member, QE_QUERIES["QE5"]),
+                    (site, catalog_queries()["XQ2"])]
+
+        def one_round():
+            for engine, query in requests:
+                "\n".join(serialize(node) for node in engine.run(query))
+
+        one_round()
+        one_round()
+        assert gc.isenabled()
+        gc.collect()
+        before = gc.get_stats()[0]["collections"]
+        for _ in range(5):
+            one_round()
+        assert gc.get_stats()[0]["collections"] - before <= 229 // 2
 
 
 class TestBudgets:

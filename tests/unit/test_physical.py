@@ -265,6 +265,32 @@ class TestStaircaseWork:
                              "[descendant::t1]]{o}").path
         assert self.scanned(deep, path) <= 2 * 3 * len(deep.stream("t1"))
 
+    def test_a_child_chain_reads_children_not_regions(self):
+        """``(/t1[1])^12`` on the single-tag depth-15 document: a
+        context's region holds thousands of ``t1``, its children are
+        two.  Skipping past every visited entry's region reads the
+        children (and nothing below them), so the whole chain scans
+        about steps x fan-out entries; reading regions, 12 000."""
+        from repro.data import deep_member_document
+        deep = deep_member_document(5000, depth=15)
+        path = parse_pattern("IN#d" + "/child::t1[1]" * 12 + "{o}").path
+        fan_out = max(len(node.children) for node in deep.stream("t1"))
+        assert self.scanned(deep, path) <= 2 * 12 * fan_out
+
+    def test_skipped_entries_are_not_charged(self):
+        from repro.data import deep_member_document
+        deep = deep_member_document(5000, depth=15)
+        path = parse_pattern("IN#d/child::t1/child::t1{o}").path
+        governor = ResourceGovernor(Budgets(max_steps=10**9))
+        metrics = ExecMetrics()
+        algorithm = StaircaseJoin()
+        algorithm.attach_governor(governor)
+        algorithm.attach_metrics(metrics)
+        assert algorithm.match_single(deep, [deep.root], path)
+        assert metrics.stream_scanned["scjoin"] \
+            == metrics.nodes_visited["scjoin"] < 10
+        assert governor.steps < 20
+
     def test_branch_kernels_charge_the_step_budget(self, forest):
         spine = parse_pattern("IN#d/descendant::t01{o}").path
         governor = ResourceGovernor(Budgets(max_steps=10**9))
@@ -285,6 +311,63 @@ class TestStaircaseWork:
                 StaircaseJoin().match_single(forest, [forest.root],
                                              self.TWIG)
         assert injector.visits == ["scjoin.match"]
+
+
+class TestChildSkipping:
+    """The child join skips the region of every stream entry it visits;
+    NLJoin, which navigates, is the reference."""
+
+    #: same-tag nesting on both sides of a match, attributes on every
+    #: context, text between children, a childless context.
+    XML = ('<a i="0"><a i="1"><a i="2"><b/><a i="3"/></a><b><a i="4">'
+           '<a i="5"/></a></b>t<a i="6"/></a><b k="v"><b><a i="7"/></b></b>'
+           '<a i="8" j="w">u<a i="9"><a i="10"/></a><b/></a><a i="11"/></a>')
+
+    PATTERNS = [
+        "IN#x/child::a{o}", "IN#x/child::b{o}", "IN#x/child::*{o}",
+        "IN#x/child::a/child::a{o}", "IN#x/child::a/child::a/child::a{o}",
+        "IN#x/child::a[1]/child::a[2]{o}", "IN#x/child::a[child::b]{o}",
+        "IN#x/child::b/child::b/child::a{o}",
+        "IN#x/descendant::a/child::a{o}", "IN#x/descendant::b/child::a{o}",
+        "IN#x/child::a/descendant::a/child::a{o}",
+    ]
+
+    @pytest.mark.parametrize("pattern_text", PATTERNS)
+    def test_nested_same_tag_and_attribute_bearing_contexts(
+            self, pattern_text):
+        document = IndexedDocument.from_string(self.XML)
+        nodes = [document.root] + document.stream("a") + document.stream("b")
+        far_apart = [document.stream("a")[1], document.stream("a")[8]]
+        matched = 0
+        for contexts in [[node] for node in nodes] + [nodes, far_apart]:
+            expected = single(NLJoin(), document, pattern_text, contexts)
+            assert single(StaircaseJoin(), document, pattern_text,
+                          contexts) == expected
+            matched += len(expected)
+        assert matched
+
+    @pytest.mark.parametrize("steps", [1, 2, 5, 12, 15])
+    def test_depth_fifteen_document(self, steps):
+        from repro.data import deep_member_document
+        deep = deep_member_document(3000, depth=15)
+        for step in ("/child::t1", "/child::t1[1]", "/child::t1[2]"):
+            text = "IN#d" + step * steps + "{o}"
+            expected = single(NLJoin(), deep, text)
+            assert single(StaircaseJoin(), deep, text) == expected
+            assert expected or steps == 15 or step.endswith("[2]")
+
+    def test_far_apart_contexts_each_skip_their_own_region(self):
+        """Contexts too far apart for the hull gather are scanned one by
+        one; nested ones interleave and are merged."""
+        from repro.data import deep_member_document
+        deep = deep_member_document(3000, depth=15)
+        elements = deep.stream("t1")
+        for contexts in ([elements[1], elements[-1]],
+                         [elements[0], elements[2], elements[-3]],
+                         elements[:3] + elements[-3:]):
+            for text in ("IN#d/child::t1{o}", "IN#d/child::t1/child::t1{o}"):
+                assert single(StaircaseJoin(), deep, text, contexts) \
+                    == single(NLJoin(), deep, text, contexts)
 
 
 # -- evaluate_each: a batch of tuples per kernel call ---------------------------

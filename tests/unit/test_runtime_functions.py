@@ -63,6 +63,46 @@ class TestComparisons:
         assert not general_compare("!=", [1], [])
 
 
+class TestIntegerComparisonFastPath:
+    """Two one-item sequences of plain ``int`` inside ±2**53 are compared
+    directly; the answer is the general path's (atomize, coerce to
+    ``float``, compare) for every pair of values, in or out."""
+
+    EDGE = 2 ** 53
+    VALUES = [0, 1, -1, 2, EDGE - 1, EDGE, EDGE + 1, -EDGE + 1, -EDGE,
+              -EDGE - 1, True, False, 1.0, 0.5, float(EDGE), "1", "x",
+              float("nan")]
+
+    @staticmethod
+    def general_path(op, left, right):
+        from repro.algebra.runtime import _OPERATORS, _coerce_pair
+        pair = _coerce_pair(left, right)
+        return pair is not None and _OPERATORS[op](*pair)
+
+    @pytest.mark.parametrize("op", ["=", "!=", "<", "<=", ">", ">="])
+    def test_every_pair_answers_as_the_general_path(self, op):
+        for left in self.VALUES:
+            for right in self.VALUES:
+                assert general_compare(op, [left], [right]) \
+                    is self.general_path(op, left, right), (left, op, right)
+
+    def test_the_cases_that_tell_the_paths_apart(self):
+        edge = self.EDGE
+        # Exact up to the edge; past it the float comparison rounds.
+        assert not general_compare("=", [edge - 1], [edge])
+        assert general_compare("<", [edge - 1], [edge])
+        assert general_compare("=", [edge], [edge + 1])
+        assert not general_compare("<", [edge], [edge + 1])
+        # ``bool`` is an ``int`` to ``isinstance`` only.
+        assert general_compare("=", [True], [1])
+        assert general_compare("=", [True], [2])
+        assert general_compare("=", [1], [1.0])
+        assert general_compare("=", ["1"], [1])
+        nan = float("nan")
+        assert not general_compare("=", [nan], [nan])
+        assert general_compare("!=", [nan], [1])
+
+
 class TestArithmetic:
     def test_basic(self):
         assert arithmetic("+", [2], [3]) == [5]
