@@ -47,6 +47,7 @@ import threading
 import time
 import zlib
 from array import array
+from bisect import bisect_left, bisect_right
 from typing import BinaryIO, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..guard.chaos import InjectedFault, chaos_point
@@ -185,6 +186,10 @@ class ColumnarDocument:
         #: the node objects made so far, by ``pre`` (see :attr:`nodes`);
         #: written with ``_lock`` held, read without.
         self._nodes: Optional[List[Optional[Node]]] = None
+        #: serialized markup by ``pre``, ``None`` where not output yet
+        #: (see :mod:`repro.xmltree.serializer`); made at the first
+        #: output, written with ``_lock`` held, read without.
+        self.pieces: Optional[List[Optional[str]]] = None
         self._lock = threading.Lock()
         #: wall seconds of the producing build/open, for instrumentation
         #: (benchmarks and the engine's ``columnar`` pipeline stage).
@@ -310,6 +315,21 @@ class ColumnarDocument:
                 "i", (pre for pre in range(len(kind))
                       if kind[pre] == KIND_ATTRIBUTE))
         return self._all_attribute_pres
+
+    def string_value(self, pre: int) -> str:
+        """The string value of the element or document numbered ``pre``:
+        the text nodes inside its region, found by two bisects on
+        :attr:`text_pres`, joined — no node object is made."""
+        last = self.end[pre]
+        if last == pre + 1 and self.kind[last] == KIND_TEXT:
+            return self.texts[self.text_id[last]]   # <x>text</x>
+        pres = self.text_pres
+        low = bisect_left(pres, pre)
+        # The region holds at most ``last - pre`` text nodes.
+        high = bisect_right(pres, last, low,
+                            min(len(pres), low + last - pre))
+        text_id, texts = self.text_id, self.texts
+        return "".join([texts[text_id[text]] for text in pres[low:high]])
 
     def attributes_of(self, element_pre: int) -> range:
         """The ``pre`` numbers of an element's attributes.

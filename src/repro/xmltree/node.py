@@ -117,6 +117,12 @@ class Node:
             node = node.parent
         return node
 
+    def store(self):
+        """The :class:`~repro.xmltree.columnar.ColumnarDocument` this
+        node's tree is a view of; ``None`` for a tree put together by
+        hand."""
+        return getattr(self.root(), "_owner", None)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} pre={self.pre}>"
 
@@ -157,6 +163,8 @@ class DocumentNode(Node):
         return None
 
     def string_value(self) -> str:
+        if self._owner is not None:
+            return self._owner.string_value(self.pre)
         return "".join(child.string_value() for child in self._children)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -207,6 +215,9 @@ class ElementNode(Node):
         return None
 
     def string_value(self) -> str:
+        store = self.store()
+        if store is not None:
+            return store.string_value(self.pre)
         parts: list[str] = []
         for node in self.iter_descendants_or_self():
             if isinstance(node, TextNode):
@@ -280,10 +291,7 @@ class _Shell:
         if name != "_children" and name != "_attributes":
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}")
-        top = self
-        while top.parent is not None:
-            top = top.parent
-        top._owner.expand(self)
+        self.store().expand(self)
         return getattr(self, name)
 
 

@@ -1,9 +1,27 @@
-"""XML serialization for the node classes."""
+"""XML serialization for the node classes.
+
+An element or document of a parsed or opened document — a tree that is
+a view of a :class:`~repro.xmltree.columnar.ColumnarDocument` — is
+written from the store's *piece table*, one string per ``pre``: the
+node's own markup (an open tag with its attributes, a self-closing
+``<x/>``, escaped text; ``""`` for an attribute, whose markup is in its
+element's tag) followed by the closing tags of every element whose
+region ends at that ``pre``, innermost first.  The subtree of ``n`` is
+then ``pieces[n.pre:n.end + 1]`` joined, less the closing tags of the
+ancestors that end where ``n`` ends.  A region is filled on its first
+output, so no node object below the one asked for is made, and a warm
+subtree costs one slot read and one join.
+
+Trees put together by hand and ``indent`` mode walk the node objects
+with one explicit stack loop.
+"""
 
 from __future__ import annotations
 
+from sys import intern
 from typing import Optional
 
+from .columnar import KIND_ATTRIBUTE, KIND_ELEMENT, KIND_TEXT
 from .node import AttributeNode, DocumentNode, ElementNode, Node, TextNode
 
 
@@ -28,6 +46,10 @@ def serialize(node: Node, indent: Optional[int] = None) -> str:
     element per line; mixed/text content is always emitted verbatim so
     round-tripping unindented documents is lossless.
     """
+    if indent is None and isinstance(node, (ElementNode, DocumentNode)):
+        store = node.store()
+        if store is not None:
+            return _from_pieces(store, node.pre)
     if isinstance(node, ElementNode):
         return _serialize_element(node, indent)
     if isinstance(node, TextNode):
@@ -39,6 +61,73 @@ def serialize(node: Node, indent: Optional[int] = None) -> str:
         separator = "\n" if indent is not None else ""
         return separator.join(chunks)
     raise TypeError(f"cannot serialize {type(node).__name__}")
+
+
+def _from_pieces(store, pre: int) -> str:
+    """The markup of the element or document numbered ``pre`` of
+    ``store``: its region of the piece table, joined, with the closing
+    tags of the ancestors whose region ends at the same ``pre`` cut off
+    the tail."""
+    pieces = store.pieces
+    if pieces is None or pieces[pre] is None:
+        _fill_pieces(store, pre)
+        pieces = store.pieces
+    end, parent = store.end, store.parent
+    last = end[pre]
+    parts = pieces[pre:last + 1]
+    trim = 0
+    above = parent[pre]
+    while above > 0 and end[above] == last:
+        trim += len(store.names[store.name_id[above]]) + 3
+        above = parent[above]
+    if trim:
+        parts[-1] = parts[-1][:-trim]
+    return "".join(parts)
+
+
+def _fill_pieces(store, pre: int) -> None:
+    """Write the pieces of the region of ``pre`` that are not written
+    yet, under the store's ``_lock``.
+
+    Each slot is written once, with its final value, and back to front:
+    when a slot is set, so is the rest of its node's region, which makes
+    a region's first slot its done flag for readers that hold no lock.
+    Element and attribute pieces are interned (a handful of strings per
+    tag); a text piece with nothing to escape and nothing to close is
+    the text dictionary's own string.
+    """
+    with store._lock:
+        if store.pieces is None:
+            store.pieces = [None] * len(store.kind)
+        pieces = store.pieces
+        kind, end, parent = store.kind, store.end, store.parent
+        name_id, text_id = store.name_id, store.text_id
+        names, texts = store.names, store.texts
+        for here in range(end[pre], pre - 1, -1):
+            if pieces[here] is not None:
+                continue
+            code = kind[here]
+            above = parent[here]
+            if code == KIND_TEXT:
+                piece = _escape_text(texts[text_id[here]])
+            elif code == KIND_ELEMENT:
+                piece = "<" + names[name_id[here]]
+                stop = end[here]
+                child = here + 1
+                while child <= stop and kind[child] == KIND_ATTRIBUTE:
+                    piece += (f' {names[name_id[child]]}="'
+                              f'{_escape_attribute(texts[text_id[child]])}"')
+                    child += 1
+                piece += "/>" if child > stop else ">"
+            else:
+                piece = ""
+                if code == KIND_ATTRIBUTE and end[above] == here:
+                    above = parent[above]   # its "/>" closed the element
+            # Every element whose region ends here, innermost first.
+            while above > 0 and end[above] == here:
+                piece += "</" + names[name_id[above]] + ">"
+                above = parent[above]
+            pieces[here] = piece if code == KIND_TEXT else intern(piece)
 
 
 def _serialize_element(root: ElementNode, indent: Optional[int]) -> str:

@@ -1,10 +1,14 @@
 """Round-trip and idempotence properties."""
 
+import os
+import tempfile
+
 from hypothesis import given, settings, strategies as st
 
 from repro.pattern import parse_pattern
 from repro.rewrite import rewrite_to_tpnf
-from repro.xmltree import parse_xml, serialize
+from repro.xmltree import (DocumentNode, ElementNode, IndexedDocument,
+                           parse_xml, serialize)
 from repro.xmltree.builder import E, build_document
 from repro.xqcore import alpha_canonical, normalize_query
 from repro.xquery import parse_query
@@ -58,6 +62,38 @@ def test_string_values_survive_round_trip(tree):
     document = build_document(tree)
     reparsed = parse_xml(serialize(document.root))
     assert reparsed.string_value() == document.root.string_value()
+
+
+@settings(max_examples=60, deadline=None)
+@given(rich_trees(), st.randoms(use_true_random=False))
+def test_column_output_is_the_object_loop_output(tree, rng):
+    """Every element's and the document's markup and string value, read
+    in a random order from a parsed store, an mmap-opened one and one
+    closed with copy-out, are what the object loop and the tree walk
+    give for the same tree built by hand."""
+    by_hand = build_document(tree)
+    expected = {node.pre: (serialize(node), node.string_value())
+                for node in by_hand.nodes_by_pre
+                if isinstance(node, (DocumentNode, ElementNode))}
+    text = expected[0][0]
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "doc.rpxc")
+        IndexedDocument.from_string(text).save(path)
+        opened = IndexedDocument.open(path)
+        closed = IndexedDocument.open(path)
+        serialize(closed.node_at(rng.randrange(closed.size)))
+        closed.close()
+        try:
+            for document in (IndexedDocument.from_string(text), opened,
+                             closed):
+                order = list(expected)
+                rng.shuffle(order)
+                for pre in order:
+                    node = document.node_at(pre)
+                    assert (serialize(node), node.string_value()) == \
+                        expected[pre]
+        finally:
+            opened.close()
 
 
 _QUERIES = [

@@ -10,13 +10,35 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.xmltree import IndexedDocument, assign_regions
 from repro.xmltree.node import (AttributeNode, DocumentNode, ElementNode,
                                 Node, TextNode)
-from repro.xmltree.parser import parse_nodes
+from repro.xmltree.parser import parse_nodes, parse_xml
 from repro.xmltree.summary import PathStats
 
 
 def made_nodes(document: IndexedDocument) -> int:
     """How many node objects a document born from columns has made."""
     return sum(node is not None for node in document.columns.nodes)
+
+
+def hand_built(text: str) -> DocumentNode:
+    """The document of ``text`` as a tree put together by hand: plain
+    nodes numbered by :func:`assign_regions` with no column store
+    behind them, which the serializer writes by walking the objects."""
+    parsed = parse_xml(text)
+    root = DocumentNode(parsed.uri)
+    stack: List[Tuple[Node, Node]] = [(parsed, root)]
+    while stack:
+        source, copy = stack.pop()
+        for attribute in getattr(source, "attributes", ()):
+            copy.set_attribute(attribute.name, attribute.value)
+        for child in source.children:
+            if isinstance(child, TextNode):
+                copy.append_child(TextNode(child.text))
+            else:
+                element = ElementNode(child.name)
+                copy.append_child(element)
+                stack.append((child, element))
+    assign_regions(root)
+    return root
 
 
 def tree_nodes(root: DocumentNode) -> List[Node]:
