@@ -1,23 +1,17 @@
-"""E10 — columnar store: build, mmap open, join throughput, memory.
+"""E10 — columnar store: parse, save, mmap open, memory.
 
-Four measurements of ``repro.xmltree.columnar`` against the object
-store (docs/STORAGE.md):
+Three measurements of ``repro.xmltree.columnar`` (docs/STORAGE.md):
 
-* **build & persist** — parse+index time vs column build time, save
-  time and on-disk size for the Table 1 MemBeR series;
-* **catalog open** — re-parsing the XML and rebuilding every index
-  (what ``DocumentCatalog`` paid before this format existed) vs
-  ``IndexedDocument.open``'s lazy mmap.  The acceptance bar — mmap
-  open at least 2× faster — is asserted, and a *first-query* column
-  shows the laziness is not just deferring the whole cost;
-* **join throughput** — QE1–QE6 on a MemBeR document (the E2
-  workload) and the structural XMark catalog entries (the E7
-  document) under SC and TJ, object store vs a saved-then-mmap-opened
-  columnar document.  Both run the same integer-column inner loops,
-  so the columnar column should sit within noise of the object store
-  while skipping the parse entirely;
-* **resident memory** — peak Python heap to materialize each store
-  (``tracemalloc``) plus the columnar byte footprint, which for a
+* **build & persist** — parse time (the scanner appends straight to
+  the columns), save time and on-disk size for the Table 1 MemBeR
+  series;
+* **catalog open** — re-parsing the XML (what ``DocumentCatalog`` paid
+  before this format existed) vs ``IndexedDocument.open``'s lazy mmap.
+  The acceptance bar — mmap open at least 2× faster — is asserted, and
+  a *first-query* column shows the laziness is not just deferring the
+  whole cost;
+* **resident memory** — peak Python heap to parse a document and to
+  open its saved file, plus the columnar byte footprint, which for a
   mapped document lives in the page cache, not the heap.
 
 Run styles::
@@ -36,29 +30,21 @@ from typing import Dict, List
 import pytest
 
 from repro import Engine
-from repro.bench import QE_QUERIES, XMARK_CATALOG, scaled, time_call
-from repro.data import member_document, xmark_document
-from repro.xmltree import (ColumnarDocument, IndexedDocument, parse_xml,
-                           serialize)
+from repro.bench import QE_QUERIES, scaled, time_call
+from repro.data import member_document
+from repro.xmltree import IndexedDocument, serialize
 
 #: MemBeR sizes for the build/persist series — the Table 1 shape,
 #: thinned to three points (build cost is linear; five adds nothing).
 BUILD_NODE_COUNTS = [4_000, 12_000, 20_000]
 
-#: the open-time and join measurements run on the middle Table 1 size.
+#: the open-time measurements run on the middle Table 1 size.
 OPEN_NODES = 12_000
 
-#: required mmap-open advantage over re-parse+index (acceptance bar).
+#: required mmap-open advantage over re-parse (acceptance bar).
 OPEN_SPEEDUP_FLOOR = 2.0
 
 REPEATS = 3
-
-JOIN_STRATEGIES = ["scjoin", "twigjoin"]
-
-#: structural XMark catalog entries (value joins are quadratic under
-#: every strategy and would swamp the store comparison).
-XMARK_STRUCTURAL = [name for name, entry in sorted(XMARK_CATALOG.items())
-                    if not entry.join][:6]
 
 
 def _member_xml(node_count: int) -> str:
@@ -67,35 +53,27 @@ def _member_xml(node_count: int) -> str:
     return serialize(doc.root)
 
 
-def _object_open(xml_text: str) -> IndexedDocument:
-    """The pre-columnar catalog path: parse + index, eagerly."""
-    doc = IndexedDocument(parse_xml(xml_text))
-    doc.nodes_by_pre      # force the index build the engine needs
-    return doc
+def _parse(xml_text: str) -> IndexedDocument:
+    """The pre-index catalog path: parse the text into columns."""
+    return IndexedDocument.from_string(xml_text)
 
 
 def measure_build(node_counts: List[int] | None = None,
                   repeats: int = REPEATS) -> List[Dict[str, float]]:
-    """Parse/build/save/open seconds and file size per document size."""
+    """Parse/save/open seconds and file size per document size."""
     rows = []
     with tempfile.TemporaryDirectory(prefix="repro-e10-") as tmp:
         for base in (node_counts or BUILD_NODE_COUNTS):
             count = scaled(base)
             xml_text = _member_xml(count)
-            parse_seconds = time_call(lambda: _object_open(xml_text),
-                                      repeats)
-            doc = _object_open(xml_text)
-            build_seconds = time_call(
-                lambda: ColumnarDocument.from_nodes(doc.nodes_by_pre),
-                repeats)
+            parse_seconds = time_call(lambda: _parse(xml_text), repeats)
+            doc = _parse(xml_text)
             path = os.path.join(tmp, f"member-{count}.rpxc")
-            save_seconds = time_call(lambda: doc.columns.save(path),
-                                     repeats)
+            save_seconds = time_call(lambda: doc.save(path), repeats)
             open_seconds = _mmap_open_seconds(path, repeats)
             rows.append({
                 "nodes": float(doc.size),
-                "parse+index": parse_seconds,
-                "columns": build_seconds,
+                "parse": parse_seconds,
                 "save": save_seconds,
                 "bytes": float(os.path.getsize(path)),
                 "mmap open": open_seconds,
@@ -120,14 +98,14 @@ def measure_open(node_count: int | None = None,
     xml_text = _member_xml(count)
     with tempfile.TemporaryDirectory(prefix="repro-e10-") as tmp:
         path = os.path.join(tmp, "member.rpxc")
-        _object_open(xml_text).save(path)
+        _parse(xml_text).save(path)
         query = QE_QUERIES["QE4"]
 
-        object_open = time_call(lambda: _object_open(xml_text), repeats)
+        parse_open = time_call(lambda: _parse(xml_text), repeats)
         mmap_open = _mmap_open_seconds(path, repeats)
 
-        def object_first_query():
-            Engine(_object_open(xml_text)).run(query, strategy="scjoin")
+        def parse_first_query():
+            Engine(_parse(xml_text)).run(query, strategy="scjoin")
 
         def mmap_first_query():
             doc = IndexedDocument.open(path, verify=False)
@@ -138,62 +116,22 @@ def measure_open(node_count: int | None = None,
 
         return {
             "nodes": float(count),
-            "object open": object_open,
+            "parse open": parse_open,
             "mmap open": mmap_open,
-            "speedup": object_open / mmap_open,
-            "object first query": time_call(object_first_query, repeats),
+            "speedup": parse_open / mmap_open,
+            "parse first query": time_call(parse_first_query, repeats),
             "mmap first query": time_call(mmap_first_query, repeats),
         }
 
 
-def _join_grid(object_engine: Engine, columnar_engine: Engine,
-               queries: Dict[str, str],
-               repeats: int = REPEATS) -> Dict[tuple, float]:
-    cells: Dict[tuple, float] = {}
-    for name, query in sorted(queries.items()):
-        for label, engine in (("object", object_engine),
-                              ("columnar", columnar_engine)):
-            plan = engine.compile(query)
-            for strategy in JOIN_STRATEGIES:
-                cells[(name, f"{strategy}/{label}")] = time_call(
-                    lambda e=engine, p=plan, s=strategy:
-                    e.execute(p, strategy=s), repeats)
-    return cells
-
-
-def measure_joins(repeats: int = REPEATS):
-    """QE1–QE6 (E2) and structural XMark (E7) join times per store."""
-    with tempfile.TemporaryDirectory(prefix="repro-e10-") as tmp:
-        member = _object_open(_member_xml(scaled(OPEN_NODES)))
-        member_path = os.path.join(tmp, "member.rpxc")
-        member.save(member_path)
-        member_columnar = IndexedDocument.open(member_path, verify=False)
-
-        xmark = IndexedDocument(xmark_document(scaled(300, 50),
-                                               seed=19992001).root)
-        xmark_path = os.path.join(tmp, "xmark.rpxc")
-        xmark.save(xmark_path)
-        xmark_columnar = IndexedDocument.open(xmark_path, verify=False)
-
-        qe_cells = _join_grid(Engine(member), Engine(member_columnar),
-                              QE_QUERIES, repeats)
-        xmark_cells = _join_grid(
-            Engine(xmark), Engine(xmark_columnar),
-            {name: XMARK_CATALOG[name].query
-             for name in XMARK_STRUCTURAL}, repeats)
-        member_columnar.close()
-        xmark_columnar.close()
-    return qe_cells, xmark_cells
-
-
 def measure_memory(node_count: int | None = None) -> Dict[str, float]:
-    """Peak Python-heap bytes to stand up each store."""
+    """Peak Python-heap bytes to parse a document and to open it."""
     count = scaled(node_count or OPEN_NODES)
     xml_text = _member_xml(count)
 
     tracemalloc.start()
-    doc = _object_open(xml_text)
-    _, object_peak = tracemalloc.get_traced_memory()
+    doc = _parse(xml_text)
+    _, parse_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
 
     columns = doc.columns
@@ -209,25 +147,10 @@ def measure_memory(node_count: int | None = None) -> Dict[str, float]:
 
     return {
         "nodes": float(count),
-        "object heap peak": float(object_peak),
+        "parse heap peak": float(parse_peak),
         "column bytes": float(columns.nbytes()),
         "mmap open heap peak": float(mmap_peak),
     }
-
-
-def _fmt_grid(title: str, cells: Dict[tuple, float]) -> str:
-    rows = sorted({row for row, _ in cells})
-    columns = [f"{s}/{l}" for s in JOIN_STRATEGIES
-               for l in ("object", "columnar")]
-    width = max(len(c) for c in columns) + 4
-    lines = [title,
-             " " * 10 + "".join(c.rjust(width) for c in columns)]
-    for row in rows:
-        parts = [row.ljust(10)]
-        for column in columns:
-            parts.append(f"{cells[(row, column)]:.5f}".rjust(width))
-        lines.append("".join(parts))
-    return "\n".join(lines)
 
 
 def generate_table() -> str:
@@ -235,39 +158,31 @@ def generate_table() -> str:
 
     build_rows = measure_build()
     lines = ["Build & persist (MemBeR, seconds; bytes on disk)",
-             f"{'nodes':>8}{'parse+index':>14}{'columns':>10}"
-             f"{'save':>10}{'bytes':>10}{'mmap open':>12}"]
+             f"{'nodes':>8}{'parse':>10}{'save':>10}{'bytes':>10}"
+             f"{'mmap open':>12}"]
     for row in build_rows:
-        lines.append(f"{row['nodes']:>8.0f}{row['parse+index']:>14.5f}"
-                     f"{row['columns']:>10.5f}{row['save']:>10.5f}"
-                     f"{row['bytes']:>10.0f}{row['mmap open']:>12.6f}")
+        lines.append(f"{row['nodes']:>8.0f}{row['parse']:>10.5f}"
+                     f"{row['save']:>10.5f}{row['bytes']:>10.0f}"
+                     f"{row['mmap open']:>12.6f}")
     sections.append("\n".join(lines))
 
     opened = measure_open()
     assert opened["speedup"] >= OPEN_SPEEDUP_FLOOR, (
         f"mmap open is only {opened['speedup']:.1f}× faster than "
-        f"re-parse+index (floor {OPEN_SPEEDUP_FLOOR}×)")
+        f"re-parse (floor {OPEN_SPEEDUP_FLOOR}×)")
     sections.append(
         f"Catalog open ({opened['nodes']:.0f} nodes, best of {REPEATS})\n"
-        f"  re-parse + index   {opened['object open']:.5f}s\n"
+        f"  re-parse           {opened['parse open']:.5f}s\n"
         f"  mmap open          {opened['mmap open']:.6f}s   "
         f"({opened['speedup']:.0f}x faster)\n"
-        f"  first query incl. open: object "
-        f"{opened['object first query']:.5f}s, columnar "
+        f"  first query incl. open: parse "
+        f"{opened['parse first query']:.5f}s, mmap "
         f"{opened['mmap first query']:.5f}s")
-
-    qe_cells, xmark_cells = measure_joins()
-    sections.append(_fmt_grid(
-        f"Join throughput, QE1–QE6 on MemBeR (E2 workload, seconds)",
-        qe_cells))
-    sections.append(_fmt_grid(
-        "Join throughput, structural XMark catalog (E7 document, seconds)",
-        xmark_cells))
 
     memory = measure_memory()
     sections.append(
         f"Resident memory ({memory['nodes']:.0f} nodes)\n"
-        f"  object store heap peak   {memory['object heap peak']:>12,.0f} B\n"
+        f"  parse heap peak          {memory['parse heap peak']:>12,.0f} B\n"
         f"  columnar column bytes    {memory['column bytes']:>12,.0f} B\n"
         f"  mmap open heap peak      "
         f"{memory['mmap open heap peak']:>12,.0f} B")
@@ -278,34 +193,21 @@ def generate_table() -> str:
 # --- pytest-benchmark entry points -----------------------------------
 
 @pytest.fixture(scope="module")
-def stores(tmp_path_factory):
+def saved(tmp_path_factory):
     xml_text = _member_xml(scaled(OPEN_NODES))
-    doc = _object_open(xml_text)
     path = tmp_path_factory.mktemp("e10") / "member.rpxc"
-    doc.save(path)
-    columnar = IndexedDocument.open(path, verify=False)
-    yield {"xml": xml_text, "path": path,
-           "object": Engine(doc), "columnar": Engine(columnar)}
-    columnar.close()
+    _parse(xml_text).save(path)
+    return {"xml": xml_text, "path": path}
 
 
-def test_open_object_store(benchmark, stores):
-    benchmark(lambda: _object_open(stores["xml"]))
+def test_open_by_parsing(benchmark, saved):
+    benchmark(lambda: _parse(saved["xml"]))
 
 
-def test_open_mmap(benchmark, stores):
+def test_open_mmap(benchmark, saved):
     def open_and_close():
-        IndexedDocument.open(stores["path"], verify=False).close()
+        IndexedDocument.open(saved["path"], verify=False).close()
     benchmark(open_and_close)
-
-
-@pytest.mark.parametrize("store", ["object", "columnar"])
-@pytest.mark.parametrize("strategy", JOIN_STRATEGIES)
-@pytest.mark.parametrize("name", sorted(QE_QUERIES))
-def test_qe_joins(benchmark, stores, name, strategy, store):
-    engine = stores[store]
-    plan = engine.compile(QE_QUERIES[name])
-    benchmark(lambda: engine.execute(plan, strategy=strategy))
 
 
 if __name__ == "__main__":

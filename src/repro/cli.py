@@ -17,8 +17,9 @@
 when omitted) and prints the result sequence.  ``explain`` shows every
 compilation stage.  ``compare`` times every physical strategy on one
 query.  ``generate`` writes a MemBeR-style or XMark-style document.
-``index`` saves a document's columnar index, which ``--doc`` (with the
-default ``--store auto``) later mmap-opens in O(1) without re-parsing.
+``index`` saves a document's columnar index, which ``--doc`` later
+mmap-opens in O(1) without re-parsing (the file magic tells the two
+apart).
 ``serve-bench`` load-tests the concurrent query service
 (:mod:`repro.serve`) with a seeded mixed workload; ``--http`` mounts
 the live observability endpoint on it, and ``top`` is the matching
@@ -251,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     index = commands.add_parser(
         "index",
         help="parse an XML document and save its columnar index "
-             "(mmap-opened in O(1) by --store columnar / the catalog; "
+             "(mmap-opened in O(1) by --doc / the catalog; "
              "see docs/STORAGE.md)")
     index.add_argument("input", help="XML document file")
     index.add_argument("--output", "-o", default=None, metavar="FILE",
@@ -302,12 +303,6 @@ def _add_document_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--doc", help="document file: XML text or a "
                                       "saved columnar index "
                                       "(default: a built-in sample)")
-    parser.add_argument("--store", choices=["auto", "object", "columnar"],
-                        default="auto",
-                        help="document store: 'columnar' mmap-opens a "
-                             "saved index file ('repro index'), 'object' "
-                             "parses XML text, 'auto' sniffs the file "
-                             "magic (default)")
     parser.add_argument("--no-summary", action="store_true",
                         help="disable the structural path summary "
                              "(pattern prefiltering and selectivity-"
@@ -339,9 +334,7 @@ def _load_engine(args) -> Engine:
     if chain is not None:
         kwargs["fallback_chain"] = None if chain.lower() == "none" else chain
     if args.doc:
-        return Engine.from_file(args.doc,
-                                store=getattr(args, "store", "auto"),
-                                **kwargs)
+        return Engine.from_file(args.doc, **kwargs)
     return Engine.from_xml(SAMPLE_DOCUMENT, **kwargs)
 
 
@@ -589,9 +582,7 @@ def _command_index(args, out) -> int:
           f"{len(columns.tag_pres)} tags, "
           f"{len(columns.attribute_pres)} attribute names", file=out)
     print(f"wrote {output}: {size} bytes "
-          f"in {elapsed * 1000:.1f} ms "
-          f"(columns built in {columns.build_seconds * 1000:.1f} ms)",
-          file=out)
+          f"in {elapsed * 1000:.1f} ms (parse + save)", file=out)
     if args.stats:
         for tag in sorted(columns.tag_pres):
             print(f"  {tag:>20}: {len(columns.tag_pres[tag])} elements",

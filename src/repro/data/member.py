@@ -10,17 +10,19 @@ distributed).  Two shapes are needed:
   tag (``t1``), 50,000 nodes, depth 15 (a roughly binary tree), on
   which ``(/t1[1])^k`` is highly selective.
 
-Both are deterministic for a given seed.
+Both are deterministic for a given seed, and both build an
+:class:`~repro.xmltree.builder.E` tree that is written as XML text and
+parsed into columns: a generator makes no node object.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from typing import List, Optional
+from typing import List
 
+from ..xmltree.builder import E, build_document
 from ..xmltree.document import IndexedDocument
-from ..xmltree.node import DocumentNode, ElementNode, assign_regions
 
 
 def tag_name(index: int) -> str:
@@ -41,21 +43,18 @@ def member_document(node_count: int, depth: int = 4, tag_count: int = 100,
     if node_count < 1:
         raise ValueError("node_count must be at least 1")
     rng = random.Random(seed)
-    document = DocumentNode()
-    root = ElementNode(tag_name(1))
-    document.append_child(root)
-    eligible: List[ElementNode] = [root]
+    root = E(tag_name(1))
+    eligible: List[E] = [root]
     depths = {id(root): 1}
     for _ in range(node_count - 1):
         parent = eligible[rng.randrange(len(eligible))]
-        element = ElementNode(tag_name(rng.randint(1, tag_count)))
-        parent.append_child(element)
+        element = E(tag_name(rng.randint(1, tag_count)))
+        parent.children.append(element)
         element_depth = depths[id(parent)] + 1
         depths[id(element)] = element_depth
         if element_depth < depth:
             eligible.append(element)
-    assign_regions(document)
-    return IndexedDocument(document)
+    return build_document(root)
 
 
 def deep_member_document(node_count: int = 50_000, depth: int = 15,
@@ -72,35 +71,32 @@ def deep_member_document(node_count: int = 50_000, depth: int = 15,
     if node_count < 1:
         raise ValueError("node_count must be at least 1")
     branching = _branching_for(node_count, depth)
-    document = DocumentNode()
-    root = ElementNode(tag)
-    document.append_child(root)
+    root = E(tag)
     created = 1
     # First lay down the first-child chain so the advertised depth (and
     # the ``(/t1[1])^k`` navigation path) always exists.
-    chain: List[ElementNode] = [root]
+    chain: List[E] = [root]
     node = root
     while len(chain) < depth and created < node_count:
-        child = ElementNode(tag)
-        node.append_child(child)
+        child = E(tag)
+        node.children.append(child)
         chain.append(child)
         node = child
         created += 1
     # Then fill breadth-first up to the branching factor, never exceeding
     # the depth bound.
-    queue: deque[tuple[ElementNode, int]] = deque(
+    queue: deque[tuple[E, int]] = deque(
         (chain_node, level + 1) for level, chain_node in enumerate(chain))
     while created < node_count and queue:
         parent, level = queue.popleft()
         if level >= depth:
             continue
         while len(parent.children) < branching and created < node_count:
-            child = ElementNode(tag)
-            parent.append_child(child)
+            child = E(tag)
+            parent.children.append(child)
             queue.append((child, level + 1))
             created += 1
-    assign_regions(document)
-    return IndexedDocument(document)
+    return build_document(root)
 
 
 def _branching_for(node_count: int, depth: int) -> int:
@@ -121,6 +117,7 @@ def _branching_for(node_count: int, depth: int) -> int:
 def approximate_size_bytes(document: IndexedDocument) -> int:
     """Rough serialized size (for labelling results like the paper's
     2.1 MB / 4.3 MB / ... columns)."""
-    # An element serializes to roughly "<tNN></tNN>" = 11 bytes.
-    return sum(2 * (len(node.name or "") + 2) + 1
-               for node in document.all_elements())
+    # An element serializes to roughly "<tNN></tNN>" = 11 bytes; the
+    # tag streams count them without making a node.
+    return sum((2 * (len(tag) + 2) + 1) * len(pres)
+               for tag, pres in document.tag_pres.items())

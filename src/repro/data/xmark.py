@@ -5,7 +5,9 @@ documents with the same element hierarchy and relative fan-outs for the
 parts the paper's experiments touch — ``site/people/person`` (with
 optional ``emailaddress``, ``profile/interest``), regions with items,
 open and closed auctions, and categories — scaled by a person count
-instead of XMark's factor.  Content is deterministic per seed.
+instead of XMark's factor.  Content is deterministic per seed.  The
+document is built as an :class:`~repro.xmltree.builder.E` tree, written
+as XML text and parsed into columns: no node object is made.
 
 Schema shape (per XMark):
 
@@ -31,8 +33,8 @@ from __future__ import annotations
 import random
 from typing import List
 
+from ..xmltree.builder import E, build_document
 from ..xmltree.document import IndexedDocument
-from ..xmltree.node import DocumentNode, ElementNode, TextNode, assign_regions
 
 _FIRST_NAMES = ["John", "Mary", "Wang", "Aisha", "Pierre", "Elena", "Kofi",
                 "Yuki", "Carlos", "Ingrid", "Ahmed", "Sofia"]
@@ -49,14 +51,13 @@ class _Builder:
     def __init__(self, seed: int) -> None:
         self.rng = random.Random(seed)
 
-    def element(self, parent: ElementNode, name: str,
-                text: str | None = None, **attributes: str) -> ElementNode:
-        child = ElementNode(name)
-        for attr_name, attr_value in attributes.items():
-            child.set_attribute(attr_name, attr_value)
+    def element(self, parent: E, name: str,
+                text: str | None = None, **attributes: str) -> E:
+        child = E(name)
+        child.attributes.update(attributes)
         if text is not None:
-            child.append_child(TextNode(text))
-        parent.append_child(child)
+            child.children.append(text)
+        parent.children.append(child)
         return child
 
     def words(self, count: int) -> str:
@@ -78,29 +79,25 @@ def xmark_document(person_count: int = 200, seed: int = 19992001,
     if person_count < 1:
         raise ValueError("person_count must be at least 1")
     builder = _Builder(seed)
-    rng = builder.rng
-    document = DocumentNode()
-    site = ElementNode("site")
-    document.append_child(site)
+    site = E("site")
 
     category_count = max(person_count // 20, 2)
     item_count = person_count * 2
     open_count = person_count
     closed_count = max(person_count // 2, 1)
 
-    _build_regions(builder, site, item_count, category_count)
-    _build_categories(builder, site, category_count)
-    _build_catgraph(builder, site, category_count)
-    _build_people(builder, site, person_count, email_probability)
-    _build_open_auctions(builder, site, open_count, person_count, item_count)
-    _build_closed_auctions(builder, site, closed_count, person_count,
-                           item_count)
-    assign_regions(document)
-    return IndexedDocument(document)
+    _add_regions(builder, site, item_count, category_count)
+    _add_categories(builder, site, category_count)
+    _add_catgraph(builder, site, category_count)
+    _add_people(builder, site, person_count, email_probability)
+    _add_open_auctions(builder, site, open_count, person_count, item_count)
+    _add_closed_auctions(builder, site, closed_count, person_count,
+                         item_count)
+    return build_document(site)
 
 
-def _build_regions(builder: _Builder, site: ElementNode, item_count: int,
-                   category_count: int) -> None:
+def _add_regions(builder: _Builder, site: E, item_count: int,
+                 category_count: int) -> None:
     rng = builder.rng
     regions = builder.element(site, "regions")
     region_elements = [builder.element(regions, name) for name in _REGIONS]
@@ -128,8 +125,8 @@ def _build_regions(builder: _Builder, site: ElementNode, item_count: int,
             builder.element(mail, "text", builder.words(5))
 
 
-def _build_categories(builder: _Builder, site: ElementNode,
-                      category_count: int) -> None:
+def _add_categories(builder: _Builder, site: E,
+                    category_count: int) -> None:
     categories = builder.element(site, "categories")
     for index in range(category_count):
         category = builder.element(categories, "category",
@@ -140,8 +137,8 @@ def _build_categories(builder: _Builder, site: ElementNode,
         builder.element(description, "text", builder.words(4))
 
 
-def _build_catgraph(builder: _Builder, site: ElementNode,
-                    category_count: int) -> None:
+def _add_catgraph(builder: _Builder, site: E,
+                  category_count: int) -> None:
     rng = builder.rng
     catgraph = builder.element(site, "catgraph")
     for _ in range(category_count):
@@ -150,8 +147,8 @@ def _build_catgraph(builder: _Builder, site: ElementNode,
                            "to": f"category{rng.randrange(category_count)}"})
 
 
-def _build_people(builder: _Builder, site: ElementNode, person_count: int,
-                  email_probability: float) -> None:
+def _add_people(builder: _Builder, site: E, person_count: int,
+                email_probability: float) -> None:
     rng = builder.rng
     people = builder.element(site, "people")
     for index in range(person_count):
@@ -192,9 +189,9 @@ def _build_people(builder: _Builder, site: ElementNode, person_count: int,
                                 open_auction=f"auction{rng.randrange(max(person_count, 1))}")
 
 
-def _build_open_auctions(builder: _Builder, site: ElementNode,
-                         open_count: int, person_count: int,
-                         item_count: int) -> None:
+def _add_open_auctions(builder: _Builder, site: E,
+                       open_count: int, person_count: int,
+                       item_count: int) -> None:
     rng = builder.rng
     auctions = builder.element(site, "open_auctions")
     for index in range(open_count):
@@ -229,9 +226,9 @@ def _build_open_auctions(builder: _Builder, site: ElementNode,
         builder.element(interval, "end", _date(rng))
 
 
-def _build_closed_auctions(builder: _Builder, site: ElementNode,
-                           closed_count: int, person_count: int,
-                           item_count: int) -> None:
+def _add_closed_auctions(builder: _Builder, site: E,
+                         closed_count: int, person_count: int,
+                         item_count: int) -> None:
     rng = builder.rng
     auctions = builder.element(site, "closed_auctions")
     for _ in range(closed_count):

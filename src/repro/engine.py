@@ -203,28 +203,30 @@ class Engine:
         return cls(IndexedDocument.from_string(text), **kwargs)
 
     @classmethod
-    def from_file(cls, path: str, store: str = "auto", **kwargs) -> "Engine":
-        """Build an engine from a file on disk.
+    def from_file(cls, path: str, **kwargs) -> "Engine":
+        """Build an engine from a file on disk: a saved columnar index
+        (see ``repro index`` / :meth:`from_columnar_file`), known by its
+        magic, is mmap-opened, and anything else is parsed as XML.
 
-        ``store`` selects the document representation: ``"auto"`` (the
-        default) sniffs the file magic and opens saved columnar index
-        files (see ``repro index`` / :meth:`from_columnar_file`) via
-        mmap, parsing everything else as XML; ``"columnar"`` requires a
-        columnar file; ``"object"`` requires XML text.
+        A path that is missing, a directory or not UTF-8 text raises
+        :class:`~repro.guard.InputError` carrying ``path``.
         """
-        if store not in ("auto", "object", "columnar"):
-            raise InputError(
-                f"unknown store {store!r}; valid stores: auto, object, "
-                f"columnar", store=store)
-        columnar = is_columnar_file(path)
-        if store == "columnar" or (store == "auto" and columnar):
+        if is_columnar_file(path):
             return cls.from_columnar_file(path, **kwargs)
-        if store == "object" and columnar:
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except FileNotFoundError as err:
+            raise InputError(f"no such document file: {path}",
+                             path=path) from err
+        except IsADirectoryError as err:
+            raise InputError(f"{path} is a directory, not a document "
+                             f"file", path=path) from err
+        except UnicodeDecodeError as err:
             raise InputError(
-                f"{path} is a columnar index file, not XML; open it "
-                f"with store='columnar' (or 'auto')", path=path)
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_xml(handle.read(), **kwargs)
+                f"{path} is neither a columnar index nor UTF-8 text: "
+                f"{err.reason} at byte {err.start}", path=path) from err
+        return cls.from_xml(text, **kwargs)
 
     @classmethod
     def from_columnar_file(cls, path: str, verify: bool = True,
@@ -309,9 +311,8 @@ class Engine:
                 with metrics.stage("summary"), \
                         maybe_span(tracing, "summary"):
                     self.document.summary
-            # Warm the integer columns the stream joins scan.  Derived
-            # once per document (column-first documents carry them from
-            # birth); later compiles record a near-zero cache-hit time.
+            # The integer columns the stream joins scan: every document
+            # carries them from birth, so the stage records a read.
             with metrics.stage("columnar"), \
                     maybe_span(tracing, "columnar"):
                 self.document.columns

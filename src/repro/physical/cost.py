@@ -130,12 +130,14 @@ class CostModel:
         return self._tag_count_volume(path, region)
 
     def _tag_count_volume(self, path: PatternPath, region: int) -> float:
-        """The summary-free fallback: document-wide tag statistics."""
+        """The summary-free fallback: document-wide tag statistics, read
+        from the tag streams' lengths (no node is made)."""
         fraction = min(region / self.size, 1.0)
+        tag_pres = self.document.tag_pres
         total = 0.0
         for step in path.steps:
             if isinstance(step.test, NameTest):
-                total += len(self.document.stream(step.test.name)) * fraction
+                total += len(tag_pres.get(step.test.name, ())) * fraction
             else:
                 total += self.size * fraction
             for branch in step.predicates:

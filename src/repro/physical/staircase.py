@@ -91,7 +91,7 @@ class StaircaseJoin(TreePatternAlgorithm):
         if _navigational(path, contexts):
             return self._fallback.match_single(document, contexts, path)
         # Into integer space: sorted, duplicate-free context pres.
-        current = self._walk(document.columns,
+        current = self._join_path(document.columns,
                              sorted({node.pre for node in contexts}), path)
         # Out of integer space: nodes exist only at the result boundary.
         return chaos_point("scjoin.match",
@@ -138,7 +138,7 @@ class StaircaseJoin(TreePatternAlgorithm):
         answers = {}
         for layer in layers:
             matches = chaos_point("scjoin.match",
-                                  self._walk(columns, layer, pattern.path))
+                                  self._join_path(columns, layer, pattern.path))
             high = 0
             for pre in layer:
                 low = bisect_left(matches, pre, high)
@@ -150,8 +150,8 @@ class StaircaseJoin(TreePatternAlgorithm):
 
     # -- the join ----------------------------------------------------------------
 
-    def _walk(self, columns: ColumnarDocument, current: List[int],
-              path: PatternPath) -> List[int]:
+    def _join_path(self, columns: ColumnarDocument, current: List[int],
+                   path: PatternPath) -> List[int]:
         """Evaluate ``path`` forward from the context pres, one
         staircase join per step."""
         for step in path.steps:
@@ -311,7 +311,7 @@ class StaircaseJoin(TreePatternAlgorithm):
         if branch.has_position:
             # Positions count per context node: walk from each candidate.
             return [pre for pre in candidates
-                    if self._walk(columns, [pre], branch)]
+                    if self._join_path(columns, [pre], branch)]
         return self._having(columns, candidates, branch.steps, 0)
 
     def _having(self, columns: ColumnarDocument, candidates: Sequence[int],

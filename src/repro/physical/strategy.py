@@ -83,11 +83,12 @@ def pattern_complexity(path: PatternPath) -> int:
 
 def estimated_stream_size(document: IndexedDocument,
                           path: PatternPath) -> int:
-    """Total size of the streams a holistic scan would read."""
+    """Total size of the streams a holistic scan would read, counted
+    on the columns (no node is made)."""
     total = 0
     for step in path.steps:
         if isinstance(step.test, NameTest):
-            total += len(document.stream(step.test.name))
+            total += len(document.tag_pres.get(step.test.name, ()))
         else:
             total += document.size
         for branch in step.predicates:

@@ -117,12 +117,11 @@ class DocumentCatalog:
                        lambda: Engine.from_xml(
                            text, **self._options(engine_options)))
 
-    def add_file(self, name: str, path: str, store: str = "auto",
-                 rebuild: bool = False, **engine_options) -> None:
-        """Register a file; loaded on first use.  With the default
-        ``store="auto"`` a saved columnar index (``repro index``) is
-        mmap-opened in O(1) — no re-parse, no re-index — and anything
-        else is parsed as XML.
+    def add_file(self, name: str, path: str, rebuild: bool = False,
+                 **engine_options) -> None:
+        """Register a file; loaded on first use.  A saved columnar index
+        (``repro index``) is mmap-opened in O(1) — no re-parse, no
+        re-index — and anything else is parsed as XML.
 
         With ``rebuild=True`` a storage failure on the saved index
         (corrupt, truncated, bad checksum) falls back to re-parsing
@@ -133,15 +132,14 @@ class DocumentCatalog:
 
         def loader() -> Engine:
             try:
-                return Engine.from_file(path, store=store, **options)
+                return Engine.from_file(path, **options)
             except StorageError:
                 if not rebuild:
                     raise
                 source = self._xml_source_for(path)
                 if source is None:
                     raise
-                engine = Engine.from_file(source, store="object",
-                                          **options)
+                engine = Engine.from_file(source, **options)
                 try:
                     engine.document.save(path)  # heal the corrupt index
                 except Exception:

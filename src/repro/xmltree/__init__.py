@@ -1,7 +1,7 @@
 """XML data model substrate: nodes, parsing, axes and document indexes."""
 
 from .axes import Axis, axis_from_string, axis_nodes, step
-from .builder import E, build_document
+from .builder import E, build_document, write_xml
 from .columnar import (ColumnarDocument, StorageError, is_columnar_file,
                        KIND_ATTRIBUTE, KIND_DOCUMENT, KIND_ELEMENT,
                        KIND_TEXT)
@@ -18,7 +18,7 @@ from .summary import PathStats, PathSummary, SUMMARY_AXES
 
 __all__ = [
     "Axis", "axis_from_string", "axis_nodes", "step",
-    "E", "build_document",
+    "E", "build_document", "write_xml",
     "ColumnarDocument", "StorageError", "is_columnar_file",
     "KIND_ATTRIBUTE", "KIND_DOCUMENT", "KIND_ELEMENT", "KIND_TEXT",
     "IndexedDocument", "ddo", "document_order", "is_distinct_doc_ordered",

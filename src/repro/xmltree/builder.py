@@ -11,18 +11,21 @@ parsing XML text::
           E("person", E("name", "Mary"), id="p2")))
 
 ``E(tag, *children, **attributes)`` takes child elements and/or strings
-(text nodes); attribute names that collide with Python keywords can be
-passed with a trailing underscore (``class_="x"`` → ``class="x"``).
-``build_document`` assigns the region encoding and returns an
-:class:`~repro.xmltree.document.IndexedDocument` ready for querying.
+(text); attribute names that collide with Python keywords can be passed
+with a trailing underscore (``class_="x"`` → ``class="x"``).  An ``E``
+tree is only a specification: :func:`write_xml` writes it as XML text,
+and ``build_document`` parses that text into the columns of an
+:class:`~repro.xmltree.document.IndexedDocument`, the one
+representation a document has.  The generators of :mod:`repro.data`
+build ``E`` trees the same way.
 """
 
 from __future__ import annotations
 
-from typing import Union
+from typing import List, Union
 
 from .document import IndexedDocument
-from .node import DocumentNode, ElementNode, TextNode, assign_regions
+from .serializer import _escape_attribute, _escape_text
 
 Child = Union["E", str]
 
@@ -30,41 +33,56 @@ Child = Union["E", str]
 class E:
     """A lightweight element specification."""
 
+    __slots__ = ("tag", "children", "attributes")
+
     def __init__(self, tag: str, *children: Child, **attributes: object) -> None:
         self.tag = tag
-        self.children = children
+        self.children: List[Child] = list(children)
         self.attributes = {
             name.rstrip("_"): str(value)
             for name, value in attributes.items()
         }
 
-    def to_node(self) -> ElementNode:
-        element = ElementNode(self.tag)
-        for name, value in self.attributes.items():
-            element.set_attribute(name, value)
-        for child in self.children:
-            if isinstance(child, E):
-                element.append_child(child.to_node())
-            elif isinstance(child, str):
-                # The XDM forbids adjacent text siblings: merge.
-                previous = element.children[-1] if element.children else None
-                if isinstance(previous, TextNode):
-                    previous.text += child
-                else:
-                    element.append_child(TextNode(child))
-            else:
-                raise TypeError(
-                    f"E() children must be E or str, got "
-                    f"{type(child).__name__}")
-        return element
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"E({self.tag!r}, {len(self.children)} children)"
 
 
+def write_xml(root: E) -> str:
+    """The XML text of an :class:`E` tree, written in one pass over an
+    explicit stack (no recursion: the paper's §5.3 documents are depth
+    15+).  The stack holds specs still to be written and ready-made
+    markup; empty strings are dropped, so the text is what serializing
+    the parsed document gives back."""
+    parts: List[str] = []
+    append = parts.append
+    stack: list = [root]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            append(item)
+            continue
+        opening = "<" + item.tag + "".join(
+            [f' {name}="{_escape_attribute(value)}"'
+             for name, value in item.attributes.items()])
+        pending: list = ["</" + item.tag + ">"]
+        for child in reversed(item.children):
+            if isinstance(child, E):
+                pending.append(child)
+            elif isinstance(child, str):
+                if child:
+                    pending.append(_escape_text(child))
+            else:
+                raise TypeError(
+                    f"E() children must be E or str, got "
+                    f"{type(child).__name__}")
+        if len(pending) == 1:
+            append(opening + "/>")
+        else:
+            append(opening + ">")
+            stack.extend(pending)
+    return "".join(parts)
+
+
 def build_document(root: E, uri: str = "") -> IndexedDocument:
     """Materialize an :class:`E` tree as an indexed document."""
-    document = DocumentNode(uri)
-    document.append_child(root.to_node())
-    assign_regions(document)
-    return IndexedDocument(document)
+    return IndexedDocument.from_string(write_xml(root), uri)

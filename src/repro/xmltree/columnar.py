@@ -2,12 +2,11 @@
 
 The stream-based join algorithms (StaircaseJoin, TwigJoin) are merges
 over sorted *region-encoding* streams — integer ``pre``/``post``/
-``level`` columns in Grust et al.'s staircase-join formulation — yet the
-object store materializes them as per-node Python objects, so every
-inner-loop comparison chases attributes through the heap.
-:class:`ColumnarDocument` moves the encoding into contiguous integer
-columns (stdlib :mod:`array` buffers, or zero-copy ``memoryview`` casts
-over an ``mmap`` when opened from disk):
+``level`` columns in Grust et al.'s staircase-join formulation.
+:class:`ColumnarDocument` is that encoding as contiguous integer columns
+(stdlib :mod:`array` buffers, or zero-copy ``memoryview`` casts over an
+``mmap`` when opened from disk), and it is the only representation a
+document has:
 
 ``post``, ``level``, ``end``, ``parent``
     one 32-bit signed integer per node, indexed by ``pre`` (``pre``
@@ -125,27 +124,14 @@ def _pad(length: int) -> int:
     return (-length) % _ALIGN
 
 
-_KIND_OF = {DocumentNode: KIND_DOCUMENT, ElementNode: KIND_ELEMENT,
-            AttributeNode: KIND_ATTRIBUTE, TextNode: KIND_TEXT,
-            DocumentShell: KIND_DOCUMENT, ElementShell: KIND_ELEMENT}
-
 _NEW = object.__new__
-
-
-def _subclass_kind(node: object) -> int:
-    """The kind code of a node whose exact type is not a node class."""
-    for node_class, code in _KIND_OF.items():
-        if isinstance(node, node_class):
-            return code
-    raise StorageError(f"cannot columnarize a {type(node).__name__}",
-                       check="node-kind")
 
 
 class ColumnarDocument:
     """The region encoding of one document as contiguous integer columns.
 
-    Build one from an indexed object tree with :meth:`from_nodes`, or
-    map a saved file with :meth:`open`.  All columns are read-only
+    The XML scanner (:func:`~repro.xmltree.parser.parse_columns`) builds
+    one, or :meth:`open` maps a saved file.  All columns are read-only
     sequences of Python ints (``array`` when built in memory,
     ``memoryview`` casts over the mmap when opened from disk); string
     dictionaries are decoded lazily per entry and cached.
@@ -191,85 +177,9 @@ class ColumnarDocument:
         #: output, written with ``_lock`` held, read without.
         self.pieces: Optional[List[Optional[str]]] = None
         self._lock = threading.Lock()
-        #: wall seconds of the producing build/open, for instrumentation
-        #: (benchmarks and the engine's ``columnar`` pipeline stage).
-        self.build_seconds: float = 0.0
+        #: wall seconds of the producing open, for instrumentation
+        #: (benchmarks and ``repro index --verify``).
         self.open_seconds: float = 0.0
-
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def from_nodes(cls, nodes: Sequence[Node],
-                   uri: str = "") -> "ColumnarDocument":
-        """Columnarize a dense, pre-ordered node table (the
-        ``nodes_by_pre`` table of an :class:`IndexedDocument`)."""
-        started = time.perf_counter()
-        n = len(nodes)
-        post = array("i", bytes(4 * n))
-        level = array("i", bytes(4 * n))
-        end = array("i", bytes(4 * n))
-        parent = array("i", bytes(4 * n))
-        kind = array("B", bytes(n))
-        name_id = array("i", (-1,)) * n
-        text_id = array("i", (-1,)) * n
-        names: List[str] = []
-        name_index: Dict[str, int] = {}
-        texts: List[str] = []
-        text_index: Dict[str, int] = {}
-        tag_pres: Dict[str, array] = {}
-        attribute_pres: Dict[str, array] = {}
-        text_pres = array("i")
-        element_pres = array("i")
-        kind_of = _KIND_OF.get
-        for pre, node in enumerate(nodes):
-            code = kind_of(type(node))
-            if code is None:
-                code = _subclass_kind(node)
-            if node.pre != pre:
-                raise StorageError(
-                    f"node table is not densely pre-numbered: position "
-                    f"{pre} holds pre={node.pre}", check="dense-pre")
-            kind[pre] = code
-            post[pre] = node.post
-            level[pre] = node.level
-            end[pre] = node.end
-            above = node.parent
-            parent[pre] = above.pre if above is not None else -1
-            if code == KIND_ELEMENT or code == KIND_ATTRIBUTE:
-                name = node._name
-                slot = name_index.get(name)
-                if slot is None:
-                    slot = name_index[name] = len(names)
-                    names.append(name)
-                name_id[pre] = slot
-                if code == KIND_ELEMENT:
-                    element_pres.append(pre)
-                    streams = tag_pres
-                else:
-                    streams = attribute_pres
-                stream = streams.get(name)
-                if stream is None:
-                    stream = streams[name] = array("i")
-                stream.append(pre)
-            if code == KIND_ATTRIBUTE or code == KIND_TEXT:
-                if code == KIND_TEXT:
-                    text_pres.append(pre)
-                    value = node.text
-                else:
-                    value = node.value
-                slot = text_index.get(value)
-                if slot is None:
-                    slot = text_index[value] = len(texts)
-                    texts.append(value)
-                text_id[pre] = slot
-        columns = cls(post=post, level=level, end=end, parent=parent,
-                      kind=kind, name_id=name_id, text_id=text_id,
-                      names=names, texts=texts, tag_pres=tag_pres,
-                      attribute_pres=attribute_pres,
-                      text_pres=text_pres, element_pres=element_pres,
-                      uri=uri)
-        columns.build_seconds = time.perf_counter() - started
-        return columns
 
     # -- basic accessors ---------------------------------------------------
 

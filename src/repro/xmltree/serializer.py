@@ -1,8 +1,8 @@
 """XML serialization for the node classes.
 
-An element or document of a parsed or opened document — a tree that is
-a view of a :class:`~repro.xmltree.columnar.ColumnarDocument` — is
-written from the store's *piece table*, one string per ``pre``: the
+An element or document — a node of a tree that is a view of a
+:class:`~repro.xmltree.columnar.ColumnarDocument` — is written from the
+store's *piece table*, one string per ``pre``: the
 node's own markup (an open tag with its attributes, a self-closing
 ``<x/>``, escaped text; ``""`` for an attribute, whose markup is in its
 element's tag) followed by the closing tags of every element whose
@@ -12,14 +12,15 @@ ancestors that end where ``n`` ends.  A region is filled on its first
 output, so no node object below the one asked for is made, and a warm
 subtree costs one slot read and one join.
 
-Trees put together by hand and ``indent`` mode walk the node objects
-with one explicit stack loop.
+A tree put together by hand has no store and no pieces; documents are
+built as :class:`~repro.xmltree.builder.E` specs, whose writer
+(:func:`~repro.xmltree.builder.write_xml`) is the one object-side
+writer and shares the escaping below.
 """
 
 from __future__ import annotations
 
 from sys import intern
-from typing import Optional
 
 from .columnar import KIND_ATTRIBUTE, KIND_ELEMENT, KIND_TEXT
 from .node import AttributeNode, DocumentNode, ElementNode, Node, TextNode
@@ -39,27 +40,25 @@ def _escape_attribute(text: str) -> str:
             .replace("\t", "&#9;").replace("\n", "&#10;"))
 
 
-def serialize(node: Node, indent: Optional[int] = None) -> str:
+def serialize(node: Node) -> str:
     """Serialize a node (document, element, text or attribute) to XML.
 
-    With ``indent`` set, element-only content is pretty-printed one
-    element per line; mixed/text content is always emitted verbatim so
-    round-tripping unindented documents is lossless.
+    An element or document with no store behind it raises
+    :class:`TypeError`: build documents with
+    :func:`~repro.xmltree.builder.build_document` or parse them.
     """
-    if indent is None and isinstance(node, (ElementNode, DocumentNode)):
+    if isinstance(node, (ElementNode, DocumentNode)):
         store = node.store()
-        if store is not None:
-            return _from_pieces(store, node.pre)
-    if isinstance(node, ElementNode):
-        return _serialize_element(node, indent)
+        if store is None:
+            raise TypeError(
+                f"cannot serialize a {type(node).__name__} with no column "
+                f"store behind it; build documents with build_document "
+                f"or IndexedDocument.from_string")
+        return _from_pieces(store, node.pre)
     if isinstance(node, TextNode):
         return _escape_text(node.text)
     if isinstance(node, AttributeNode):
         return f'{node.name}="{_escape_attribute(node.value)}"'
-    if isinstance(node, DocumentNode):
-        chunks = [serialize(child, indent) for child in node.children]
-        separator = "\n" if indent is not None else ""
-        return separator.join(chunks)
     raise TypeError(f"cannot serialize {type(node).__name__}")
 
 
@@ -128,56 +127,3 @@ def _fill_pieces(store, pre: int) -> None:
                 piece += "</" + names[name_id[above]] + ">"
                 above = parent[above]
             pieces[here] = piece if code == KIND_TEXT else intern(piece)
-
-
-def _serialize_element(root: ElementNode, indent: Optional[int]) -> str:
-    """Serialize one element subtree in a single pass over an explicit
-    stack (no recursion: the paper's §5.3 documents are depth 15+).
-
-    The stack holds nodes still to be written and ready-made closing
-    tags.  ``level``/``levels`` are touched only when ``indent`` is set:
-    the nesting level of the node being written, and the level to return
-    to at each pending closing tag.
-    """
-    parts: list[str] = []
-    append = parts.append
-    stack: list = [root]
-    level = 0
-    levels: list[int] = []
-    while stack:
-        item = stack.pop()
-        kind = type(item)
-        if kind is str:
-            append(item)
-            if indent is not None:
-                level = levels.pop()
-            continue
-        if kind is TextNode:
-            append(_escape_text(item.text))
-            continue
-        name = item._name
-        children = item._children
-        if indent is not None and level:
-            append("\n" + " " * (indent * level))
-        opening = "<" + name
-        if item._attributes:
-            opening += "".join(
-                [f' {attribute._name}="{_escape_attribute(attribute.value)}"'
-                 for attribute in item._attributes])
-        if not children:
-            append(opening + "/>")
-            continue
-        append(opening + ">")
-        closing = "</" + name + ">"
-        if indent is not None:
-            levels.append(level)
-            # Inside mixed content indentation is suppressed: children
-            # restart at level 0 and the closing tag stays on the line.
-            if any(type(child) is TextNode for child in children):
-                level = 0
-            else:
-                closing = "\n" + " " * (indent * level) + closing
-                level += 1
-        stack.append(closing)
-        stack.extend(reversed(children))
-    return "".join(parts)

@@ -134,9 +134,9 @@ class PathSummary:
         self.total_text = 0
         self._node_paths: Dict[int, Point] = {}
         self._pattern_memo: Dict[int, _PatternMemo] = {}
-        self._build(document.columns)
+        self._summarize(document.columns)
 
-    def _build(self, columns) -> None:
+    def _summarize(self, columns) -> None:
         """One pass over the ``kind``/``parent``/``name_id`` columns —
         no node object is touched, so summarising an mmap-opened
         document leaves its tree unmaterialized — then one pass over

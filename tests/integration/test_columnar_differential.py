@@ -1,20 +1,12 @@
-"""Columnar-vs-object differential equivalence.
+"""The persistence differential: answers from a saved file.
 
-The columnar store must be *indistinguishable* from the object store:
-for the full golden corpus and a seeded grammar-fuzzed workload
-(:mod:`tests.support.qgen`), every physical strategy running on a
-saved-then-mmap-opened columnar document must serialize byte-identically
-to the object-store reference (NLJoin on the unoptimized plan — the
-same executable baseline the curated differential suite uses).
-
-``derandomize=True`` keeps the corpus fixed, so together the two fuzz
-tests are a seeded regression run of ≥ 200 query/document pairs, each
-checked across all 8 strategies.
-
-The compiled backend (:mod:`repro.compiled`) is held to the same bar:
-every golden query and every fuzz pair also runs under
-``backend="compiled"`` on *both* stores (object and mmap-opened
-columnar), byte-identical to the interpreted reference.
+Every golden-corpus query runs under every physical strategy on a
+document saved to ``.rpxc`` and mmap-opened back, and must serialize
+byte-identically to the recorded golden bytes (which
+tests/integration/test_golden.py pins for the parsed documents).  The
+compiled backend (:mod:`repro.compiled`) is held to the same bar on the
+same opened documents.  The generated-query stream runs on the columns
+in tests/property/test_prop_fuzz_differential.py.
 """
 
 import atexit
@@ -22,12 +14,10 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings
 
 from repro import Engine
 from repro.xmltree import IndexedDocument
 
-from tests.support import qgen
 from tests.support.make_golden import (GOLDEN_DIR, golden_queries,
                                        reference_engines, render_results)
 
@@ -37,92 +27,53 @@ ALL_STRATEGIES = ("nljoin", "twigjoin", "scjoin", "stacktree",
 _QUERIES = golden_queries()
 
 # Save each reference document once and mmap-open it back, so every
-# test in this module exercises the actual persistence path, not just
-# the in-memory column build.
+# test in this module exercises the actual persistence path.
 _TMP = tempfile.TemporaryDirectory(prefix="repro-columnar-diff-")
 atexit.register(_TMP.cleanup)
 
-_OBJECT_ENGINES = reference_engines()
 _COLUMNAR_ENGINES = {}
-for _name, _engine in _OBJECT_ENGINES.items():
+for _name, _engine in reference_engines().items():
     _path = os.path.join(_TMP.name, f"{_name}.rpxc")
     _engine.document.save(_path)
     _COLUMNAR_ENGINES[_name] = Engine(IndexedDocument.open(_path))
 
 
-def _assert_columnar_matches(name, query):
-    reference = render_results(
-        _OBJECT_ENGINES[name].run(query, strategy="nljoin",
-                                  optimize=False))
-    columnar = _COLUMNAR_ENGINES[name]
-    for strategy in ALL_STRATEGIES:
-        got = render_results(columnar.run(query, strategy=strategy))
-        assert got == reference, (
-            f"columnar {strategy} diverged from the object store "
-            f"on {query!r} ({name})")
-    for store, engines in (("object", _OBJECT_ENGINES),
-                           ("columnar", _COLUMNAR_ENGINES)):
-        for strategy in ALL_STRATEGIES:
-            got = render_results(engines[name].run(query,
-                                                   strategy=strategy,
-                                                   backend="compiled"))
-            assert got == reference, (
-                f"compiled backend ({strategy}, {store} store) diverged "
-                f"from the interpreted reference on {query!r} ({name})")
+def _expected(stem):
+    return (GOLDEN_DIR / f"{stem}.xml").read_text(encoding="utf-8")
 
 
 class TestGoldenCorpusOnColumnar:
-    """Every strategy on the columnar store against the recorded
-    golden bytes (the object store is pinned to the same files by
-    tests/integration/test_golden.py)."""
+    """Every strategy on the opened documents against the recorded
+    golden bytes."""
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     @pytest.mark.parametrize("stem", sorted(_QUERIES))
     def test_golden_bytes(self, stem, strategy):
         name = stem.split("_", 1)[0]
-        expected = (GOLDEN_DIR / f"{stem}.xml").read_text(
-            encoding="utf-8")
         got = render_results(
             _COLUMNAR_ENGINES[name].run(_QUERIES[stem],
                                         strategy=strategy))
-        assert got == expected, (
-            f"{stem} under {strategy} (columnar) drifted from the "
+        assert got == _expected(stem), (
+            f"{stem} under {strategy} (opened file) drifted from the "
             f"golden corpus")
 
     def test_documents_opened_from_disk(self):
         for engine in _COLUMNAR_ENGINES.values():
-            assert engine.document.store_kind == "columnar"
+            assert engine.document.columns.is_mapped
 
 
 class TestGoldenCorpusCompiled:
-    """The compiled backend against the recorded golden bytes, on both
-    stores — byte-identity with the interpreted evaluator is transitive
-    through the pinned corpus."""
+    """The compiled backend against the recorded golden bytes on the
+    opened documents — byte-identity with the interpreted evaluator is
+    transitive through the pinned corpus."""
 
-    @pytest.mark.parametrize("store", ["object", "columnar"])
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     @pytest.mark.parametrize("stem", sorted(_QUERIES))
-    def test_golden_bytes_compiled(self, stem, strategy, store):
-        engines = (_OBJECT_ENGINES if store == "object"
-                   else _COLUMNAR_ENGINES)
+    def test_golden_bytes_compiled(self, stem, strategy):
         name = stem.split("_", 1)[0]
-        expected = (GOLDEN_DIR / f"{stem}.xml").read_text(
-            encoding="utf-8")
         got = render_results(
-            engines[name].run(_QUERIES[stem], strategy=strategy,
-                              backend="compiled"))
-        assert got == expected, (
-            f"{stem} under {strategy} (compiled, {store}) drifted from "
-            f"the golden corpus")
-
-
-@given(query=qgen.member_queries())
-@settings(max_examples=120, deadline=None, derandomize=True)
-def test_member_fuzz_columnar_differential(query):
-    _assert_columnar_matches("member", query)
-
-
-@given(query=qgen.xmark_queries())
-@settings(max_examples=100, deadline=None, derandomize=True)
-def test_xmark_fuzz_columnar_differential(query):
-    _assert_columnar_matches("xmark", query)
+            _COLUMNAR_ENGINES[name].run(_QUERIES[stem], strategy=strategy,
+                                        backend="compiled"))
+        assert got == _expected(stem), (
+            f"{stem} under {strategy} (compiled) drifted from the golden "
+            f"corpus")

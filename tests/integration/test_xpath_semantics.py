@@ -295,36 +295,28 @@ class TestStepsFromAttributes:
     }
 
     @pytest.fixture(scope="class")
-    def stores(self, tmp_path_factory):
-        in_memory = Engine.from_xml(self.XML)
-        path = str(tmp_path_factory.mktemp("attr") / "doc.rpxc")
-        in_memory.document.save(path)
-        return {"object": in_memory,
-                "columnar": Engine.from_columnar_file(path)}
+    def engine(self):
+        return Engine.from_xml(self.XML)
 
     @pytest.mark.parametrize("axis", ["self", "descendant-or-self",
                                       "child", "descendant"])
     @pytest.mark.parametrize("test", ["node()", "*", "text()", "x", "b"])
     @pytest.mark.parametrize("shape", [SAME_PATTERN, PER_TUPLE])
-    def test_every_strategy_and_store(self, stores, shape, axis, test):
+    def test_every_strategy(self, engine, shape, axis, test):
         query = shape.format(axis=axis, test=test)
         expected = self.KEPT.get((shape, axis, test), [])
-        for store, engine in stores.items():
-            assert values(engine, query, strategy="nljoin",
-                          optimize=False) == expected, (query, store)
-            for strategy in self.STRATEGIES:
-                assert values(engine, query,
-                              strategy=strategy) == expected, \
-                    (query, strategy, store)
+        assert values(engine, query, strategy="nljoin",
+                      optimize=False) == expected, query
+        for strategy in self.STRATEGIES:
+            assert values(engine, query, strategy=strategy) == expected, \
+                (query, strategy)
 
-    def test_branches_hanging_off_an_attribute(self, stores):
+    def test_branches_hanging_off_an_attribute(self, engine):
         for query, expected in [
                 ("$input//a[@x/self::node()]/b/@x", ["3"]),
                 ("$input//b/@x[descendant-or-self::node()]", ["3"]),
                 ("$input//b/@x[child::node()]", []),
                 ("$input//@y/self::node()/self::node()", ["2"])]:
-            for store, engine in stores.items():
-                for strategy in self.STRATEGIES:
-                    assert values(engine, query,
-                                  strategy=strategy) == expected, \
-                        (query, strategy, store)
+            for strategy in self.STRATEGIES:
+                assert values(engine, query, strategy=strategy) == expected, \
+                    (query, strategy)

@@ -1,9 +1,6 @@
 """Property: NLJoin, TwigJoin and SCJoin agree on random patterns
 against random documents (NLJoin is the executable specification)."""
 
-import atexit
-import tempfile
-
 from hypothesis import given, settings, strategies as st
 
 from repro import Engine
@@ -16,7 +13,6 @@ from repro.xmltree.axes import Axis
 from repro.xmltree.nodetest import NameTest, WildcardTest
 
 from tests.support import qgen
-from tests.support.stores import both_stores
 
 NL, TJ, SC = NLJoin(), TwigJoin(), StaircaseJoin()
 STREAM = StreamingXPath()
@@ -139,10 +135,7 @@ def test_enumerate_bindings_agreement(seed, path):
 
 # -- evaluate_each over the generated-query pattern stream ---------------------
 
-_EACH_DIRECTORY = tempfile.TemporaryDirectory(prefix="repro-each-")
-atexit.register(_EACH_DIRECTORY.cleanup)
 _EACH_ENGINE = Engine(member_document(600, depth=5, tag_count=4, seed=7))
-_EACH_STORES = both_stores(_EACH_ENGINE.document, _EACH_DIRECTORY.name)
 
 
 def _sample_contexts(document):
@@ -156,16 +149,14 @@ def _sample_contexts(document):
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_evaluate_each_is_evaluate_per_context(query):
     """Every tree pattern the optimizer finds in a generated query,
-    under every strategy on both stores: a batch answers as the loop."""
+    under every strategy: a batch answers as the loop."""
+    document = _EACH_ENGINE.document
+    contexts = _sample_contexts(document)
     for pattern in _EACH_ENGINE.compile(query).tree_patterns():
-        for store, document in _EACH_STORES.items():
-            contexts = _sample_contexts(document)
-            for strategy in Strategy:
-                algorithm = make_algorithm(strategy, document)
-                algorithm.attach_summary(document.summary)
-                expected = [algorithm.evaluate(document, [context], pattern)
-                            for context in contexts]
-                assert algorithm.evaluate_each(document, contexts, pattern) \
-                    == expected, (
-                        f"{strategy} ({store} store) on {pattern} "
-                        f"from {query!r}")
+        for strategy in Strategy:
+            algorithm = make_algorithm(strategy, document)
+            algorithm.attach_summary(document.summary)
+            expected = [algorithm.evaluate(document, [context], pattern)
+                        for context in contexts]
+            assert algorithm.evaluate_each(document, contexts, pattern) \
+                == expected, f"{strategy} on {pattern} from {query!r}"

@@ -9,9 +9,8 @@ Two sources of query/document pairs drive an inline-transport cluster
 * **seeded grammar fuzz** (:mod:`tests.support.qgen`, ≥200 pairs with
   ``derandomize=True``) on the MemBeR and XMark fuzz documents.
 
-The single-process reference is computed on engines over the *same*
-columns both from the object store build and re-opened columnar files,
-so store choice provably does not leak into cluster answers either.
+The single-process reference is an engine over the same generated
+document the shards were cut from.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from repro import Engine, IndexedDocument
+from repro import Engine
 from repro.data import member_document, xmark_document
 from repro.serve import ClusterLayout, ClusterService, QueryRequest
 from repro.xmltree import serialize
@@ -53,17 +52,12 @@ def _cluster():
     return _CLUSTER
 
 
-def _baseline(document: str, store: str) -> Engine:
-    """Single-process engine per (document, store) pair."""
-    key = (document, store)
-    engine = _BASELINES.get(key)
+def _baseline(document: str) -> Engine:
+    """Single-process engine per document."""
+    engine = _BASELINES.get(document)
     if engine is None:
-        source = _MEMBER if document == "member" else _XMARK
-        if store == "object":
-            engine = Engine(source)
-        else:
-            engine = Engine(IndexedDocument(columns=source.columns))
-        _BASELINES[key] = engine
+        engine = _BASELINES[document] = Engine(
+            _MEMBER if document == "member" else _XMARK)
     return engine
 
 
@@ -78,13 +72,12 @@ def assert_cluster_matches(document: str, query: str,
     got = rendered(service.submit(QueryRequest(
         document=document, query=query,
         strategy=strategy)).result(timeout=120))
-    for store in ("object", "columnar"):
-        engine = _baseline(document, store)
-        expected = rendered(engine.execute(engine.compile(query),
-                                           strategy=strategy))
-        assert got == expected, (
-            f"cluster diverged from {store} single-process on "
-            f"{query!r} (strategy={strategy})")
+    engine = _baseline(document)
+    expected = rendered(engine.execute(engine.compile(query),
+                                       strategy=strategy))
+    assert got == expected, (
+        f"cluster diverged from single-process on {query!r} "
+        f"(strategy={strategy})")
 
 
 # -- golden corpus × every strategy ------------------------------------------

@@ -9,7 +9,9 @@ plan, the same executable baseline the curated differential suite uses.
 
 ``derandomize=True`` keeps the corpus fixed, so the suite is a seeded
 regression fuzz run (≥ 200 query/document pairs) rather than a flaky
-one.
+one.  The generated documents are columns, as every document is; the
+same corpora on a saved-and-opened file are the golden runs of
+tests/integration/test_columnar_differential.py.
 """
 
 from hypothesis import given, settings

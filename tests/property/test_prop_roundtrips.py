@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.pattern import parse_pattern
 from repro.rewrite import rewrite_to_tpnf
-from repro.xmltree import (DocumentNode, ElementNode, IndexedDocument,
-                           parse_xml, serialize)
-from repro.xmltree.builder import E, build_document
+from repro.xmltree import IndexedDocument, parse_xml, serialize
+from repro.xmltree.builder import E, build_document, write_xml
 from repro.xqcore import alpha_canonical, normalize_query
 from repro.xquery import parse_query
 from repro.xquery.abbrev import resolve_abbreviations
+from tests.support.nodes import written_reference
 
 TAGS = ["a", "b", "c"]
 ATTR_NAMES = ["id", "x"]
@@ -48,6 +48,7 @@ def rich_trees(draw, max_depth=3):
 def test_serializer_parser_round_trip(tree):
     document = build_document(tree)
     text = serialize(document.root)
+    assert text == write_xml(tree)
     reparsed = parse_xml(text)
     assert serialize(reparsed) == text
     # structure preserved: same node kinds in document order
@@ -69,13 +70,11 @@ def test_string_values_survive_round_trip(tree):
 def test_column_output_is_the_object_loop_output(tree, rng):
     """Every element's and the document's markup and string value, read
     in a random order from a parsed store, an mmap-opened one and one
-    closed with copy-out, are what the object loop and the tree walk
-    give for the same tree built by hand."""
-    by_hand = build_document(tree)
-    expected = {node.pre: (serialize(node), node.string_value())
-                for node in by_hand.nodes_by_pre
-                if isinstance(node, (DocumentNode, ElementNode))}
-    text = expected[0][0]
+    closed with copy-out, are what the object-side writer and the
+    spec's strings give on an ``E`` copy of the same tree."""
+    text = write_xml(tree)
+    expected = written_reference(text)
+    assert expected[0][0] == text
     with tempfile.TemporaryDirectory() as folder:
         path = os.path.join(folder, "doc.rpxc")
         IndexedDocument.from_string(text).save(path)

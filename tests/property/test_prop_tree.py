@@ -2,9 +2,8 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.xmltree import (Axis, IndexedDocument, assign_regions,
-                           axis_nodes, ddo, parse_xml, serialize)
-from repro.xmltree.node import DocumentNode, ElementNode, TextNode
+from repro.xmltree import (Axis, E, IndexedDocument, axis_nodes,
+                           build_document, ddo, parse_xml, serialize)
 from tests.support.nodes import check_parser_numbering
 
 TAGS = ["a", "b", "c"]
@@ -27,18 +26,11 @@ def element_trees(draw, max_depth=4):
 
 
 def build(tree) -> IndexedDocument:
-    document = DocumentNode()
-
     def construct(spec):
         tag, children = spec
-        element = ElementNode(tag)
-        for child in children:
-            element.append_child(construct(child))
-        return element
+        return E(tag, *(construct(child) for child in children))
 
-    document.append_child(construct(tree))
-    assign_regions(document)
-    return IndexedDocument(document)
+    return build_document(construct(tree))
 
 
 @settings(max_examples=60, deadline=None)

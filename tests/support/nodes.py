@@ -1,13 +1,14 @@
 """Oracles for the document build path: a field-by-field node dump, a
-count of the nodes made on demand and the tree-walk path-summary builder
-the production one replaced."""
+count of the nodes made on demand, an :class:`E` copy of a parsed tree
+for the object-side writer, and the tree-walk path-summary builder the
+production one replaced."""
 
 from __future__ import annotations
 
 from collections import Counter
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.xmltree import IndexedDocument, assign_regions
+from repro.xmltree import E, IndexedDocument, assign_regions, write_xml
 from repro.xmltree.node import (AttributeNode, DocumentNode, ElementNode,
                                 Node, TextNode)
 from repro.xmltree.parser import parse_nodes, parse_xml
@@ -19,26 +20,50 @@ def made_nodes(document: IndexedDocument) -> int:
     return sum(node is not None for node in document.columns.nodes)
 
 
-def hand_built(text: str) -> DocumentNode:
-    """The document of ``text`` as a tree put together by hand: plain
-    nodes numbered by :func:`assign_regions` with no column store
-    behind them, which the serializer writes by walking the objects."""
-    parsed = parse_xml(text)
-    root = DocumentNode(parsed.uri)
-    stack: List[Tuple[Node, Node]] = [(parsed, root)]
+def spec_of(node: Node) -> E:
+    """An :class:`E` copy of an element's subtree (of a document's
+    element, for a document node), found by walking the node objects."""
+    if isinstance(node, DocumentNode):
+        node = node.document_element
+    root = E(node.name)
+    stack: List[Tuple[Node, E]] = [(node, root)]
     while stack:
         source, copy = stack.pop()
-        for attribute in getattr(source, "attributes", ()):
-            copy.set_attribute(attribute.name, attribute.value)
+        copy.attributes.update((attribute.name, attribute.value)
+                               for attribute in source.attributes)
         for child in source.children:
             if isinstance(child, TextNode):
-                copy.append_child(TextNode(child.text))
+                copy.children.append(child.text)
             else:
-                element = ElementNode(child.name)
-                copy.append_child(element)
+                element = E(child.name)
+                copy.children.append(element)
                 stack.append((child, element))
-    assign_regions(root)
     return root
+
+
+def spec_text(spec: E) -> str:
+    """The string value of an :class:`E` tree: its strings in order."""
+    parts: List[str] = []
+    stack: list = [spec]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        else:
+            stack.extend(reversed(item.children))
+    return "".join(parts)
+
+
+def written_reference(text: str) -> Dict[int, Tuple[str, str]]:
+    """``pre`` → (markup, string value) of every element and the
+    document node of ``text``, from the :class:`E` writer and the
+    spec's strings on a copy of the tree (never from the columns)."""
+    expected = {}
+    for node in tree_nodes(parse_xml(text)):
+        if isinstance(node, (DocumentNode, ElementNode)):
+            spec = spec_of(node)
+            expected[node.pre] = (write_xml(spec), spec_text(spec))
+    return expected
 
 
 def tree_nodes(root: DocumentNode) -> List[Node]:
@@ -78,8 +103,8 @@ def dump_nodes(root: DocumentNode) -> List[dict]:
 
 def check_parser_numbering(text: str) -> None:
     """The parser's table is dense, in document order and numbered as
-    :func:`assign_regions` numbers the same tree; handed to
-    :class:`IndexedDocument` it gives what walking the tree gives."""
+    :func:`assign_regions` numbers the same tree; the streams of
+    :class:`IndexedDocument` are what walking the tree gives."""
     table = parse_nodes(text)
     root = table[0]
     assert [node.pre for node in table] == list(range(len(table)))
@@ -88,25 +113,28 @@ def check_parser_numbering(text: str) -> None:
     as_parsed = dump_nodes(root)
     assert assign_regions(root) == len(table)
     assert dump_nodes(root) == as_parsed
-    walked = IndexedDocument(root)
+    walked: Dict[type, Dict[Optional[str], List[int]]] = {
+        ElementNode: {}, AttributeNode: {}, TextNode: {}}
+    for node in table:
+        for kind, streams in walked.items():
+            if isinstance(node, kind):
+                streams.setdefault(node.name, []).append(node.pre)
     handed = IndexedDocument.from_string(text)
-    assert len(walked.nodes_by_pre) == len(table)
-    assert all(ours is theirs
-               for ours, theirs in zip(table, walked.nodes_by_pre))
     assert dump_nodes(handed.root) == as_parsed
-    assert handed.tag_pres == walked.tag_pres
-    for name in ("tag_streams", "attribute_streams"):
-        assert {key: [node.pre for node in stream] for key, stream
-                in getattr(handed, name).items()} == \
-            {key: [node.pre for node in stream] for key, stream
-             in getattr(walked, name).items()}
-    assert [node.pre for node in handed.text_stream] == \
-        [node.pre for node in walked.text_stream]
+    assert {tag: list(pres) for tag, pres in handed.tag_pres.items()} == \
+        walked[ElementNode]
+    assert {tag: [node.pre for node in handed.stream(tag)]
+            for tag in handed.tag_pres} == walked[ElementNode]
+    assert {name: [node.pre for node in handed.attribute_stream(name)]
+            for name in handed.columns.attribute_pres} == \
+        walked[AttributeNode]
+    assert list(handed.columns.text_pres) == \
+        walked[TextNode].get(None, [])
 
 
 class TreeWalkSummary:
     """The path summary's contents computed by walking the object tree
-    (``PathSummary._build`` as it was before the build moved onto the
+    (``PathSummary._summarize`` as it was before the build moved onto the
     columns): the reference the production builder is compared with."""
 
     def __init__(self, root: DocumentNode) -> None:

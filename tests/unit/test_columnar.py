@@ -1,23 +1,22 @@
 """The columnar document store: invariants, the facade, node_at.
 
 Property tests drive randomly generated documents — with attributes and
-text, the parts a tag-only generator misses — through
-``ColumnarDocument.from_nodes`` and check the region-encoding
-invariants the join algorithms rely on: dense ``pre``, ``post`` a
-permutation, subtree intervals properly nested or disjoint,
-``parent``/``level`` consistency, sorted per-tag streams.
+text, the parts a tag-only generator misses — through the scanner's
+columns (``build_document``) and check the region-encoding invariants
+the join algorithms rely on: dense ``pre``, ``post`` a permutation,
+subtree intervals properly nested or disjoint, ``parent``/``level``
+consistency, sorted per-tag streams.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Engine
-from repro.xmltree import (ColumnarDocument, E, IndexedDocument,
-                           StorageError, assign_regions, build_document,
-                           serialize)
+from repro.xmltree import (E, IndexedDocument, StorageError,
+                           build_document, parse_xml, serialize)
 from repro.xmltree.columnar import (KIND_ATTRIBUTE, KIND_DOCUMENT,
                                     KIND_ELEMENT, KIND_TEXT)
-from repro.xmltree.node import DocumentNode, ElementNode, TextNode
+from repro.xmltree.node import DocumentNode, ElementNode
 from repro.xmltree.nodetest import (AnyKindTest, ElementTest, NameTest,
                                     TextTest, WildcardTest)
 from tests.support.nodes import made_nodes
@@ -31,24 +30,21 @@ def random_documents(draw, max_depth=4):
     """A random document *with attributes and text nodes*."""
 
     def element(depth):
-        node = ElementNode(draw(st.sampled_from(TAGS)))
+        spec = E(draw(st.sampled_from(TAGS)))
         for name in draw(st.lists(st.sampled_from(ATTR_NAMES),
                                   unique=True, max_size=3)):
-            node.set_attribute(name, draw(st.text(
-                alphabet="xyz0", max_size=3)))
+            spec.attributes[name] = draw(st.text(alphabet="xyz0",
+                                                 max_size=3))
         if depth < max_depth:
             for _ in range(draw(st.integers(0, 3))):
                 if draw(st.booleans()):
-                    node.append_child(element(depth + 1))
+                    spec.children.append(element(depth + 1))
                 else:
-                    node.append_child(TextNode(draw(st.text(
-                        alphabet="pq ", min_size=1, max_size=4))))
-        return node
+                    spec.children.append(draw(st.text(
+                        alphabet="pq ", min_size=1, max_size=4)))
+        return spec
 
-    document = DocumentNode()
-    document.append_child(element(0))
-    assign_regions(document)
-    return IndexedDocument(document)
+    return build_document(element(0))
 
 
 class TestColumnarInvariants:
@@ -141,52 +137,7 @@ class TestColumnarInvariants:
                     [attribute.pre for attribute in node.attributes]
 
 
-class TestFromNodesErrors:
-    def test_non_dense_table_is_rejected(self):
-        doc = IndexedDocument.from_string("<a><b/><c/></a>")
-        for node in doc.nodes_by_pre:
-            node.pre *= 2
-        with pytest.raises(StorageError) as err:
-            ColumnarDocument.from_nodes(sorted(doc.nodes_by_pre,
-                                               key=lambda n: n.pre))
-        assert err.value.code == "REPRO-STORAGE"
-        assert err.value.context["check"] == "dense-pre"
-
-    def test_shuffled_table_is_rejected(self):
-        table = IndexedDocument.from_string("<a><b/>t<c x='1'/></a>"
-                                            ).nodes_by_pre
-        with pytest.raises(StorageError) as err:
-            ColumnarDocument.from_nodes(table[:2] + table[:1:-1])
-        assert err.value.context["check"] == "dense-pre"
-
-    def test_foreign_object_is_rejected(self):
-        from repro.xmltree.node import Node
-        table = list(IndexedDocument.from_string("<a><b/></a>"
-                                                 ).nodes_by_pre)
-        stranger = Node()
-        stranger.pre, stranger.post = 2, table[2].post
-        stranger.level = stranger.end = 2
-        stranger.parent = table[1]
-        for foreign in (stranger, object(), "b"):
-            with pytest.raises(StorageError) as err:
-                ColumnarDocument.from_nodes(table[:2] + [foreign])
-            assert err.value.code == "REPRO-STORAGE"
-            assert err.value.context["check"] == "node-kind"
-
-    def test_subclassed_nodes_keep_their_kind(self):
-        class Marked(ElementNode):
-            __slots__ = ()
-
-        document = DocumentNode()
-        outer = Marked("a")
-        outer.append_child(TextNode("t"))
-        document.append_child(outer)
-        assign_regions(document)
-        columns = IndexedDocument(document).columns
-        assert list(columns.kind) == [KIND_DOCUMENT, KIND_ELEMENT,
-                                      KIND_TEXT]
-        assert columns.name_of(1) == "a"
-
+class TestClosedStore:
     def test_closed_store_without_a_tree_stays_a_typed_error(self,
                                                              tmp_path):
         path = tmp_path / "closed.rpxc"
@@ -207,25 +158,17 @@ class TestFacade:
     def doc(self):
         return IndexedDocument.from_string(self.XML)
 
-    def test_tree_first_columns_are_lazy_and_cached(self):
-        doc = build_document(
-            E("site", E("person", E("name", "John"), id="p1"), key="k1"))
-        assert not doc.has_columns
-        columns = doc.columns
-        assert doc.has_columns
-        assert doc.columns is columns
-        assert doc.store_kind == "object"
-
     def test_parsed_document_is_born_from_columns(self):
         doc = self.doc()
-        assert doc.has_columns
-        assert doc.store_kind == "columnar"
         assert made_nodes(doc) == 0
+        built = build_document(
+            E("site", E("person", E("name", "John"), id="p1"), key="k1"))
+        assert made_nodes(built) == 0
+        assert built.columns.n == 7
 
     def test_column_first_materializes_identical_tree(self):
         doc = self.doc()
         rebuilt = IndexedDocument(columns=doc.columns)
-        assert rebuilt.store_kind == "columnar"
         assert serialize(rebuilt.root) == serialize(doc.root)
         assert [n.pre for n in rebuilt.nodes_by_pre] == \
             [n.pre for n in doc.nodes_by_pre]
@@ -233,10 +176,9 @@ class TestFacade:
             assert type(ours) is type(theirs)
             assert (ours.pre, ours.post, ours.level, ours.end) == \
                 (theirs.pre, theirs.post, theirs.level, theirs.end)
-        assert sorted(rebuilt.tag_streams) == sorted(doc.tag_streams)
-        assert sorted(rebuilt.attribute_streams) == \
-            sorted(doc.attribute_streams)
-        assert len(rebuilt.text_stream) == len(doc.text_stream)
+        assert rebuilt.tag_pres is doc.tag_pres
+        assert [n.pre for n in rebuilt.attribute_stream("id")] == \
+            [n.pre for n in doc.attribute_stream("id")]
 
     def test_column_first_size_without_materialization(self):
         rebuilt = IndexedDocument(columns=self.doc().columns)
@@ -250,6 +192,14 @@ class TestFacade:
             IndexedDocument()
         with pytest.raises(ValueError):
             IndexedDocument(doc.root, columns=doc.columns)
+        # A tree with no store behind it is not a document …
+        by_hand = DocumentNode()
+        by_hand.append_child(ElementNode("a"))
+        with pytest.raises(ValueError, match="build_document"):
+            IndexedDocument(by_hand)
+        # … a parsed one stands for the columns it was parsed into.
+        parsed = parse_xml(self.XML)
+        assert IndexedDocument(parsed).columns is parsed._owner
 
     def test_engine_runs_on_column_first_document(self):
         rebuilt = IndexedDocument(columns=self.doc().columns)
@@ -267,10 +217,10 @@ class TestNodeAt:
 
     @pytest.fixture(params=["object", "columnar"])
     def doc(self, request):
-        tree_first = IndexedDocument.from_string(self.XML)
+        parsed = IndexedDocument.from_string(self.XML)
         if request.param == "object":
-            return tree_first
-        return IndexedDocument(columns=tree_first.columns)
+            return parsed
+        return IndexedDocument(columns=parsed.columns)
 
     def test_attribute_heavy_lookup_is_exact(self, doc):
         # With 9 attributes interleaved into the numbering, every pre —
@@ -283,22 +233,6 @@ class TestNodeAt:
         for pre in (-1, -size, size, size + 7):
             with pytest.raises(KeyError):
                 doc.node_at(pre)
-
-    def test_sparse_table_falls_back_to_search(self):
-        # A table that kept non-dense pre numbers (e.g. a re-rooted
-        # fragment): position indexing would alias, the bisect fallback
-        # must not.
-        doc = build_document(E("a", E("b"), E("c"), E("d")))
-        for node in doc.nodes_by_pre:
-            node.pre *= 2
-            node.end = node.end * 2 + 1
-        sparse = IndexedDocument(doc.root)
-        for node in sparse.nodes_by_pre:
-            assert sparse.node_at(node.pre) is node
-        with pytest.raises(KeyError):
-            sparse.node_at(3)          # between two real pre numbers
-        with pytest.raises(KeyError):
-            sparse.node_at(1000)
 
 
 class TestDistinctDocOrder:

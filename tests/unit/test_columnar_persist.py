@@ -199,18 +199,8 @@ class TestEngineStoreSelection:
         assert Engine.from_file(str(xml)).run(query) == [2]
         engine = Engine.from_file(str(path))
         assert engine.run(query) == [2]
-        assert engine.document.store_kind == "columnar"
-
-    def test_from_file_object_refuses_columnar(self, saved):
-        _, path = saved
-        with pytest.raises(ReproError) as err:
-            Engine.from_file(str(path), store="object")
-        assert "columnar" in str(err.value)
-
-    def test_from_file_unknown_store(self, saved):
-        _, path = saved
-        with pytest.raises(ReproError):
-            Engine.from_file(str(path), store="parquet")
+        assert engine.document.columns.is_mapped
+        assert not Engine.from_file(str(xml)).document.columns.is_mapped
 
     def test_catalog_columnar_entry(self, saved):
         from repro.serve import DocumentCatalog
@@ -220,7 +210,7 @@ class TestEngineStoreSelection:
         catalog.add_file("auto", str(path))
         for name in ("site", "auto"):
             engine = catalog.engine(name)
-            assert engine.document.store_kind == "columnar"
+            assert engine.document.columns.is_mapped
             assert engine.run("count($input//person)") == [2]
 
 
@@ -245,7 +235,7 @@ class TestCliIndex:
             "--format", "xml")
         got_code, got = run_cli(
             "query", "$input//t01/t02", "--doc", str(rpxc),
-            "--store", "columnar", "--format", "xml")
+            "--format", "xml")
         assert expected_code == got_code == 0
         assert got == expected
 
@@ -255,15 +245,6 @@ class TestCliIndex:
         code, output = run_cli("index", str(xml))
         assert code == 0
         assert (tmp_path / "d.rpxc").exists()
-
-    def test_query_store_object_on_columnar_errors(self, tmp_path):
-        xml = tmp_path / "d.xml"
-        xml.write_text(XML, encoding="utf-8")
-        run_cli("index", str(xml))
-        code, _ = run_cli("query", "count($input//person)",
-                          "--doc", str(tmp_path / "d.rpxc"),
-                          "--store", "object")
-        assert code == 2
 
     def test_query_corrupt_index_reports_typed_error(self, tmp_path):
         xml = tmp_path / "d.xml"

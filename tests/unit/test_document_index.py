@@ -1,4 +1,5 @@
-"""IndexedDocument: tag streams, region slices, document order utilities."""
+"""IndexedDocument: tag streams, the parser's table, document order
+utilities."""
 
 import gc
 
@@ -17,9 +18,9 @@ def make():
 class TestStreams:
     def test_tag_streams_sorted(self):
         doc = make()
-        for tag, stream in doc.tag_streams.items():
-            pres = [node.pre for node in stream]
-            assert pres == sorted(pres), tag
+        for tag, pres in doc.tag_pres.items():
+            assert list(pres) == sorted(pres), tag
+            assert [node.pre for node in doc.stream(tag)] == list(pres)
 
     def test_stream_contents(self):
         doc = make()
@@ -40,12 +41,15 @@ class TestStreams:
 
     def test_attribute_streams(self):
         doc = IndexedDocument.from_string('<a id="1"><b id="2" x="3"/></a>')
-        assert len(doc.attribute_streams["id"]) == 2
-        assert len(doc.attribute_streams["x"]) == 1
+        assert [node.value for node in doc.attribute_stream("id")] == \
+            ["1", "2"]
+        assert len(doc.attribute_stream("x")) == 1
+        assert doc.attribute_stream("nope") == []
 
     def test_text_stream(self):
         doc = IndexedDocument.from_string("<a>x<b>y</b></a>")
-        assert [t.text for t in doc.text_stream] == ["x", "y"]
+        assert [doc.node_at(pre).text for pre in doc.columns.text_pres] \
+            == ["x", "y"]
 
     def test_all_elements(self):
         doc = make()
@@ -77,27 +81,6 @@ class TestParserTable:
         assert born == []
         assert made_nodes(engine.document) == 0
         assert len(engine.execute(compiled)) == 50
-
-
-class TestRegionSlices:
-    def test_stream_in_region(self):
-        doc = make()
-        root = doc.root.document_element
-        inner_b = doc.stream("b")[0]
-        in_b = doc.stream_in_region("a", inner_b)
-        assert len(in_b) == 1  # the nested <a>
-        assert in_b[0].level == 3
-
-    def test_include_self(self):
-        doc = make()
-        nested_a = doc.stream("a")[1]
-        assert doc.stream_in_region("a", nested_a) == []
-        with_self = doc.stream_in_region("a", nested_a, include_self=True)
-        assert with_self == [nested_a]
-
-    def test_empty_tag(self):
-        doc = make()
-        assert doc.stream_in_region("zzz", doc.root) == []
 
 
 class TestDocumentOrder:

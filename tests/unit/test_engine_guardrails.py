@@ -134,6 +134,33 @@ class TestInputValidation:
         assert capsys.readouterr().out.strip() == str(depth)
 
 
+class TestFileErrors:
+    """A path ``Engine.from_file`` cannot read as a document is a typed
+    ``REPRO-INPUT`` error carrying the path, never a raw ``OSError`` or
+    ``UnicodeDecodeError``."""
+
+    @staticmethod
+    def refused(path):
+        from repro.guard import InputError
+        with pytest.raises(InputError) as err:
+            Engine.from_file(str(path))
+        assert err.value.code == "REPRO-INPUT"
+        assert err.value.context["path"] == str(path)
+        return str(err.value)
+
+    def test_missing_file(self, tmp_path):
+        assert "no such document file" in self.refused(
+            tmp_path / "missing.xml")
+
+    def test_directory(self, tmp_path):
+        assert "is a directory" in self.refused(tmp_path)
+
+    def test_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.xml"
+        path.write_bytes("<a>café</a>".encode("latin-1"))
+        assert "UTF-8" in self.refused(path)
+
+
 class TestBudgets:
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     def test_step_budget_trips_every_strategy(self, people_engine, strategy):
@@ -381,6 +408,16 @@ class TestCli:
         assert code == 2
         assert "REPRO-XQ-SYNTAX" in err
         assert "^" in err
+
+    def test_unreadable_doc_is_a_typed_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.xml"
+        path.write_bytes(b"<a>caf\xe9</a>")
+        for doc in (tmp_path / "missing.xml", tmp_path, path):
+            code, _, err = self.run_cli(
+                ["query", "$input//a", "--doc", str(doc)], capsys)
+            assert code == 2
+            assert "REPRO-INPUT" in err and str(doc) in err
+            assert "Traceback" not in err
 
     def test_strict_flag_accepted(self, capsys):
         code, out, _ = self.run_cli(

@@ -71,6 +71,23 @@ class TestAllocation:
         finally:
             engine.document.close()
 
+    @pytest.mark.parametrize("strategy", ["auto", "cost"])
+    def test_choosers_estimate_from_the_columns(self, saved, strategy):
+        """AUTO and COST size the streams they would read from the tag
+        streams' lengths, so with the flat statistics (no summary) too
+        the rows and their ancestors are all that is made."""
+        _, path = saved
+        engine = Engine.from_columnar_file(path, use_summary=False)
+        try:
+            rows = engine.run(QUERY, strategy=strategy)
+            ancestors = {id(above) for row in rows
+                         for above in row.iter_ancestors()}
+            assert len(rows) == 400
+            assert made_nodes(engine.document) == \
+                len(rows) + len(ancestors) == 803
+        finally:
+            engine.document.close()
+
     def test_reporting_pre_numbers_expands_nothing(self, saved):
         """What a cluster worker does with its rows: no element's
         content is read, so every node made is a leaf or a shell."""
@@ -214,13 +231,11 @@ class TestEquivalence:
                     elif move == 3 and node.end - node.pre < 200:
                         list(node.iter_descendants())
                 assert dump_nodes(document.root) == expected
-            by_hand = IndexedDocument(reference.root) \
-                if reference.store_kind == "object" else reference
             rendered = {
                 serialize(engine.document.root)
                 for engine in (Engine.from_xml(text),
                                Engine.from_columnar_file(str(path)),
-                               Engine(by_hand))}
+                               Engine(reference))}
             assert rendered == {text}
         finally:
             opened.close()
@@ -232,7 +247,7 @@ class TestEquivalence:
         root = parse_xml("<a><b>t</b><c x='1'/></a>")
         document = IndexedDocument(root)
         assert document.root is root
-        assert document.store_kind == "columnar"
+        assert document.columns is root._owner
         assert made_nodes(document) == 1
         assert [n.string_value() for n in Engine(document).run(
             "$input//b")] == ["t"]
@@ -255,10 +270,8 @@ class TestClose:
                       lambda: opened.columns, lambda: opened.node_at(1),
                       lambda: opened.nodes_by_pre,
                       lambda: opened.all_elements(),
-                      lambda: opened.text_stream,
-                      lambda: opened.attribute_streams,
+                      lambda: opened.attribute_stream("x"),
                       lambda: opened.stream("b"),
-                      lambda: opened.stream_in_region("b", None),
                       lambda: opened.save(path + ".again")):
             with pytest.raises(StorageError) as err:
                 touch()

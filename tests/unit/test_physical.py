@@ -12,8 +12,6 @@ from repro.physical import (HeuristicChooser, NLJoin, StackTreeJoin,
                             make_algorithm)
 from repro.xmltree import IndexedDocument, serialize
 
-from tests.support.stores import both_stores
-
 DOC = IndexedDocument.from_string(
     '<site><people>'
     '<person id="p1"><name>John</name><emailaddress/>'
@@ -429,12 +427,20 @@ def pres(bindings):
 
 
 @pytest.fixture(scope="module")
-def stores(tmp_path_factory):
-    """The document in both stores: parsed, and saved + mmap-opened."""
-    documents = both_stores(IndexedDocument.from_string(EACH_XML),
-                            tmp_path_factory.mktemp("each"))
-    yield documents
-    documents["columnar"].close()
+def document():
+    return IndexedDocument.from_string(EACH_XML)
+
+
+@pytest.fixture(scope="module")
+def stores(document, tmp_path_factory):
+    """The document parsed (id ``object``, from when a parsed document
+    was an object tree) and saved + mmap-opened (id ``columnar``): the
+    two ways a document's columns are held, arrays and a map."""
+    path = tmp_path_factory.mktemp("each") / "document.rpxc"
+    document.save(path)
+    opened = IndexedDocument.open(path)
+    yield {"object": document, "columnar": opened}
+    opened.close()
 
 
 @pytest.mark.parametrize("store", ["object", "columnar"])
@@ -490,8 +496,7 @@ class TestStaircaseBatch:
                                       parse_pattern(text))
         return got, metrics
 
-    def test_one_kernel_invocation_per_batch(self, stores):
-        document = stores["object"]
+    def test_one_kernel_invocation_per_batch(self, document):
         contexts = each_contexts(document)
         _, metrics = self.run(document, "IN#x/descendant::b{o}", contexts)
         assert metrics.pattern_evals == 1
@@ -500,8 +505,7 @@ class TestStaircaseBatch:
         assert metrics.prune_hits + metrics.prune_misses == len(contexts)
         assert metrics.prune_hits >= 3
 
-    def test_per_tuple_patterns_keep_one_invocation_per_context(self, stores):
-        document = stores["object"]
+    def test_per_tuple_patterns_keep_one_invocation_per_context(self, document):
         contexts = each_contexts(document)
         for text in ("IN#x/descendant::a{p}/child::b{o}",
                      "IN#x/parent::a{o}",
@@ -509,16 +513,14 @@ class TestStaircaseBatch:
             _, metrics = self.run(document, text, contexts)
             assert metrics.pattern_evals == len(contexts), text
 
-    def test_a_batch_the_summary_rules_out_runs_no_kernel(self, stores):
-        document = stores["object"]
+    def test_a_batch_the_summary_rules_out_runs_no_kernel(self, document):
         contexts = document.stream("z") + document.stream("c")
         got, metrics = self.run(document, "IN#x/descendant::a{o}", contexts)
         assert got == [[]] * len(contexts)
         assert metrics.prune_hits == len(contexts)
         assert not metrics.nodes_visited and not metrics.stream_scanned
 
-    def test_duplicate_contexts_share_their_answer(self, stores):
-        document = stores["object"]
+    def test_duplicate_contexts_share_their_answer(self, document):
         (outer,) = [node for node in document.stream("a")
                     if node.get_attribute("id") == "2"]
         got, _ = self.run(document, "IN#x/child::b{o}", [outer, outer])
@@ -539,8 +541,7 @@ class TestStaircaseBatch:
             == [node.end - node.pre for node in contexts]
         assert metrics.stream_scanned["scjoin"] <= 15 * len(contexts)
 
-    def test_chaos_sites_fire_per_batch(self, stores):
-        document = stores["object"]
+    def test_chaos_sites_fire_per_batch(self, document):
         contexts = each_contexts(document)
         with inject(ChaosSpec(site="scjoin.match")) as injector:
             with pytest.raises(InjectedFault):
@@ -548,8 +549,7 @@ class TestStaircaseBatch:
                     document, contexts, parse_pattern("IN#x/child::b{o}"))
         assert injector.visits == ["scjoin.match"]
 
-    def test_batch_kernel_charges_the_step_budget(self, stores):
-        document = stores["object"]
+    def test_batch_kernel_charges_the_step_budget(self, document):
         contexts = each_contexts(document)
         algorithm = StaircaseJoin()
         algorithm.attach_governor(ResourceGovernor(Budgets(max_steps=10)))

@@ -9,8 +9,8 @@ from repro.bench import (QE_QUERIES, STRATEGY_LABELS, generate_variants,
                          geometric_mean, render_table, scale, scaled,
                          table1_node_counts, time_call)
 from repro.data import deep_member_document
-from repro.xmltree import parse_xml, serialize
-from repro.xmltree.node import ElementNode
+from repro.xmltree import (E, build_document, parse_xml, serialize,
+                           write_xml)
 
 
 class TestSerializer:
@@ -32,22 +32,6 @@ class TestSerializer:
     def test_mixed_content_verbatim(self):
         text = "<a>one<b>two</b>three</a>"
         assert serialize(parse_xml(text)) == text
-
-    def test_pretty_mode_element_content(self):
-        doc = parse_xml("<a><b><c/></b><d/></a>")
-        pretty = serialize(doc, indent=2)
-        lines = pretty.splitlines()
-        assert lines[0] == "<a>"
-        assert any(line.startswith("  <b>") for line in lines)
-        assert lines[-1] == "</a>"
-
-    def test_pretty_round_trips(self):
-        doc = parse_xml("<a><b><c/></b><d/></a>")
-        pretty = serialize(doc, indent=2)
-        reparsed = parse_xml(pretty)
-        names = [n.name for n in reparsed.iter_descendants_or_self()
-                 if n.name]
-        assert names == ["a", "b", "c", "d"]
 
     def test_serialize_single_element(self):
         doc = parse_xml("<a><b>t</b></a>")
@@ -80,38 +64,26 @@ class TestSerializer:
         attribute = parse_xml(source).document_element.attributes[0]
         assert serialize(attribute) == 'b="x&#10;y&#9;z&#13;w"'
 
-    def test_pretty_mode_mixed_content(self):
-        """Indentation stops at mixed content (its text is significant)
-        and restarts, from level 0, below element-only content inside."""
-        doc = parse_xml("<a><b>one<c><d/><e>x</e></c>two</b><f/></a>")
-        assert serialize(doc, indent=2) == (
-            "<a>\n"
-            "  <b>one<c>\n"
-            "  <d/>\n"
-            "  <e>x</e>\n"
-            "</c>two</b>\n"
-            "  <f/>\n"
-            "</a>")
-
     def test_attribute_only_element(self):
         doc = parse_xml('<a><b x="1" y="&amp;"/></a>')
         assert serialize(doc) == '<a><b x="1" y="&amp;"/></a>'
-        assert serialize(doc, indent=1) == \
-            '<a>\n <b x="1" y="&amp;"/>\n</a>'
+        assert write_xml(E("a", E("b", x="1", y="&"))) == serialize(doc)
 
     def test_deep_document_needs_no_recursion(self):
         """The paper's §5.3 documents are depth 15+; go far beyond the
-        interpreter's recursion limit to pin the explicit stack."""
+        interpreter's recursion limit to pin the explicit stacks of the
+        spec writer and of the piece table."""
         deep = deep_member_document(3000, depth=15)
         text = serialize(deep.root)
         assert serialize(parse_xml(text)) == text
-        root = leaf = ElementNode("n")
+        root = leaf = E("n")
         for _ in range(5000):
-            child = ElementNode("n")
-            leaf.append_child(child)
+            child = E("n")
+            leaf.children.append(child)
             leaf = child
-        assert serialize(root) == "<n>" * 5000 + "<n/>" + "</n>" * 5000
-        assert serialize(root, indent=0).count("\n") == 10000
+        text = "<n>" * 5000 + "<n/>" + "</n>" * 5000
+        assert write_xml(root) == text
+        assert serialize(build_document(root).root) == text
 
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):

@@ -2,8 +2,9 @@
 
 An element or document of a parsed or opened document is written from
 its store's piece table (:mod:`repro.xmltree.serializer`) and its string
-value read from the text column.  Both must give what the object loop
-and the tree walk give for the same tree built by hand, in any order of
+value read from the text column.  Both must give what the object-side
+writer (:func:`repro.xmltree.write_xml`) and the spec's strings give on
+an :class:`~repro.xmltree.E` copy of the same tree, in any order of
 first output, make no node below the one asked for, and be safe to
 fill from many threads.
 
@@ -18,22 +19,16 @@ import pytest
 
 from repro import IndexedDocument
 from repro.data import xmark_document
-from repro.xmltree import DocumentNode, ElementNode, serialize
-from tests.support.nodes import hand_built, made_nodes, tree_nodes
+from repro.xmltree import parse_xml, serialize, write_xml
+from tests.support.nodes import made_nodes, spec_of, written_reference
 
-
-def reference(text):
-    """``pre`` → (markup, string value) of every element and the
-    document node of ``text``, from the object loop and the walk."""
-    return {node.pre: (serialize(node), node.string_value())
-            for node in tree_nodes(hand_built(text))
-            if isinstance(node, (DocumentNode, ElementNode))}
+reference = written_reference
 
 
 def check_in_order(text, order):
     """A fresh parsed store writes each node of ``order``, first output
-    in that order, as the hand-built tree does; the nodes made are the
-    ones asked for and their ancestors."""
+    in that order, as the writer does on the copy; the nodes made are
+    the ones asked for and their ancestors."""
     expected = reference(text)
     document = IndexedDocument.from_string(text)
     reached = set()
@@ -104,7 +99,16 @@ class TestDifferential:
         assert serialize(document.root) == text
         assert middle.string_value() == "x&"
         assert made_nodes(document) == depth // 2 + 2
-        assert serialize(hand_built(text)) == text
+        assert write_xml(spec_of(parse_xml(text))) == text
+
+    def test_a_tree_with_no_store_is_not_serialized(self):
+        """A tree put together by hand has no pieces to write from."""
+        from repro.xmltree import DocumentNode, ElementNode
+        document = DocumentNode()
+        document.append_child(ElementNode("a"))
+        for node in (document, document.children[0]):
+            with pytest.raises(TypeError):
+                serialize(node)
 
 
 class TestSharedTable:
