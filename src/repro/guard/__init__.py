@@ -27,7 +27,7 @@ from .errors import (AlgorithmError, CircuitOpen, DocumentQuarantined,
                      FallbackEvent, InputError, InternalError, ReproError,
                      ServiceClosed, ServiceOverloaded, SourceSpan,
                      WorkerLost)
-from .governor import BudgetExceeded, Budgets, ResourceGovernor
+from .governor import BudgetExceeded, Budgets, ResourceGovernor, tighten
 
 __all__ = [
     "AlgorithmError", "BudgetExceeded", "Budgets", "ChaosInjector",
@@ -36,5 +36,5 @@ __all__ = [
     "ReproError", "ResourceGovernor", "ServiceClosed",
     "ServiceOverloaded", "SourceSpan", "WorkerLost",
     "active_injector", "chaos_point", "default_seed", "inject",
-    "worker_seed",
+    "tighten", "worker_seed",
 ]

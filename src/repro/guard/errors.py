@@ -267,6 +267,17 @@ class InternalError(ReproError):
 
     code = "REPRO-INTERNAL"
 
+    @classmethod
+    def wrap(cls, err: BaseException, where: str) -> ReproError:
+        """``err`` itself when it is typed; otherwise an InternalError
+        naming it and ``where`` it was raised, with ``err`` as its
+        ``__cause__``."""
+        if isinstance(err, ReproError):
+            return err
+        wrapped = cls(f"unexpected {type(err).__name__} {where}: {err}")
+        wrapped.__cause__ = err
+        return wrapped
+
 
 @dataclass(frozen=True)
 class FallbackEvent:

@@ -29,13 +29,13 @@ one pays a few nanoseconds per operator.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional
 
 from .errors import ReproError
 
 __all__ = ["BudgetExceeded", "Budgets", "ResourceGovernor",
-           "CLOCK_CHECK_INTERVAL"]
+           "CLOCK_CHECK_INTERVAL", "tighten"]
 
 #: steps between wall-clock reads inside :meth:`ResourceGovernor.tick`.
 CLOCK_CHECK_INTERVAL = 128
@@ -83,6 +83,26 @@ class BudgetExceeded(ReproError):
         self.observed = observed
         self.elapsed_seconds = elapsed_seconds
         self.steps = steps
+
+    @classmethod
+    def lapsed(cls, timeout: Optional[float],
+               elapsed: float) -> "BudgetExceeded":
+        """A request's admission deadline (``timeout`` seconds) passed
+        before it ran; ``elapsed`` seconds are charged."""
+        return cls("wall", timeout or 0.0, elapsed, elapsed_seconds=elapsed)
+
+
+def tighten(budgets: Optional[Budgets],
+            remaining: Optional[float]) -> Optional[Budgets]:
+    """``budgets`` with the wall budget tightened, never loosened, to the
+    ``remaining`` seconds of a request's deadline."""
+    if remaining is None:
+        return budgets
+    if budgets is None:
+        return Budgets(wall_seconds=remaining)
+    if budgets.wall_seconds is None or remaining < budgets.wall_seconds:
+        return replace(budgets, wall_seconds=remaining)
+    return budgets
 
 
 class ResourceGovernor:

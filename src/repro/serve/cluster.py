@@ -1,8 +1,10 @@
 """Multi-process sharded serving: scatter-gather over columnar shards.
 
-:class:`ClusterService` is the process-parallel sibling of
-:class:`~repro.serve.QueryService`: instead of a thread pool sharing
-one in-process engine (GIL-bound), it drives a pool of **worker
+:class:`ClusterService` is the process-parallel transport under
+:class:`~repro.serve.QueryService`'s request core (admission,
+coalescing, document breakers, deadlines, tracing, metrics, health and
+drain are the core's): instead of a thread pool sharing one in-process
+engine (GIL-bound), it drives a pool of **worker
 processes** (:mod:`repro.serve.worker`), each mmap-opening the same
 saved columnar shards read-only — the page cache is shared, so N
 workers cost one copy of the columns — and runs queries either
@@ -40,7 +42,8 @@ Coordination details:
 * **errors** — workers reply with pickled typed REPRO-* errors
   (:mod:`repro.guard.errors` round-trips the whole taxonomy); a dead
   worker surfaces as :class:`~repro.guard.WorkerLost`, its in-flight
-  tasks are re-dispatched once, and the pool **respawns** the worker;
+  tasks are re-dispatched once (or fail typed while closing), and the
+  pool **respawns** the worker;
 * **resilience** — per-worker circuit breakers
   (:class:`~repro.serve.resilience.CircuitBreaker`) steer dispatch away
   from flapping workers; with ``allow_partial=True`` a scatter whose
@@ -70,6 +73,7 @@ import sys
 import tempfile
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -80,16 +84,15 @@ from ..guard import (BudgetExceeded, Budgets, ChaosSpec, CircuitOpen,
                      ServiceClosed, ServiceOverloaded, WorkerLost,
                      chaos_point, default_seed)
 from ..pattern.tree import PatternPath, TreePattern
-from ..trace import (FlightRecorder, FlightSnapshot, TraceContext,
-                     Tracer, graft_remote)
+from ..trace import FlightRecorder, TraceContext, Tracer, graft_remote
 from ..xmltree.axes import Axis
 from ..xmltree.nodetest import NameTest, TextTest
 from ..xmltree.shard import ShardManifest, write_shard_layout
 from .catalog import DocumentCatalog
-from .metrics import LatencyHistogram, ServiceMetrics, ServiceStats
+from .metrics import LatencyHistogram
 from .resilience import BreakerPolicy, CircuitBreaker
-from .service import (DEFAULT_QUEUE_LIMIT, PendingQuery, QueryRequest,
-                      QueryResponse)
+from .service import (DEFAULT_QUEUE_LIMIT, QueryResponse, QueryService,
+                      _HEALTH_ERRORS, _Execution)
 from .worker import ShardWorker, recv_frame, send_frame
 
 __all__ = ["ClusterLayout", "ClusterService", "ClusterStats",
@@ -99,6 +102,10 @@ __all__ = ["ClusterLayout", "ClusterService", "ClusterStats",
 #: depth-increasing (SELF / DESCENDANT_OR_SELF would let deep steps
 #: match the replicated spine, breaking the depth argument below).
 _SCATTER_AXES = (Axis.CHILD, Axis.DESCENDANT, Axis.ATTRIBUTE)
+
+#: longest ``close(drain=True)`` waits for dispatched tasks before the
+#: workers are shut down and reaped.
+_DRAIN_SECONDS = 30.0
 
 
 # -- layout ------------------------------------------------------------------
@@ -357,39 +364,29 @@ class _ClusterMetrics:
                 self.whole_document += 1
 
 
-# -- executions and tasks ----------------------------------------------------
+# -- gathers and tasks -------------------------------------------------------
 
 
-class _ClusterExecution:
-    """Shared state of one admitted request (drop-in for the
-    :class:`~repro.serve.service.PendingQuery` handle: ``done``,
-    ``response``, ``request``, ``coalesced``)."""
+class _Gather:
+    """The cluster side of one admitted execution: its tasks."""
 
-    def __init__(self, request: QueryRequest, admitted: float,
-                 deadline: Optional[float], scattered: bool) -> None:
-        self.request = request
-        self.admitted = admitted
-        self.deadline = deadline
+    def __init__(self, execution: _Execution, scattered: bool) -> None:
+        self.execution = execution
         self.scattered = scattered
-        self.response: Optional[QueryResponse] = None
-        self.done = threading.Event()
-        self.coalesced = 0
-        self.pending = 0
         self.tasks: List["_Task"] = []
-        self.trace = None
 
 
 class _Task:
     """One dispatched unit: a (document, shard) evaluation."""
 
-    __slots__ = ("task_id", "execution", "shard", "worker", "dispatched",
-                 "received", "exec_seconds", "ok", "items", "error",
-                 "retried", "finished", "remote_trace")
+    __slots__ = ("task_id", "gather", "shard", "worker", "dispatched",
+                 "received", "exec_seconds", "items", "error", "retried",
+                 "remote_trace")
 
-    def __init__(self, task_id: int, execution: _ClusterExecution,
+    def __init__(self, task_id: int, gather: _Gather,
                  shard: Optional[int]) -> None:
         self.task_id = task_id
-        self.execution = execution
+        self.gather = gather
         self.shard = shard
         self.worker = -1
         self.dispatched = 0.0
@@ -398,11 +395,9 @@ class _Task:
         #: the dispatch→first-frame wait on ONE clock.
         self.received = 0.0
         self.exec_seconds = 0.0
-        self.ok = False
         self.items: Optional[List[Tuple[str, Any]]] = None
         self.error: Optional[Exception] = None
         self.retried = False
-        self.finished = False
         #: packed worker span payload (:func:`repro.trace.pack_trace`)
         #: when the request was sampled and the worker replied with one.
         self.remote_trace: Optional[Dict[str, Any]] = None
@@ -542,7 +537,7 @@ class _InlineTransport:
 # -- the coordinator ---------------------------------------------------------
 
 
-class ClusterService:
+class ClusterService(QueryService):
     """Scatter-gather query service over a pool of worker processes.
 
     ::
@@ -551,13 +546,14 @@ class ClusterService:
         with ClusterService(layout, workers=4) as cluster:
             names = cluster.query("site", "$input//person/name")
 
-    The surface mirrors :class:`~repro.serve.QueryService` — ``submit``
-    / ``query`` / ``stats`` / ``close(drain=)``, typed REPRO-* errors,
-    tighten-only deadlines — so the load generator and benchmarks drive
-    either interchangeably.  ``catalog`` supplies the engines used for
-    the scatter decision and node rehydration; when omitted, one is
-    built from the layout's full indexes (and closed with the
-    service).
+    A transport under :class:`~repro.serve.QueryService`'s request
+    core: it dispatches tasks from the submitting thread and merges
+    their results on the reader threads.  ``queue_limit`` bounds the
+    tasks in flight; a response's ``exec_seconds`` runs from admission
+    to merge (``queue_seconds`` is 0).  ``catalog`` supplies the
+    engines used for the scatter decision and node rehydration; when
+    omitted, one is built from the layout's full indexes (and closed
+    with the service).
     """
 
     def __init__(self, layout: ClusterLayout,
@@ -565,48 +561,26 @@ class ClusterService:
                  queue_limit: int = DEFAULT_QUEUE_LIMIT,
                  catalog: Optional[DocumentCatalog] = None,
                  transport: str = "process",
-                 backend: str = "interpreted",
-                 use_summary: bool = True,
                  default_budgets: Optional[Budgets] = None,
                  clock=time.perf_counter,
                  tracer: Optional[Tracer] = None,
                  flight_recorder: Optional[FlightRecorder] = None,
                  breaker_policy: Optional[BreakerPolicy] = None,
                  allow_partial: bool = False,
-                 scatter: bool = True,
-                 placement: str = "replicate",
                  respawn: bool = True,
                  chaos_specs: Sequence[ChaosSpec] = (),
                  chaos_seed: Optional[int] = None) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if queue_limit < 1:
-            raise ValueError("queue_limit must be >= 1")
         if transport not in ("process", "inline"):
             raise ValueError(f"unknown transport {transport!r}; "
                              f"valid: process, inline")
-        if placement not in ("replicate", "partition"):
-            raise ValueError(f"unknown placement {placement!r}; "
-                             f"valid: replicate, partition")
         self.layout = layout
-        self.queue_limit = queue_limit
         self.transport = transport
-        self.backend = backend
-        self.use_summary = use_summary
-        self.default_budgets = default_budgets
+        self._transport_type = _ProcessTransport \
+            if transport == "process" else _InlineTransport
         self.allow_partial = allow_partial
-        self.scatter = scatter
-        self.placement = placement
         self.respawn = respawn
-        self.breaker_policy = breaker_policy
         self._chaos_specs = tuple(chaos_specs)
         self._chaos_seed = chaos_seed
-        self._clock = clock
-        self.tracer = tracer
-        if flight_recorder is None and tracer is not None:
-            flight_recorder = FlightRecorder()
-        self._flight = flight_recorder
-        self.metrics = ServiceMetrics(clock=clock)
         self.cluster_metrics = _ClusterMetrics()
         self._owns_catalog = catalog is None
         if catalog is None:
@@ -616,33 +590,32 @@ class ClusterService:
                     name,
                     os.path.join(layout.directory, manifest.index_file),
                     verify=False)
-        self.catalog = catalog
         self._owned_directory: Optional[str] = None
-
         self._lock = threading.Lock()
-        self._closed = False
         self._next_task_id = 0
         self._tasks: Dict[int, _Task] = {}
-        self._inflight_per_worker: Dict[int, int] = \
-            {index: 0 for index in range(workers)}
         self._rr = 0
-        self._breakers: Dict[int, CircuitBreaker] = {}
-        if breaker_policy is not None:
-            self._breakers = {
-                index: CircuitBreaker(breaker_policy, clock=clock)
-                for index in range(workers)}
-        self._workers: List[Any] = []
-        for index in range(workers):
-            self._workers.append(self._spawn(index))
+        super().__init__(catalog, workers=workers, queue_limit=queue_limit,
+                         default_budgets=default_budgets, clock=clock,
+                         tracer=tracer, flight_recorder=flight_recorder,
+                         breaker_policy=breaker_policy)
 
     # -- pool management -----------------------------------------------------
 
-    def _spawn(self, index: int):
-        transport = _ProcessTransport(self, index) \
-            if self.transport == "process" \
-            else _InlineTransport(self, index)
-        transport.start(self._init_message(index))
-        return transport
+    def _open(self, workers: int) -> List[Any]:
+        """Transport hook: spawn the worker pool."""
+        self._breakers: Dict[int, CircuitBreaker] = {}
+        if self.breaker_policy is not None:
+            self._breakers = {
+                index: CircuitBreaker(self.breaker_policy,
+                                      clock=self._clock)
+                for index in range(workers)}
+        self._workers: List[Any] = []
+        for index in range(workers):
+            transport = self._transport_type(self, index)
+            self._workers.append(transport)
+            transport.start(self._init_message(index))
+        return self._workers
 
     def _init_message(self, index: int) -> Dict[str, Any]:
         chaos = None
@@ -652,116 +625,65 @@ class ClusterService:
                      else self._chaos_seed}
         return {"type": "init", "worker_index": index,
                 "documents": self.layout.worker_documents(),
-                "engine": {"backend": self.backend,
-                           "use_summary": self.use_summary,
-                           "default_budgets": self.default_budgets},
+                "default_budgets": self.default_budgets,
                 "chaos": chaos}
-
-    @property
-    def worker_count(self) -> int:
-        return len(self._workers)
 
     def worker_pids(self) -> List[Optional[int]]:
         return [transport.pid for transport in self._workers]
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
+    # -- scatter and dispatch ------------------------------------------------
 
-    # -- admission -----------------------------------------------------------
-
-    def submit(self, request: QueryRequest) -> PendingQuery:
-        """Admit a request: decide scatter vs whole-document, dispatch
-        its tasks, and return a waitable handle.  Sheds with
-        :class:`~repro.guard.ServiceOverloaded` when the in-flight task
-        count reaches ``queue_limit``; raises
+    def _start(self, execution: _Execution) -> None:
+        """Transport hook: decide scatter vs whole-document and dispatch
+        the tasks from the submitting thread.  Raises for an unknown
+        document, with :class:`~repro.guard.ServiceOverloaded` when the
+        tasks would pass ``queue_limit``, and with
         :class:`~repro.guard.CircuitOpen` when every worker's breaker
         is open."""
-        self.metrics.record_submitted()
+        request = execution.request
         manifest = self.layout.manifests.get(request.document)
         if manifest is None:
             raise ReproError(
                 f"unknown cluster document {request.document!r}; "
                 f"known: {sorted(self.layout.manifests)}",
                 code="REPRO-CLUSTER-DOCUMENT")
-        admitted = self._clock()
-        deadline = admitted + request.timeout \
-            if request.timeout is not None else None
-
         scattered = False
-        if self.scatter and self.placement == "replicate" \
-                and request.optimize and manifest.shard_count > 1:
+        if request.optimize and manifest.shard_count > 1:
             try:
                 engine = self.catalog.engine(request.document)
-                compiled = engine.compile(request.query,
-                                          optimize=True)
+                compiled = engine.compile(request.query, optimize=True)
             except ReproError as err:
-                return self._fail_immediately(request, admitted, err)
+                self._complete(execution,
+                               QueryResponse(request=request, error=err))
+                return
             scattered = scatter_plan(compiled, manifest.root_tag)
-
-        execution = _ClusterExecution(request, admitted, deadline,
-                                      scattered)
+        gather = _Gather(execution, scattered)
         shards: List[Optional[int]] = \
             list(range(manifest.shard_count)) if scattered else [None]
         with self._lock:
-            if self._closed:
-                raise ServiceClosed("cluster service is closed")
             pending_total = len(self._tasks)
             if pending_total + len(shards) > self.queue_limit:
-                self.metrics.record_shed()
                 raise ServiceOverloaded(
                     f"cluster task queue full ({pending_total} in "
                     f"flight, limit {self.queue_limit}); request shed",
                     queue_depth=pending_total,
                     queue_limit=self.queue_limit)
-            targets = []
-            for shard in shards:
-                worker = self._pick_worker_locked(request.document)
-                task = _Task(self._next_task_id, execution, shard)
+            workers = [self._pick_worker_locked(request.document)
+                       for _ in shards]
+            for shard, worker in zip(shards, workers):
+                task = _Task(self._next_task_id, gather, shard)
                 self._next_task_id += 1
                 task.worker = worker
-                execution.tasks.append(task)
-                execution.pending += 1
+                gather.tasks.append(task)
                 self._tasks[task.task_id] = task
-                self._inflight_per_worker[worker] = \
-                    self._inflight_per_worker.get(worker, 0) + 1
-                targets.append(task)
-        self.metrics.record_accepted()
         self.cluster_metrics.record_mode(scattered)
-        execution.trace = self._begin_trace(execution)
-        for task in targets:
+        for task in gather.tasks:
             self._dispatch(task)
-        return PendingQuery(execution, coalesced=False)
-
-    def query(self, document: str, query: str,
-              strategy: Optional[str] = None,
-              timeout: Optional[float] = None,
-              optimize: bool = True) -> List:
-        """Submit one request and block for its results."""
-        pending = self.submit(QueryRequest(document=document, query=query,
-                                           strategy=strategy,
-                                           timeout=timeout,
-                                           optimize=optimize))
-        return pending.result()
-
-    def _fail_immediately(self, request: QueryRequest, admitted: float,
-                          error: ReproError) -> PendingQuery:
-        self.metrics.record_accepted()
-        execution = _ClusterExecution(request, admitted, None, False)
-        execution.response = QueryResponse(request=request, error=error)
-        execution.done.set()
-        self.metrics.record_done(latency_seconds=0.0, queue_seconds=0.0,
-                                 failed=True)
-        return PendingQuery(execution, coalesced=False)
 
     def _pick_worker_locked(self, document: str) -> int:
-        """The worker for the next task: pinned in ``partition``
-        placement, else round-robin over live workers whose breaker
-        admits traffic."""
+        """The worker for the next task: round-robin over live workers
+        whose breaker admits traffic."""
         count = len(self._workers)
-        if self.placement == "partition":
-            names = sorted(self.layout.manifests)
-            return names.index(document) % count
         candidates = []
         for offset in range(count):
             index = (self._rr + offset) % count
@@ -783,27 +705,24 @@ class ClusterService:
         self._rr = (chosen + 1) % count
         return chosen
 
-    # -- dispatch ------------------------------------------------------------
-
     def _dispatch(self, task: _Task) -> None:
-        execution = task.execution
+        execution = task.gather.execution
+        request = execution.request
         remaining = None
         if execution.deadline is not None:
             remaining = execution.deadline - self._clock()
             if remaining <= 0:
-                elapsed = self._clock() - execution.admitted
-                self._complete_task(task, error=BudgetExceeded(
-                    "wall", execution.request.timeout or 0.0, elapsed,
-                    elapsed_seconds=elapsed))
+                self._complete_task(task, error=BudgetExceeded.lapsed(
+                    request.timeout, self._clock() - execution.admitted))
                 return
         message = {"type": "task", "task_id": task.task_id,
-                   "document": execution.request.document,
-                   "query": execution.request.query,
-                   "strategy": execution.request.strategy,
-                   "optimize": execution.request.optimize,
+                   "document": request.document,
+                   "query": request.query,
+                   "strategy": request.strategy,
+                   "optimize": request.optimize,
                    "shard": task.shard,
                    "remaining": remaining,
-                   "timeout": execution.request.timeout}
+                   "timeout": request.timeout}
         if execution.trace is not None:
             # Context presence IS the sampling decision: only sampled
             # requests make the workers trace.
@@ -823,7 +742,7 @@ class ClusterService:
             # path re-dispatches or fails this task.
             self._on_worker_exit(task.worker, transport)
 
-    # -- gather --------------------------------------------------------------
+    # -- gather and merge ----------------------------------------------------
 
     def _on_frame(self, worker_index: int, message: Dict[str, Any]) -> None:
         if message.get("type") != "result":
@@ -835,7 +754,7 @@ class ClusterService:
         task.exec_seconds = message.get("exec_seconds", 0.0)
         task.received = self._clock()
         task.remote_trace = message.get("trace")
-        document = task.execution.request.document
+        document = task.gather.execution.request.document
         ok = bool(message.get("ok"))
         self.cluster_metrics.record_result(worker_index, document,
                                            task.shard,
@@ -863,35 +782,30 @@ class ClusterService:
     def _complete_task(self, task: _Task,
                        items: Optional[List[Tuple[str, Any]]] = None,
                        error: Optional[Exception] = None) -> None:
-        execution = task.execution
+        gather = task.gather
         with self._lock:
-            if task.finished:
-                return
-            task.finished = True
-            task.ok = error is None
+            if self._tasks.pop(task.task_id, None) is None:
+                return  # already finished
             task.items = items
             task.error = error
-            self._tasks.pop(task.task_id, None)
-            if task.worker in self._inflight_per_worker:
-                self._inflight_per_worker[task.worker] = max(
-                    0, self._inflight_per_worker[task.worker] - 1)
-            execution.pending -= 1
-            finished = execution.pending == 0
+            finished = not any(other.task_id in self._tasks
+                               for other in gather.tasks)
         if finished:
-            self._finalize(execution)
+            self._merge(gather)
 
-    def _finalize(self, execution: _ClusterExecution) -> None:
+    def _merge(self, gather: _Gather) -> None:
+        execution = gather.execution
         request = execution.request
         response = QueryResponse(request=request)
-        succeeded = [task for task in execution.tasks if task.ok]
-        failed = [task for task in execution.tasks if not task.ok]
+        succeeded = [task for task in gather.tasks if task.error is None]
+        failed = [task for task in gather.tasks if task.error is not None]
         try:
-            if failed and not (execution.scattered and succeeded
+            if failed and not (gather.scattered and succeeded
                                and self.allow_partial):
                 response.error = failed[0].error
             else:
                 document = self.catalog.engine(request.document).document
-                if execution.scattered:
+                if gather.scattered:
                     merged = merge_shard_results(
                         [task.items for task in succeeded])
                     response.results = [document.node_at(pre)
@@ -901,179 +815,134 @@ class ClusterService:
                         self.cluster_metrics.record_partial()
                         self.metrics.record_degraded()
                 else:
-                    (task,) = execution.tasks
+                    (task,) = gather.tasks
                     response.results = [
                         document.node_at(value) if tag == "n" else value
                         for tag, value in task.items]
         except Exception as err:
-            if not isinstance(err, ReproError):
-                wrapped = InternalError(
-                    f"unexpected {type(err).__name__} while merging "
-                    f"{request.query!r}: {err}")
-                wrapped.__cause__ = err
-                err = wrapped
-            response.error = err
+            response.error = InternalError.wrap(
+                err, f"while merging {request.query!r}")
         response.exec_seconds = self._clock() - execution.admitted
-        deadline_expired = isinstance(response.error, BudgetExceeded) \
-            and response.error.kind == "wall"
-        trace = execution.trace
-        if trace is not None:
-            response.trace_id = trace.trace_id
-            for task in execution.tasks:
-                # Every instant here is coordinator-clock: the shard
-                # span covers dispatch -> result-frame arrival as this
-                # process measured it.  The worker's self-measured
-                # execution time rides along as ``worker_seconds`` —
-                # an attribute, never a position — so clock skew
-                # between the two processes cannot produce negative
-                # gaps in the stitched tree.
-                # Offsets are measured from the trace root's own start
-                # (same coordinator clock), not ``execution.admitted``:
-                # the trace begins after admission, so admitted-based
-                # offsets would push spans past the root span's end.
-                dispatch_offset = max(
-                    task.dispatched - trace.root.start, 0.0) \
-                    if task.dispatched else 0.0
-                wait = max(task.received - task.dispatched, 0.0) \
-                    if task.dispatched and task.received else 0.0
-                payload = task.remote_trace
-                duration = wait
-                if payload is not None:
-                    # Under rate skew the worker may report a longer
-                    # execution than the coordinator-observed wait;
-                    # widen the envelope so grafted children still
-                    # nest inside it.
-                    duration = max(duration,
-                                   payload.get("duration", 0.0))
-                shard_span = trace.add_span(
-                    "shard",
-                    start=trace.root.start + dispatch_offset,
-                    duration=duration,
-                    shard=-1 if task.shard is None else task.shard,
-                    worker=task.worker, ok=task.ok,
-                    wait_seconds=wait,
-                    worker_seconds=task.exec_seconds)
-                if payload is not None and trace.spans \
-                        and trace.spans[-1] is shard_span:
-                    # Only graft when the shard span itself survived
-                    # the buffer cap — stitching under a dropped span
-                    # would break the no-dropped-parent invariant.
-                    try:
-                        graft_remote(
-                            trace, payload,
-                            anchor=shard_span.start,
-                            parent_id=shard_span.span_id,
-                            attrs={"worker": task.worker,
-                                   "shard": -1 if task.shard is None
-                                   else task.shard})
-                    except ValueError as err:
-                        trace.event("graft-failed", error=str(err))
-            if response.error is not None:
-                trace.annotate(error=getattr(
-                    response.error, "code",
-                    type(response.error).__name__))
-            trace.finish(rows=len(response.results)
-                         if response.results is not None else 0,
-                         scattered=execution.scattered,
-                         partial=response.partial)
-            if self._flight is not None:
-                self._flight.record(trace,
-                                    latency=response.exec_seconds)
-        execution.response = response
-        execution.done.set()
-        self.metrics.record_done(latency_seconds=response.exec_seconds,
-                                 queue_seconds=0.0,
-                                 failed=response.error is not None,
-                                 deadline_expired=deadline_expired)
+        if isinstance(response.error, _HEALTH_ERRORS):
+            self.health_tracker.record_failure(request.document,
+                                               response.error)
+        elif response.error is None:
+            self.health_tracker.record_success(request.document)
+        if execution.trace is not None:
+            self._stitch(execution.trace, gather, response)
+        self._complete(execution, response)
 
-    def _begin_trace(self, execution: _ClusterExecution):
-        if self.tracer is None:
-            return None
-        trace = self.tracer.begin(
-            "request",
-            document=execution.request.document,
-            query=execution.request.query,
-            strategy=execution.request.strategy or "default",
-            cluster=True)
-        return trace
+    def _stitch(self, trace, gather: _Gather,
+                response: QueryResponse) -> None:
+        """One ``shard`` span per task under the request root, with the
+        worker's own spans grafted beneath it."""
+        for task in gather.tasks:
+            # Every instant here is coordinator-clock: the shard span
+            # covers dispatch -> result-frame arrival as this process
+            # measured it.  The worker's self-measured execution time
+            # rides along as ``worker_seconds`` — an attribute, never a
+            # position — so clock skew between the two processes cannot
+            # produce negative gaps in the stitched tree.  Offsets are
+            # measured from the trace root's own start (same coordinator
+            # clock), which may differ from the service clock.
+            dispatch_offset = max(
+                task.dispatched - trace.root.start, 0.0) \
+                if task.dispatched else 0.0
+            wait = max(task.received - task.dispatched, 0.0) \
+                if task.dispatched and task.received else 0.0
+            payload = task.remote_trace
+            duration = wait
+            if payload is not None:
+                # Under rate skew the worker may report a longer
+                # execution than the coordinator-observed wait; widen
+                # the envelope so grafted children still nest inside it.
+                duration = max(duration, payload.get("duration", 0.0))
+            shard = -1 if task.shard is None else task.shard
+            shard_span = trace.add_span(
+                "shard", start=trace.root.start + dispatch_offset,
+                duration=duration, shard=shard, worker=task.worker,
+                ok=task.error is None, wait_seconds=wait,
+                worker_seconds=task.exec_seconds)
+            if payload is not None and trace.spans \
+                    and trace.spans[-1] is shard_span:
+                # Only graft when the shard span itself survived the
+                # buffer cap — stitching under a dropped span would
+                # break the no-dropped-parent invariant.
+                try:
+                    graft_remote(trace, payload, anchor=shard_span.start,
+                                 parent_id=shard_span.span_id,
+                                 attrs={"worker": task.worker,
+                                        "shard": shard})
+                except ValueError as err:
+                    trace.event("graft-failed", error=str(err))
+        trace.annotate(scattered=gather.scattered,
+                       partial=response.partial)
 
     # -- worker loss ---------------------------------------------------------
 
     def _on_worker_exit(self, index: int, transport) -> None:
+        """A worker's pipe ended: respawn it unless closing, and
+        re-dispatch its tasks once or fail them with ``WorkerLost``."""
         with self._lock:
-            if self._closed:
-                return
             if index >= len(self._workers) \
                     or self._workers[index] is not transport:
                 return  # already replaced
             lost = [task for task in self._tasks.values()
-                    if task.worker == index and not task.finished]
+                    if task.worker == index]
+            closing = self._closed
             replacement = None
-            if self.respawn:
+            if self.respawn and not closing:
                 self.cluster_metrics.record_respawn()
-                replacement = _ProcessTransport(self, index) \
-                    if self.transport == "process" \
-                    else _InlineTransport(self, index)
+                replacement = self._transport_type(self, index)
                 self._workers[index] = replacement
-            self._inflight_per_worker[index] = 0
-        breaker = self._breakers.get(index)
-        if breaker is not None:
-            breaker.record_failure()
-        if replacement is not None:
-            try:
-                replacement.start(self._init_message(index))
-            except Exception:
-                pass
-        transport.reap(timeout=0.5)
+        if not closing:
+            breaker = self._breakers.get(index)
+            if breaker is not None:
+                breaker.record_failure()
+            if replacement is not None:
+                try:
+                    replacement.start(self._init_message(index))
+                except Exception:
+                    pass
+            transport.reap(timeout=0.5)
         for task in lost:
             self._retry_or_fail(task, index)
 
     def _retry_or_fail(self, task: _Task, dead_index: int) -> None:
-        execution = task.execution
-        error = WorkerLost(
-            f"cluster worker {dead_index} died while evaluating "
-            f"{execution.request.query!r}", worker_index=dead_index)
-        if task.retried or self._closed:
-            self._complete_task(task, error=error)
-            return
+        request = task.gather.execution.request
+        worker = None
         with self._lock:
-            if task.finished:
-                return
-            try:
-                worker = self._pick_worker_locked(
-                    execution.request.document)
-            except ReproError:
-                worker = None
-            if worker is None:
-                pass
-            else:
-                old = task.worker
+            if task.task_id not in self._tasks:
+                return  # finished meanwhile
+            if not (task.retried or self._closed):
+                try:
+                    worker = self._pick_worker_locked(request.document)
+                except ReproError:
+                    pass
+            if worker is not None:
                 task.worker = worker
                 task.retried = True
-                if old in self._inflight_per_worker:
-                    self._inflight_per_worker[old] = max(
-                        0, self._inflight_per_worker[old] - 1)
-                self._inflight_per_worker[worker] = \
-                    self._inflight_per_worker.get(worker, 0) + 1
         if worker is None:
-            self._complete_task(task, error=error)
+            self._complete_task(task, error=WorkerLost(
+                f"cluster worker {dead_index} died while evaluating "
+                f"{request.query!r}", worker_index=dead_index))
         else:
             self.metrics.record_retried()
             self._dispatch(task)
 
     # -- introspection -------------------------------------------------------
 
-    def stats(self) -> ServiceStats:
+    def _load(self) -> Tuple[int, int]:
+        """Transport hook for ``stats``: a worker runs one task at a
+        time, the rest of its tasks wait in its pipe."""
         with self._lock:
-            queue_depth = len(self._tasks)
-            in_flight = sum(self._inflight_per_worker.values())
-        return self.metrics.stats(queue_depth=queue_depth,
-                                  in_flight=in_flight)
+            busy = len({task.worker for task in self._tasks.values()})
+            return len(self._tasks) - busy, busy
 
     def cluster_stats(self) -> ClusterStats:
         metrics = self.cluster_metrics
         with self._lock:
-            inflight = dict(self._inflight_per_worker)
+            inflight = Counter(task.worker for task in self._tasks.values())
             workers = []
             for index, transport in enumerate(self._workers):
                 breaker = self._breakers.get(index)
@@ -1097,11 +966,6 @@ class ClusterService:
                             whole_document=metrics.whole_document,
                             shard_latency=latency)
 
-    def flight_recorder(self) -> Optional[FlightSnapshot]:
-        if self._flight is None:
-            return None
-        return self._flight.snapshot()
-
     # -- lifecycle -----------------------------------------------------------
 
     @classmethod
@@ -1124,21 +988,17 @@ class ClusterService:
             service._owned_directory = directory
         return service
 
-    def close(self, drain: bool = True) -> None:
-        """Stop admitting, settle in-flight work, shut every worker
-        down and reap it (no orphan processes, no open pipes).
-
-        ``drain=True`` waits for dispatched tasks to finish first;
-        ``drain=False`` fails them with
-        :class:`~repro.guard.ServiceClosed`.  Idempotent."""
+    def _stop(self, drain: bool) -> None:
+        """Transport hook: wait for the dispatched tasks (or, without
+        ``drain``, fail them), shut every worker down and reap it (no
+        orphan processes, no open pipes), then close what it owns."""
         with self._lock:
-            if self._closed:
-                return
-            self._closed = True
             pending = list(self._tasks.values())
         if drain:
+            give_up = time.monotonic() + _DRAIN_SECONDS
             for task in pending:
-                task.execution.done.wait(timeout=30.0)
+                task.gather.execution.done.wait(
+                    max(0.0, give_up - time.monotonic()))
         else:
             for task in pending:
                 self._complete_task(task, error=ServiceClosed(
@@ -1154,9 +1014,3 @@ class ClusterService:
                     engine.document.close()
         if self._owned_directory is not None:
             shutil.rmtree(self._owned_directory, ignore_errors=True)
-
-    def __enter__(self) -> "ClusterService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -10,7 +10,8 @@ running :class:`~repro.serve.QueryService` or
     mode) the per-worker and per-shard series.  This is the scrape
     target ``repro top`` polls.
 ``/healthz``
-    JSON liveness/health: overall status, per-document breaker states
+    JSON liveness/health: overall status (the service's own vocabulary,
+    healthy | degraded | unhealthy), per-document breaker states
     (:meth:`QueryService.health`), per-worker liveness and queue depth
     (cluster mode), and queue/in-flight gauges.  Answers ``200`` when
     healthy, ``503`` otherwise, so it slots straight into a probe.
@@ -25,9 +26,9 @@ running :class:`~repro.serve.QueryService` or
 The server is deliberately read-only — every handler snapshots through
 the same public accessors tests use (``stats()``, ``health()``,
 ``cluster_stats()``, ``flight_recorder()``), so a scrape can never
-mutate service state.  It duck-types the service: cluster-only
-sections appear exactly when the service grows the corresponding
-accessor.  See ``docs/OBSPLANE.md``.
+mutate service state.  Both services share those accessors (one
+request core); the cluster-only sections appear when the service has
+``cluster_stats``.  See ``docs/OBSPLANE.md``.
 """
 
 from __future__ import annotations
@@ -146,25 +147,19 @@ class ObservabilityServer:
         if callable(cluster_stats):
             cluster = cluster_stats()
         text = prometheus_text(metrics=self.service.metrics,
-                               tracer=getattr(self.service, "tracer", None),
-                               cluster=cluster)
+                               tracer=self.service.tracer, cluster=cluster)
         return 200, CONTENT_TYPE_PROMETHEUS, text.encode("utf-8")
 
     def _healthz(self) -> Tuple[int, str, bytes]:
         stats = self.service.stats()
+        health = self.service.health()
         payload: Dict[str, Any] = {
-            # The service's own vocabulary: healthy | degraded |
-            # unhealthy (repro.serve.resilience).
-            "status": "healthy",
+            "status": health.status,
             "queue_depth": stats.queue_depth,
             "in_flight": stats.in_flight,
             "counters": stats.to_dict(),
+            "documents": health.to_dict(),
         }
-        health = getattr(self.service, "health", None)
-        if callable(health):
-            snapshot = health()
-            payload["documents"] = snapshot.to_dict()
-            payload["status"] = snapshot.status
         cluster_stats = getattr(self.service, "cluster_stats", None)
         if callable(cluster_stats):
             cluster = cluster_stats()

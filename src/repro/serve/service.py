@@ -1,4 +1,4 @@
-"""The concurrent query service: admission, workers, coalescing.
+"""The concurrent query service: the one request core, and its threads.
 
 :class:`QueryService` turns a :class:`~repro.serve.DocumentCatalog`
 into a multi-tenant query endpoint with the three properties a serving
@@ -18,6 +18,13 @@ layer needs under load:
   first becomes the *leader*, later duplicates attach to its pending
   result and are never enqueued.  Thundering herds of a hot query cost
   one evaluation.
+
+The class is also the **request core** every transport runs on:
+admission, request traces, completion, ``close`` and its sweep,
+``stats``, ``health`` and ``probe`` are written here once.  A transport
+supplies ``_open``, ``_start``, ``_stop`` and ``_load``; here it is a
+thread pool, :class:`~repro.serve.ClusterService` is the other one
+(``docs/SERVING.md``, "One request core").
 
 Results are deterministic: workers only ever *read* the shared,
 immutable engines (the plan cache and summary builds are internally
@@ -47,12 +54,12 @@ import queue as queue_module
 import random
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from ..guard import (AlgorithmError, Budgets, BudgetExceeded, CircuitOpen,
-                     InjectedFault, InternalError, ReproError,
-                     ServiceClosed, ServiceOverloaded, chaos_point)
+                     InjectedFault, InternalError, ServiceClosed,
+                     ServiceOverloaded, chaos_point, tighten)
 from ..trace import FlightRecorder, FlightSnapshot, Tracer
 from ..xmltree.columnar import StorageError
 from .catalog import DocumentCatalog
@@ -147,10 +154,13 @@ class _Execution:
     """Shared state of one admitted execution (leader + followers)."""
 
     def __init__(self, request: QueryRequest, admitted: float,
-                 deadline: Optional[float]) -> None:
+                 deadline: Optional[float], trace=None) -> None:
         self.request = request
         self.admitted = admitted
         self.deadline = deadline
+        #: the request trace, begun at admission (``None`` untraced).
+        self.trace = trace
+        #: set exactly once, under the admission lock (see ``_claim``).
         self.response: Optional[QueryResponse] = None
         self.done = threading.Event()
         #: followers coalesced onto this execution (admission lock).
@@ -189,6 +199,14 @@ class PendingQuery:
     def result(self, timeout: Optional[float] = None) -> List:
         """Block for the result sequence, re-raising execution errors."""
         return self.response(timeout).unwrap()
+
+
+def _finish_trace(trace, response: QueryResponse, **attrs: Any) -> None:
+    if response.error is not None:
+        trace.annotate(error=getattr(response.error, "code",
+                                     type(response.error).__name__))
+    trace.finish(rows=len(response.results)
+                 if response.results is not None else 0, **attrs)
 
 
 class QueryService:
@@ -245,23 +263,16 @@ class QueryService:
             flight_recorder = FlightRecorder()
         self._flight = flight_recorder
         self._clock = clock
-        self._queue: "queue_module.Queue[Any]" = \
-            queue_module.Queue(maxsize=queue_limit)
         self._inflight: Dict[Tuple[Hashable, ...], _Execution] = {}
         self._admission_lock = threading.Lock()
-        self._in_flight_count = 0
         self._closed = False
-        self._workers = [
-            threading.Thread(target=self._worker_loop,
-                             name=f"repro-serve-{index}", daemon=True)
-            for index in range(workers)]
-        for thread in self._workers:
-            thread.start()
+        self._workers = self._open(workers)
 
     # -- admission ----------------------------------------------------------
 
     def submit(self, request: QueryRequest) -> PendingQuery:
-        """Admit, coalesce or shed a request (never blocks).
+        """Admit, coalesce or shed a request (never blocks on a thread
+        pool; a cluster dispatches from the calling thread).
 
         Raises :class:`~repro.guard.ServiceOverloaded` when the
         admission queue is full, :class:`~repro.guard.ServiceClosed`
@@ -282,11 +293,8 @@ class QueryService:
             if response is not None:
                 self.metrics.record_accepted()
                 self.metrics.record_degraded()
-                self.metrics.record_done(latency_seconds=0.0,
-                                         queue_seconds=0.0, failed=False)
                 execution = _Execution(request, self._clock(), None)
-                execution.response = response
-                execution.done.set()
+                self._complete(execution, response)
                 return PendingQuery(execution, coalesced=False)
             self.metrics.record_breaker_rejected()
             retry_after = breaker.retry_after()
@@ -308,18 +316,17 @@ class QueryService:
             deadline = None
             if request.timeout is not None:
                 deadline = admitted + request.timeout
-            execution = _Execution(request, admitted, deadline)
-            try:
-                self._queue.put_nowait(execution)
-            except queue_module.Full:
-                self.metrics.record_shed()
-                raise ServiceOverloaded(
-                    f"admission queue full ({self.queue_limit} waiting); "
-                    f"request shed — retry later or lower concurrency",
-                    queue_depth=self._queue.qsize(),
-                    queue_limit=self.queue_limit) from None
+            execution = _Execution(request, admitted, deadline,
+                                   self._begin_trace(request))
             self._inflight[key] = execution
-            self.metrics.record_accepted()
+        # Outside the lock: a cluster dispatches here, and an inline
+        # worker completes the execution before _start returns.
+        try:
+            self._start(execution)
+        except Exception as err:
+            self._refuse(execution, err)
+            raise
+        self.metrics.record_accepted()
         return PendingQuery(execution, coalesced=False)
 
     def query(self, document: str, query: str,
@@ -333,7 +340,114 @@ class QueryService:
                                            optimize=optimize))
         return pending.result()
 
-    # -- workers ------------------------------------------------------------
+    def _begin_trace(self, request: QueryRequest):
+        if self.tracer is None:
+            return None
+        return self.tracer.begin(
+            "request", document=request.document, query=request.query,
+            strategy=request.strategy or "default")
+
+    # -- completion ---------------------------------------------------------
+
+    def _claim(self, execution: _Execution,
+               response: QueryResponse) -> bool:
+        """Set ``response`` unless the execution already has one (a
+        sweep or a refusal got there first) and stop coalescing onto
+        it.  True when this caller owns the completion."""
+        key = execution.request.coalesce_key()
+        with self._admission_lock:
+            if execution.response is not None:
+                return False
+            execution.response = response
+            if self._inflight.get(key) is execution:
+                del self._inflight[key]
+            return True
+
+    def _complete(self, execution: _Execution,
+                  response: QueryResponse) -> None:
+        """Finish an execution exactly once, whichever transport ran it:
+        trace, flight recorder, metrics, then wake the leader and every
+        coalesced follower."""
+        if not self._claim(execution, response):
+            return
+        trace = execution.trace
+        if trace is not None:
+            response.trace_id = trace.trace_id
+            _finish_trace(trace, response, coalesced=execution.coalesced)
+            if self._flight is not None:
+                self._flight.record(trace, latency=response.total_seconds)
+        error = response.error
+        self.metrics.record_done(
+            latency_seconds=response.total_seconds,
+            queue_seconds=response.queue_seconds,
+            failed=error is not None,
+            deadline_expired=isinstance(error, BudgetExceeded)
+            and error.kind == "wall")
+        execution.done.set()
+
+    def _refuse(self, execution: _Execution, error: Exception) -> None:
+        """The transport could not start an admitted execution: it is
+        shed, not accepted, and followers that coalesced onto it
+        meanwhile get the same error."""
+        if isinstance(error, ServiceOverloaded):
+            self.metrics.record_shed()
+        response = QueryResponse(request=execution.request, error=error)
+        if self._claim(execution, response):
+            if execution.trace is not None:
+                _finish_trace(execution.trace, response)
+            execution.done.set()
+
+    # -- the thread-pool transport ------------------------------------------
+
+    def _open(self, workers: int) -> List[Any]:
+        """Transport hook: start the pool (here, threads reading the
+        admission queue)."""
+        self._queue: "queue_module.Queue[Any]" = \
+            queue_module.Queue(maxsize=self.queue_limit)
+        threads = [threading.Thread(target=self._worker_loop,
+                                    name=f"repro-serve-{index}",
+                                    daemon=True)
+                   for index in range(workers)]
+        for thread in threads:
+            thread.start()
+        return threads
+
+    def _start(self, execution: _Execution) -> None:
+        """Transport hook: hand an admitted execution to the pool, or
+        raise :class:`~repro.guard.ServiceOverloaded`."""
+        try:
+            self._queue.put_nowait(execution)
+        except queue_module.Full:
+            raise ServiceOverloaded(
+                f"admission queue full ({self.queue_limit} waiting); "
+                f"request shed — retry later or lower concurrency",
+                queue_depth=self._queue.qsize(),
+                queue_limit=self.queue_limit) from None
+
+    def _stop(self, drain: bool) -> None:
+        """Transport hook: stop the pool.  Without ``drain``, requests
+        still queued fail with :class:`~repro.guard.ServiceClosed`."""
+        if not drain:
+            while True:
+                try:
+                    execution = self._queue.get_nowait()
+                except queue_module.Empty:
+                    break
+                self._queue.task_done()
+                self._complete(execution, QueryResponse(
+                    request=execution.request,
+                    error=ServiceClosed("service closed before execution")))
+        for _ in self._workers:
+            self._queue.put(_SENTINEL)
+        for thread in self._workers:
+            thread.join()
+
+    def _load(self) -> Tuple[int, int]:
+        """Transport hook for :meth:`stats`: (waiting, executing); an
+        admitted execution that is not waiting is executing."""
+        with self._admission_lock:
+            waiting = self._queue.qsize()
+            return waiting, max(0, len(self._inflight) - waiting)
 
     def _worker_loop(self) -> None:
         while True:
@@ -349,84 +463,33 @@ class QueryService:
     def _run(self, execution: _Execution) -> None:
         started = self._clock()
         queue_seconds = started - execution.admitted
-        with self._admission_lock:
-            self._in_flight_count += 1
         response = QueryResponse(request=execution.request,
                                  queue_seconds=queue_seconds)
-        trace = None
-        deadline_expired = False
         try:
-            # Everything — including trace setup — runs inside this
-            # try: an exception anywhere before completion must become
-            # a typed response, never a dead worker with hanging
-            # waiters (the shutdown/coalesce regression).
-            trace = self._begin_trace(execution, queue_seconds, response)
-            self._attempt_loop(execution, response, started, trace)
+            # Everything runs inside this try: an exception anywhere
+            # before completion must become a typed response, never a
+            # dead worker with hanging waiters (the shutdown/coalesce
+            # regression).
+            trace = execution.trace
+            if trace is not None:
+                trace.add_span("queue", start=trace.root.start,
+                               duration=queue_seconds)
+            self._attempt_loop(execution, response, started)
         except Exception as err:  # typed errors travel to the waiters
-            if not isinstance(err, ReproError):
-                wrapped = InternalError(
-                    f"unexpected {type(err).__name__} while serving "
-                    f"{execution.request.query!r}: {err}")
-                wrapped.__cause__ = err
-                err = wrapped
-            response.error = err
-            if isinstance(err, BudgetExceeded) and err.kind == "wall":
-                deadline_expired = True
+            response.error = InternalError.wrap(
+                err, f"while serving {execution.request.query!r}")
         finally:
             response.exec_seconds = self._clock() - started
-            key = execution.request.coalesce_key()
-            with self._admission_lock:
-                if self._inflight.get(key) is execution:
-                    del self._inflight[key]
-                self._in_flight_count -= 1
-                coalesced = execution.coalesced
             if response.error is None and response.results is None:
                 # A BaseException (worker being killed) skipped both
                 # branches above: complete the execution typed rather
                 # than leave the waiters hanging.
                 response.error = InternalError(
                     "execution aborted before completion")
-            if trace is not None:
-                if response.error is not None:
-                    trace.annotate(error=getattr(
-                        response.error, "code",
-                        type(response.error).__name__))
-                trace.finish(coalesced=coalesced,
-                             rows=len(response.results)
-                             if response.results is not None else 0)
-                if self._flight is not None:
-                    self._flight.record(trace,
-                                        latency=response.total_seconds)
-            execution.response = response
-            execution.done.set()
-            self.metrics.record_done(
-                latency_seconds=response.total_seconds,
-                queue_seconds=queue_seconds,
-                failed=response.error is not None,
-                deadline_expired=deadline_expired)
-
-    def _begin_trace(self, execution: _Execution, queue_seconds: float,
-                     response: QueryResponse):
-        if self.tracer is None:
-            return None
-        # The root span covers the whole request: it starts
-        # queue_seconds in the past *on the tracer's own clock* (the
-        # service clock may differ, e.g. a fake one under test), and
-        # the already-elapsed wait is recorded as a completed child.
-        trace = self.tracer.begin(
-            "request", start_offset=-queue_seconds,
-            document=execution.request.document,
-            query=execution.request.query,
-            strategy=execution.request.strategy or "default")
-        if trace is not None:
-            trace.add_span("queue", start=trace.root.start,
-                           duration=queue_seconds)
-            response.trace_id = trace.trace_id
-        return trace
+            self._complete(execution, response)
 
     def _attempt_loop(self, execution: _Execution,
-                      response: QueryResponse, started: float,
-                      trace) -> None:
+                      response: QueryResponse, started: float) -> None:
         """Execute the request, retrying per :attr:`retry_policy`.
 
         Transient faults retry on the same strategy, deterministic
@@ -435,16 +498,15 @@ class QueryService:
         deadline.  Attempt outcomes feed the document's health/breaker.
         """
         request = execution.request
+        trace = execution.trace
         remaining = None
         if execution.deadline is not None:
             remaining = execution.deadline - started
             if remaining <= 0:
                 # The deadline lapsed while queued: charge the wait,
                 # skip the execution entirely.
-                raise BudgetExceeded(
-                    "wall", request.timeout or 0.0,
-                    response.queue_seconds,
-                    elapsed_seconds=response.queue_seconds)
+                raise BudgetExceeded.lapsed(request.timeout,
+                                            response.queue_seconds)
         policy = self.retry_policy
         strategies: List[Optional[str]] = [request.strategy]
         if policy is not None:
@@ -460,25 +522,20 @@ class QueryService:
                 if execution.deadline is not None:
                     remaining = execution.deadline - self._clock()
                     if remaining <= 0:
-                        elapsed = self._clock() - execution.admitted
-                        raise BudgetExceeded(
-                            "wall", request.timeout or 0.0, elapsed,
-                            elapsed_seconds=elapsed)
-                budgets = self._budgets_for(remaining)
+                        raise BudgetExceeded.lapsed(
+                            request.timeout,
+                            self._clock() - execution.admitted)
                 compiled = engine.compile(request.query,
                                           optimize=request.optimize,
                                           tracing=trace)
                 response.results = engine.execute(
                     compiled, strategy=strategies[level],
-                    optimized=request.optimize, budgets=budgets,
+                    optimized=request.optimize,
+                    budgets=tighten(self.default_budgets, remaining),
                     tracing=trace)
             except Exception as err:
-                if not isinstance(err, ReproError):
-                    wrapped = InternalError(
-                        f"unexpected {type(err).__name__} while "
-                        f"serving {request.query!r}: {err}")
-                    wrapped.__cause__ = err
-                    err = wrapped
+                err = InternalError.wrap(
+                    err, f"while serving {request.query!r}")
                 if isinstance(err, _HEALTH_ERRORS):
                     self.health_tracker.record_failure(request.document,
                                                        err)
@@ -536,26 +593,13 @@ class QueryService:
             return None
         return QueryResponse(request=request, results=[], degraded=True)
 
-    def _budgets_for(self, remaining: Optional[float]) -> Optional[Budgets]:
-        """The service defaults with the wall budget tightened to the
-        request's remaining deadline (whichever is smaller)."""
-        budgets = self.default_budgets
-        if remaining is None:
-            return budgets
-        if budgets is None:
-            return Budgets(wall_seconds=remaining)
-        if budgets.wall_seconds is None or remaining < budgets.wall_seconds:
-            return replace(budgets, wall_seconds=remaining)
-        return budgets
-
     # -- introspection ------------------------------------------------------
 
     def stats(self) -> ServiceStats:
         """A consistent snapshot of the service counters (see
         :class:`~repro.serve.metrics.ServiceStats`)."""
-        with self._admission_lock:
-            in_flight = self._in_flight_count
-        return self.metrics.stats(queue_depth=self._queue.qsize(),
+        queue_depth, in_flight = self._load()
+        return self.metrics.stats(queue_depth=queue_depth,
                                   in_flight=in_flight)
 
     def flight_recorder(self) -> Optional[FlightSnapshot]:
@@ -614,59 +658,19 @@ class QueryService:
             if self._closed:
                 return
             self._closed = True
-        if not drain:
-            self._fail_queued()
-        for _ in self._workers:
-            self._queue.put(_SENTINEL)
-        for thread in self._workers:
-            thread.join()
-        # Always sweep what the workers left behind: with drain=False,
-        # requests that slipped in between the first sweep and the
-        # sentinels; in either mode, anything a dead worker abandoned
-        # — queued executions it never picked up and in-flight ones it
+        self._stop(drain)
+        # Sweep what the transport left behind: requests that slipped in
+        # after it stopped, and anything a dead worker abandoned —
+        # queued executions it never picked up and in-flight ones it
         # never completed (with their coalesced followers).  Waiters
         # get a typed ServiceClosed instead of hanging forever.
-        self._fail_queued()
-        self._fail_abandoned()
-
-    def _fail_queued(self) -> None:
-        while True:
-            try:
-                execution = self._queue.get_nowait()
-            except queue_module.Empty:
-                return
-            self._queue.task_done()
-            if execution is _SENTINEL:
-                continue
-            execution.response = QueryResponse(
-                request=execution.request,
-                error=ServiceClosed("service closed before execution"))
-            key = execution.request.coalesce_key()
-            with self._admission_lock:
-                if self._inflight.get(key) is execution:
-                    del self._inflight[key]
-            execution.done.set()
-            self.metrics.record_done(latency_seconds=0.0, queue_seconds=0.0,
-                                     failed=True)
-
-    def _fail_abandoned(self) -> None:
-        """Complete every never-finished in-flight execution with a
-        typed ServiceClosed (leaders a dead worker abandoned — and
-        with them every coalesced follower waiting on the same
-        event)."""
         with self._admission_lock:
-            executions = list(self._inflight.values())
-            self._inflight.clear()
-        for execution in executions:
-            if execution.done.is_set():
-                continue
-            execution.response = QueryResponse(
+            abandoned = list(self._inflight.values())
+        for execution in abandoned:
+            self._complete(execution, QueryResponse(
                 request=execution.request,
                 error=ServiceClosed(
-                    "service closed before the execution completed"))
-            execution.done.set()
-            self.metrics.record_done(latency_seconds=0.0,
-                                     queue_seconds=0.0, failed=True)
+                    "service closed before the execution completed")))
 
     def __enter__(self) -> "QueryService":
         return self

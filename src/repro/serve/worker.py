@@ -8,7 +8,7 @@ message dict (:func:`send_frame` / :func:`recv_frame`).  The worker
 
 1. receives one ``init`` frame naming the shard layouts
    (:class:`~repro.xmltree.shard.ShardManifest` files) it serves, its
-   ``worker_index``, the engine options and an optional chaos
+   ``worker_index``, the default budgets and an optional chaos
    configuration;
 2. mmap-opens shard and index files **read-only and unverified**
    (O(1); the page cache is shared with every sibling worker and the
@@ -40,12 +40,11 @@ import struct
 import sys
 import time
 from bisect import bisect_left
-from dataclasses import replace
 from typing import Any, BinaryIO, Dict, List, Optional, Tuple
 
 from ..engine import Engine
-from ..guard import (BudgetExceeded, Budgets, InternalError, ReproError,
-                     inject, worker_seed)
+from ..guard import (Budgets, InternalError, ReproError, inject, tighten,
+                     worker_seed)
 from ..trace import TraceContext, Tracer, pack_trace
 from ..xmltree.node import Node
 from ..xmltree.shard import ShardManifest
@@ -111,11 +110,7 @@ def wire_safe_error(err: Exception) -> ReproError:
     exceptions are wrapped in :class:`~repro.guard.InternalError`, and
     an error whose context resists pickling is flattened to its string
     form (code preserved)."""
-    if not isinstance(err, ReproError):
-        wrapped = InternalError(
-            f"unexpected {type(err).__name__} in cluster worker: {err}")
-        wrapped.__cause__ = err
-        err = wrapped
+    err = InternalError.wrap(err, "in cluster worker")
     try:
         pickle.dumps(err, protocol=pickle.HIGHEST_PROTOCOL)
         return err
@@ -137,12 +132,8 @@ class ShardWorker:
 
     def __init__(self, worker_index: int,
                  documents: Dict[str, Dict[str, str]],
-                 backend: str = "interpreted",
-                 use_summary: bool = True,
                  default_budgets: Optional[Budgets] = None) -> None:
         self.worker_index = worker_index
-        self.backend = backend
-        self.use_summary = use_summary
         self.default_budgets = default_budgets
         self._manifests: Dict[str, ShardManifest] = {}
         self._directories: Dict[str, str] = {}
@@ -159,12 +150,9 @@ class ShardWorker:
 
     @classmethod
     def from_init(cls, init: Dict[str, Any]) -> "ShardWorker":
-        options = init.get("engine", {})
         return cls(worker_index=init["worker_index"],
                    documents=init["documents"],
-                   backend=options.get("backend", "interpreted"),
-                   use_summary=options.get("use_summary", True),
-                   default_budgets=options.get("default_budgets"))
+                   default_budgets=init.get("default_budgets"))
 
     # -- engines -------------------------------------------------------------
 
@@ -177,8 +165,7 @@ class ShardWorker:
             file_name = manifest.index_file if shard is None \
                 else manifest.shard_files[shard]
             engine = Engine.from_columnar_file(
-                os.path.join(directory, file_name), verify=False,
-                backend=self.backend, use_summary=self.use_summary)
+                os.path.join(directory, file_name), verify=False)
             self._engines[key] = engine
         return engine
 
@@ -235,17 +222,14 @@ class ShardWorker:
                  trace=None) -> List[Tuple[str, Any]]:
         document = task["document"]
         shard = task.get("shard")
-        remaining = task.get("remaining")
-        if remaining is not None and remaining <= 0:
-            raise BudgetExceeded("wall", task.get("timeout") or 0.0,
-                                 -remaining, elapsed_seconds=-remaining)
         engine = self.engine_for(document, shard)
         compiled = engine.compile(task["query"],
                                   optimize=task.get("optimize", True),
                                   tracing=trace)
         results = engine.execute(compiled, strategy=task.get("strategy"),
                                  optimized=task.get("optimize", True),
-                                 budgets=self._budgets_for(remaining),
+                                 budgets=tighten(self.default_budgets,
+                                                 task.get("remaining")),
                                  tracing=trace)
         if shard is None:
             return [("n", item.pre) if isinstance(item, Node)
@@ -262,19 +246,6 @@ class ShardWorker:
         runs = self._manifest(document).runs_for(shard)
         return [("n", pre) for pre in _to_global(
             runs, [item.pre for item in results])]
-
-    def _budgets_for(self, remaining: Optional[float]) -> Optional[Budgets]:
-        """Tighten-only mapping of the coordinator's per-shard deadline
-        onto the worker's default budgets (mirrors
-        ``QueryService._budgets_for``)."""
-        budgets = self.default_budgets
-        if remaining is None:
-            return budgets
-        if budgets is None:
-            return Budgets(wall_seconds=remaining)
-        if budgets.wall_seconds is None or remaining < budgets.wall_seconds:
-            return replace(budgets, wall_seconds=remaining)
-        return budgets
 
     def close(self) -> None:
         for engine in self._engines.values():

@@ -1,7 +1,8 @@
 """Fault injection at the serve- and storage-layer chaos sites.
 
 The resilience contract (docs/ROBUSTNESS.md) under test, for every new
-site × {raise, delay}:
+site × {raise, delay} — the request-core sites (``serve.admit``,
+``serve.wake``) on both transports, threads and an inline cluster:
 
 * a request either succeeds **byte-identical** to the fault-free
   baseline, or fails with a **typed** :class:`ReproError`
@@ -16,13 +17,14 @@ site × {raise, delay}:
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
 from repro import Engine
 from repro.guard import ChaosSpec, InjectedFault, ReproError, inject
-from repro.serve import (DocumentCatalog, QueryRequest, QueryService,
-                         RetryPolicy)
+from repro.serve import (ClusterService, DocumentCatalog, QueryRequest,
+                         QueryService, RetryPolicy)
 from repro.xmltree.columnar import ColumnarDocument, StorageError
 
 SITE_XML = ("<site><people>"
@@ -46,6 +48,22 @@ def site_catalog() -> DocumentCatalog:
     return catalog
 
 
+def serve(catalog: DocumentCatalog, cluster: bool, **options):
+    """The service under test: a thread pool, or an inline cluster
+    over the same catalog."""
+    if cluster:
+        return ClusterService.from_catalog(catalog, workers=2,
+                                           transport="inline", **options)
+    return QueryService(catalog, workers=2, **options)
+
+
+def wait_for(condition, seconds: float = 10.0) -> None:
+    deadline = time.monotonic() + seconds
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
 class Gate:
     """Holds a worker mid-execution so followers can coalesce."""
 
@@ -64,13 +82,17 @@ class Gate:
 
 
 @pytest.mark.parametrize("action", ["raise", "delay"])
-@pytest.mark.parametrize("site", ["serve.admit", "serve.execute"])
+@pytest.mark.parametrize("site,cluster",
+                         [("serve.admit", False), ("serve.execute", False),
+                          ("serve.admit", True)],
+                         ids=["serve.admit", "serve.execute",
+                              "serve.admit-cluster"])
 class TestServeSites:
-    def test_identical_success_or_typed_error(self, site, action):
+    def test_identical_success_or_typed_error(self, site, cluster, action):
         catalog = site_catalog()
         engine = catalog.engine("site")
         baseline = {query: keys(engine.run(query)) for query in QUERIES}
-        service = QueryService(catalog, workers=2)
+        service = serve(catalog, cluster)
         spec = ChaosSpec(site=site, action=action, rate=0.5,
                          delay_seconds=0.001)
         try:
@@ -87,17 +109,18 @@ class TestServeSites:
         finally:
             service.close()
 
-    def test_retries_absorb_raises(self, site, action):
+    def test_retries_absorb_raises(self, site, cluster, action):
         """With the retry policy on, per-attempt faults at a serve
         site never corrupt a result — and (except at admission, which
-        is outside the attempt loop) mostly never surface at all."""
+        is outside the attempt loop) mostly never surface at all.  A
+        cluster has no retry policy: its admission faults surface the
+        same way."""
         catalog = site_catalog()
         engine = catalog.engine("site")
         baseline = {query: keys(engine.run(query)) for query in QUERIES}
-        service = QueryService(
-            catalog, workers=2,
-            retry_policy=RetryPolicy(base_delay=0.0, max_delay=0.0,
-                                     jitter=0.0))
+        options = {} if cluster else {"retry_policy": RetryPolicy(
+            base_delay=0.0, max_delay=0.0, jitter=0.0)}
+        service = serve(catalog, cluster, **options)
         spec = ChaosSpec(site=site, action=action, rate=0.3,
                          delay_seconds=0.001)
         try:
@@ -114,9 +137,13 @@ class TestServeSites:
             service.close()
 
 
-@pytest.mark.parametrize("action", ["raise", "delay"])
+@pytest.mark.parametrize("action,cluster",
+                         [("raise", False), ("delay", False),
+                          ("raise", True), ("delay", True)],
+                         ids=["raise", "delay", "raise-cluster",
+                              "delay-cluster"])
 class TestServeWakeSite:
-    def test_coalesced_wakeup(self, action):
+    def test_coalesced_wakeup(self, action, cluster):
         """serve.wake fires on a coalesced follower's wake-up path: the
         leader's answer is never affected, and an injected raise
         surfaces to that follower as the typed fault."""
@@ -124,19 +151,32 @@ class TestServeWakeSite:
         engine = catalog.engine("site")
         query = QUERIES[0]
         baseline = keys(engine.run(query))
-        gate = Gate(engine, query)
-        service = QueryService(catalog, workers=1)
-        spec = ChaosSpec(site="serve.wake", action=action,
-                         delay_seconds=0.001)
+        specs = [ChaosSpec(site="serve.wake", action=action,
+                           delay_seconds=0.001)]
+        if cluster:
+            # An inline worker runs on the submitting thread: the
+            # leader is held at its dispatch instead.
+            specs.append(ChaosSpec(site="cluster.dispatch",
+                                   action="delay", delay_seconds=0.5))
+        else:
+            gate = Gate(engine, query)
+        service = serve(catalog, cluster)
+        leader = {}
+        submitter = threading.Thread(target=lambda: leader.update(
+            pending=service.submit(QueryRequest("site", query))))
         try:
-            leader = service.submit(QueryRequest("site", query))
-            assert gate.started.wait(10)
-            followers = [service.submit(QueryRequest("site", query))
-                         for _ in range(3)]
-            assert all(f.coalesced for f in followers)
-            with inject(spec, seed=1) as injector:
-                gate.release.set()
-                assert keys(leader.result(timeout=10)) == baseline
+            with inject(*specs, seed=1) as injector:
+                submitter.start()
+                wait_for(lambda: injector.fired("cluster.dispatch")
+                         if cluster else gate.started.is_set())
+                followers = [service.submit(QueryRequest("site", query))
+                             for _ in range(3)]
+                assert all(f.coalesced for f in followers)
+                if not cluster:
+                    gate.release.set()
+                submitter.join(10)
+                assert keys(leader["pending"].result(timeout=10)) \
+                    == baseline
                 for follower in followers:
                     try:
                         results = follower.result(timeout=10)
@@ -147,7 +187,8 @@ class TestServeWakeSite:
                         assert keys(results) == baseline
                 assert injector.fired("serve.wake") == 3
         finally:
-            gate.release.set()
+            if not cluster:
+                gate.release.set()
             service.close()
 
 

@@ -12,15 +12,16 @@ import io
 import os
 import pickle
 import signal
+import threading
 import time
 
 import pytest
 
 from repro import Engine, IndexedDocument
 from repro.data import xmark_document
-from repro.guard import (Budgets, BudgetExceeded, InternalError,
-                         ReproError, ServiceClosed, ServiceOverloaded,
-                         WorkerLost)
+from repro.guard import (Budgets, BudgetExceeded, ChaosSpec, CircuitOpen,
+                         InternalError, ReproError, ServiceClosed,
+                         ServiceOverloaded, WorkerLost, inject)
 from repro.serve import (BreakerPolicy, ClusterLayout, ClusterService,
                          QueryRequest, merge_shard_results, scatter_plan)
 from repro.serve.worker import (MAX_FRAME_BYTES, recv_frame, send_frame,
@@ -230,6 +231,76 @@ def test_default_budgets_flow_to_workers(layout):
         service.close()
 
 
+# -- the shared request core -------------------------------------------------
+
+
+def strict_breaker():
+    return BreakerPolicy(window=4, min_samples=4, failure_threshold=0.5,
+                         reset_seconds=60.0)
+
+
+def test_identical_submits_coalesce(layout):
+    # Whole-document, so the leader is held at exactly one dispatch.
+    query = "count($input//item)"
+    hold = ChaosSpec(site="cluster.dispatch", action="delay",
+                     delay_seconds=0.5)
+    with ClusterService(layout, workers=1, transport="inline") as service:
+        leader = {}
+        with inject(hold) as injector:
+            # An inline dispatch runs the worker on the submitting
+            # thread, so the leader submits from its own.
+            thread = threading.Thread(target=lambda: leader.update(
+                pending=service.submit(QueryRequest("xmark", query))))
+            thread.start()
+            deadline = time.monotonic() + 10
+            while not injector.fired("cluster.dispatch"):
+                assert time.monotonic() < deadline, "leader never dispatched"
+                time.sleep(0.005)
+            followers = [service.submit(QueryRequest("xmark", query))
+                         for _ in range(3)]
+            thread.join(10)
+        assert injector.fired("cluster.dispatch") == 1
+        assert all(follower.coalesced for follower in followers)
+        results = leader["pending"].result(timeout=10)
+        assert all(follower.result(timeout=10) is results
+                   for follower in followers)
+        assert service.stats().coalesced == 3
+
+
+def test_open_document_breaker_sheds_or_degrades(layout):
+    with ClusterService(layout, workers=1, transport="inline",
+                        breaker_policy=strict_breaker()) as service:
+        with inject(ChaosSpec(site="cluster.gather")):
+            for _ in range(4):
+                with pytest.raises(ReproError):
+                    service.query("xmark", "$input//person/name")
+        with pytest.raises(CircuitOpen) as excinfo:
+            service.query("xmark", "$input//person/name")
+        assert excinfo.value.document == "xmark"
+        response = service.submit(
+            QueryRequest("xmark", "$input//nosuchtag")).response(timeout=10)
+        assert response.degraded and response.results == []
+        stats = service.stats()
+        assert stats.breaker_rejected == 1 and stats.degraded == 1
+        # The workers answered every frame: their breakers stay closed.
+        assert {worker.breaker_state for worker
+                in service.cluster_stats().workers} == {"closed"}
+
+
+def test_health_and_probe(layout):
+    with ClusterService(layout, workers=1, transport="inline",
+                        breaker_policy=strict_breaker()) as service:
+        assert len(service.query("xmark", "$input//person/name")) == 40
+        health = service.health()
+        assert health.status == "healthy"
+        (document,) = health.documents
+        assert document.document == "xmark"
+        assert document.successes == 1 and document.breaker_state == "closed"
+        assert document.degraded_capable
+        probed = service.probe("xmark")
+        assert probed.last_probe_ok is True and probed.probes == 1
+
+
 # -- real worker processes ---------------------------------------------------
 
 
@@ -300,3 +371,26 @@ def test_worker_lost_without_respawn(layout):
             service.query("xmark", "$input//person/name", timeout=10.0)
     finally:
         service.close()
+
+
+def test_drain_survives_a_worker_killed_while_closing(layout):
+    """A worker that dies while ``close(drain=True)`` waits on it fails
+    its tasks typed: the drain returns at once, nothing hangs."""
+    service = ClusterService(layout, workers=1)
+    pid = service.worker_pids()[0]
+    os.kill(pid, signal.SIGSTOP)
+    try:
+        pending = service.submit(QueryRequest(
+            document="xmark", query="$input//person/name"))
+        closer = threading.Thread(target=service.close)
+        started = time.monotonic()
+        closer.start()
+        time.sleep(0.2)
+    finally:
+        os.kill(pid, signal.SIGKILL)
+    closer.join(timeout=5)
+    assert not closer.is_alive(), "close(drain=True) hung on a dead worker"
+    response = pending.response(timeout=5)
+    assert isinstance(response.error, (WorkerLost, ServiceClosed))
+    assert time.monotonic() - started < 5
+    assert _orphan_pids([pid]) == []

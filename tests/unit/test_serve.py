@@ -10,7 +10,7 @@ import pytest
 
 from repro import Engine
 from repro.guard import (BudgetExceeded, Budgets, InputError, ServiceClosed,
-                         ServiceOverloaded)
+                         ServiceOverloaded, tighten)
 from repro.serve import (DocumentCatalog, LatencyHistogram, QueryRequest,
                          QueryService, ServiceMetrics)
 
@@ -429,27 +429,18 @@ class TestDeadlines:
             assert service.stats().deadline_expired == 0
 
     def test_deadline_tightens_default_budgets(self):
-        service = QueryService(site_catalog(), workers=1,
-                               default_budgets=Budgets(wall_seconds=60.0,
-                                                       max_steps=100_000))
-        try:
-            tightened = service._budgets_for(remaining=1.5)
-            assert tightened.wall_seconds == 1.5
-            assert tightened.max_steps == 100_000
-            kept = service._budgets_for(remaining=120.0)
-            assert kept.wall_seconds == 60.0
-            assert service._budgets_for(None) is service.default_budgets
-        finally:
-            service.close()
+        defaults = Budgets(wall_seconds=60.0, max_steps=100_000)
+        tightened = tighten(defaults, remaining=1.5)
+        assert tightened.wall_seconds == 1.5
+        assert tightened.max_steps == 100_000
+        kept = tighten(defaults, remaining=120.0)
+        assert kept.wall_seconds == 60.0
+        assert tighten(defaults, None) is defaults
 
     def test_deadline_creates_budgets_when_no_defaults(self):
-        service = QueryService(site_catalog(), workers=1)
-        try:
-            budgets = service._budgets_for(remaining=2.0)
-            assert budgets.wall_seconds == 2.0
-            assert service._budgets_for(None) is None
-        finally:
-            service.close()
+        budgets = tighten(None, remaining=2.0)
+        assert budgets.wall_seconds == 2.0
+        assert tighten(None, None) is None
 
 
 # -- shutdown ------------------------------------------------------------------
