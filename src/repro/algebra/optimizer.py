@@ -55,9 +55,10 @@ _SEPARATION_PRESERVING_AXES = frozenset({
 })
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerOptions:
-    """Feature toggles, used by the ablation benchmarks."""
+    """Feature toggles, used by the ablation benchmarks.  Frozen: an
+    instance is part of the plan-cache key."""
 
     enable_tree_patterns: bool = True
     enable_merge: bool = True          # rules (d)/(e)

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager, nullcontext
-from dataclasses import astuple, dataclass, field
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (EvalContext, ItemPlan, TupleTreePattern, compile_core,
                       count_operators, eval_item, optimize_plan,
@@ -161,7 +161,8 @@ class Engine:
         self.rewrite_options = rewrite_options or RewriteOptions()
         self.optimizer_options = optimizer_options or OptimizerOptions()
         self.default_strategy = Strategy(default_strategy)
-        #: LRU of compiled plans; ``plan_cache_size=0`` disables caching.
+        #: this engine's view on the process-wide LRU of compiled plans;
+        #: ``plan_cache_size=0`` disables caching.
         self.plan_cache = PlanCache(plan_cache_size)
         #: default per-query resource limits (see :mod:`repro.guard`);
         #: ``None`` runs ungoverned.
@@ -251,11 +252,13 @@ class Engine:
                 tracing: Optional[Trace] = None) -> CompiledQuery:
         """Run the full compilation pipeline on a query string.
 
-        Results are cached in :attr:`plan_cache` keyed by
-        ``(query, optimize, options)``, so repeated compiles of the same
-        query return the same :class:`CompiledQuery` object; pass
-        ``use_cache=False`` to force recompilation.  Per-stage wall
-        times are recorded on the result's ``pipeline_metrics``.
+        Results are cached through :attr:`plan_cache` keyed by
+        ``(query, optimize, options)`` — never the document: the stages
+        read only the query — so repeated compiles of the same query, on
+        this engine or any other with the same cache size, return the
+        same :class:`CompiledQuery` object; pass ``use_cache=False`` to
+        force recompilation.  Per-stage wall times are recorded on the
+        result's ``pipeline_metrics``.
 
         With ``trace=True`` the result carries a
         :class:`~repro.rewrite.RewriteTrace` recording the core
@@ -272,14 +275,19 @@ class Engine:
                 f"query must be a string, got {type(query).__name__}")
         if not query.strip():
             raise InputError("empty query text")
-        cacheable = use_cache and not trace
-        key = self._cache_key(query, optimize)
-        if cacheable:
-            cached = self.plan_cache.get(key)
-            if cached is not None:
-                if tracing is not None:
-                    tracing.event("plan_cache_hit")
-                return cached
+        if trace or not use_cache:
+            return self._compile(query, optimize, trace, tracing)
+        # The options are frozen, so they key the entry as they are.
+        key = (query, optimize, self.rewrite_options,
+               self.optimizer_options)
+        compiled, hit = self.plan_cache.get_or_build(
+            key, self._compile, query, optimize, False, tracing)
+        if hit and tracing is not None:
+            tracing.event("plan_cache_hit")
+        return compiled
+
+    def _compile(self, query: str, optimize: bool, trace: bool,
+                 tracing: Optional[Trace]) -> CompiledQuery:
         metrics = PipelineMetrics()
         with _typed_depth_errors(metrics), \
                 maybe_span(tracing, "compile_pipeline"):
@@ -305,45 +313,24 @@ class Engine:
                         plan, options=self.optimizer_options)
                 else:
                     optimized = plan
-            if self.use_summary:
-                # Built once per document and cached; later compiles
-                # record a (near-zero) cache-hit time for the stage.
-                with metrics.stage("summary"), \
-                        maybe_span(tracing, "summary"):
-                    self.document.summary
-            # The integer columns the stream joins scan: every document
-            # carries them from birth, so the stage records a read.
-            with metrics.stage("columnar"), \
-                    maybe_span(tracing, "columnar"):
-                self.document.columns
             codegen: Dict[str, Any] = {}
             if self.backend == "compiled":
                 # Generate the optimized plan's Python eagerly so the
                 # cost lands in compile (visible as a stage), not in the
                 # first execute; the unoptimized plan — only needed by
-                # the "item" fallback — is generated lazily.
+                # the "item" fallback — is generated lazily, as is the
+                # optimized one when an interpreted engine compiled it.
                 with metrics.stage("codegen"), \
                         maybe_span(tracing, "codegen"):
                     try:
                         codegen["optimized"] = compile_plan(optimized)
                     except CodegenError as err:
                         codegen["optimized"] = err
-        compiled = CompiledQuery(text=query, surface=surface,
-                                 normalized=normalized, tpnf=tpnf, plan=plan,
-                                 optimized=optimized,
-                                 rewrite_trace=rewrite_trace,
-                                 pipeline_metrics=metrics,
-                                 codegen=codegen)
-        if cacheable:
-            self.plan_cache.put(key, compiled)
-        return compiled
-
-    def _cache_key(self, query: str, optimize: bool) -> Tuple[Hashable, ...]:
-        """Plan-cache key: the query text plus everything else that
-        shapes the compiled plan (options are read at call time, so
-        mutating them naturally keys new entries)."""
-        return (query, optimize, astuple(self.rewrite_options),
-                astuple(self.optimizer_options))
+        return CompiledQuery(text=query, surface=surface,
+                             normalized=normalized, tpnf=tpnf, plan=plan,
+                             optimized=optimized,
+                             rewrite_trace=rewrite_trace,
+                             pipeline_metrics=metrics, codegen=codegen)
 
     # -- execution ---------------------------------------------------------------
 
@@ -473,8 +460,14 @@ class Engine:
             algorithm = make_algorithm(Strategy(strategy_name),
                                        chooser_document)
             plan = compiled.optimized if optimized else compiled.plan
-        algorithm.attach_summary(
-            self.document.summary if self.use_summary else None)
+        summary = None
+        if self.use_summary:
+            # Built at the first execute and kept by the document: a
+            # compiled plan is shared between documents, so compile
+            # cannot build it.
+            with maybe_span(tracing, "summary"):
+                summary = self.document.summary
+        algorithm.attach_summary(summary)
         if metrics is not None:
             algorithm.attach_metrics(metrics)
         if governor is not None:

@@ -15,10 +15,10 @@ This module provides that visibility for the whole stack:
   choosers' decisions — a bounded ring of recent
   :class:`DecisionRecord`\\ s plus an unbounded tally, so long-running
   engines never accumulate unbounded decision logs;
-* :class:`PlanCache` — an LRU of compiled plans keyed by
-  ``(query, optimize, options)`` with :class:`CacheStats` hit/miss/
-  eviction accounting, so repeated ``Engine.run()`` calls skip
-  recompilation;
+* :class:`PlanCache` — a per-engine view, with its own
+  :class:`CacheStats` hit/miss/eviction accounting, on one process-wide
+  LRU of compiled plans keyed by ``(query, optimize, options)``, so
+  repeated ``Engine.run()`` calls — on any engine — skip recompilation;
 * :class:`TracedRun` — the bundle ``Engine.run_traced`` returns:
   results plus all of the above.
 
@@ -34,8 +34,8 @@ import time
 from collections import Counter, OrderedDict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from typing import (Any, Deque, Dict, Hashable, Iterator, List, Optional,
-                    Tuple)
+from typing import (Any, Callable, Deque, Dict, Hashable, Iterator, List,
+                    Optional, Tuple)
 
 __all__ = [
     "CacheStats", "DecisionRecord", "ExecMetrics", "PipelineMetrics",
@@ -47,12 +47,11 @@ __all__ = [
 #: only bounds the per-decision *detail* log (chooser inputs).
 DECISION_RING_SIZE = 256
 
-#: the compilation stages, in pipeline order (paper Figure 2, plus the
-#: structural-summary and integer-column constructions the engine times
-#: on first compile, plus Python code generation when the compiled
-#: backend is selected).
+#: the compilation stages, in pipeline order (paper Figure 2, plus
+#: Python code generation when the compiled backend is selected).  None
+#: reads the document: a compiled plan is shared by every engine.
 PIPELINE_STAGES = ("parse", "normalize", "rewrite", "compile", "optimize",
-                   "summary", "columnar", "codegen")
+                   "codegen")
 
 
 # -- compile-time metrics ------------------------------------------------------
@@ -283,18 +282,42 @@ class CacheStats:
                 "evictions": self.evictions, "hit_rate": self.hit_rate}
 
 
+class _PlanStore:
+    """One LRU of compiled plans, shared by every :class:`PlanCache` of
+    its capacity in the process."""
+
+    __slots__ = ("max_size", "entries", "lock", "flights")
+
+    def __init__(self, max_size: int) -> None:
+        self.max_size = max_size
+        self.entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self.lock = threading.Lock()
+        #: key → the lock its one in-flight build holds.
+        self.flights: Dict[Hashable, threading.Lock] = {}
+
+
+#: the process-wide stores, by capacity.
+_STORES: Dict[int, _PlanStore] = {}
+_STORES_LOCK = threading.Lock()
+
+
 class PlanCache:
-    """A small LRU cache of compiled plans.
+    """A view on the process-wide LRU of compiled plans.
 
     Keys are whatever the engine derives from
-    ``(query, optimize, options)``; values are
-    :class:`~repro.engine.CompiledQuery` objects (immutable once built,
-    so sharing them between calls is safe).
+    ``(query, optimize, options)`` — the query text, never the document
+    — and values are :class:`~repro.engine.CompiledQuery` objects
+    (immutable once built, so sharing them is safe).  Every instance of
+    one capacity reads and writes the same store, so engines over
+    different documents compile a query once per process;
+    ``max_size=0`` opts out and touches no store.  :attr:`stats` count
+    this instance's own lookups.
 
     Thread-safe: lookups, insertions and the LRU reordering happen
-    under one internal lock, so engines shared across a worker pool
+    under the store's lock, so engines shared across a worker pool
     (see :mod:`repro.serve`) cannot corrupt the ``OrderedDict`` or lose
-    evictions to races.
+    evictions to races; :meth:`get_or_build` builds a missing key once
+    however many threads miss it together.
     """
 
     def __init__(self, max_size: int = 64) -> None:
@@ -302,44 +325,98 @@ class PlanCache:
             raise ValueError("max_size must be >= 0")
         self.max_size = max_size
         self.stats = CacheStats()
-        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
-        self._lock = threading.Lock()
+        if max_size == 0:
+            # Private and never filled: only the miss count is kept.
+            self._store = _PlanStore(0)
+        else:
+            with _STORES_LOCK:
+                self._store = _STORES.get(max_size)
+                if self._store is None:
+                    self._store = _STORES[max_size] = _PlanStore(max_size)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        with self._store.lock:
+            return len(self._store.entries)
 
     def __contains__(self, key: Hashable) -> bool:
-        with self._lock:
-            return key in self._entries
+        with self._store.lock:
+            return key in self._store.entries
+
+    def _lookup(self, key: Hashable) -> Optional[Any]:
+        # Caller holds the store lock; counts a hit, not a miss.
+        entries = self._store.entries
+        value = entries.get(key)
+        if value is not None:
+            entries.move_to_end(key)
+            self.stats.hits += 1
+        return value
 
     def get(self, key: Hashable) -> Optional[Any]:
         """Look up a plan, counting a hit or a miss."""
-        with self._lock:
-            try:
-                value = self._entries[key]
-            except KeyError:
+        with self._store.lock:
+            value = self._lookup(key)
+            if value is None:
                 self.stats.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
             return value
 
     def put(self, key: Hashable, value: Any) -> None:
-        if self.max_size == 0:
+        store = self._store
+        if store.max_size == 0:
             return
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            self._entries[key] = value
-            while len(self._entries) > self.max_size:
-                self._entries.popitem(last=False)
+        with store.lock:
+            entries = store.entries
+            if key in entries:
+                entries.move_to_end(key)
+            entries[key] = value
+            while len(entries) > store.max_size:
+                entries.popitem(last=False)
                 self.stats.evictions += 1
 
+    def get_or_build(self, key: Hashable, build: Callable[..., Any],
+                     *args: Any) -> Tuple[Any, bool]:
+        """``(plan, hit)``: the plan under ``key``, made by
+        ``build(*args)`` and stored on a miss.  Callers that miss one
+        key together wait for a single build and count a hit."""
+        store = self._store
+        with store.lock:
+            value = self._lookup(key)
+            if value is not None:
+                return value, True
+            if store.max_size == 0:
+                self.stats.misses += 1
+                flight = None
+            else:
+                flight = store.flights.setdefault(key, threading.Lock())
+        if flight is None:
+            return build(*args), False
+        with flight:
+            with store.lock:
+                value = self._lookup(key)
+                if value is not None:
+                    return value, True
+                self.stats.misses += 1
+            try:
+                value = build(*args)
+                self.put(key, value)
+            finally:
+                with store.lock:
+                    if store.flights.get(key) is flight:
+                        del store.flights[key]
+        return value, False
+
     def clear(self) -> None:
-        """Drop every entry (statistics are kept)."""
-        with self._lock:
-            self._entries.clear()
+        """Drop every entry of the shared store (statistics are kept)."""
+        with self._store.lock:
+            self._store.entries.clear()
+
+    @staticmethod
+    def clear_all() -> None:
+        """Drop every entry of every process-wide store."""
+        with _STORES_LOCK:
+            stores = list(_STORES.values())
+        for store in stores:
+            with store.lock:
+                store.entries.clear()
 
 
 # -- traced runs ---------------------------------------------------------------

@@ -24,7 +24,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["ExplainAnalysis", "format_seconds"]
 
-#: engine pipeline stage names, in pipeline order (mirrors Engine).
+#: engine pipeline stage names, in pipeline order (mirrors Engine): the
+#: compile stages, then the summary build the first execute does.
 _STAGES = ("parse", "normalize", "rewrite", "compile", "optimize",
            "summary")
 

@@ -98,6 +98,10 @@ _REQUIRED_SECTIONS = _INT_COLUMNS + (
     "tag_dir", "tag_stream", "attr_dir", "attr_stream",
     "text_pres", "element_pres", "uri")
 
+#: the variable-length int32 sections.
+_INT_SECTIONS = ("name_dir", "text_dir", "tag_dir", "tag_stream",
+                 "attr_dir", "attr_stream", "text_pres", "element_pres")
+
 _EMPTY_I = array("i")
 
 
@@ -585,9 +589,15 @@ class ColumnarDocument:
         try:
             return cls._from_map(source, handle, path, size, verify,
                                  started, fail)
-        except BaseException:
-            source.close()
-            handle.close()
+        except BaseException as err:
+            # The failed frames still hold the views cut from the map,
+            # and a map with exported views refuses to close.
+            import traceback
+            traceback.clear_frames(err.__traceback__)
+            try:
+                source.close()
+            finally:
+                handle.close()
             raise
 
     @classmethod
@@ -617,22 +627,7 @@ class ColumnarDocument:
         if table_end > size:
             raise fail("truncated", "section table extends past the "
                                     "end of the file")
-        sections: Dict[str, Tuple[int, int]] = {}
-        for index in range(count):
-            raw, offset, length = _SECTION.unpack_from(
-                source, _HEADER.size + _SECTION.size * index)
-            name = raw.rstrip(b"\x00").decode("ascii", "replace")
-            if offset + length > size:
-                raise fail("truncated",
-                           f"section {name!r} [{offset}, "
-                           f"{offset + length}) extends past the end "
-                           f"of the file")
-            sections[name] = (offset, length)
-        missing = [name for name in _REQUIRED_SECTIONS
-                   if name not in sections]
-        if missing:
-            raise fail("sections",
-                       f"missing sections: {', '.join(missing)}")
+        sections = _read_table(source, count, table_end, total, fail)
         base = table_end + _pad(table_end)
         try:
             # Chaos site for checksum verification; injected faults
@@ -655,22 +650,10 @@ class ColumnarDocument:
             return view[offset:offset + length]
 
         def int_column(name: str) -> memoryview:
-            data = section(name)
-            if len(data) % 4:
-                raise fail("alignment",
-                           f"section {name!r} is not int32-aligned")
-            return data.cast("i")
+            return section(name).cast("i")
 
         kind = section("kind")
-        n = len(kind)
-        columns = {}
-        for name in _INT_COLUMNS:
-            column = int_column(name)
-            if len(column) != n:
-                raise fail("column-length",
-                           f"column {name!r} has {len(column)} entries "
-                           f"for {n} nodes")
-            columns[name] = column
+        columns = {name: int_column(name) for name in _INT_COLUMNS}
         names = _decode_strings(int_column("name_dir"),
                                 section("name_blob"), "name", fail)
         texts = _decode_strings(int_column("text_dir"),
@@ -772,6 +755,49 @@ class ColumnarDocument:
         backing = "mmap" if self.is_mapped else "memory"
         return (f"<ColumnarDocument n={self.n} tags={len(self.tag_pres)} "
                 f"backing={backing}>")
+
+
+# -- section table ----------------------------------------------------------
+
+def _read_table(source: mmap.mmap, count: int, table_end: int, total: int,
+                fail) -> Dict[str, Tuple[int, int]]:
+    """The section table, accepted only as :meth:`ColumnarDocument.save`
+    writes it: every version-1 section, in order, each starting where
+    the one before ends (padded to 8), the int32 columns 4 bytes and
+    ``kind`` 1 byte per node, and the last one ending the file.  The
+    CRC covers the payload, not the table, so this is what stops a
+    flipped table byte from reading another section's bytes."""
+    def bad(message: str) -> StorageError:
+        return fail("section-table", f"section table: {message}")
+
+    if count != len(_REQUIRED_SECTIONS):
+        raise bad(f"{count} sections, expected "
+                  f"{len(_REQUIRED_SECTIONS)}")
+    sections: Dict[str, Tuple[int, int]] = {}
+    expected_offset = table_end + _pad(table_end)
+    for index, name in enumerate(_REQUIRED_SECTIONS):
+        raw, offset, length = _SECTION.unpack_from(
+            source, _HEADER.size + _SECTION.size * index)
+        if raw != name.encode("ascii").ljust(len(raw), b"\x00"):
+            found = raw.rstrip(b"\x00")
+            raise bad(f"entry {index} is {found!r}, expected {name!r}")
+        if offset != expected_offset:
+            raise bad(f"section {name!r} starts at {offset}, expected "
+                      f"{expected_offset}")
+        expected_offset = offset + length + _pad(length)
+        sections[name] = (offset, length)
+    if expected_offset != total:
+        raise bad(f"sections end at {expected_offset}, the file at "
+                  f"{total}")
+    n = sections["kind"][1]
+    for name in _INT_COLUMNS:
+        if sections[name][1] != 4 * n:
+            raise bad(f"column {name!r} is {sections[name][1]} bytes "
+                      f"for {n} nodes")
+    for name in _INT_SECTIONS:
+        if sections[name][1] % 4:
+            raise bad(f"section {name!r} is not int32-aligned")
+    return sections
 
 
 # -- encoding helpers ----------------------------------------------------------

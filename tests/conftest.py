@@ -6,6 +6,7 @@ import pytest
 
 from repro import Engine, IndexedDocument
 from repro.data import member_document, xmark_document
+from repro.obs import PlanCache
 
 PEOPLE_XML = """<site><people>
 <person id="p1"><name>John</name><emailaddress>j@x</emailaddress>
@@ -24,6 +25,13 @@ NESTED_XML = """<doc>
 
 MIXED_XML = ("<r><person><name>outer</name><person><name>inner</name>"
              "</person><name>outer2</name></person></r>")
+
+
+@pytest.fixture(autouse=True)
+def empty_plan_stores():
+    """Compiled plans are shared by every engine in the process: start
+    each test with empty stores, so none depends on test order."""
+    PlanCache.clear_all()
 
 
 @pytest.fixture(scope="session")

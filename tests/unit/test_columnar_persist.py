@@ -22,6 +22,8 @@ from repro.xmltree import (ColumnarDocument, IndexedDocument, StorageError,
 from repro.cli import main as cli_main
 from repro.data import member_document
 
+from tests.unit.test_serve import SITE_XML
+
 XML = ('<site lang="en"><people><person id="p1"><name>John</name>'
        '<emailaddress>j@x.example</emailaddress></person>'
        '<person id="p2"><name>Ada</name></person></people>'
@@ -179,6 +181,40 @@ class TestCorruption:
         _, path = saved
         path.write_bytes(path.read_bytes() + b"trailing junk")
         _expect_storage_error(path)
+
+    def test_section_table_bit_flips(self, tmp_path):
+        """The CRC covers the payload, not the section table: each of
+        three bits flipped in every table byte gives the right answer
+        or a StorageError — never another section's bytes read as a
+        column, nor a raw exception."""
+        query = "$input//*"
+        expected = [serialize(n)
+                    for n in Engine.from_xml(SITE_XML).run(query)]
+        path = tmp_path / "site.rpxc"
+        IndexedDocument.from_string(SITE_XML).save(path)
+        data = path.read_bytes()
+        header = struct.calcsize("<4sHHIIQII")
+        count = struct.unpack_from("<I", data, 8)[0]
+        flipped = tmp_path / "flipped.rpxc"
+        wrong, checks = [], set()
+        for index in range(header, header + 40 * count):
+            for bit in (0x01, 0x08, 0x80):
+                corrupt = bytearray(data)
+                corrupt[index] ^= bit
+                flipped.write_bytes(bytes(corrupt))
+                try:
+                    engine = Engine.from_columnar_file(str(flipped))
+                except StorageError as err:
+                    checks.add(err.context["check"])
+                    continue
+                try:
+                    got = [serialize(n) for n in engine.run(query)]
+                finally:
+                    engine.document.close()
+                if got != expected:
+                    wrong.append((index, bit))
+        assert wrong == []
+        assert "section-table" in checks
 
     def test_not_a_file(self, tmp_path):
         with pytest.raises(StorageError):
