@@ -99,17 +99,37 @@ class PatternPath:
         return self.steps[-1]
 
     @cached_property
+    def axes(self) -> frozenset:
+        """Every axis the path steps along, predicate branches included:
+        what a physical algorithm's fragment is checked against."""
+        return frozenset(step.axis for step in self.steps).union(
+            *(branch.axes for step in self.steps
+              for branch in step.predicates))
+
+    @cached_property
     def is_downward(self) -> bool:
         """All axes, predicate branches included, are within the
         tree-pattern fragment (downward)."""
-        return all(step.axis.is_downward
-                   and all(branch.is_downward for branch in step.predicates)
+        return all(axis.is_downward for axis in self.axes)
+
+    @cached_property
+    def uses_text(self) -> bool:
+        """Some step, predicate branches included, tests ``text()``."""
+        return any(isinstance(step.test, TextTest)
+                   or any(branch.uses_text for branch in step.predicates)
                    for step in self.steps)
 
     @cached_property
     def has_position(self) -> bool:
         """One of this path's own steps is positional (``step[n]``)."""
         return any(step.position is not None for step in self.steps)
+
+    @cached_property
+    def uses_position(self) -> bool:
+        """Some step, predicate branches included, is positional."""
+        return self.has_position or any(
+            branch.uses_position
+            for step in self.steps for branch in step.predicates)
 
     @cached_property
     def attribute_sensitive(self) -> bool:

@@ -6,8 +6,7 @@ from .nljoin import NLJoin
 from .stacktree import StackTreeJoin
 from .staircase import StaircaseJoin
 from .strategy import (CostBasedChooser, HeuristicChooser, Strategy,
-                       estimated_stream_size, make_algorithm,
-                       pattern_complexity)
+                       estimated_stream_size, make_algorithm)
 from .streaming import StreamingXPath
 from .twigjoin import TwigJoin
 
@@ -15,6 +14,6 @@ __all__ = [
     "Binding", "TreePatternAlgorithm", "NLJoin", "StaircaseJoin",
     "CostBasedChooser", "CostEstimate", "CostModel",
     "HeuristicChooser", "Strategy", "estimated_stream_size",
-    "make_algorithm", "pattern_complexity", "StackTreeJoin",
+    "make_algorithm", "StackTreeJoin",
     "StreamingXPath", "TwigJoin",
 ]

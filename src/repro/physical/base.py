@@ -18,16 +18,25 @@ two semantics for one input tuple; :meth:`evaluate_each`, which the
 ``TupleTreePattern`` operator calls, answers a whole batch of tuples —
 by looping over :meth:`evaluate` unless the algorithm has a batch
 kernel (SCJoin does).
+
+Each algorithm declares the fragment it evaluates as class data
+(:attr:`TreePatternAlgorithm.axes` and three flags) and implements
+:meth:`~TreePatternAlgorithm._match` and, if it enumerates,
+:meth:`~TreePatternAlgorithm._enumerate`.  This module alone decides who
+evaluates a path: the algorithm inside its fragment, its one NLJoin
+outside — whose work counts under ``nljoin`` and passes the ``nljoin.*``
+chaos sites.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, FrozenSet, List, Optional, Tuple, TYPE_CHECKING
 
 from ..guard.governor import ResourceGovernor
 from ..obs import ExecMetrics
 from ..pattern import PatternPath, TreePattern
-from ..xmltree.document import IndexedDocument, ddo
+from ..xmltree.axes import Axis
+from ..xmltree.document import IndexedDocument
 from ..xmltree.node import AttributeNode, Node
 from ..xmltree.summary import PathSummary
 
@@ -36,9 +45,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 Binding = Dict[str, Node]
 
+_ALL_AXES = frozenset(Axis)
+
 
 class TreePatternAlgorithm:
-    """Base class of NLJoin, TwigJoin and SCJoin."""
+    """Base class of the pattern algorithms and the choosers."""
 
     name = "abstract"
 
@@ -71,47 +82,98 @@ class TreePatternAlgorithm:
     #: discipline as ``metrics``/``governor``.
     trace: "Optional[Trace]" = None
 
-    def attach_metrics(self, metrics: Optional[ExecMetrics]) -> None:
-        """Route this algorithm's counters into ``metrics``.
+    #: The fragment the algorithm evaluates itself, as data (the
+    #: feature catalogue of twig algorithms in Hachicha & Darmont's
+    #: survey): the axes it steps along, predicate branches included,
+    #: and whether it takes ``text()`` tests, positional steps and
+    #: binding enumeration.  The defaults are NLJoin's — everything —
+    #: and a chooser's, which hands every pattern to a member.
+    axes: FrozenSet[Axis] = _ALL_AXES
+    text_tests = True
+    positions = True
+    enumerates = True
 
-        Subclasses that delegate (fallbacks, choosers) override this to
-        attach the same object to their inner algorithms.
-        """
+    #: a chooser records its decisions in :attr:`metrics`, so it keeps
+    #: counters of its own when :meth:`attach_metrics` is given ``None``.
+    records_decisions = False
+
+    def __init__(self) -> None:
+        #: the NLJoin evaluating what lies outside a partial fragment
+        #: (``None`` when the fragment is everything).
+        self.nljoin: Optional[TreePatternAlgorithm] = None
+        if (self.axes != _ALL_AXES or not self.text_tests
+                or not self.positions or not self.enumerates):
+            from .nljoin import NLJoin   # a subclass of this base
+            self.nljoin = NLJoin()
+        #: the algorithms this one hands work to, wired alike by the
+        #: ``attach_*`` methods: its NLJoin, or a chooser's members.
+        self.parts: Tuple[TreePatternAlgorithm, ...] = \
+            () if self.nljoin is None else (self.nljoin,)
+
+    def attach_metrics(self, metrics: Optional[ExecMetrics]) -> None:
+        """Route this algorithm's counters, and its parts', into
+        ``metrics``."""
+        if metrics is None and self.records_decisions:
+            metrics = ExecMetrics()
         self.metrics = metrics
+        for part in self.parts:
+            part.attach_metrics(metrics)
 
     def attach_governor(self, governor: Optional[ResourceGovernor]) -> None:
-        """Charge this algorithm's work against ``governor``'s budgets.
-
-        Subclasses that delegate (fallbacks, choosers) override this to
-        attach the same object to their inner algorithms.
-        """
+        """Charge this algorithm's work, and its parts', against
+        ``governor``'s budgets."""
         self.governor = governor
+        for part in self.parts:
+            part.attach_governor(governor)
 
     def attach_summary(self, summary: Optional[PathSummary]) -> None:
-        """Use ``summary`` as the pattern prefilter for :meth:`evaluate`
-        (``None`` disables pruning).
-
-        Subclasses that delegate (choosers) override this to attach the
-        same object to their inner algorithms.
-        """
+        """Use ``summary`` as the pattern prefilter for :meth:`evaluate`,
+        here and in the parts (``None`` disables pruning)."""
         self.summary = summary
+        for part in self.parts:
+            part.attach_summary(summary)
 
     def attach_trace(self, trace: "Optional[Trace]") -> None:
         """Record this algorithm's pattern evaluations as spans of
         ``trace`` (one ``pattern:<name>`` span per kernel invocation —
-        an :meth:`evaluate` call or a batch — prune decisions as events).
-
-        Subclasses that delegate (fallbacks, choosers) override this to
-        attach the same object to their inner algorithms.
-        """
+        an :meth:`evaluate` call or a batch — prune decisions as events);
+        the parts record into the same trace."""
         self.trace = trace
+        for part in self.parts:
+            part.attach_trace(trace)
+
+    def covers(self, path: PatternPath, contexts: List[Node]) -> bool:
+        """Is ``path`` from ``contexts`` inside this algorithm's
+        fragment?  A few cached attribute reads of the path."""
+        return (path.axes <= self.axes
+                and (self.text_tests or not path.uses_text)
+                and (self.positions or not path.uses_position)
+                and not (path.attribute_sensitive
+                         and steps_from_attribute(path, contexts)))
 
     def match_single(self, document: IndexedDocument,
                      contexts: List[Node], path: PatternPath) -> List[Node]:
-        raise NotImplementedError
+        """The algorithm's own :meth:`_match` inside its fragment, its
+        NLJoin outside."""
+        if self.nljoin is None or self.covers(path, contexts):
+            return self._match(document, contexts, path)
+        return self.nljoin.match_single(document, contexts, path)
 
     def enumerate_bindings(self, document: IndexedDocument, context: Node,
                            path: PatternPath) -> List[Binding]:
+        """The algorithm's own :meth:`_enumerate` inside its fragment,
+        its NLJoin outside."""
+        if self.nljoin is None or (self.enumerates
+                                   and self.covers(path, [context])):
+            return self._enumerate(document, context, path)
+        return self.nljoin.enumerate_bindings(document, context, path)
+
+    def _match(self, document: IndexedDocument, contexts: List[Node],
+               path: PatternPath) -> List[Node]:
+        raise NotImplementedError
+
+    def _enumerate(self, document: IndexedDocument, context: Node,
+                   path: PatternPath) -> List[Binding]:
         raise NotImplementedError
 
     def evaluate(self, document: IndexedDocument, contexts: List[Node],
@@ -207,14 +269,10 @@ def steps_from_attribute(path: PatternPath, contexts: List[Node]) -> bool:
     — the attribute selected by an earlier step or handed in as a context
     node)?  The stream algorithms read element/text ``pre`` streams, where
     an attribute is never its own ``self``; they evaluate such patterns
-    with their NLJoin fallback.  Asked only of an
+    with NLJoin.  Asked only of an
     :attr:`~repro.pattern.PatternPath.attribute_sensitive` path, so an
     ordinary evaluation pays one cached attribute read; nothing is
     decided per candidate."""
     return path.continues_from_attribute or any(
         isinstance(node, AttributeNode) for node in contexts)
 
-
-def distinct_doc_order(nodes: List[Node]) -> List[Node]:
-    """Shared ddo helper for implementations."""
-    return ddo(nodes)

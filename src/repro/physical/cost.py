@@ -51,9 +51,7 @@ and now costs a pass over its own streams.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
-
-from typing import Optional
+from typing import Dict, List, Optional
 
 from ..pattern import PatternPath
 from ..xmltree.document import IndexedDocument
@@ -143,9 +141,6 @@ class CostModel:
             for branch in step.predicates:
                 total += self._tag_count_volume(branch, region)
         return total
-
-    def spine_steps(self, path: PatternPath) -> int:
-        return len(path.steps)
 
     def branch_streams(self, path: PatternPath, region: int) -> float:
         """Stream elements SCJoin's bottom-up branch passes read inside

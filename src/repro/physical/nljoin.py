@@ -21,9 +21,9 @@ from typing import List
 from ..guard.chaos import chaos_point
 from ..pattern import PatternPath, PatternStep
 from ..xmltree.axes import step as axis_step
-from ..xmltree.document import IndexedDocument
+from ..xmltree.document import IndexedDocument, ddo
 from ..xmltree.node import Node
-from .base import Binding, TreePatternAlgorithm, distinct_doc_order
+from .base import Binding, TreePatternAlgorithm
 
 
 class NLJoin(TreePatternAlgorithm):
@@ -31,20 +31,20 @@ class NLJoin(TreePatternAlgorithm):
 
     name = "nljoin"
 
-    def match_single(self, document: IndexedDocument,
-                     contexts: List[Node], path: PatternPath) -> List[Node]:
+    def _match(self, document: IndexedDocument,
+               contexts: List[Node], path: PatternPath) -> List[Node]:
         current = list(contexts)
         for pattern_step in path.steps:
             produced: list[Node] = []
             for context in current:
                 produced.extend(self._step_candidates(context, pattern_step))
-            current = distinct_doc_order(produced)
+            current = ddo(produced)
         return chaos_point("nljoin.match", current)
 
-    def enumerate_bindings(self, document: IndexedDocument, context: Node,
-                           path: PatternPath) -> List[Binding]:
+    def _enumerate(self, document: IndexedDocument, context: Node,
+                   path: PatternPath) -> List[Binding]:
         bindings: list[Binding] = []
-        self._enumerate(context, path.steps, 0, {}, bindings)
+        self._bind(context, path.steps, 0, {}, bindings)
         return chaos_point("nljoin.enumerate", bindings)
 
     # -- helpers ------------------------------------------------------------
@@ -82,8 +82,8 @@ class NLJoin(TreePatternAlgorithm):
                 return True
         return False
 
-    def _enumerate(self, context: Node, steps, index: int,
-                   binding: Binding, out: list[Binding]) -> None:
+    def _bind(self, context: Node, steps, index: int,
+              binding: Binding, out: list[Binding]) -> None:
         if index == len(steps):
             out.append(dict(binding))
             return
@@ -91,6 +91,6 @@ class NLJoin(TreePatternAlgorithm):
         for candidate in self._step_candidates(context, pattern_step):
             if pattern_step.output_field is not None:
                 binding[pattern_step.output_field] = candidate
-            self._enumerate(candidate, steps, index + 1, binding, out)
+            self._bind(candidate, steps, index + 1, binding, out)
             if pattern_step.output_field is not None:
                 del binding[pattern_step.output_field]

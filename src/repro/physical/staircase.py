@@ -40,7 +40,8 @@ not nest, each layer is walked once, and — a downward match inside a
 region can only have been reached from that region's root — the layer's
 sorted result is split back by ``[pre, end[pre]]``.
 
-Axes outside the downward fragment fall back to NLJoin.
+Axes outside the downward fragment go to NLJoin (see
+:mod:`repro.physical.base`).
 """
 
 from __future__ import annotations
@@ -54,8 +55,7 @@ from ..xmltree.axes import Axis
 from ..xmltree.columnar import KIND_ELEMENT, ColumnarDocument
 from ..xmltree.document import IndexedDocument
 from ..xmltree.node import Node
-from .base import Binding, TreePatternAlgorithm, steps_from_attribute
-from .nljoin import NLJoin
+from .base import Binding, TreePatternAlgorithm
 
 #: ``_child_join`` gathers over the contexts' hull instead of scanning
 #: one region per context when the hull holds at most this many stream
@@ -68,48 +68,28 @@ class StaircaseJoin(TreePatternAlgorithm):
     """Set-at-a-time staircase join evaluation in integer pre-space."""
 
     name = "scjoin"
+    axes = frozenset(axis for axis in Axis if axis.is_downward)
+    #: Binding enumeration is inherently tuple-at-a-time; the staircase
+    #: join is a set-at-a-time algorithm, so multi-output patterns go to
+    #: NLJoin (the optimizer only emits single-output patterns — see
+    #: DESIGN.md).
+    enumerates = False
 
-    def __init__(self) -> None:
-        self._fallback = NLJoin()
-
-    def attach_metrics(self, metrics) -> None:
-        super().attach_metrics(metrics)
-        self._fallback.attach_metrics(metrics)
-
-    def attach_governor(self, governor) -> None:
-        super().attach_governor(governor)
-        self._fallback.attach_governor(governor)
-
-    def attach_trace(self, trace) -> None:
-        super().attach_trace(trace)
-        self._fallback.attach_trace(trace)
-
-    # -- public API -----------------------------------------------------------
-
-    def match_single(self, document: IndexedDocument,
-                     contexts: List[Node], path: PatternPath) -> List[Node]:
-        if _navigational(path, contexts):
-            return self._fallback.match_single(document, contexts, path)
+    def _match(self, document: IndexedDocument,
+               contexts: List[Node], path: PatternPath) -> List[Node]:
         # Into integer space: sorted, duplicate-free context pres.
         current = self._join_path(document.columns,
-                             sorted({node.pre for node in contexts}), path)
+                                  sorted({node.pre for node in contexts}),
+                                  path)
         # Out of integer space: nodes exist only at the result boundary.
         return chaos_point("scjoin.match",
                            [document.node_at(pre) for pre in current])
 
-    def enumerate_bindings(self, document: IndexedDocument, context: Node,
-                           path: PatternPath) -> List[Binding]:
-        # Binding enumeration is inherently tuple-at-a-time; the
-        # staircase join is a set-at-a-time algorithm, so multi-output
-        # patterns use the navigational fallback (the optimizer only
-        # emits single-output patterns — see DESIGN.md).
-        return self._fallback.enumerate_bindings(document, context, path)
-
     def evaluate_each(self, document: IndexedDocument, contexts: List[Node],
                       pattern: TreePattern) -> List[List[Binding]]:
         if (pattern.single_output_field is None
-                or _navigational(pattern.path, contexts)):
-            # Binding enumeration and the NLJoin fallbacks are per tuple.
+                or not self.covers(pattern.path, contexts)):
+            # Binding enumeration and NLJoin's work are per tuple.
             return super().evaluate_each(document, contexts, pattern)
         return self._invoke(self._match_each, document, contexts, pattern,
                             each=True)
@@ -364,12 +344,6 @@ class StaircaseJoin(TreePatternAlgorithm):
             if at < count and satisfying[at] <= end_column[pre]:
                 kept.append(pre)
         return kept
-
-
-def _navigational(path: PatternPath, contexts: List[Node]) -> bool:
-    """The path is outside what the integer kernels evaluate."""
-    return not path.is_downward or (
-        path.attribute_sensitive and steps_from_attribute(path, contexts))
 
 
 def _prune_covered(contexts: List[int], end_column) -> List[int]:

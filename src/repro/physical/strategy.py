@@ -18,11 +18,11 @@ in the simple stream-statistics cost model it consults.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..guard.chaos import chaos_point
 from ..obs import ExecMetrics
-from ..pattern import PatternPath, TreePattern
+from ..pattern import PatternPath
 from ..xmltree.document import IndexedDocument
 from ..xmltree.nodetest import NameTest
 from .base import TreePatternAlgorithm
@@ -71,16 +71,6 @@ def make_algorithm(strategy: Strategy | str,
     return _INSTANCES[strategy]()
 
 
-def pattern_complexity(path: PatternPath) -> int:
-    """Steps + branches, a rough size measure for the heuristics."""
-    total = 0
-    for step in path.steps:
-        total += 1
-        for branch in step.predicates:
-            total += pattern_complexity(branch)
-    return total
-
-
 def estimated_stream_size(document: IndexedDocument,
                           path: PatternPath) -> int:
     """Total size of the streams a holistic scan would read, counted
@@ -96,7 +86,65 @@ def estimated_stream_size(document: IndexedDocument,
     return total
 
 
-class HeuristicChooser(TreePatternAlgorithm):
+class Chooser(TreePatternAlgorithm):
+    """Per-evaluation dispatch between member algorithms.
+
+    Owns what both choosers share: the members (one instance each, made
+    through :func:`make_algorithm`'s table), the decision bookkeeping
+    and the delegation.  A subclass names its ``member_strategies`` and
+    implements :meth:`pick`."""
+
+    member_strategies: tuple = ()
+    records_decisions = True
+
+    def __init__(self, document: Optional[IndexedDocument] = None) -> None:
+        super().__init__()
+        self.document = document
+        self.members: dict[str, TreePatternAlgorithm] = {
+            strategy.value: _INSTANCES[strategy]()
+            for strategy in self.member_strategies}
+        self.parts = tuple(self.members.values())
+        self._chaos_site = f"{self.name}.choose"
+        # Decision recording lives in ExecMetrics (bounded ring + exact
+        # tally) so long-running engines never leak; the engine swaps in
+        # its own metrics object via attach_metrics.
+        self.attach_metrics(ExecMetrics())
+        if document is not None:
+            self.attach_summary(document.summary)
+
+    @property
+    def decisions(self) -> list:
+        """Recently chosen algorithm names (bounded; the exact tally is
+        ``self.metrics.decision_counts``)."""
+        return [record.algorithm for record in self.metrics.decision_ring]
+
+    def pick(self, document: IndexedDocument, contexts,
+             path: PatternPath) -> Tuple[str, dict]:
+        """The member to evaluate ``path`` from ``contexts`` and the
+        inputs the decision is recorded with."""
+        raise NotImplementedError
+
+    def choose(self, document: IndexedDocument, contexts,
+               path: PatternPath) -> TreePatternAlgorithm:
+        name, inputs = self.pick(document, contexts, path)
+        self.metrics.record_decision(self.name, name, **inputs)
+        if self.trace is not None:
+            self.trace.event("decision", chooser=self.name, algorithm=name)
+        if self.governor is not None:
+            self.governor.tick()
+        chaos_point(self._chaos_site, name)
+        return self.members[name]
+
+    def _match(self, document, contexts, path):
+        return self.choose(document, contexts, path).match_single(
+            document, contexts, path)
+
+    def _enumerate(self, document, context, path):
+        return self.choose(document, [context], path).enumerate_bindings(
+            document, context, path)
+
+
+class HeuristicChooser(Chooser):
     """Per-evaluation dispatch between NL, Twig and Staircase.
 
     The decision uses the heuristics derived in Section 5:
@@ -108,138 +156,41 @@ class HeuristicChooser(TreePatternAlgorithm):
     """
 
     name = "auto"
+    member_strategies = (Strategy.NESTED_LOOP, Strategy.TWIG_JOIN,
+                         Strategy.STAIRCASE)
 
     #: visit/scan cost ratio below which navigation is preferred.
     NAVIGATION_THRESHOLD = 0.25
 
-    def __init__(self, document: Optional[IndexedDocument] = None) -> None:
-        self.document = document
-        self.nljoin = NLJoin()
-        self.twigjoin = TwigJoin()
-        self.scjoin = StaircaseJoin()
-        # Decision recording lives in ExecMetrics (bounded ring + exact
-        # tally) so long-running engines never leak; the engine swaps in
-        # its own metrics object via attach_metrics.
-        self.attach_metrics(ExecMetrics())
-        if document is not None:
-            self.attach_summary(document.summary)
-
-    def attach_metrics(self, metrics) -> None:
-        if metrics is None:   # choosers always record decisions
-            metrics = ExecMetrics()
-        super().attach_metrics(metrics)
-        self.nljoin.attach_metrics(metrics)
-        self.twigjoin.attach_metrics(metrics)
-        self.scjoin.attach_metrics(metrics)
-
-    def attach_governor(self, governor) -> None:
-        super().attach_governor(governor)
-        self.nljoin.attach_governor(governor)
-        self.twigjoin.attach_governor(governor)
-        self.scjoin.attach_governor(governor)
-
-    def attach_summary(self, summary) -> None:
-        super().attach_summary(summary)
-        self.nljoin.attach_summary(summary)
-        self.twigjoin.attach_summary(summary)
-        self.scjoin.attach_summary(summary)
-
-    def attach_trace(self, trace) -> None:
-        super().attach_trace(trace)
-        self.nljoin.attach_trace(trace)
-        self.twigjoin.attach_trace(trace)
-        self.scjoin.attach_trace(trace)
-
-    @property
-    def decisions(self) -> list:
-        """Recently chosen algorithm names (bounded; the exact tally is
-        ``self.metrics.decision_counts``)."""
-        return [record.algorithm for record in self.metrics.decision_ring]
-
-    def choose(self, document: IndexedDocument, contexts,
-               path: PatternPath) -> TreePatternAlgorithm:
+    def pick(self, document: IndexedDocument, contexts,
+             path: PatternPath) -> Tuple[str, dict]:
         region = sum(max(context.end - context.pre, 1)
                      for context in contexts)
         streams = max(estimated_stream_size(document, path), 1)
         if region < streams * self.NAVIGATION_THRESHOLD:
-            chosen: TreePatternAlgorithm = self.nljoin
+            name = Strategy.NESTED_LOOP.value
         elif any(step.predicates for step in path.steps):
-            chosen = self.twigjoin
+            name = Strategy.TWIG_JOIN.value
         else:
-            chosen = self.scjoin
-        self.metrics.record_decision(self.name, chosen.name,
-                                     region=region, streams=streams)
-        if self.trace is not None:
-            self.trace.event("decision", chooser=self.name,
-                             algorithm=chosen.name)
-        if self.governor is not None:
-            self.governor.tick()
-        chaos_point("auto.choose", chosen.name)
-        return chosen
-
-    def match_single(self, document, contexts, path):
-        return self.choose(document, contexts, path).match_single(
-            document, contexts, path)
-
-    def enumerate_bindings(self, document, context, path):
-        return self.choose(document, [context], path).enumerate_bindings(
-            document, context, path)
+            name = Strategy.STAIRCASE.value
+        return name, {"region": region, "streams": streams}
 
 
-class CostBasedChooser(TreePatternAlgorithm):
+class CostBasedChooser(Chooser):
     """Per-evaluation dispatch driven by the cost model of
     :mod:`repro.physical.cost` — the "accurate cost model" the paper's
     conclusion calls for, covering all four algorithms (including the
     streaming matcher)."""
 
     name = "cost"
+    member_strategies = (Strategy.NESTED_LOOP, Strategy.TWIG_JOIN,
+                         Strategy.STAIRCASE, Strategy.STREAMING)
 
     def __init__(self, document: Optional[IndexedDocument] = None) -> None:
-        self.document = document
-        self._model: Optional["CostModel"] = None
-        self.algorithms: dict[str, TreePatternAlgorithm] = {
-            "nljoin": NLJoin(),
-            "twigjoin": TwigJoin(),
-            "scjoin": StaircaseJoin(),
-            "streaming": StreamingXPath(),
-        }
-        self.attach_metrics(ExecMetrics())
-        if document is not None:
-            self.attach_summary(document.summary)
+        self._model: Optional[CostModel] = None
+        super().__init__(document)
 
-    def attach_metrics(self, metrics) -> None:
-        if metrics is None:   # choosers always record decisions
-            metrics = ExecMetrics()
-        super().attach_metrics(metrics)
-        for algorithm in self.algorithms.values():
-            algorithm.attach_metrics(metrics)
-
-    def attach_governor(self, governor) -> None:
-        super().attach_governor(governor)
-        for algorithm in self.algorithms.values():
-            algorithm.attach_governor(governor)
-
-    def attach_summary(self, summary) -> None:
-        super().attach_summary(summary)
-        # The cost model is summary-aware too: detaching the summary
-        # (the --no-summary escape hatch) also reverts its estimates to
-        # the flat tag-count statistics.
-        self._model = None
-        for algorithm in self.algorithms.values():
-            algorithm.attach_summary(summary)
-
-    def attach_trace(self, trace) -> None:
-        super().attach_trace(trace)
-        for algorithm in self.algorithms.values():
-            algorithm.attach_trace(trace)
-
-    @property
-    def decisions(self) -> list:
-        """Recently chosen algorithm names (bounded; the exact tally is
-        ``self.metrics.decision_counts``)."""
-        return [record.algorithm for record in self.metrics.decision_ring]
-
-    def model_for(self, document: IndexedDocument) -> "CostModel":
+    def model_for(self, document: IndexedDocument) -> CostModel:
         use_summary = (self.summary is not None
                        and self.summary.document is document)
         if (self._model is None or self._model.document is not document
@@ -257,25 +208,8 @@ class CostBasedChooser(TreePatternAlgorithm):
             self._model = cached
         return self._model
 
-    def choose(self, document: IndexedDocument, contexts,
-               path: PatternPath) -> TreePatternAlgorithm:
+    def pick(self, document: IndexedDocument, contexts,
+             path: PatternPath) -> Tuple[str, dict]:
         estimate = self.model_for(document).estimate(list(contexts), path)
-        name = estimate.best()
-        self.metrics.record_decision(
-            self.name, name,
-            **{f"cost_{algo}": cost for algo, cost in estimate.costs.items()})
-        if self.trace is not None:
-            self.trace.event("decision", chooser=self.name,
-                             algorithm=name)
-        if self.governor is not None:
-            self.governor.tick()
-        chaos_point("cost.choose", name)
-        return self.algorithms[name]
-
-    def match_single(self, document, contexts, path):
-        return self.choose(document, contexts, path).match_single(
-            document, contexts, path)
-
-    def enumerate_bindings(self, document, context, path):
-        return self.choose(document, [context], path).enumerate_bindings(
-            document, context, path)
+        return estimate.best(), {f"cost_{algo}": cost
+                                 for algo, cost in estimate.costs.items()}

@@ -15,8 +15,9 @@ nodes and release them upward as each spine ancestor confirms; outputs
 become final when a spine-root candidacy anchored at the context node
 completes.  An element whose predicates fail simply drops its buffer.
 
-Only the downward fragment is supported (the same as TwigJoin);
-anything else falls back to NLJoin.
+Only the downward fragment without ``text()`` or positions is
+supported; anything else goes to NLJoin (see
+:mod:`repro.physical.base`).
 """
 
 from __future__ import annotations
@@ -27,16 +28,10 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 from ..guard.chaos import chaos_point
 from ..pattern import PatternPath
 from ..xmltree.axes import Axis
-from ..xmltree.document import IndexedDocument
+from ..xmltree.document import IndexedDocument, ddo
 from ..xmltree.node import AttributeNode, ElementNode, Node
-from ..xmltree.nodetest import TextTest
-from .base import (Binding, TreePatternAlgorithm, distinct_doc_order,
-                   steps_from_attribute)
-from .nljoin import NLJoin
+from .base import TreePatternAlgorithm
 from .twigjoin import _QueryNode, _build_query_tree
-
-_SUPPORTED_AXES = (Axis.CHILD, Axis.DESCENDANT, Axis.DESCENDANT_OR_SELF,
-                   Axis.ATTRIBUTE, Axis.SELF)
 
 ENTER, LEAVE = 0, 1
 
@@ -59,39 +54,20 @@ class StreamingXPath(TreePatternAlgorithm):
     """One-pass, event-driven pattern matching."""
 
     name = "streaming"
+    axes = frozenset(axis for axis in Axis if axis.is_downward)
+    text_tests = False
+    #: Positional steps need per-anchor ordered buffering, and binding
+    #: enumeration random access to completed matches; this matcher
+    #: implements neither.
+    positions = False
+    enumerates = False
 
-    def __init__(self) -> None:
-        self._fallback = NLJoin()
-
-    def attach_metrics(self, metrics) -> None:
-        super().attach_metrics(metrics)
-        self._fallback.attach_metrics(metrics)
-
-    def attach_governor(self, governor) -> None:
-        super().attach_governor(governor)
-        self._fallback.attach_governor(governor)
-
-    def attach_trace(self, trace) -> None:
-        super().attach_trace(trace)
-        self._fallback.attach_trace(trace)
-
-    def match_single(self, document: IndexedDocument,
-                     contexts: List[Node], path: PatternPath) -> List[Node]:
-        if not _supported(path) or (
-                path.attribute_sensitive
-                and steps_from_attribute(path, contexts)):
-            return self._fallback.match_single(document, contexts, path)
+    def _match(self, document: IndexedDocument,
+               contexts: List[Node], path: PatternPath) -> List[Node]:
         results: list[Node] = []
         for context in contexts:
             results.extend(self._stream_one(context, path))
-        return chaos_point("streaming.match", distinct_doc_order(results))
-
-    def enumerate_bindings(self, document: IndexedDocument, context: Node,
-                           path: PatternPath) -> List[Binding]:
-        # Binding enumeration needs random access to completed matches;
-        # this streaming matcher only implements the single-output
-        # (XPath) semantics, like the staircase join.
-        return self._fallback.enumerate_bindings(document, context, path)
+        return chaos_point("streaming.match", ddo(results))
 
     # -- the automaton ---------------------------------------------------------
 
@@ -218,17 +194,3 @@ def _events(context: Node) -> Iterator[Tuple[int, Node]]:
     # Note: attribute leave is pushed before enter and popped after it
     # because the stack reverses order.
 
-
-def _supported(path: PatternPath) -> bool:
-    for step in path.steps:
-        if step.axis not in _SUPPORTED_AXES:
-            return False
-        if isinstance(step.test, TextTest):
-            return False
-        if step.position is not None:
-            # Positional steps need per-anchor ordered buffering, which
-            # this matcher does not implement; fall back to navigation.
-            return False
-        if not all(_supported(branch) for branch in step.predicates):
-            return False
-    return True

@@ -25,8 +25,8 @@ Each ``TupleTreePattern`` evaluation scans the streams restricted (by
 binary search) to the context node's region, which gives TwigJoin the
 per-step index-scan cost profile of the paper's Section 5.3 experiment.
 
-Axes outside the twig fragment (self, reverse axes) fall back to the
-navigational NLJoin for correctness.
+Axes outside the twig fragment (self, reverse axes) and ``text()``
+tests go to NLJoin (see :mod:`repro.physical.base`).
 """
 
 from __future__ import annotations
@@ -41,12 +41,8 @@ from ..xmltree.axes import Axis
 from ..xmltree.columnar import KIND_ATTRIBUTE, ColumnarDocument
 from ..xmltree.document import IndexedDocument
 from ..xmltree.node import Node
-from ..xmltree.nodetest import NodeTest, TextTest
-from .base import Binding, TreePatternAlgorithm, steps_from_attribute
-from .nljoin import NLJoin
-
-_SUPPORTED_AXES = (Axis.CHILD, Axis.DESCENDANT, Axis.DESCENDANT_OR_SELF,
-                   Axis.ATTRIBUTE)
+from ..xmltree.nodetest import NodeTest
+from .base import Binding, TreePatternAlgorithm
 
 
 @dataclass
@@ -105,30 +101,12 @@ class TwigJoin(TreePatternAlgorithm):
     """Holistic twig join over per-tag integer streams."""
 
     name = "twigjoin"
+    axes = frozenset((Axis.CHILD, Axis.DESCENDANT, Axis.DESCENDANT_OR_SELF,
+                      Axis.ATTRIBUTE))
+    text_tests = False
 
-    def __init__(self) -> None:
-        self._fallback = NLJoin()
-
-    def attach_metrics(self, metrics) -> None:
-        super().attach_metrics(metrics)
-        self._fallback.attach_metrics(metrics)
-
-    def attach_governor(self, governor) -> None:
-        super().attach_governor(governor)
-        self._fallback.attach_governor(governor)
-
-    def attach_trace(self, trace) -> None:
-        super().attach_trace(trace)
-        self._fallback.attach_trace(trace)
-
-    # -- public API -----------------------------------------------------------
-
-    def match_single(self, document: IndexedDocument,
-                     contexts: List[Node], path: PatternPath) -> List[Node]:
-        if not _supported(path) or (
-                path.attribute_sensitive
-                and steps_from_attribute(path, contexts)):
-            return self._fallback.match_single(document, contexts, path)
+    def _match(self, document: IndexedDocument,
+               contexts: List[Node], path: PatternPath) -> List[Node]:
         columns = document.columns
         results: List[int] = []
         for context in contexts:
@@ -140,12 +118,8 @@ class TwigJoin(TreePatternAlgorithm):
                            [document.node_at(pre)
                             for pre in sorted(set(results))])
 
-    def enumerate_bindings(self, document: IndexedDocument, context: Node,
-                           path: PatternPath) -> List[Binding]:
-        if not _supported(path) or (
-                path.attribute_sensitive
-                and steps_from_attribute(path, [context])):
-            return self._fallback.enumerate_bindings(document, context, path)
+    def _enumerate(self, document: IndexedDocument, context: Node,
+                   path: PatternPath) -> List[Binding]:
         columns = document.columns
         nodes: List[_QueryNode] = []
         root = _build_query_tree(path, on_spine=True, nodes=nodes)
@@ -176,17 +150,6 @@ class TwigJoin(TreePatternAlgorithm):
                                                context.end, root, nodes,
                                                metrics=self.metrics,
                                                governor=self.governor)
-
-
-def _supported(path: PatternPath) -> bool:
-    for step in path.steps:
-        if step.axis not in _SUPPORTED_AXES:
-            return False
-        if isinstance(step.test, TextTest):
-            return False
-        if not all(_supported(branch) for branch in step.predicates):
-            return False
-    return True
 
 
 def _stream_for(columns: ColumnarDocument, context_pre: int,

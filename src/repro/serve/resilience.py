@@ -7,9 +7,10 @@ partial failure instead of surfacing every fault to the caller:
   seeded jitter.  Retries are **deadline-aware** (an attempt is never
   started when its backoff sleep would cross the admission deadline)
   and **error-classified**: transient faults retry on the same
-  strategy, deterministic algorithm failures step to the next strategy
-  of the fallback chain (the paper's eight interchangeable physical
-  algorithms are what make this cheap), and caller errors never retry.
+  strategy; nothing else retries.  Deterministic algorithm failures
+  already stepped down :meth:`~repro.engine.Engine.execute`'s fallback
+  chain (the paper's interchangeable physical algorithms are what make
+  that cheap) before the attempt failed.
 
 * :class:`CircuitBreaker` / :class:`BreakerPolicy` — a per-document
   closed/open/half-open breaker over a sliding outcome window.  When a
@@ -44,27 +45,23 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import (Any, Callable, Deque, Dict, Iterable, List, Optional,
-                    Tuple)
+from typing import Any, Callable, Deque, Dict, Iterable, Optional, Tuple
 
 from ..algebra.ops import (DDOPlan, LetPlan, MapFromItem, MapToItem, Plan,
                            Select, SeqPlan, TreeJoin, TupleTreePattern,
                            VarPlan)
-from ..guard import (AlgorithmError, BudgetExceeded, DocumentQuarantined,
-                     InjectedFault, InternalError)
+from ..guard import DocumentQuarantined, InjectedFault, InternalError
 from ..xmltree.columnar import StorageError
 
 __all__ = [
     "BreakerPolicy", "CircuitBreaker", "DocumentHealth", "HealthTracker",
     "RetryPolicy", "ServiceHealth", "provably_empty",
-    "FATAL", "RETRY", "NEXT_STRATEGY",
+    "FATAL", "RETRY",
 ]
 
-#: retry verdicts: give up, retry the same strategy, retry the next
-#: strategy of the chain.
+#: retry verdicts: give up, or retry on the same strategy.
 FATAL = "fatal"
 RETRY = "retry"
-NEXT_STRATEGY = "next-strategy"
 
 #: breaker states.
 CLOSED = "closed"
@@ -85,9 +82,10 @@ class RetryPolicy:
     ``max_attempts`` bounds the total tries (1 = no retry); backoff for
     attempt *n* is ``base_delay * multiplier**(n-1)`` capped at
     ``max_delay``, stretched by up to ``jitter`` (a 0..1 fraction)
-    drawn from the service's seeded generator.  ``strategy_chain``
-    names the strategies a deterministic failure steps through, in
-    order, after the request's own strategy.
+    drawn from the service's seeded generator.  A retry runs the
+    request's own strategy again: stepping down to another strategy is
+    :meth:`~repro.engine.Engine.execute`'s fallback chain, which has run
+    by the time an attempt fails.
     """
 
     max_attempts: int = 3
@@ -95,7 +93,6 @@ class RetryPolicy:
     max_delay: float = 0.050
     multiplier: float = 2.0
     jitter: float = 0.5
-    strategy_chain: Tuple[str, ...] = ("nljoin", "item")
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -108,15 +105,11 @@ class RetryPolicy:
 
         * transient faults (injected chaos, storage reads, wrapped
           internal errors) → :data:`RETRY` on the same strategy;
-        * deterministic engine failures (an algorithm failed, a
-          non-wall budget tripped) → :data:`NEXT_STRATEGY`;
-        * everything else — caller errors, wall-deadline trips,
-          quarantine, an already-open circuit — → :data:`FATAL`.
+        * everything else → :data:`FATAL`: caller errors, quarantine,
+          an already-open circuit, budget trips and algorithm failures
+          — the engine raises those two only after its own fallback
+          chain ran out, so running it again would repeat the chain.
         """
-        if isinstance(error, BudgetExceeded):
-            return FATAL if error.kind == "wall" else NEXT_STRATEGY
-        if isinstance(error, AlgorithmError):
-            return NEXT_STRATEGY
         if isinstance(error, DocumentQuarantined):
             return FATAL
         if isinstance(error, (InjectedFault, StorageError, InternalError)):
@@ -131,16 +124,6 @@ class RetryPolicy:
         if self.jitter:
             base *= 1.0 + self.jitter * rng.random()
         return base
-
-    def attempt_strategies(self,
-                           requested: Optional[str]) -> List[Optional[str]]:
-        """The strategy for each escalation level: the request's own,
-        then each chain entry not already tried."""
-        strategies: List[Optional[str]] = [requested]
-        for name in self.strategy_chain:
-            if name != requested:
-                strategies.append(name)
-        return strategies
 
 
 # -- circuit breaker --------------------------------------------------------

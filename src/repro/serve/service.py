@@ -65,7 +65,7 @@ from ..xmltree.columnar import StorageError
 from .catalog import DocumentCatalog
 from .metrics import ServiceMetrics, ServiceStats
 from .resilience import (BreakerPolicy, DocumentHealth, FATAL,
-                         HealthTracker, NEXT_STRATEGY, RetryPolicy,
+                         HealthTracker, RetryPolicy,
                          ServiceHealth, provably_empty)
 
 __all__ = ["QueryRequest", "QueryResponse", "PendingQuery", "QueryService"]
@@ -492,10 +492,11 @@ class QueryService:
                       response: QueryResponse, started: float) -> None:
         """Execute the request, retrying per :attr:`retry_policy`.
 
-        Transient faults retry on the same strategy, deterministic
-        engine failures step down the policy's strategy chain; no
-        retry ever starts when its backoff would cross the admission
-        deadline.  Attempt outcomes feed the document's health/breaker.
+        Transient faults retry on the same strategy; nothing else
+        retries, since the engine's own fallback chain has already
+        stepped down the strategies.  No retry ever starts when its
+        backoff would cross the admission deadline.  Attempt outcomes
+        feed the document's health/breaker.
         """
         request = execution.request
         trace = execution.trace
@@ -508,10 +509,6 @@ class QueryService:
                 raise BudgetExceeded.lapsed(request.timeout,
                                             response.queue_seconds)
         policy = self.retry_policy
-        strategies: List[Optional[str]] = [request.strategy]
-        if policy is not None:
-            strategies = policy.attempt_strategies(request.strategy)
-        level = 0
         attempt = 0
         while True:
             attempt += 1
@@ -529,7 +526,7 @@ class QueryService:
                                           optimize=request.optimize,
                                           tracing=trace)
                 response.results = engine.execute(
-                    compiled, strategy=strategies[level],
+                    compiled, strategy=request.strategy,
                     optimized=request.optimize,
                     budgets=tighten(self.default_budgets, remaining),
                     tracing=trace)
@@ -543,14 +540,11 @@ class QueryService:
                                               execution)
                 if backoff is None:
                     raise err
-                if policy.classify(err) == NEXT_STRATEGY \
-                        and level + 1 < len(strategies):
-                    level += 1
                 self.metrics.record_retried()
                 if trace is not None:
                     trace.event("retry", attempt=attempt,
                                 error_code=err.code,
-                                strategy=strategies[level] or "default",
+                                strategy=request.strategy or "default",
                                 backoff_ms=round(backoff * 1e3, 3))
                 if backoff > 0:
                     time.sleep(backoff)

@@ -88,6 +88,25 @@ class TestAllocation:
         finally:
             engine.document.close()
 
+    @pytest.mark.parametrize("query", ["$input//*[name]",
+                                       "$input//person/@*",
+                                       "$input//person/name"])
+    def test_stacktree_makes_no_more_nodes_than_scjoin(self, saved, query):
+        """StackTree joins on ``pre`` streams as SCJoin does: the
+        wildcard and ``node()`` streams are columns too, so the rows
+        and their ancestors are all it makes."""
+        _, path = saved
+        made = {}
+        for strategy in ("scjoin", "stacktree"):
+            engine = Engine.from_columnar_file(path)
+            try:
+                rows = engine.run(query, strategy=strategy)
+                made[strategy] = made_nodes(engine.document)
+            finally:
+                engine.document.close()
+        assert rows
+        assert made["stacktree"] <= made["scjoin"], made
+
     def test_reporting_pre_numbers_expands_nothing(self, saved):
         """What a cluster worker does with its rows: no element's
         content is read, so every node made is a leaf or a shell."""

@@ -11,8 +11,7 @@ from repro.guard import (AlgorithmError, BudgetExceeded, CircuitOpen,
                          InternalError)
 from repro.serve import BreakerPolicy, CircuitBreaker, HealthTracker, \
     RetryPolicy
-from repro.serve.resilience import (CLOSED, FATAL, HALF_OPEN,
-                                    NEXT_STRATEGY, OPEN, RETRY,
+from repro.serve.resilience import (CLOSED, FATAL, HALF_OPEN, OPEN, RETRY,
                                     provably_empty)
 from repro.xmltree.columnar import StorageError
 
@@ -51,10 +50,9 @@ class TestRetryPolicy:
         assert policy.classify(InjectedFault("boom")) == RETRY
         assert policy.classify(StorageError("bad", check="mmap")) == RETRY
         assert policy.classify(InternalError("bug")) == RETRY
-        assert policy.classify(AlgorithmError("algo died")) \
-            == NEXT_STRATEGY
-        assert policy.classify(BudgetExceeded("steps", 10, 11)) \
-            == NEXT_STRATEGY
+        # The engine raises these after its own fallback chain ran out.
+        assert policy.classify(AlgorithmError("algo died")) == FATAL
+        assert policy.classify(BudgetExceeded("steps", 10, 11)) == FATAL
         assert policy.classify(BudgetExceeded("wall", 1.0, 2.0)) == FATAL
         assert policy.classify(DocumentQuarantined("q")) == FATAL
         assert policy.classify(InputError("typo")) == FATAL
@@ -73,14 +71,6 @@ class TestRetryPolicy:
         policy = RetryPolicy(base_delay=0.010, jitter=0.5)
         assert policy.delay(1, FixedRandom(0.0)) == pytest.approx(0.010)
         assert policy.delay(1, FixedRandom(1.0)) == pytest.approx(0.015)
-
-    def test_attempt_strategies_deduplicate_requested(self):
-        policy = RetryPolicy(strategy_chain=("nljoin", "item"))
-        assert policy.attempt_strategies(None) \
-            == [None, "nljoin", "item"]
-        assert policy.attempt_strategies("twigjoin") \
-            == ["twigjoin", "nljoin", "item"]
-        assert policy.attempt_strategies("nljoin") == ["nljoin", "item"]
 
     def test_validation(self):
         with pytest.raises(ValueError):

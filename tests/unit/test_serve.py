@@ -614,27 +614,54 @@ class TestRetries:
         assert stats.failed == 1
 
     def test_algorithm_error_steps_to_next_strategy(self):
-        from repro.guard import AlgorithmError
+        """The engine's own fallback chain steps a failed algorithm down
+        inside one attempt; the service does not retry it."""
+        from repro.guard import ChaosSpec, inject
+        from repro.trace import FlightRecorder, Tracer
+        catalog = site_catalog()
+        with QueryService(catalog, workers=1, retry_policy=fast_retry(),
+                          tracer=Tracer(),
+                          flight_recorder=FlightRecorder(recent=4)
+                          ) as service:
+            with inject(ChaosSpec(site="twigjoin.match")) as injector:
+                response = service.submit(
+                    QueryRequest("site", QUERY,
+                                 strategy="twigjoin")).response(timeout=10)
+            traces = service.flight_recorder().traces()
+        assert injector.fired("twigjoin.match") == 1
+        assert response.ok
+        assert response.attempts == 1
+        assert [n.string_value() for n in response.results] == ["John"]
+        events = [attrs for trace in traces for span in trace.spans
+                  for _, name, attrs in span.events]
+        assert [(event["from_strategy"], event["to_strategy"])
+                for event in events if "from_strategy" in event] \
+            == [("twigjoin", "nljoin")]
+
+    @pytest.mark.parametrize("policy", [None, fast_retry()],
+                             ids=["no-policy", "retry-policy"])
+    def test_budget_trip_walks_the_strategy_chain_once(self, policy):
+        """A non-wall budget trip comes out of the engine after its
+        fallback chain ran out: the plan runs once per strategy of that
+        chain (scjoin, nljoin, item), with or without a retry policy —
+        retrying walked the chain again, seven runs in all."""
         catalog = site_catalog()
         engine = catalog.engine("site")
-        strategies = []
-        original = engine.execute
+        runs = []
+        original = engine._execute_once
 
-        def broken_twigjoin(compiled, *args, **kwargs):
-            strategies.append(kwargs.get("strategy"))
-            if kwargs.get("strategy") == "twigjoin":
-                raise AlgorithmError("twigjoin exploded")
-            return original(compiled, *args, **kwargs)
+        def counted(compiled, strategy_name, *args, **kwargs):
+            runs.append(strategy_name)
+            return original(compiled, strategy_name, *args, **kwargs)
 
-        engine.execute = broken_twigjoin
-        with QueryService(catalog, workers=1,
-                          retry_policy=fast_retry()) as service:
-            pending = service.submit(
-                QueryRequest("site", QUERY, strategy="twigjoin"))
-            response = pending.response(timeout=10)
-        assert response.ok
-        assert response.attempts == 2
-        assert strategies == ["twigjoin", "nljoin"]
+        engine._execute_once = counted
+        with QueryService(catalog, workers=1, retry_policy=policy,
+                          default_budgets=Budgets(max_steps=1)) as service:
+            with pytest.raises(BudgetExceeded):
+                service.query("site", "$input//*")
+            stats = service.stats()
+        assert runs == ["scjoin", "nljoin", "item"]
+        assert stats.retried == 0
 
     def test_caller_error_never_retried(self):
         from repro.guard import ReproError
