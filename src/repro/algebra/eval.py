@@ -44,17 +44,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, \
-    TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..trace import Trace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..guard.chaos import chaos_point
 from ..guard.errors import AlgorithmError
-from ..guard.governor import BudgetExceeded, ResourceGovernor
-from ..obs import ExecMetrics
-from ..physical.base import TreePatternAlgorithm
+from ..guard.governor import BudgetExceeded
+from ..physical.base import NO_RUN, Run, TreePatternAlgorithm
 from ..xmltree.axes import step as axis_step
 from ..xmltree.document import IndexedDocument, ddo
 from ..xmltree.node import Node
@@ -176,18 +171,16 @@ class EvalContext:
     #: the enclosing tuples of a plan evaluated on its own, outermost
     #: first (empty: the plan is not a dependent one).
     tuple_stack: List[Tuple_] = field(default_factory=list)
-    #: when set, the evaluator counts operator evaluations and
-    #: items/tuples produced into it (see :mod:`repro.obs`).
-    metrics: Optional[ExecMetrics] = None
-    #: when set, the evaluator charges steps/recursion/output against
-    #: its budgets and raises :class:`BudgetExceeded` on a trip
-    #: (see :mod:`repro.guard.governor`).
-    governor: Optional[ResourceGovernor] = None
-    #: when set, the evaluator opens one span per plan-operator
-    #: evaluation (a batch of tuples) — carrying output cardinality —
-    #: and aggregates exact per-operator wall time into
-    #: :attr:`repro.trace.Trace.op_stats` (see :mod:`repro.trace`).
-    trace: Optional["Trace"] = None
+    #: the execution's instruments, handed to every pattern evaluation
+    #: as well.  With ``metrics`` set the evaluator counts operator
+    #: evaluations and items/tuples produced (see :mod:`repro.obs`);
+    #: with ``governor`` set it charges steps/recursion/output against
+    #: the budgets and raises :class:`BudgetExceeded` on a trip (see
+    #: :mod:`repro.guard.governor`); with ``trace`` set it opens one
+    #: span per plan-operator evaluation (a batch of tuples) — carrying
+    #: output cardinality — and aggregates exact per-operator wall time
+    #: into :attr:`repro.trace.Trace.op_stats` (see :mod:`repro.trace`).
+    run: Run = NO_RUN
 
     def lookup_var(self, var: Var) -> Sequence_:
         if var in self.variables:
@@ -235,11 +228,10 @@ def _eval(plan: Plan, batch: Batch, ctx: EvalContext):
     except KeyError:
         raise DynamicError(
             f"cannot evaluate {type(plan).__name__}") from None
-    metrics = ctx.metrics
-    governor = ctx.governor
-    trace = ctx.trace
-    if metrics is None and governor is None and trace is None:
+    run = ctx.run
+    if not run.instrumented:
         return kernel(plan, batch, ctx)
+    metrics, governor, trace = run.metrics, run.governor, run.trace
     name = type(plan).__name__
     item = isinstance(plan, ItemPlan)
     if metrics is not None:
@@ -515,9 +507,9 @@ def _ttp(plan: TupleTreePattern, batch, ctx) -> Owned:
     try:
         if all(len(nodes) == 1 for nodes in contexts):
             matches = strategy.evaluate_each(
-                document, [nodes[0] for nodes in contexts], pattern)
+                document, [nodes[0] for nodes in contexts], pattern, ctx.run)
         else:   # only a caller-supplied tuple holds a longer sequence
-            matches = [strategy.evaluate(document, nodes, pattern)
+            matches = [strategy.evaluate(document, nodes, pattern, ctx.run)
                        for nodes in contexts]
         matches = chaos_point("eval.ttp", matches)
     except (BudgetExceeded, DynamicError):

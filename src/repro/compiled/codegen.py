@@ -134,10 +134,9 @@ class CompiledPlan:
     _instrumented: Callable[[EvalContext], Sequence_]
 
     def run(self, ctx: EvalContext) -> Sequence_:
-        """Evaluate; the same is-None dispatch as the interpreter's
+        """Evaluate; the same one-test dispatch as the interpreter's
         ``eval_item`` picks the variant."""
-        if ctx.metrics is None and ctx.governor is None \
-                and ctx.trace is None:
+        if not ctx.run.instrumented:
             return self._fast(ctx)
         return self._instrumented(ctx)
 
@@ -307,9 +306,9 @@ class _Codegen:
                   "    _strategy = ctx.strategy",
                   "    _lookupv = ctx.lookup_var"]
         if self.instrumented:
-            header += ["    _m = ctx.metrics",
-                       "    _gov = ctx.governor",
-                       "    _tr = ctx.trace"]
+            header += ["    _m = ctx.run.metrics",
+                       "    _gov = ctx.run.governor",
+                       "    _tr = ctx.run.trace"]
         source = "\n".join(header + self.lines) + "\n"
         return source, self.consts, self.breakers
 
@@ -526,7 +525,7 @@ class _Codegen:
             self.emit(f"{contexts} = _ctx_nodes({source})")
             bindings = self.fresh("b")
             self.emit(f"{bindings} = _ttp_eval(_strategy, _doc, {contexts},"
-                      f" {pattern_const})")
+                      f" {pattern_const}, ctx.run)")
             binding = self.fresh("t")
             self.emit(f"for {binding} in {bindings}:")
             with self.block():

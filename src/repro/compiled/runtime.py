@@ -25,7 +25,7 @@ from ..xmltree.node import Node
 __all__ = ["context_nodes", "raise_dynamic", "ttp_eval", "unknown_field"]
 
 
-def ttp_eval(strategy, document, contexts, pattern):
+def ttp_eval(strategy, document, contexts, pattern, run):
     """One tuple's pattern evaluation, guarded as the interpreter's
     ``TupleTreePattern`` kernel guards a batch: through the ``eval.ttp``
     chaos point, with budget/dynamic errors propagated and any algorithm
@@ -33,7 +33,7 @@ def ttp_eval(strategy, document, contexts, pattern):
     for strategy fallback)."""
     try:
         return chaos_point(
-            "eval.ttp", strategy.evaluate(document, contexts, pattern))
+            "eval.ttp", strategy.evaluate(document, contexts, pattern, run))
     except (BudgetExceeded, DynamicError):
         raise
     except (KeyboardInterrupt, SystemExit):

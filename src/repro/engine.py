@@ -33,7 +33,7 @@ from .guard import (AlgorithmError, BudgetExceeded, Budgets, FallbackEvent,
                     InputError, ResourceGovernor)
 from .obs import ExecMetrics, PipelineMetrics, PlanCache, TracedRun
 from .pattern import TreePattern
-from .physical import Strategy, make_algorithm
+from .physical import Run, Strategy, make_algorithm
 from .rewrite import RewriteOptions, RewriteTrace, rewrite_to_tpnf
 from .trace import ExplainAnalysis, Trace, Tracer, maybe_span
 from .typing import infer_type
@@ -446,19 +446,14 @@ class Engine:
                       governor: Optional[ResourceGovernor],
                       tracing: Optional[Trace] = None,
                       backend: str = "interpreted") -> List:
-        # With the summary disabled the choosers must not build one as a
-        # construction default either, so they get no document then.
-        chooser_document = self.document if self.use_summary else None
         if strategy_name == ITEM_EVALUATOR:
             # The unoptimized plan has no TupleTreePattern operators, so
             # the strategy is never consulted; evaluating it sidesteps
             # every physical algorithm.
-            algorithm = make_algorithm(Strategy.NESTED_LOOP,
-                                       chooser_document)
+            algorithm = make_algorithm(Strategy.NESTED_LOOP)
             plan = compiled.plan
         else:
-            algorithm = make_algorithm(Strategy(strategy_name),
-                                       chooser_document)
+            algorithm = make_algorithm(strategy_name)
             plan = compiled.optimized if optimized else compiled.plan
         summary = None
         if self.use_summary:
@@ -467,13 +462,6 @@ class Engine:
             # cannot build it.
             with maybe_span(tracing, "summary"):
                 summary = self.document.summary
-        algorithm.attach_summary(summary)
-        if metrics is not None:
-            algorithm.attach_metrics(metrics)
-        if governor is not None:
-            algorithm.attach_governor(governor)
-        if tracing is not None:
-            algorithm.attach_trace(tracing)
         bindings: Dict[Var, List] = {}
         root = [self.document.root]
         for name, var in compiled.normalized.global_vars.items():
@@ -483,8 +471,8 @@ class Engine:
                 bindings[var] = list(root)
         bindings[compiled.normalized.context_var] = list(root)
         context = EvalContext(document=self.document, strategy=algorithm,
-                              globals=bindings, metrics=metrics,
-                              governor=governor, trace=tracing)
+                              globals=bindings,
+                              run=Run(metrics, governor, tracing, summary))
         if backend == "compiled":
             role = "optimized" if plan is compiled.optimized else "plan"
             program = self._codegen_for(compiled, role, plan, tracing)

@@ -1,6 +1,6 @@
 """Physical tree-pattern algorithms: NLJoin, TwigJoin, SCJoin (paper §5)."""
 
-from .base import Binding, TreePatternAlgorithm
+from .base import NO_RUN, Binding, Run, TreePatternAlgorithm
 from .cost import CostEstimate, CostModel
 from .nljoin import NLJoin
 from .stacktree import StackTreeJoin
@@ -11,8 +11,8 @@ from .streaming import StreamingXPath
 from .twigjoin import TwigJoin
 
 __all__ = [
-    "Binding", "TreePatternAlgorithm", "NLJoin", "StaircaseJoin",
-    "CostBasedChooser", "CostEstimate", "CostModel",
+    "Binding", "NO_RUN", "Run", "TreePatternAlgorithm", "NLJoin",
+    "StaircaseJoin", "CostBasedChooser", "CostEstimate", "CostModel",
     "HeuristicChooser", "Strategy", "estimated_stream_size",
     "make_algorithm", "StackTreeJoin",
     "StreamingXPath", "TwigJoin",

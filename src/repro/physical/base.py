@@ -17,20 +17,23 @@ Every algorithm answers two requests about a
 two semantics for one input tuple; :meth:`evaluate_each`, which the
 ``TupleTreePattern`` operator calls, answers a whole batch of tuples —
 by looping over :meth:`evaluate` unless the algorithm has a batch
-kernel (SCJoin does).
+kernel (SCJoin does).  Every request takes the :class:`Run` it belongs
+to — counters, budgets, trace and summary — as its last argument and
+hands it on; an algorithm object holds nothing per run, so one instance
+per strategy serves every engine and thread.
 
 Each algorithm declares the fragment it evaluates as class data
 (:attr:`TreePatternAlgorithm.axes` and three flags) and implements
 :meth:`~TreePatternAlgorithm._match` and, if it enumerates,
 :meth:`~TreePatternAlgorithm._enumerate`.  This module alone decides who
-evaluates a path: the algorithm inside its fragment, its one NLJoin
-outside — whose work counts under ``nljoin`` and passes the ``nljoin.*``
-chaos sites.
+evaluates a path: the algorithm inside its fragment, the one shared
+NLJoin outside — whose work counts under ``nljoin`` and passes the
+``nljoin.*`` chaos sites.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, FrozenSet, List, Optional, TYPE_CHECKING
 
 from ..guard.governor import ResourceGovernor
 from ..obs import ExecMetrics
@@ -48,8 +51,50 @@ Binding = Dict[str, Node]
 _ALL_AXES = frozenset(Axis)
 
 
+class Run:
+    """One execution's instruments, handed to every algorithm call.
+
+    The engine builds one per attempt; the algorithms keep none of it,
+    so one algorithm object serves any number of concurrent runs.  Each
+    instrument left ``None`` is switched off: no counting into
+    ``metrics``, no charging against ``governor``'s budgets, no spans in
+    ``trace``, no structural prefilter from ``summary``.  Frozen."""
+
+    __slots__ = ("metrics", "governor", "trace", "summary", "instrumented")
+
+    metrics: Optional[ExecMetrics]
+    governor: Optional[ResourceGovernor]
+    trace: "Optional[Trace]"
+    summary: Optional[PathSummary]
+    #: is any of ``metrics``, ``governor`` and ``trace`` set?  Computed
+    #: once, so the evaluator's uninstrumented path is one test.
+    instrumented: bool
+
+    def __init__(self, metrics: Optional[ExecMetrics] = None,
+                 governor: Optional[ResourceGovernor] = None,
+                 trace: "Optional[Trace]" = None,
+                 summary: Optional[PathSummary] = None) -> None:
+        init = object.__setattr__
+        init(self, "metrics", metrics)
+        init(self, "governor", governor)
+        init(self, "trace", trace)
+        init(self, "summary", summary)
+        init(self, "instrumented", metrics is not None
+             or governor is not None or trace is not None)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"a Run is frozen: cannot set {name!r}")
+
+
+#: the run of a call made without one: nothing counted, charged, traced
+#: or pruned.
+NO_RUN = Run()
+
+
 class TreePatternAlgorithm:
-    """Base class of the pattern algorithms and the choosers."""
+    """Base class of the pattern algorithms and the choosers.  An
+    algorithm holds no per-run state: every call gets the :class:`Run`
+    it belongs to."""
 
     name = "abstract"
 
@@ -62,26 +107,6 @@ class TreePatternAlgorithm:
     #: materialize here and downstream code resumes per binding.
     is_pipeline_breaker = True
 
-    #: counters this algorithm's work is recorded into; ``None`` (the
-    #: default) disables all counting so plain runs pay one ``is None``
-    #: check per scan.
-    metrics: Optional[ExecMetrics] = None
-
-    #: resource budgets this algorithm's work is charged against;
-    #: ``None`` (the default) disables all checking — like ``metrics``,
-    #: ungoverned runs pay one ``is None`` check per scan.
-    governor: Optional[ResourceGovernor] = None
-
-    #: structural summary of the document being queried; when attached,
-    #: :meth:`evaluate` consults it to skip pattern evaluations that
-    #: provably cannot match (see :mod:`repro.xmltree.summary`).
-    summary: Optional[PathSummary] = None
-
-    #: span trace this algorithm's pattern evaluations are recorded
-    #: into; ``None`` (the default) disables tracing — same one-check
-    #: discipline as ``metrics``/``governor``.
-    trace: "Optional[Trace]" = None
-
     #: The fragment the algorithm evaluates itself, as data (the
     #: feature catalogue of twig algorithms in Hachicha & Darmont's
     #: survey): the axes it steps along, predicate branches included,
@@ -93,54 +118,14 @@ class TreePatternAlgorithm:
     positions = True
     enumerates = True
 
-    #: a chooser records its decisions in :attr:`metrics`, so it keeps
-    #: counters of its own when :meth:`attach_metrics` is given ``None``.
-    records_decisions = False
+    #: does part of the pattern language lie outside the fragment, for
+    #: the shared NLJoin?  Derived from the four declarations above.
+    partial = False
 
-    def __init__(self) -> None:
-        #: the NLJoin evaluating what lies outside a partial fragment
-        #: (``None`` when the fragment is everything).
-        self.nljoin: Optional[TreePatternAlgorithm] = None
-        if (self.axes != _ALL_AXES or not self.text_tests
-                or not self.positions or not self.enumerates):
-            from .nljoin import NLJoin   # a subclass of this base
-            self.nljoin = NLJoin()
-        #: the algorithms this one hands work to, wired alike by the
-        #: ``attach_*`` methods: its NLJoin, or a chooser's members.
-        self.parts: Tuple[TreePatternAlgorithm, ...] = \
-            () if self.nljoin is None else (self.nljoin,)
-
-    def attach_metrics(self, metrics: Optional[ExecMetrics]) -> None:
-        """Route this algorithm's counters, and its parts', into
-        ``metrics``."""
-        if metrics is None and self.records_decisions:
-            metrics = ExecMetrics()
-        self.metrics = metrics
-        for part in self.parts:
-            part.attach_metrics(metrics)
-
-    def attach_governor(self, governor: Optional[ResourceGovernor]) -> None:
-        """Charge this algorithm's work, and its parts', against
-        ``governor``'s budgets."""
-        self.governor = governor
-        for part in self.parts:
-            part.attach_governor(governor)
-
-    def attach_summary(self, summary: Optional[PathSummary]) -> None:
-        """Use ``summary`` as the pattern prefilter for :meth:`evaluate`,
-        here and in the parts (``None`` disables pruning)."""
-        self.summary = summary
-        for part in self.parts:
-            part.attach_summary(summary)
-
-    def attach_trace(self, trace: "Optional[Trace]") -> None:
-        """Record this algorithm's pattern evaluations as spans of
-        ``trace`` (one ``pattern:<name>`` span per kernel invocation —
-        an :meth:`evaluate` call or a batch — prune decisions as events);
-        the parts record into the same trace."""
-        self.trace = trace
-        for part in self.parts:
-            part.attach_trace(trace)
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.partial = (cls.axes != _ALL_AXES or not cls.text_tests
+                       or not cls.positions or not cls.enumerates)
 
     def covers(self, path: PatternPath, contexts: List[Node]) -> bool:
         """Is ``path`` from ``contexts`` inside this algorithm's
@@ -152,48 +137,52 @@ class TreePatternAlgorithm:
                          and steps_from_attribute(path, contexts)))
 
     def match_single(self, document: IndexedDocument,
-                     contexts: List[Node], path: PatternPath) -> List[Node]:
-        """The algorithm's own :meth:`_match` inside its fragment, its
-        NLJoin outside."""
-        if self.nljoin is None or self.covers(path, contexts):
-            return self._match(document, contexts, path)
-        return self.nljoin.match_single(document, contexts, path)
+                     contexts: List[Node], path: PatternPath,
+                     run: Run = NO_RUN) -> List[Node]:
+        """The algorithm's own :meth:`_match` inside its fragment, the
+        shared NLJoin outside."""
+        if not self.partial or self.covers(path, contexts):
+            return self._match(document, contexts, path, run)
+        return NLJOIN.match_single(document, contexts, path, run)
 
     def enumerate_bindings(self, document: IndexedDocument, context: Node,
-                           path: PatternPath) -> List[Binding]:
+                           path: PatternPath,
+                           run: Run = NO_RUN) -> List[Binding]:
         """The algorithm's own :meth:`_enumerate` inside its fragment,
-        its NLJoin outside."""
-        if self.nljoin is None or (self.enumerates
-                                   and self.covers(path, [context])):
-            return self._enumerate(document, context, path)
-        return self.nljoin.enumerate_bindings(document, context, path)
+        the shared NLJoin outside."""
+        if not self.partial or (self.enumerates
+                                and self.covers(path, [context])):
+            return self._enumerate(document, context, path, run)
+        return NLJOIN.enumerate_bindings(document, context, path, run)
 
     def _match(self, document: IndexedDocument, contexts: List[Node],
-               path: PatternPath) -> List[Node]:
+               path: PatternPath, run: Run) -> List[Node]:
         raise NotImplementedError
 
     def _enumerate(self, document: IndexedDocument, context: Node,
-                   path: PatternPath) -> List[Binding]:
+                   path: PatternPath, run: Run) -> List[Binding]:
         raise NotImplementedError
 
     def evaluate(self, document: IndexedDocument, contexts: List[Node],
-                 pattern: TreePattern) -> List[Binding]:
+                 pattern: TreePattern, run: Run = NO_RUN) -> List[Binding]:
         """Evaluate a pattern for one input tuple's context nodes."""
         return self._invoke(self._evaluate, document, contexts, pattern,
-                            each=False)
+                            False, run)
 
     def evaluate_each(self, document: IndexedDocument, contexts: List[Node],
-                      pattern: TreePattern) -> List[List[Binding]]:
+                      pattern: TreePattern,
+                      run: Run = NO_RUN) -> List[List[Binding]]:
         """Evaluate a pattern for a batch of input tuples: one context
         node per tuple in, one binding list per tuple out —
-        ``[evaluate(document, [context], pattern) for context in
+        ``[evaluate(document, [context], pattern, run) for context in
         contexts]``, which is also the default implementation.  The
         lists may be shared between tuples; callers do not mutate them."""
-        return [self.evaluate(document, [context], pattern)
+        return [self.evaluate(document, [context], pattern, run)
                 for context in contexts]
 
     def _invoke(self, kernel, document: IndexedDocument,
-                contexts: List[Node], pattern: TreePattern, each: bool):
+                contexts: List[Node], pattern: TreePattern, each: bool,
+                run: Run):
         """One kernel invocation and everything observable around it,
         for :meth:`evaluate` (``each=False``: the contexts are one
         tuple's, the kernel returns its bindings) and
@@ -201,19 +190,20 @@ class TreePatternAlgorithm:
         kernel returns a binding list for each): the trace span, the
         ``pattern_evals`` count, the budget charge and the structural
         prefilter, which counts and answers per tuple."""
-        trace = self.trace
+        trace = run.trace
         span = None if trace is None else trace.begin_span(
             f"pattern:{self.name}", contexts=len(contexts))
         try:
-            metrics = self.metrics
+            metrics = run.metrics
             if metrics is not None:
                 metrics.pattern_evals += 1
-            if self.governor is not None:
+            governor = run.governor
+            if governor is not None:
                 # A step per tuple answered; a kernel invocation is
                 # coarse enough to afford a clock read on top.
-                self.governor.tick(len(contexts) if each else 1)
-                self.governor.check_clock()
-            summary = self.summary
+                governor.tick(len(contexts) if each else 1)
+                governor.check_clock()
+            summary = run.summary
             live = None
             if (summary is not None and summary.document is document
                     and contexts):
@@ -227,7 +217,7 @@ class TreePatternAlgorithm:
                     metrics.prune_hits += len(live) - misses
                     metrics.prune_misses += misses
             if live is None or misses == len(live):
-                result = kernel(document, contexts, pattern)
+                result = kernel(document, contexts, pattern, run)
             else:
                 if trace is not None:
                     trace.event("prune_hit",
@@ -235,7 +225,7 @@ class TreePatternAlgorithm:
                 # Only a batch can be answered in part.
                 answers = iter(kernel(document, [
                     context for context, alive in zip(contexts, live)
-                    if alive], pattern) if misses else ())
+                    if alive], pattern, run) if misses else ())
                 result = [next(answers) if alive else []
                           for alive in live] if each else []
         except BaseException:
@@ -248,15 +238,15 @@ class TreePatternAlgorithm:
         return result
 
     def _evaluate(self, document: IndexedDocument, contexts: List[Node],
-                  pattern: TreePattern) -> List[Binding]:
+                  pattern: TreePattern, run: Run) -> List[Binding]:
         out_field = pattern.single_output_field
         if out_field is not None:
-            nodes = self.match_single(document, contexts, pattern.path)
+            nodes = self.match_single(document, contexts, pattern.path, run)
             return [{out_field: node} for node in nodes]
         bindings: list[Binding] = []
         for context in contexts:
-            bindings.extend(
-                self.enumerate_bindings(document, context, pattern.path))
+            bindings.extend(self.enumerate_bindings(document, context,
+                                                    pattern.path, run))
         return bindings
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -276,3 +266,10 @@ def steps_from_attribute(path: PatternPath, contexts: List[Node]) -> bool:
     return path.continues_from_attribute or any(
         isinstance(node, AttributeNode) for node in contexts)
 
+
+# The one NLJoin: what lies outside a partial fragment, and
+# ``make_algorithm``'s ``nljoin``.  Its module subclasses this one's
+# base class, so it is imported once that class exists.
+from .nljoin import NLJoin  # noqa: E402
+
+NLJOIN = NLJoin()

@@ -95,8 +95,8 @@ class CostModel:
         #: structural summary feeding per-query-node cardinalities; the
         #: default builds (or reuses) the document's own summary, pass
         #: ``None`` explicitly for flat tag-count statistics only.
-        self.summary = document.summary if summary is CostModel._UNSET \
-            else summary
+        self.path_summary = document.summary \
+            if summary is CostModel._UNSET else summary
         self.size = max(document.size, 1)
         # Children per element, counted on the columns: a node that is
         # no attribute and whose parent is not the document node.
@@ -121,8 +121,8 @@ class CostModel:
         counts; both are scaled by the region fraction.
         """
         fraction = min(region / self.size, 1.0)
-        if self.summary is not None:
-            volume = self.summary.pattern_volume(path)
+        if self.path_summary is not None:
+            volume = self.path_summary.pattern_volume(path)
             if volume is not None:
                 return volume * fraction
         return self._tag_count_volume(path, region)

@@ -23,7 +23,7 @@ from ..pattern import PatternPath, PatternStep
 from ..xmltree.axes import step as axis_step
 from ..xmltree.document import IndexedDocument, ddo
 from ..xmltree.node import Node
-from .base import Binding, TreePatternAlgorithm
+from .base import Binding, Run, TreePatternAlgorithm
 
 
 class NLJoin(TreePatternAlgorithm):
@@ -31,36 +31,37 @@ class NLJoin(TreePatternAlgorithm):
 
     name = "nljoin"
 
-    def _match(self, document: IndexedDocument,
-               contexts: List[Node], path: PatternPath) -> List[Node]:
+    def _match(self, document: IndexedDocument, contexts: List[Node],
+               path: PatternPath, run: Run) -> List[Node]:
         current = list(contexts)
         for pattern_step in path.steps:
             produced: list[Node] = []
             for context in current:
-                produced.extend(self._step_candidates(context, pattern_step))
+                produced.extend(self._step_candidates(context, pattern_step,
+                                                      run))
             current = ddo(produced)
         return chaos_point("nljoin.match", current)
 
     def _enumerate(self, document: IndexedDocument, context: Node,
-                   path: PatternPath) -> List[Binding]:
+                   path: PatternPath, run: Run) -> List[Binding]:
         bindings: list[Binding] = []
-        self._bind(context, path.steps, 0, {}, bindings)
+        self._bind(context, path.steps, 0, {}, bindings, run)
         return chaos_point("nljoin.enumerate", bindings)
 
     # -- helpers ------------------------------------------------------------
 
-    def _step_candidates(self, context: Node,
-                         pattern_step: PatternStep) -> List[Node]:
+    def _step_candidates(self, context: Node, pattern_step: PatternStep,
+                         run: Run) -> List[Node]:
         """One step from one context: axis, then branches, then position."""
         candidates = axis_step(context, pattern_step.axis, pattern_step.test)
-        if self.metrics is not None:
-            self.metrics.nodes_visited[self.name] += len(candidates)
-        if self.governor is not None:
+        if run.metrics is not None:
+            run.metrics.nodes_visited[self.name] += len(candidates)
+        if run.governor is not None:
             # +1 so empty steps in deep recursions still make progress
             # against the step budget.
-            self.governor.tick(len(candidates) + 1)
+            run.governor.tick(len(candidates) + 1)
         survivors = [candidate for candidate in candidates
-                     if self._satisfies(candidate, pattern_step)]
+                     if self._satisfies(candidate, pattern_step, run)]
         if pattern_step.position is None:
             return survivors
         index = pattern_step.position - 1
@@ -68,29 +69,31 @@ class NLJoin(TreePatternAlgorithm):
             return [survivors[index]]
         return []
 
-    def _satisfies(self, node: Node, pattern_step: PatternStep) -> bool:
+    def _satisfies(self, node: Node, pattern_step: PatternStep,
+                   run: Run) -> bool:
         """All predicate branches of the step match from ``node``."""
-        return all(self._branch_exists(node, branch.steps, 0)
+        return all(self._branch_exists(node, branch.steps, 0, run)
                    for branch in pattern_step.predicates)
 
-    def _branch_exists(self, context: Node, steps, index: int) -> bool:
+    def _branch_exists(self, context: Node, steps, index: int,
+                       run: Run) -> bool:
         if index == len(steps):
             return True
         branch_step = steps[index]
-        for candidate in self._step_candidates(context, branch_step):
-            if self._branch_exists(candidate, steps, index + 1):
+        for candidate in self._step_candidates(context, branch_step, run):
+            if self._branch_exists(candidate, steps, index + 1, run):
                 return True
         return False
 
-    def _bind(self, context: Node, steps, index: int,
-              binding: Binding, out: list[Binding]) -> None:
+    def _bind(self, context: Node, steps, index: int, binding: Binding,
+              out: list[Binding], run: Run) -> None:
         if index == len(steps):
             out.append(dict(binding))
             return
         pattern_step = steps[index]
-        for candidate in self._step_candidates(context, pattern_step):
+        for candidate in self._step_candidates(context, pattern_step, run):
             if pattern_step.output_field is not None:
                 binding[pattern_step.output_field] = candidate
-            self._bind(candidate, steps, index + 1, binding, out)
+            self._bind(candidate, steps, index + 1, binding, out, run)
             if pattern_step.output_field is not None:
                 del binding[pattern_step.output_field]

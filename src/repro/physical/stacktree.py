@@ -40,7 +40,7 @@ from ..xmltree.axes import Axis
 from ..xmltree.columnar import ColumnarDocument
 from ..xmltree.document import IndexedDocument
 from ..xmltree.node import Node
-from .base import TreePatternAlgorithm
+from .base import Run, TreePatternAlgorithm
 
 
 class StackTreeJoin(TreePatternAlgorithm):
@@ -55,16 +55,14 @@ class StackTreeJoin(TreePatternAlgorithm):
     #: the navigational reference.
     enumerates = False
 
-    def _match(self, document: IndexedDocument,
-               contexts: List[Node], path: PatternPath) -> List[Node]:
+    def _match(self, document: IndexedDocument, contexts: List[Node],
+               path: PatternPath, run: Run) -> List[Node]:
         columns = document.columns
         current: Sequence[int] = sorted({node.pre for node in contexts})
         for step in path.steps:
-            candidates = self._qualified_candidates(columns, step)
+            candidates = self._qualified_candidates(columns, step, run)
             current = stack_tree_descendants(columns, current, candidates,
-                                             step.axis,
-                                             metrics=self.metrics,
-                                             governor=self.governor)
+                                             step.axis, run)
         # Nodes exist only at the result boundary.
         return chaos_point("stacktree.match",
                            [document.node_at(pre) for pre in current])
@@ -72,31 +70,32 @@ class StackTreeJoin(TreePatternAlgorithm):
     # -- list-at-a-time evaluation ---------------------------------------------
 
     def _qualified_candidates(self, columns: ColumnarDocument,
-                              step: PatternStep) -> Sequence[int]:
+                              step: PatternStep, run: Run) -> Sequence[int]:
         """The pres of all document nodes matching the step's test whose
         predicate branches are satisfied (computed bottom-up,
         list-at-a-time)."""
         candidates = step.test.stream(columns, step.axis is Axis.ATTRIBUTE)
-        if self.metrics is not None:
-            self.metrics.stream_scanned[self.name] += len(candidates)
-        if self.governor is not None:
-            self.governor.tick(len(candidates) + 1)
+        if run.metrics is not None:
+            run.metrics.stream_scanned[self.name] += len(candidates)
+        if run.governor is not None:
+            run.governor.tick(len(candidates) + 1)
         for branch in step.predicates:
-            candidates = self._filter_by_branch(columns, candidates, branch)
+            candidates = self._filter_by_branch(columns, candidates, branch,
+                                                run)
         return candidates
 
     def _filter_by_branch(self, columns: ColumnarDocument,
-                          anchors: Sequence[int],
-                          branch: PatternPath) -> Sequence[int]:
+                          anchors: Sequence[int], branch: PatternPath,
+                          run: Run) -> Sequence[int]:
         """Semi-join: keep anchors with at least one branch match."""
         steps = branch.steps
         # Build the qualifying sets bottom-up: the last step's candidates
         # first, then each earlier step filtered by "has a qualifying
         # successor".
-        qualifying = self._qualified_candidates(columns, steps[-1])
+        qualifying = self._qualified_candidates(columns, steps[-1], run)
         for index in range(len(steps) - 2, -1, -1):
-            earlier_candidates = self._qualified_candidates(columns,
-                                                            steps[index])
+            earlier_candidates = self._qualified_candidates(
+                columns, steps[index], run)
             qualifying = stack_tree_ancestors(columns, earlier_candidates,
                                               qualifying,
                                               steps[index + 1].axis)
@@ -107,13 +106,14 @@ class StackTreeJoin(TreePatternAlgorithm):
 def stack_tree_descendants(columns: ColumnarDocument,
                            ancestors: Sequence[int],
                            descendants: Sequence[int], axis: Axis,
-                           metrics=None, governor=None) -> List[int]:
+                           run: Run) -> List[int]:
     """Stack-Tree-Desc, descendant-major semi-join.
 
     Both inputs sorted pres; returns the distinct descendants that
     stand in ``axis`` relation to some ancestor, in document order —
     one merge sweep with a stack of open ancestors.
     """
+    metrics, governor = run.metrics, run.governor
     if metrics is not None:
         metrics.nodes_visited[StackTreeJoin.name] += len(descendants)
     if governor is not None:

@@ -55,7 +55,7 @@ from ..xmltree.axes import Axis
 from ..xmltree.columnar import KIND_ELEMENT, ColumnarDocument
 from ..xmltree.document import IndexedDocument
 from ..xmltree.node import Node
-from .base import Binding, TreePatternAlgorithm
+from .base import NO_RUN, Binding, Run, TreePatternAlgorithm
 
 #: ``_child_join`` gathers over the contexts' hull instead of scanning
 #: one region per context when the hull holds at most this many stream
@@ -75,27 +75,29 @@ class StaircaseJoin(TreePatternAlgorithm):
     #: DESIGN.md).
     enumerates = False
 
-    def _match(self, document: IndexedDocument,
-               contexts: List[Node], path: PatternPath) -> List[Node]:
+    def _match(self, document: IndexedDocument, contexts: List[Node],
+               path: PatternPath, run: Run) -> List[Node]:
         # Into integer space: sorted, duplicate-free context pres.
         current = self._join_path(document.columns,
                                   sorted({node.pre for node in contexts}),
-                                  path)
+                                  path, run)
         # Out of integer space: nodes exist only at the result boundary.
         return chaos_point("scjoin.match",
                            [document.node_at(pre) for pre in current])
 
     def evaluate_each(self, document: IndexedDocument, contexts: List[Node],
-                      pattern: TreePattern) -> List[List[Binding]]:
+                      pattern: TreePattern,
+                      run: Run = NO_RUN) -> List[List[Binding]]:
         if (pattern.single_output_field is None
                 or not self.covers(pattern.path, contexts)):
             # Binding enumeration and NLJoin's work are per tuple.
-            return super().evaluate_each(document, contexts, pattern)
+            return super().evaluate_each(document, contexts, pattern, run)
         return self._invoke(self._match_each, document, contexts, pattern,
-                            each=True)
+                            True, run)
 
     def _match_each(self, document: IndexedDocument, contexts: List[Node],
-                    pattern: TreePattern) -> List[List[Binding]]:
+                    pattern: TreePattern,
+                    run: Run) -> List[List[Binding]]:
         """``match_single`` from each context on its own, a layer of
         contexts per walk."""
         columns = document.columns
@@ -117,8 +119,8 @@ class StaircaseJoin(TreePatternAlgorithm):
         node_at = document.node_at
         answers = {}
         for layer in layers:
-            matches = chaos_point("scjoin.match",
-                                  self._join_path(columns, layer, pattern.path))
+            matches = chaos_point("scjoin.match", self._join_path(
+                columns, layer, pattern.path, run))
             high = 0
             for pre in layer:
                 low = bisect_left(matches, pre, high)
@@ -131,34 +133,35 @@ class StaircaseJoin(TreePatternAlgorithm):
     # -- the join ----------------------------------------------------------------
 
     def _join_path(self, columns: ColumnarDocument, current: List[int],
-                   path: PatternPath) -> List[int]:
+                   path: PatternPath, run: Run) -> List[int]:
         """Evaluate ``path`` forward from the context pres, one
         staircase join per step."""
         for step in path.steps:
             if not current:
                 break
             if step.position is not None:
-                current = self._positional_step(columns, current, step)
+                current = self._positional_step(columns, current, step,
+                                                run)
                 continue
-            current = self._staircase_step(columns, current, step)
+            current = self._staircase_step(columns, current, step, run)
             for branch in step.predicates:
-                current = self._semi_join(columns, current, branch)
+                current = self._semi_join(columns, current, branch, run)
         return current
 
     def _staircase_step(self, columns: ColumnarDocument,
-                        contexts: List[int],
-                        step: PatternStep) -> List[int]:
+                        contexts: List[int], step: PatternStep,
+                        run: Run) -> List[int]:
         """One staircase join: context pres (doc order, dup-free) →
         result pres (doc order, dup-free)."""
         if not contexts:
             return []
         axis = step.axis
-        if self.governor is not None:
-            self.governor.tick(len(contexts) + 1)
+        if run.governor is not None:
+            run.governor.tick(len(contexts) + 1)
         if axis is Axis.SELF:
             kind = axis.principal_kind
-            if self.metrics is not None:
-                self.metrics.nodes_visited[self.name] += len(contexts)
+            if run.metrics is not None:
+                run.metrics.nodes_visited[self.name] += len(contexts)
             test = step.test
             return [pre for pre in contexts
                     if columns.test_matches(pre, test, kind)]
@@ -169,8 +172,8 @@ class StaircaseJoin(TreePatternAlgorithm):
             for context in contexts:
                 if kind_column[context] == KIND_ELEMENT:
                     attributes = columns.attributes_of(context)
-                    if self.metrics is not None:
-                        self.metrics.nodes_visited[self.name] += \
+                    if run.metrics is not None:
+                        run.metrics.nodes_visited[self.name] += \
                             len(attributes)
                     result.extend(
                         pre for pre in attributes
@@ -178,14 +181,15 @@ class StaircaseJoin(TreePatternAlgorithm):
             return result
         if axis in (Axis.DESCENDANT, Axis.DESCENDANT_OR_SELF):
             return self._descendant_join(columns, contexts, step,
-                                         axis is Axis.DESCENDANT_OR_SELF)
+                                         axis is Axis.DESCENDANT_OR_SELF,
+                                         run)
         if axis is Axis.CHILD:
-            return self._child_join(columns, contexts, step)
+            return self._child_join(columns, contexts, step, run)
         raise AssertionError(f"unsupported axis {axis}")
 
     def _descendant_join(self, columns: ColumnarDocument,
                          contexts: List[int], step: PatternStep,
-                         include_self: bool) -> List[int]:
+                         include_self: bool, run: Run) -> List[int]:
         pres = step.test.stream(columns)
         end_column = columns.end
         pruned = _prune_covered(contexts, end_column)
@@ -198,15 +202,15 @@ class StaircaseJoin(TreePatternAlgorithm):
             low = bisect_left(pres, low_key)
             high = bisect_right(pres, end_column[context])
             result.extend(pres[low:high])
-        if self.metrics is not None:
-            self.metrics.stream_scanned[self.name] += len(result)
-            self.metrics.nodes_visited[self.name] += len(result)
-        if self.governor is not None:
-            self.governor.tick(len(result))
+        if run.metrics is not None:
+            run.metrics.stream_scanned[self.name] += len(result)
+            run.metrics.nodes_visited[self.name] += len(result)
+        if run.governor is not None:
+            run.governor.tick(len(result))
         return result
 
-    def _child_join(self, columns: ColumnarDocument,
-                    contexts: List[int], step: PatternStep) -> List[int]:
+    def _child_join(self, columns: ColumnarDocument, contexts: List[int],
+                    step: PatternStep, run: Run) -> List[int]:
         pres = step.test.stream(columns)
         end_column = columns.end
         parent_column = columns.parent
@@ -216,11 +220,11 @@ class StaircaseJoin(TreePatternAlgorithm):
             # Many contexts close together: one gather of the parent
             # column over the hull slice, which comes out in stream
             # order — sorted and duplicate-free.
-            if self.metrics is not None:
-                self.metrics.stream_scanned[self.name] += high - low
-                self.metrics.nodes_visited[self.name] += high - low
-            if self.governor is not None:
-                self.governor.tick(high - low + 1)
+            if run.metrics is not None:
+                run.metrics.stream_scanned[self.name] += high - low
+                run.metrics.nodes_visited[self.name] += high - low
+            if run.governor is not None:
+                run.governor.tick(high - low + 1)
             members = set(contexts)
             return [pre for pre in pres[low:high]
                     if parent_column[pre] in members]
@@ -249,18 +253,18 @@ class StaircaseJoin(TreePatternAlgorithm):
                 at += 1
                 if at < stop and pres[at] <= end_column[pre]:
                     at = bisect_right(pres, end_column[pre], at, stop)
-            if self.metrics is not None:
-                self.metrics.stream_scanned[self.name] += visited
-                self.metrics.nodes_visited[self.name] += visited
-            if self.governor is not None:
-                self.governor.tick(visited + 1)
+            if run.metrics is not None:
+                run.metrics.stream_scanned[self.name] += visited
+                run.metrics.nodes_visited[self.name] += visited
+            if run.governor is not None:
+                run.governor.tick(visited + 1)
         if nested:
             merged = sorted(set(merged))
         return merged
 
     def _positional_step(self, columns: ColumnarDocument,
-                         contexts: List[int],
-                         step: PatternStep) -> List[int]:
+                         contexts: List[int], step: PatternStep,
+                         run: Run) -> List[int]:
         """A positional step (``step[P]...[n]``) is inherently
         per-context: the staircase's bulk partition scan cannot apply,
         so each context is answered with its own region scan (positions
@@ -273,9 +277,9 @@ class StaircaseJoin(TreePatternAlgorithm):
             if context <= previous_end:
                 nested = True
             previous_end = max(previous_end, end_column[context])
-            survivors = self._staircase_step(columns, [context], step)
+            survivors = self._staircase_step(columns, [context], step, run)
             for branch in step.predicates:
-                survivors = self._semi_join(columns, survivors, branch)
+                survivors = self._semi_join(columns, survivors, branch, run)
             index = step.position - 1
             if 0 <= index < len(survivors):
                 merged.append(survivors[index])
@@ -284,18 +288,19 @@ class StaircaseJoin(TreePatternAlgorithm):
         return merged
 
     def _semi_join(self, columns: ColumnarDocument,
-                   candidates: Sequence[int],
-                   branch: PatternPath) -> Sequence[int]:
+                   candidates: Sequence[int], branch: PatternPath,
+                   run: Run) -> Sequence[int]:
         """Existential semi-join of a predicate branch: the candidates
         (sorted pres) from which ``branch`` has a match."""
         if branch.has_position:
             # Positions count per context node: walk from each candidate.
             return [pre for pre in candidates
-                    if self._join_path(columns, [pre], branch)]
-        return self._having(columns, candidates, branch.steps, 0)
+                    if self._join_path(columns, [pre], branch, run)]
+        return self._having(columns, candidates, branch.steps, 0, run)
 
     def _having(self, columns: ColumnarDocument, candidates: Sequence[int],
-                steps: Sequence[PatternStep], index: int) -> Sequence[int]:
+                steps: Sequence[PatternStep], index: int,
+                run: Run) -> Sequence[int]:
         """The candidates from which ``steps[index:]`` has a match,
         computed bottom-up: the step's stream inside the candidates'
         hull, narrowed to the entries satisfying what hangs below them,
@@ -305,7 +310,8 @@ class StaircaseJoin(TreePatternAlgorithm):
         step = steps[index]
         axis = step.axis
         if axis is Axis.SELF:
-            satisfying = self._staircase_step(columns, candidates, step)
+            satisfying = self._staircase_step(columns, candidates, step,
+                                              run)
         else:
             end_column = columns.end
             # Where a candidate's matches start relative to its ``pre``.
@@ -319,15 +325,16 @@ class StaircaseJoin(TreePatternAlgorithm):
             low = bisect_left(pres, candidates[0] + offset)
             high = bisect_right(pres, last)
             satisfying = pres[low:high]
-            if self.metrics is not None:
-                self.metrics.stream_scanned[self.name] += high - low
-                self.metrics.nodes_visited[self.name] += high - low
-            if self.governor is not None:
-                self.governor.tick(high - low + len(candidates) + 1)
+            if run.metrics is not None:
+                run.metrics.stream_scanned[self.name] += high - low
+                run.metrics.nodes_visited[self.name] += high - low
+            if run.governor is not None:
+                run.governor.tick(high - low + len(candidates) + 1)
         for branch in step.predicates:
-            satisfying = self._semi_join(columns, satisfying, branch)
+            satisfying = self._semi_join(columns, satisfying, branch, run)
         if index + 1 < len(steps):
-            satisfying = self._having(columns, satisfying, steps, index + 1)
+            satisfying = self._having(columns, satisfying, steps, index + 1,
+                                      run)
         if axis is Axis.SELF:
             return satisfying
         if not len(satisfying):

@@ -21,13 +21,11 @@ from enum import Enum
 from typing import Optional, Tuple
 
 from ..guard.chaos import chaos_point
-from ..obs import ExecMetrics
 from ..pattern import PatternPath
 from ..xmltree.document import IndexedDocument
 from ..xmltree.nodetest import NameTest
-from .base import TreePatternAlgorithm
+from .base import NLJOIN, NO_RUN, Run, TreePatternAlgorithm
 from .cost import CostModel
-from .nljoin import NLJoin
 from .stacktree import StackTreeJoin
 from .staircase import StaircaseJoin
 from .streaming import StreamingXPath
@@ -49,28 +47,6 @@ class Strategy(str, Enum):
         return self.value
 
 
-_INSTANCES = {
-    Strategy.NESTED_LOOP: NLJoin,
-    Strategy.TWIG_JOIN: TwigJoin,
-    Strategy.STAIRCASE: StaircaseJoin,
-    Strategy.STACK_TREE: StackTreeJoin,
-    Strategy.STREAMING: StreamingXPath,
-}
-
-
-def make_algorithm(strategy: Strategy | str,
-                   document: Optional[IndexedDocument] = None
-                   ) -> TreePatternAlgorithm:
-    """Instantiate the algorithm for a strategy (AUTO/COST need a
-    document)."""
-    strategy = Strategy(strategy)
-    if strategy is Strategy.AUTO:
-        return HeuristicChooser(document)
-    if strategy is Strategy.COST:
-        return CostBasedChooser(document)
-    return _INSTANCES[strategy]()
-
-
 def estimated_stream_size(document: IndexedDocument,
                           path: PatternPath) -> int:
     """Total size of the streams a holistic scan would read, counted
@@ -89,59 +65,55 @@ def estimated_stream_size(document: IndexedDocument,
 class Chooser(TreePatternAlgorithm):
     """Per-evaluation dispatch between member algorithms.
 
-    Owns what both choosers share: the members (one instance each, made
-    through :func:`make_algorithm`'s table), the decision bookkeeping
-    and the delegation.  A subclass names its ``member_strategies`` and
-    implements :meth:`pick`."""
+    Owns what both choosers share: the decision bookkeeping and the
+    delegation to a member — the shared instance :func:`make_algorithm`
+    hands out.  A subclass implements :meth:`pick` and names the
+    ``chaos_site`` each decision passes.
 
-    member_strategies: tuple = ()
-    records_decisions = True
+    A chooser made for a ``document`` prunes and estimates with that
+    document's summary when a call comes without a :class:`Run`; that
+    reference is all it keeps."""
 
     def __init__(self, document: Optional[IndexedDocument] = None) -> None:
-        super().__init__()
         self.document = document
-        self.members: dict[str, TreePatternAlgorithm] = {
-            strategy.value: _INSTANCES[strategy]()
-            for strategy in self.member_strategies}
-        self.parts = tuple(self.members.values())
-        self._chaos_site = f"{self.name}.choose"
-        # Decision recording lives in ExecMetrics (bounded ring + exact
-        # tally) so long-running engines never leak; the engine swaps in
-        # its own metrics object via attach_metrics.
-        self.attach_metrics(ExecMetrics())
-        if document is not None:
-            self.attach_summary(document.summary)
 
-    @property
-    def decisions(self) -> list:
-        """Recently chosen algorithm names (bounded; the exact tally is
-        ``self.metrics.decision_counts``)."""
-        return [record.algorithm for record in self.metrics.decision_ring]
+    def _own(self, run: Run) -> Run:
+        """``run``, or the document's summary for a call without one."""
+        if run is NO_RUN and self.document is not None:
+            return Run(summary=self.document.summary)
+        return run
 
-    def pick(self, document: IndexedDocument, contexts,
-             path: PatternPath) -> Tuple[str, dict]:
+    def _invoke(self, kernel, document, contexts, pattern, each, run):
+        return super()._invoke(kernel, document, contexts, pattern, each,
+                               self._own(run))
+
+    def pick(self, document: IndexedDocument, contexts, path: PatternPath,
+             run: Run) -> Tuple[str, dict]:
         """The member to evaluate ``path`` from ``contexts`` and the
         inputs the decision is recorded with."""
         raise NotImplementedError
 
-    def choose(self, document: IndexedDocument, contexts,
-               path: PatternPath) -> TreePatternAlgorithm:
-        name, inputs = self.pick(document, contexts, path)
-        self.metrics.record_decision(self.name, name, **inputs)
-        if self.trace is not None:
-            self.trace.event("decision", chooser=self.name, algorithm=name)
-        if self.governor is not None:
-            self.governor.tick()
-        chaos_point(self._chaos_site, name)
-        return self.members[name]
+    def choose(self, document: IndexedDocument, contexts, path: PatternPath,
+               run: Run) -> TreePatternAlgorithm:
+        name, inputs = self.pick(document, contexts, path, run)
+        # Decisions are recorded in the run's ExecMetrics (bounded ring
+        # + exact tally), so long-running engines never leak.
+        if run.metrics is not None:
+            run.metrics.record_decision(self.name, name, **inputs)
+        if run.trace is not None:
+            run.trace.event("decision", chooser=self.name, algorithm=name)
+        if run.governor is not None:
+            run.governor.tick()
+        chaos_point(self.chaos_site, name)
+        return _INSTANCES[name]
 
-    def _match(self, document, contexts, path):
-        return self.choose(document, contexts, path).match_single(
-            document, contexts, path)
+    def _match(self, document, contexts, path, run):
+        return self.choose(document, contexts, path, run).match_single(
+            document, contexts, path, run)
 
-    def _enumerate(self, document, context, path):
-        return self.choose(document, [context], path).enumerate_bindings(
-            document, context, path)
+    def _enumerate(self, document, context, path, run):
+        return self.choose(document, [context], path, run) \
+            .enumerate_bindings(document, context, path, run)
 
 
 class HeuristicChooser(Chooser):
@@ -156,14 +128,13 @@ class HeuristicChooser(Chooser):
     """
 
     name = "auto"
-    member_strategies = (Strategy.NESTED_LOOP, Strategy.TWIG_JOIN,
-                         Strategy.STAIRCASE)
+    chaos_site = "auto.choose"
 
     #: visit/scan cost ratio below which navigation is preferred.
     NAVIGATION_THRESHOLD = 0.25
 
-    def pick(self, document: IndexedDocument, contexts,
-             path: PatternPath) -> Tuple[str, dict]:
+    def pick(self, document: IndexedDocument, contexts, path: PatternPath,
+             run: Run) -> Tuple[str, dict]:
         region = sum(max(context.end - context.pre, 1)
                      for context in contexts)
         streams = max(estimated_stream_size(document, path), 1)
@@ -177,39 +148,53 @@ class HeuristicChooser(Chooser):
 
 
 class CostBasedChooser(Chooser):
-    """Per-evaluation dispatch driven by the cost model of
+    """Per-evaluation dispatch between NL, Twig, Staircase and the
+    streaming matcher, driven by the cost model of
     :mod:`repro.physical.cost` — the "accurate cost model" the paper's
-    conclusion calls for, covering all four algorithms (including the
-    streaming matcher)."""
+    conclusion calls for."""
 
     name = "cost"
-    member_strategies = (Strategy.NESTED_LOOP, Strategy.TWIG_JOIN,
-                         Strategy.STAIRCASE, Strategy.STREAMING)
+    chaos_site = "cost.choose"
 
-    def __init__(self, document: Optional[IndexedDocument] = None) -> None:
-        self._model: Optional[CostModel] = None
-        super().__init__(document)
+    def model_for(self, document: IndexedDocument,
+                  run: Run = NO_RUN) -> CostModel:
+        """The document's cost model, with the run's summary statistics
+        when the summary is the document's.  Statistics gathering is
+        linear in the document, so the model is cached on the document
+        (one slot per statistics source) and every query and chooser
+        reuses it."""
+        summary = self._own(run).summary
+        if summary is not None and summary.document is not document:
+            summary = None
+        slot = "_cost_model_plain" if summary is None else "_cost_model"
+        model = getattr(document, slot, None)
+        if model is None:
+            model = CostModel(document, summary=summary)
+            setattr(document, slot, model)
+        return model
 
-    def model_for(self, document: IndexedDocument) -> CostModel:
-        use_summary = (self.summary is not None
-                       and self.summary.document is document)
-        if (self._model is None or self._model.document is not document
-                or (self._model.summary is not None) != use_summary):
-            # Statistics gathering is linear in the document; cache the
-            # model on the document (one slot per statistics source) so
-            # repeated queries and fresh chooser instances reuse it.
-            slot = "_cost_model" if use_summary else "_cost_model_plain"
-            cached = getattr(document, slot, None)
-            if cached is None:
-                cached = CostModel(
-                    document,
-                    summary=self.summary if use_summary else None)
-                setattr(document, slot, cached)
-            self._model = cached
-        return self._model
-
-    def pick(self, document: IndexedDocument, contexts,
-             path: PatternPath) -> Tuple[str, dict]:
-        estimate = self.model_for(document).estimate(list(contexts), path)
+    def pick(self, document: IndexedDocument, contexts, path: PatternPath,
+             run: Run) -> Tuple[str, dict]:
+        estimate = self.model_for(document, run).estimate(list(contexts),
+                                                          path)
         return estimate.best(), {f"cost_{algo}": cost
                                  for algo, cost in estimate.costs.items()}
+
+
+#: One shared instance per strategy: an algorithm keeps no per-run
+#: state, so every engine, thread and chooser uses these.
+_INSTANCES = {algorithm.name: algorithm for algorithm in (
+    NLJOIN, TwigJoin(), StaircaseJoin(), StackTreeJoin(), StreamingXPath(),
+    HeuristicChooser(), CostBasedChooser())}
+
+
+def make_algorithm(strategy: Strategy | str,
+                   document: Optional[IndexedDocument] = None
+                   ) -> TreePatternAlgorithm:
+    """The shared algorithm of a strategy.  Given a ``document``, AUTO
+    and COST get a chooser of their own that prunes and estimates with
+    its summary on calls made without a :class:`Run`."""
+    algorithm = _INSTANCES[Strategy(strategy)]
+    if document is not None and isinstance(algorithm, Chooser):
+        return type(algorithm)(document)
+    return algorithm

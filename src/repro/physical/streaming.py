@@ -30,7 +30,7 @@ from ..pattern import PatternPath
 from ..xmltree.axes import Axis
 from ..xmltree.document import IndexedDocument, ddo
 from ..xmltree.node import AttributeNode, ElementNode, Node
-from .base import TreePatternAlgorithm
+from .base import Run, TreePatternAlgorithm
 from .twigjoin import _QueryNode, _build_query_tree
 
 ENTER, LEAVE = 0, 1
@@ -62,16 +62,17 @@ class StreamingXPath(TreePatternAlgorithm):
     positions = False
     enumerates = False
 
-    def _match(self, document: IndexedDocument,
-               contexts: List[Node], path: PatternPath) -> List[Node]:
+    def _match(self, document: IndexedDocument, contexts: List[Node],
+               path: PatternPath, run: Run) -> List[Node]:
         results: list[Node] = []
         for context in contexts:
-            results.extend(self._stream_one(context, path))
+            results.extend(self._stream_one(context, path, run))
         return chaos_point("streaming.match", ddo(results))
 
     # -- the automaton ---------------------------------------------------------
 
-    def _stream_one(self, context: Node, path: PatternPath) -> List[Node]:
+    def _stream_one(self, context: Node, path: PatternPath,
+                    run: Run) -> List[Node]:
         nodes: list[_QueryNode] = []
         root_query = _build_query_tree(path, on_spine=True, nodes=nodes)
         spine_leaf = root_query
@@ -159,7 +160,7 @@ class StreamingXPath(TreePatternAlgorithm):
                     if query.on_spine:
                         anchor.pending.extend(candidacy.pending)
 
-        governor = self.governor
+        governor = run.governor
         for kind, node in _events(context):
             if kind == ENTER:
                 events_seen += 1
@@ -168,9 +169,9 @@ class StreamingXPath(TreePatternAlgorithm):
                 on_enter(node)
             else:
                 on_leave(node)
-        if self.metrics is not None:
-            self.metrics.nodes_visited[self.name] += events_seen
-            self.metrics.stack_pushes[self.name] += candidacy_pushes
+        if run.metrics is not None:
+            run.metrics.nodes_visited[self.name] += events_seen
+            run.metrics.stack_pushes[self.name] += candidacy_pushes
         return results
 
 

@@ -42,7 +42,7 @@ from ..xmltree.columnar import KIND_ATTRIBUTE, ColumnarDocument
 from ..xmltree.document import IndexedDocument
 from ..xmltree.node import Node
 from ..xmltree.nodetest import NodeTest
-from .base import Binding, TreePatternAlgorithm
+from .base import Binding, Run, TreePatternAlgorithm
 
 
 @dataclass
@@ -105,12 +105,12 @@ class TwigJoin(TreePatternAlgorithm):
                       Axis.ATTRIBUTE))
     text_tests = False
 
-    def _match(self, document: IndexedDocument,
-               contexts: List[Node], path: PatternPath) -> List[Node]:
+    def _match(self, document: IndexedDocument, contexts: List[Node],
+               path: PatternPath, run: Run) -> List[Node]:
         columns = document.columns
         results: List[int] = []
         for context in contexts:
-            spine_index, matches = self._solve(columns, context, path)
+            spine_index, matches = self._solve(columns, context, path, run)
             results.extend(match[spine_index] for match in matches)
         # distinct-doc-order in integer space, nodes only at the result
         # boundary.
@@ -119,13 +119,12 @@ class TwigJoin(TreePatternAlgorithm):
                             for pre in sorted(set(results))])
 
     def _enumerate(self, document: IndexedDocument, context: Node,
-                   path: PatternPath) -> List[Binding]:
+                   path: PatternPath, run: Run) -> List[Binding]:
         columns = document.columns
         nodes: List[_QueryNode] = []
         root = _build_query_tree(path, on_spine=True, nodes=nodes)
         matches = _twig_matches(columns, context.pre, context.end, root,
-                                nodes, metrics=self.metrics,
-                                governor=self.governor)
+                                nodes, run)
         bindings: List[Binding] = []
         for match in matches:
             binding: Binding = {}
@@ -137,7 +136,7 @@ class TwigJoin(TreePatternAlgorithm):
         return chaos_point("twigjoin.enumerate", bindings)
 
     def _solve(self, columns: ColumnarDocument, context: Node,
-               path: PatternPath):
+               path: PatternPath, run: Run):
         nodes: List[_QueryNode] = []
         root = _build_query_tree(path, on_spine=True, nodes=nodes)
         spine_leaf = root
@@ -148,8 +147,7 @@ class TwigJoin(TreePatternAlgorithm):
             spine_leaf = next_spine[0]
         return spine_leaf.index, _twig_matches(columns, context.pre,
                                                context.end, root, nodes,
-                                               metrics=self.metrics,
-                                               governor=self.governor)
+                                               run)
 
 
 def _stream_for(columns: ColumnarDocument, context_pre: int,
@@ -171,8 +169,8 @@ def _region_slice(pres: Sequence[int], context_pre: int, context_end: int,
 
 def _twig_matches(columns: ColumnarDocument, context_pre: int,
                   context_end: int, root: _QueryNode,
-                  nodes: List[_QueryNode], metrics=None,
-                  governor=None) -> list:
+                  nodes: List[_QueryNode], run: Run) -> list:
+    metrics, governor = run.metrics, run.governor
     for query_node in nodes:
         query_node.stream = _stream_for(columns, context_pre, context_end,
                                         query_node)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro import Engine
 from repro.data import member_document
 from repro.pattern import PatternPath, PatternStep, TreePattern
-from repro.physical import (NLJoin, StackTreeJoin, StaircaseJoin,
+from repro.physical import (NLJoin, Run, StackTreeJoin, StaircaseJoin,
                             Strategy, StreamingXPath, TwigJoin,
                             make_algorithm)
 from repro.xmltree.axes import Axis
@@ -154,9 +154,10 @@ def test_evaluate_each_is_evaluate_per_context(query):
     contexts = _sample_contexts(document)
     for pattern in _EACH_ENGINE.compile(query).tree_patterns():
         for strategy in Strategy:
-            algorithm = make_algorithm(strategy, document)
-            algorithm.attach_summary(document.summary)
-            expected = [algorithm.evaluate(document, [context], pattern)
+            algorithm = make_algorithm(strategy)
+            run = Run(summary=document.summary)
+            expected = [algorithm.evaluate(document, [context], pattern, run)
                         for context in contexts]
-            assert algorithm.evaluate_each(document, contexts, pattern) \
+            assert algorithm.evaluate_each(document, contexts, pattern,
+                                           run) \
                 == expected, f"{strategy} on {pattern} from {query!r}"

@@ -5,7 +5,8 @@ they share — in the XML parser, the normalizer, the TPNF rewrite or the
 axis code — agrees with itself.  Here the reference is
 :mod:`tests.support.etree_oracle`: expat reads the document and a small
 matcher walks ElementTree's elements.  The queries are the golden
-corpus, a few attribute and ``//`` paths, and a derandomized stream of
+corpus, a few attribute, ``text()`` and ``//`` paths, a mixed-content
+document, and a derandomized stream of
 :func:`tests.support.qgen.path_queries` on the two fuzz documents; each
 runs under the seven strategies and the plain item evaluator.
 
@@ -19,10 +20,10 @@ import pytest
 from hypothesis import given, settings
 
 from repro.xmltree import serialize
-from repro.xmltree.node import AttributeNode
+from repro.xmltree.node import AttributeNode, Node, TextNode
 
 from tests.support import qgen
-from tests.support.etree_oracle import Document, canonical, parse_twig
+from tests.support.etree_oracle import TEXT, Document, canonical, parse_query
 from tests.support.make_golden import golden_queries, reference_engines
 
 STRATEGIES = ("nljoin", "twigjoin", "scjoin", "stacktree", "streaming",
@@ -42,6 +43,14 @@ EXTRA_QUERIES = (
     "$input//item[@id][location]/@*",
     "$input/site/people/person[2]/attribute::id",
     "$input//profile[@income]/interest/@category",
+    # text() steps: a text child, one below an element named ``text``,
+    # a position, the descendant axis, and a branch.
+    "$input//person/name/text()",
+    "$input//mail/text/text()",
+    "$input//open_auction/bidder[1]/increase/text()",
+    "$input/site/regions/africa/item/desc::text()[2]",
+    "$input//item[payment/text()]/location/text()",
+    "$input//mailbox/mail[1]//text()",
 )
 
 ENGINES = reference_engines()
@@ -51,15 +60,17 @@ DOCUMENTS = {name: Document(serialize(engine.document.root))
 
 def engine_answer(results) -> list:
     return [(node.name, node.value) if isinstance(node, AttributeNode)
-            else canonical(serialize(node)) for node in results]
+            else (TEXT, node.text) if isinstance(node, TextNode)
+            else canonical(serialize(node)) if isinstance(node, Node)
+            else node for node in results]
 
 
 def check(counts: Counter, name: str, query: str) -> None:
-    steps = parse_twig(query)
-    if steps is None:
+    parsed = parse_query(query)
+    if parsed is None:
         counts["skipped"] += 1
         return
-    expected = DOCUMENTS[name].answer(steps)
+    expected = DOCUMENTS[name].answer(parsed)
     for strategy in STRATEGIES:
         got = engine_answer(ENGINES[name].run(query, strategy=strategy))
         assert got == expected, \
@@ -77,8 +88,9 @@ def test_golden_corpus_matches_etree():
     for stem, query in sorted(golden_queries().items()):
         check(counts, stem.split("_", 1)[0], query)
     report("golden corpus", counts)
-    # QE1–QE6 and the five XMark twigs without comparisons or text().
-    assert counts["checked"] == 11
+    # QE1–QE6, the five XMark twigs without comparisons, XQ15's text()
+    # path and XQ6/XQ7's counts.
+    assert counts["checked"] == 14
 
 
 @pytest.mark.parametrize("query", EXTRA_QUERIES)
@@ -86,7 +98,7 @@ def test_extra_paths_match_etree(query):
     counts: Counter = Counter()
     check(counts, "xmark", query)
     assert counts["checked"] == 1
-    assert DOCUMENTS["xmark"].answer(parse_twig(query)), \
+    assert DOCUMENTS["xmark"].answer(parse_query(query)), \
         "an empty answer checks nothing"
 
 
@@ -104,3 +116,19 @@ def test_generated_paths_match_etree(name, tags):
     run()
     report(f"generated paths on {name}", counts)
     assert counts["checked"] >= 50
+
+
+def test_mixed_content_text_matches_etree():
+    """Text before, between and after children (ElementTree's ``text``
+    and ``tail``), nested: the generated documents have none."""
+    from repro import Engine
+    text = '<a>x<b>y<c>z</c>w</b>v<d/>u<b>t</b></a>'
+    engine, document = Engine.from_xml(text), Document(text)
+    for query in ("$input//text()", "$input/a/text()[2]",
+                  "$input/a/desc::text()[3]", "$input//b[text()]/text()",
+                  "count($input//text()) + count($input//b)"):
+        expected = document.answer(parse_query(query))
+        assert expected, query
+        for strategy in STRATEGIES:
+            assert engine_answer(engine.run(query, strategy=strategy)) \
+                == expected, f"{strategy} on {query!r}"

@@ -687,24 +687,33 @@ class TestPinnedCounters:
                          "$input" + "/t1[1]" * 12),
         }
 
-    @staticmethod
-    def evaluator_steps(engine, compiled):
-        """The steps the evaluator itself charges: the governor is on
-        the context only, not attached to the pattern algorithm (whose
-        own charge is the stream entries it visits)."""
+    class Uncharged:
+        """SCJoin, handed the run's summary and nothing else: its own
+        charge (the stream entries it visits) stays out of the count."""
+
+        name = "scjoin"
+
+        def evaluate_each(self, document, contexts, pattern, run):
+            from repro.physical import Run, make_algorithm
+            return make_algorithm(self.name).evaluate_each(
+                document, contexts, pattern, Run(summary=run.summary))
+
+    @classmethod
+    def evaluator_steps(cls, engine, compiled):
+        """The steps the evaluator itself charges: the governor is in
+        the evaluator's run only, not in the pattern algorithm's."""
         from repro.guard import Budgets
         from repro.guard.governor import ResourceGovernor
-        from repro.physical import StaircaseJoin
+        from repro.physical import Run
         root = [engine.document.root]
         bindings = {var: root
                     for var in compiled.normalized.global_vars.values()}
         bindings[compiled.normalized.context_var] = root
         governor = ResourceGovernor(Budgets(max_steps=10**9))
-        algorithm = StaircaseJoin()
-        algorithm.attach_summary(engine.document.summary)
         eval_item(compiled.optimized, EvalContext(
-            document=engine.document, strategy=algorithm,
-            globals=bindings, governor=governor))
+            document=engine.document, strategy=cls.Uncharged(),
+            globals=bindings,
+            run=Run(governor=governor, summary=engine.document.summary)))
         return governor.steps
 
     @pytest.mark.parametrize("name", list(PINNED))

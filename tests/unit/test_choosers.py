@@ -3,8 +3,9 @@
 import pytest
 
 from repro.data import member_document
+from repro.obs import ExecMetrics
 from repro.pattern import parse_pattern
-from repro.physical import (CostBasedChooser, HeuristicChooser, NLJoin,
+from repro.physical import (CostBasedChooser, HeuristicChooser, NLJoin, Run,
                             make_algorithm)
 
 
@@ -50,9 +51,10 @@ class TestChoosers:
     def test_decisions_logged(self, chooser_factory, doc):
         chooser = chooser_factory(doc)
         path = parse_pattern(PATHS[0]).path
-        chooser.match_single(doc, [doc.root], path)
-        chooser.match_single(doc, [doc.root], path)
-        assert len(chooser.decisions) == 2
+        run = Run(metrics=ExecMetrics(), summary=doc.summary)
+        chooser.match_single(doc, [doc.root], path, run)
+        chooser.match_single(doc, [doc.root], path, run)
+        assert len(run.metrics.decision_ring) == 2
 
     def test_per_context_decisions_can_differ(self, chooser_factory, doc):
         """The choosers decide per evaluation, so a root context and a
@@ -60,9 +62,10 @@ class TestChoosers:
         chooser = chooser_factory(doc)
         path = parse_pattern("IN#d/child::t02{o}").path
         leafish = doc.all_elements()[-1]
-        chooser.match_single(doc, [doc.root], path)
-        chooser.match_single(doc, [leafish], path)
-        assert len(chooser.decisions) == 2  # both calls went through
+        run = Run(metrics=ExecMetrics(), summary=doc.summary)
+        chooser.match_single(doc, [doc.root], path, run)
+        chooser.match_single(doc, [leafish], path, run)
+        assert len(run.metrics.decision_ring) == 2  # both calls went through
 
 
 class TestStrategyEnumCompleteness:

@@ -98,9 +98,9 @@ class TestSnapshotStability:
     def test_instrumented_variant_is_a_superset(self, people_doc):
         program = compiled_for(Engine(people_doc, backend="compiled"),
                                PATTERN_QUERY)
-        assert "_m = ctx.metrics" in program.instrumented_source
-        assert "_gov = ctx.governor" in program.instrumented_source
-        assert "_m = ctx.metrics" not in program.source
+        assert "_m = ctx.run.metrics" in program.instrumented_source
+        assert "_gov = ctx.run.governor" in program.instrumented_source
+        assert "_m = ctx.run.metrics" not in program.source
 
 
 class TestClosureCacheReuse:

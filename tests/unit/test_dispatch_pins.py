@@ -32,7 +32,7 @@ import pytest
 
 from repro.obs import ExecMetrics
 from repro.pattern import parse_pattern
-from repro.physical import Strategy, make_algorithm
+from repro.physical import Run, Strategy, make_algorithm
 from repro.xmltree import Node
 
 from tests.support.make_golden import golden_queries, reference_engines
@@ -40,6 +40,7 @@ from tests.support.make_golden import golden_queries, reference_engines
 PINS = Path(__file__).resolve().parent / "data" / "physical_counters.json"
 
 STRATEGIES = tuple(strategy.value for strategy in Strategy)
+CHOOSERS = (Strategy.AUTO.value, Strategy.COST.value)
 
 PATTERNS = (
     "IN#d/descendant::person/child::name{o}",
@@ -109,9 +110,13 @@ def pinned_runs() -> dict:
         for strategy in STRATEGIES:
             algorithm = make_algorithm(strategy, document)
             metrics = ExecMetrics()
-            algorithm.attach_metrics(metrics)
-            single = algorithm.evaluate(document, [document.root], pattern)
-            batch = algorithm.evaluate_each(document, contexts, pattern)
+            # The instruments the pins were recorded with: counters for
+            # every strategy, the document's summary for the choosers.
+            run = Run(metrics=metrics, summary=document.summary
+                      if strategy in CHOOSERS else None)
+            single = algorithm.evaluate(document, [document.root], pattern,
+                                        run)
+            batch = algorithm.evaluate_each(document, contexts, pattern, run)
             runs[strategy] = {
                 "results": [_bindings(single)]
                 + [_bindings(bindings) for bindings in batch],

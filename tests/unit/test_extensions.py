@@ -7,8 +7,9 @@ from repro import Engine
 from repro.algebra import TupleTreePattern, walk_plan
 from repro.algebra.optimizer import OptimizerOptions
 from repro.data import deep_member_document, member_document, xmark_document
+from repro.obs import ExecMetrics
 from repro.pattern import parse_pattern
-from repro.physical import (CostBasedChooser, CostModel, NLJoin,
+from repro.physical import (CostBasedChooser, CostModel, NLJoin, Run,
                             StreamingXPath, make_algorithm)
 from repro.xmltree import IndexedDocument
 
@@ -235,10 +236,11 @@ class TestCostModel:
         chooser = CostBasedChooser(doc)
         context = doc.stream("t1")[-1].parent
         path = parse_pattern("IN#d/child::t1{o}").path
-        chooser.match_single(doc, [context], path)
-        assert chooser.decisions
-        assert chooser.decisions[-1] in ("nljoin", "twigjoin", "scjoin",
-                                         "streaming")
+        run = Run(metrics=ExecMetrics(), summary=doc.summary)
+        chooser.match_single(doc, [context], path, run)
+        assert run.metrics.decision_ring
+        assert run.metrics.decision_ring[-1].algorithm in (
+            "nljoin", "twigjoin", "scjoin", "streaming")
 
     def test_model_cached_on_document(self):
         doc = member_document(500, seed=8)

@@ -10,7 +10,7 @@ from repro.data import member_document
 from repro.obs import (DECISION_RING_SIZE, CacheStats, ExecMetrics,
                        PipelineMetrics, PlanCache, TracedRun)
 from repro.pattern import parse_pattern
-from repro.physical import CostBasedChooser, HeuristicChooser
+from repro.physical import CostBasedChooser, HeuristicChooser, Run
 
 QUERY = "$input//person[emailaddress]/name"
 
@@ -165,19 +165,21 @@ class TestBoundedDecisions:
     def test_ring_is_bounded_but_tally_exact(self, factory, doc):
         chooser = factory(doc)
         path = parse_pattern("IN#d/descendant::t01{o}").path
+        run = Run(metrics=ExecMetrics(), summary=doc.summary)
         total = DECISION_RING_SIZE + 25
         for _ in range(total):
-            chooser.match_single(doc, [doc.root], path)
+            chooser.match_single(doc, [doc.root], path, run)
         # The detail ring stays bounded (no unbounded growth)...
-        assert len(chooser.decisions) == DECISION_RING_SIZE
+        assert len(run.metrics.decision_ring) == DECISION_RING_SIZE
         # ...while the tally still exposes the exact count.
-        assert chooser.metrics.decisions_total == total
+        assert run.metrics.decisions_total == total
 
     def test_decision_records_carry_inputs(self, doc):
         chooser = HeuristicChooser(doc)
         path = parse_pattern("IN#d/descendant::t01{o}").path
-        chooser.match_single(doc, [doc.root], path)
-        record = chooser.metrics.decision_ring[-1]
+        run = Run(metrics=ExecMetrics(), summary=doc.summary)
+        chooser.match_single(doc, [doc.root], path, run)
+        record = run.metrics.decision_ring[-1]
         inputs = dict(record.inputs)
         assert record.chooser == "auto"
         assert inputs["region"] >= 1 and inputs["streams"] >= 1
@@ -186,8 +188,9 @@ class TestBoundedDecisions:
     def test_cost_decisions_carry_estimates(self, doc):
         chooser = CostBasedChooser(doc)
         path = parse_pattern("IN#d/descendant::t01{o}").path
-        chooser.match_single(doc, [doc.root], path)
-        inputs = dict(chooser.metrics.decision_ring[-1].inputs)
+        run = Run(metrics=ExecMetrics(), summary=doc.summary)
+        chooser.match_single(doc, [doc.root], path, run)
+        inputs = dict(run.metrics.decision_ring[-1].inputs)
         assert {"cost_nljoin", "cost_twigjoin", "cost_scjoin",
                 "cost_streaming"} <= set(inputs)
 

@@ -7,7 +7,7 @@ from repro.guard import (BudgetExceeded, Budgets, ChaosSpec, InjectedFault,
                          ResourceGovernor, inject)
 from repro.obs import ExecMetrics
 from repro.pattern import parse_pattern
-from repro.physical import (HeuristicChooser, NLJoin, StackTreeJoin,
+from repro.physical import (HeuristicChooser, NLJoin, Run, StackTreeJoin,
                             StaircaseJoin, Strategy, TwigJoin,
                             make_algorithm)
 from repro.xmltree import IndexedDocument, serialize
@@ -239,8 +239,8 @@ class TestStaircaseWork:
     def scanned(document, path):
         algorithm = StaircaseJoin()
         metrics = ExecMetrics()
-        algorithm.attach_metrics(metrics)
-        result = algorithm.match_single(document, [document.root], path)
+        result = algorithm.match_single(document, [document.root], path,
+                                        Run(metrics=metrics))
         assert result
         assert result == NLJoin().match_single(document, [document.root],
                                                path)
@@ -282,9 +282,8 @@ class TestStaircaseWork:
         governor = ResourceGovernor(Budgets(max_steps=10**9))
         metrics = ExecMetrics()
         algorithm = StaircaseJoin()
-        algorithm.attach_governor(governor)
-        algorithm.attach_metrics(metrics)
-        assert algorithm.match_single(deep, [deep.root], path)
+        assert algorithm.match_single(deep, [deep.root], path,
+                                      Run(metrics=metrics, governor=governor))
         assert metrics.stream_scanned["scjoin"] \
             == metrics.nodes_visited["scjoin"] < 10
         assert governor.steps < 20
@@ -293,14 +292,14 @@ class TestStaircaseWork:
         spine = parse_pattern("IN#d/descendant::t01{o}").path
         governor = ResourceGovernor(Budgets(max_steps=10**9))
         algorithm = StaircaseJoin()
-        algorithm.attach_governor(governor)
-        algorithm.match_single(forest, [forest.root], spine)
+        algorithm.match_single(forest, [forest.root], spine,
+                               Run(governor=governor))
         spine_steps = governor.steps
         # A budget the spine fits in trips inside the branch kernels.
-        algorithm.attach_governor(
-            ResourceGovernor(Budgets(max_steps=spine_steps + 10)))
+        tight = Run(governor=ResourceGovernor(
+            Budgets(max_steps=spine_steps + 10)))
         with pytest.raises(BudgetExceeded) as exc:
-            algorithm.match_single(forest, [forest.root], self.TWIG)
+            algorithm.match_single(forest, [forest.root], self.TWIG, tight)
         assert exc.value.code.startswith("REPRO-BUDGET")
 
     def test_chaos_site_still_fires(self, forest):
@@ -455,18 +454,18 @@ class TestEvaluateEach:
         document = stores[store]
         contexts = each_contexts(document)
         algorithm = make_algorithm(strategy, document)
-        algorithm.attach_summary(document.summary if use_summary else None)
+        run = Run(summary=document.summary if use_summary else None)
         empty = 0
         for text in EACH_PATTERNS:
             pattern = parse_pattern(text)
             expected = [pres(algorithm.evaluate(document, [context],
-                                                pattern))
+                                                pattern, run))
                         for context in contexts]
-            got = algorithm.evaluate_each(document, contexts, pattern)
+            got = algorithm.evaluate_each(document, contexts, pattern, run)
             assert [pres(bindings) for bindings in got] == expected, text
             assert any(expected), text
             empty += sum(1 for bindings in expected if not bindings)
-            assert algorithm.evaluate_each(document, [], pattern) == []
+            assert algorithm.evaluate_each(document, [], pattern, run) == []
         assert empty   # contexts without a match sit between the others
 
     def test_one_context_and_all_the_same_context(self, stores, store,
@@ -490,10 +489,10 @@ class TestStaircaseBatch:
     def run(self, document, text, contexts):
         algorithm = StaircaseJoin()
         metrics = ExecMetrics()
-        algorithm.attach_metrics(metrics)
-        algorithm.attach_summary(document.summary)
         got = algorithm.evaluate_each(document, contexts,
-                                      parse_pattern(text))
+                                      parse_pattern(text),
+                                      Run(metrics=metrics,
+                                          summary=document.summary))
         return got, metrics
 
     def test_one_kernel_invocation_per_batch(self, document):
@@ -534,9 +533,9 @@ class TestStaircaseBatch:
         contexts = deep.stream("t1")
         algorithm = StaircaseJoin()
         metrics = ExecMetrics()
-        algorithm.attach_metrics(metrics)
         got = algorithm.evaluate_each(
-            deep, contexts, parse_pattern("IN#x/descendant::t1{o}"))
+            deep, contexts, parse_pattern("IN#x/descendant::t1{o}"),
+            Run(metrics=metrics))
         assert [len(bindings) for bindings in got] \
             == [node.end - node.pre for node in contexts]
         assert metrics.stream_scanned["scjoin"] <= 15 * len(contexts)
@@ -552,10 +551,67 @@ class TestStaircaseBatch:
     def test_batch_kernel_charges_the_step_budget(self, document):
         contexts = each_contexts(document)
         algorithm = StaircaseJoin()
-        algorithm.attach_governor(ResourceGovernor(Budgets(max_steps=10)))
+        run = Run(governor=ResourceGovernor(Budgets(max_steps=10)))
         with pytest.raises(BudgetExceeded):
             algorithm.evaluate_each(document, contexts,
-                                    parse_pattern("IN#x/descendant::b{o}"))
+                                    parse_pattern("IN#x/descendant::b{o}"),
+                                    run)
+
+
+class TestSharedInstances:
+    """``make_algorithm`` hands out one instance per strategy; the
+    instruments travel in the :class:`Run` of each call, so concurrent
+    runs on one instance count apart."""
+
+    STRATEGIES = ("scjoin", "nljoin", "cost")
+
+    def test_make_algorithm_shares_its_instances(self):
+        for strategy in Strategy:
+            assert make_algorithm(strategy) is make_algorithm(strategy)
+
+    @staticmethod
+    def evaluate_all(document, run):
+        contexts = each_contexts(document)
+        for _ in range(3):
+            for strategy in TestSharedInstances.STRATEGIES:
+                algorithm = make_algorithm(strategy)
+                for text in EACH_PATTERNS:
+                    pattern = parse_pattern(text)
+                    algorithm.evaluate_each(document, contexts, pattern, run)
+                    algorithm.evaluate(document, [document.root], pattern,
+                                       run)
+        return run.metrics.counters(), run.metrics.decisions_total
+
+    def test_four_threads_count_as_each_alone(self, document):
+        import sys
+        import threading
+
+        def fresh_run():
+            return Run(metrics=ExecMetrics(), summary=document.summary)
+
+        alone = self.evaluate_all(document, fresh_run())
+        assert alone[1] and alone[0]["visited.scjoin"]
+        tallies = [None] * 4
+        start = threading.Barrier(4)
+
+        def work(slot):
+            run = fresh_run()
+            start.wait()
+            tallies[slot] = self.evaluate_all(document, run)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(slot,))
+                       for slot in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert tallies == [alone] * 4
 
 
 class TestFallbacks:
@@ -581,6 +637,12 @@ class TestFallbacks:
                 == nl.enumerate_bindings(NESTED, NESTED.root, pattern.path))
 
 
+def decision_run(document):
+    """A run recording a chooser's decisions, with the summary a chooser
+    made for ``document`` prunes with."""
+    return Run(metrics=ExecMetrics(), summary=document.summary)
+
+
 class TestStrategyFactory:
     def test_make_all(self):
         assert make_algorithm("nljoin").name == "nljoin"
@@ -600,21 +662,24 @@ class TestStrategyFactory:
         # 2000-element t1 stream the index algorithms would scan.
         context = deep.stream("t1")[-1].parent
         pattern = parse_pattern("IN#d/child::t1{o}")
-        chooser.match_single(deep, [context], pattern.path)
-        assert chooser.decisions[-1] == "nljoin"
+        run = decision_run(deep)
+        chooser.match_single(deep, [context], pattern.path, run)
+        assert run.metrics.decision_ring[-1].algorithm == "nljoin"
 
     def test_heuristic_prefers_twig_for_branching(self):
         chooser = HeuristicChooser(DOC)
         pattern = parse_pattern(
             "IN#d/descendant::person[child::emailaddress]{o}")
-        chooser.match_single(DOC, [DOC.root], pattern.path)
-        assert chooser.decisions[-1] == "twigjoin"
+        run = decision_run(DOC)
+        chooser.match_single(DOC, [DOC.root], pattern.path, run)
+        assert run.metrics.decision_ring[-1].algorithm == "twigjoin"
 
     def test_heuristic_prefers_staircase_for_plain_spines(self):
         chooser = HeuristicChooser(DOC)
         pattern = parse_pattern("IN#d/descendant::person/child::name{o}")
-        chooser.match_single(DOC, [DOC.root], pattern.path)
-        assert chooser.decisions[-1] == "scjoin"
+        run = decision_run(DOC)
+        chooser.match_single(DOC, [DOC.root], pattern.path, run)
+        assert run.metrics.decision_ring[-1].algorithm == "scjoin"
 
     def test_heuristic_matches_reference_results(self):
         chooser = HeuristicChooser(DOC)
