@@ -561,6 +561,7 @@ def _parse_file(path: str):
 def _command_index(args, out) -> int:
     import time as _time
     from .xmltree import ColumnarDocument
+    from .xmltree.columnar import _INT_COLUMNS
 
     output = args.output
     if output is None:
@@ -584,8 +585,7 @@ def _command_index(args, out) -> int:
     if args.verify:
         reopened = ColumnarDocument.open(output)
         reopened.validate()
-        for name in ("post", "level", "end", "parent", "name_id",
-                     "text_id"):
+        for name in _INT_COLUMNS + ("path_dir",):
             if list(getattr(reopened, name)) != \
                     list(getattr(columns, name)):
                 print(f"verify FAILED: column {name!r} differs",

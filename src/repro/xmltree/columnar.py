@@ -12,6 +12,14 @@ document has:
     one 32-bit signed integer per node, indexed by ``pre`` (``pre``
     itself is implicit: it *is* the index).  ``parent`` holds the
     parent's ``pre`` number, ``-1`` for the document node.
+``path_id``, ``path_dir``
+    the document's path trie (see :mod:`repro.xmltree.summary`):
+    ``path_id`` holds one 32-bit integer per node, the index of an
+    element's root-to-node tag path, ``0`` (the document point) for
+    the document node and ``-1`` for attribute and text nodes;
+    ``path_dir`` holds one ``(parent path index, name id)`` int32 pair
+    per path, numbered in order of first appearance in the document,
+    index ``0`` being the document point ``(-1, -1)``.
 ``kind``
     one byte per node: document / element / attribute / text.
 ``name_id``, ``text_id``
@@ -42,6 +50,7 @@ import io
 import mmap
 import os
 import struct
+import tempfile
 import threading
 import time
 import zlib
@@ -72,8 +81,9 @@ KIND_TEXT = 3
 #: :func:`is_columnar_file`.
 MAGIC = b"RPXC"
 
-#: on-disk format version this build reads and writes.
-FORMAT_VERSION = 1
+#: on-disk format version this build reads and writes (version 2 added
+#: the ``path_id`` column and the ``path_dir`` section).
+FORMAT_VERSION = 2
 
 #: endianness marker as written by the producing platform; a reader on
 #: the opposite byte order sees it reversed and refuses the file.
@@ -90,17 +100,19 @@ _SECTION = struct.Struct("<24sQQ")
 _ALIGN = 8
 
 #: the int32 columns, in on-disk order.
-_INT_COLUMNS = ("post", "level", "end", "parent", "name_id", "text_id")
+_INT_COLUMNS = ("post", "level", "end", "parent", "name_id", "text_id",
+                "path_id")
 
-#: every section a version-1 file must carry.
+#: every section a version-2 file must carry.
 _REQUIRED_SECTIONS = _INT_COLUMNS + (
     "kind", "name_dir", "name_blob", "text_dir", "text_blob",
     "tag_dir", "tag_stream", "attr_dir", "attr_stream",
-    "text_pres", "element_pres", "uri")
+    "text_pres", "element_pres", "path_dir", "uri")
 
 #: the variable-length int32 sections.
 _INT_SECTIONS = ("name_dir", "text_dir", "tag_dir", "tag_stream",
-                 "attr_dir", "attr_stream", "text_pres", "element_pres")
+                 "attr_dir", "attr_stream", "text_pres", "element_pres",
+                 "path_dir")
 
 _EMPTY_I = array("i")
 
@@ -142,7 +154,8 @@ class ColumnarDocument:
     """
 
     def __init__(self, *, post, level, end, parent, kind, name_id, text_id,
-                 names: Sequence[str], texts: Sequence[str],
+                 path_id, path_dir, names: Sequence[str],
+                 texts: Sequence[str],
                  tag_pres: Dict[str, Sequence[int]],
                  attribute_pres: Dict[str, Sequence[int]],
                  text_pres: Sequence[int], element_pres: Sequence[int],
@@ -157,6 +170,11 @@ class ColumnarDocument:
         self.kind = kind
         self.name_id = name_id
         self.text_id = text_id
+        #: path index per node: ``0`` for the document node, ``-1`` for
+        #: attribute and text nodes.
+        self.path_id = path_id
+        #: ``(parent path index, name id)`` per path, flattened.
+        self.path_dir = path_dir
         self.names = names
         self.texts = texts
         #: per-element-tag sorted ``pre`` streams.
@@ -454,6 +472,7 @@ class ColumnarDocument:
             if tslot >= 0 and not tslot < len(self.texts):
                 raise fail("text-id", f"text_id[{pre}]={tslot} out of "
                                       f"value-table range")
+        self._validate_paths(fail)
         for tag, stream in self.tag_pres.items():
             if list(stream) != sorted(stream):
                 raise fail("stream-order", f"tag stream {tag!r} unsorted")
@@ -468,12 +487,42 @@ class ColumnarDocument:
             raise fail("stream-cover",
                        "tag streams do not cover the element column")
 
+    def _validate_paths(self, fail) -> None:
+        """Every element's path is its parent's path extended by its
+        name, every other node carries its fixed value, and the paths
+        are numbered in order of first appearance, none unused."""
+        path_dir = self.path_dir
+        _check_path_dir(path_dir, len(self.names), fail)
+        path_id, parent, kind = self.path_id, self.parent, self.kind
+        if path_id[0] != 0:
+            raise fail("path-id", "the document node is not on path 0")
+        #: the next path not yet met.
+        fresh, paths = 1, len(path_dir) // 2
+        for pre in range(1, self.n):
+            point = path_id[pre]
+            if kind[pre] != KIND_ELEMENT:
+                if point != -1:
+                    raise fail("path-id", f"path_id[{pre}]={point} on a "
+                                          f"node that is no element")
+                continue
+            if not 0 < point <= fresh or point >= paths or \
+                    path_dir[2 * point] != path_id[parent[pre]] or \
+                    path_dir[2 * point + 1] != self.name_id[pre]:
+                raise fail("path-id", f"path_id[{pre}]={point} is not its "
+                                      f"parent's path and its name")
+            if point == fresh:
+                fresh += 1
+        if fresh != paths:
+            raise fail("path-id", f"{paths - fresh} paths hold no "
+                                  f"element")
+
     # -- persistence -------------------------------------------------------
 
     def save(self, path: Union[str, os.PathLike]) -> int:
-        """Write the store to ``path`` (version-1 format) and return the
-        byte size.  The write is atomic: a temp file in the same
-        directory is renamed over the target."""
+        """Write the store to ``path`` (version-2 format) and return the
+        byte size.  The write is atomic: a temp file of its own in the
+        same directory is renamed over the target, and removed if the
+        write or the rename fails."""
         sections: List[Tuple[str, bytes]] = []
         for name in _INT_COLUMNS:
             sections.append((name, _int32_bytes(getattr(self, name))))
@@ -492,6 +541,7 @@ class ColumnarDocument:
         sections.append(("attr_stream", attr_stream))
         sections.append(("text_pres", _int32_bytes(self.text_pres)))
         sections.append(("element_pres", _int32_bytes(self.element_pres)))
+        sections.append(("path_dir", _int32_bytes(self.path_dir)))
         sections.append(("uri", self.uri.encode("utf-8")))
 
         payload = io.BytesIO()
@@ -518,10 +568,19 @@ class ColumnarDocument:
         out.write(body)
 
         path = os.fspath(path)
-        temp = f"{path}.tmp.{os.getpid()}"
-        with open(temp, "wb") as handle:
-            handle.write(out.getvalue())
-        os.replace(temp, path)
+        handle, temp = tempfile.mkstemp(
+            prefix=f"{os.path.basename(path)}.tmp.",
+            dir=os.path.dirname(path) or ".")
+        try:
+            with os.fdopen(handle, "wb") as stream:
+                stream.write(out.getvalue())
+            os.replace(temp, path)
+        except BaseException:
+            try:
+                os.unlink(temp)
+            except OSError:
+                pass
+            raise
         return total
 
     def _encode_streams(self, streams: Dict[str, Sequence[int]]
@@ -664,7 +723,10 @@ class ColumnarDocument:
         attribute_pres = _decode_streams(int_column("attr_dir"),
                                          int_column("attr_stream"),
                                          names, "attribute", fail)
+        path_dir = int_column("path_dir")
+        _check_path_dir(path_dir, len(names), fail)
         document = cls(kind=kind, names=names, texts=texts,
+                       path_dir=path_dir,
                        tag_pres=tag_pres, attribute_pres=attribute_pres,
                        text_pres=int_column("text_pres"),
                        element_pres=int_column("element_pres"),
@@ -709,6 +771,7 @@ class ColumnarDocument:
         # BufferError, so ours go first.
         self.post = self.level = self.end = self.parent = None
         self.kind = self.name_id = self.text_id = None
+        self.path_id = self.path_dir = None
         self.tag_pres = {}
         self.attribute_pres = {}
         self.text_pres = self.element_pres = None
@@ -718,7 +781,8 @@ class ColumnarDocument:
         self.names = self.texts = ()
 
     def _copy_out(self) -> None:
-        for name in _INT_COLUMNS + ("text_pres", "element_pres"):
+        for name in _INT_COLUMNS + ("text_pres", "element_pres",
+                                    "path_dir"):
             setattr(self, name, _int32_copy(getattr(self, name)))
         self.kind = array("B", self.kind.tobytes())
         self.tag_pres = {tag: _int32_copy(stream)
@@ -744,7 +808,8 @@ class ColumnarDocument:
         total = len(self.kind)
         for name in _INT_COLUMNS:
             total += 4 * len(getattr(self, name))
-        total += 4 * (len(self.text_pres) + len(self.element_pres))
+        total += 4 * (len(self.text_pres) + len(self.element_pres)
+                      + len(self.path_dir))
         for stream in self.tag_pres.values():
             total += 4 * len(stream)
         for stream in self.attribute_pres.values():
@@ -762,7 +827,7 @@ class ColumnarDocument:
 def _read_table(source: mmap.mmap, count: int, table_end: int, total: int,
                 fail) -> Dict[str, Tuple[int, int]]:
     """The section table, accepted only as :meth:`ColumnarDocument.save`
-    writes it: every version-1 section, in order, each starting where
+    writes it: every version-2 section, in order, each starting where
     the one before ends (padded to 8), the int32 columns 4 bytes and
     ``kind`` 1 byte per node, and the last one ending the file.  The
     CRC covers the payload, not the table, so this is what stops a
@@ -877,6 +942,23 @@ def _decode_strings(offsets, blob, label: str, fail) -> Sequence[str]:
                    f"{label} string table offsets are inconsistent "
                    f"with the blob")
     return _LazyStrings(offsets, blob)
+
+
+def _check_path_dir(path_dir, name_count: int, fail) -> None:
+    """The shape of a path directory: whole ``(parent, name id)``
+    pairs, the document point ``(-1, -1)`` first, then each path's
+    parent before it and its name in the name table."""
+    parents, names = path_dir[2::2], path_dir[3::2]
+    if len(path_dir) % 2 or len(path_dir) < 2 or path_dir[0] != -1 \
+            or path_dir[1] != -1:
+        raise fail("path-dir", "path directory is not (parent, name id) "
+                               "pairs after the document point")
+    if len(parents) and (
+            min(parents) < 0 or min(names) < 0
+            or max(names) >= name_count
+            or not all(map(int.__lt__, parents, range(1, len(parents) + 1)))):
+        raise fail("path-dir", "path directory entry names a later "
+                               "parent or a name out of range")
 
 
 def _decode_streams(directory, concatenated, names: Sequence[str],

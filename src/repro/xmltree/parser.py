@@ -12,7 +12,8 @@ every node is one entry appended to the columns of a
 :class:`~repro.xmltree.columnar.ColumnarDocument` — its region encoding
 (``pre``/``post``/``level``/``end``, the numbering of
 :func:`~repro.xmltree.node.assign_regions`), its parent, its name and
-value as dictionary slots, its place in the stream of its tag
+value as dictionary slots, its place in the stream of its tag and,
+for an element, the index of its tag path in the document's path trie
 (:func:`parse_columns`).  No node object is made: a parsed document
 needs no numbering pass, no walk and no derivation to index it, and
 its nodes come from the columns when they are asked for.  Where the
@@ -235,11 +236,11 @@ def _scan(text: str, uri: str) -> ColumnarDocument:
     # one takes two thirds of the time appending to an ``array`` does.
     kind_of = [KIND_DOCUMENT]
     post_of, level_of, end_of = [0], [0], [0]
-    parent_of, name_of, text_of = [-1], [-1], [-1]
+    parent_of, name_of, text_of, path_of = [-1], [-1], [-1], [0]
     add_kind, add_post, add_level, add_end = (
         kind_of.append, post_of.append, level_of.append, end_of.append)
-    add_parent, add_name, add_text = (
-        parent_of.append, name_of.append, text_of.append)
+    add_parent, add_name, add_text, add_path = (
+        parent_of.append, name_of.append, text_of.append, path_of.append)
     #: names and values in order of first appearance, and the slot of
     #: each; a name gets one once its first character is checked.
     names: List[str] = []
@@ -251,9 +252,15 @@ def _scan(text: str, uri: str) -> ColumnarDocument:
     text_pres: List[int] = []
     element_pres: List[int] = []
     add_text_pre, add_element_pre = text_pres.append, element_pres.append
-    #: ``pre`` and name of the elements open around ``parent``.
-    stack: List[Tuple[int, Optional[str]]] = []
-    parent, parent_name = 0, None
+    #: the path trie: ``(parent path, name slot)`` per path, the
+    #: document point first, and the child paths of each by name.
+    path_dir = [-1, -1]
+    path_children: List[Dict[str, int]] = [{}]
+    #: ``pre``, name, path and child paths of the elements open around
+    #: ``parent``.
+    stack: List[Tuple[int, Optional[str], int, Dict[str, int]]] = []
+    parent, parent_name, parent_path = 0, None, 0
+    children = path_children[0]
     level = 0       # of ``parent``
     pre, post = 1, 0
     while True:
@@ -278,6 +285,12 @@ def _scan(text: str, uri: str) -> ColumnarDocument:
             add_parent(parent)
             add_name(slot)
             add_text(-1)
+            path = children.get(name)
+            if path is None:
+                path = children[name] = len(path_children)
+                path_children.append({})
+                path_dir += (parent_path, slot)
+            add_path(path)
             element = pre
             pre += 1
             if run:
@@ -308,6 +321,7 @@ def _scan(text: str, uri: str) -> ColumnarDocument:
                     add_level(level + 2)
                     add_end(pre)
                     add_parent(element)
+                    add_path(-1)
                     pre += 1
                     post += 1
                 if len(pairs) > 1 and len(dict(pairs)) < len(pairs):
@@ -317,8 +331,9 @@ def _scan(text: str, uri: str) -> ColumnarDocument:
                 end_of[element] = pre - 1
                 post += 1
             else:
-                stack.append((parent, parent_name))
-                parent, parent_name = element, name
+                stack.append((parent, parent_name, parent_path, children))
+                parent, parent_name, parent_path = element, name, path
+                children = path_children[path]
                 level += 1
         else:
             if closing != parent_name:
@@ -326,7 +341,7 @@ def _scan(text: str, uri: str) -> ColumnarDocument:
             post_of[parent] = post
             end_of[parent] = pre - 1
             post += 1
-            parent, parent_name = stack.pop()
+            parent, parent_name, parent_path, children = stack.pop()
             level -= 1
         if not level:
             break
@@ -354,6 +369,7 @@ def _scan(text: str, uri: str) -> ColumnarDocument:
                 add_end(pre)
                 add_parent(parent)
                 add_name(-1)
+                add_path(-1)
                 pre += 1
                 post += 1
             match = tag_match(text, pos)
@@ -387,7 +403,8 @@ def _scan(text: str, uri: str) -> ColumnarDocument:
         post=array("i", post_of), level=array("i", level_of),
         end=array("i", end_of), parent=array("i", parent_of),
         kind=array("B", kind_of), name_id=array("i", name_of),
-        text_id=array("i", text_of), names=names, texts=texts,
+        text_id=array("i", text_of), path_id=array("i", path_of),
+        path_dir=array("i", path_dir), names=names, texts=texts,
         tag_pres={name: array("i", stream)
                   for name, stream in tag_pres.items()},
         attribute_pres={name: array("i", stream)

@@ -31,8 +31,10 @@ Layout on disk (:func:`write_shard_layout`)::
     <name>.manifest.json   the ShardManifest
 
 Shards store only remapped integer columns plus **compacted** name and
-text dictionaries and freshly built per-tag streams — a shard's size is
-proportional to its own node count, not the document's.
+text dictionaries, path tries and freshly built per-tag streams — a
+shard's size is proportional to its own node count, not the
+document's.  A shard's paths are numbered in order of first appearance
+in the shard, so it holds exactly the paths its own elements are on.
 """
 
 from __future__ import annotations
@@ -254,16 +256,23 @@ def _build_shard(columns: ColumnarDocument, index: int, spine_len: int,
     kind = array("B", bytes(n))
     name_id = array("i", bytes(4 * n))
     text_id = array("i", bytes(4 * n))
+    path_id = array("i", bytes(4 * n))
 
     # Global→local pre for spine parents is the identity; inside a unit
     # the offset is constant per run.
     g_level, g_end, g_parent = columns.level, columns.end, columns.parent
     g_kind, g_name, g_text = columns.kind, columns.name_id, columns.text_id
+    g_path, g_path_dir = columns.path_id, columns.path_dir
 
     names: List[str] = []
     name_map: Dict[int, int] = {}
     texts: List[str] = []
     text_map: Dict[int, int] = {}
+    #: the shard's path trie, a path numbered where the shard first
+    #: meets it: its parent element, met before it, has mapped the
+    #: parent path.
+    path_dir = array("i", (-1, -1))
+    path_map: Dict[int, int] = {-1: -1, 0: 0}
 
     def local_name(slot: int) -> int:
         if slot < 0:
@@ -291,6 +300,12 @@ def _build_shard(columns: ColumnarDocument, index: int, spine_len: int,
             kind[p] = g_kind[g]
             name_id[p] = local_name(g_name[g])
             text_id[p] = local_text(g_text[g])
+            point = path_map.get(g_path[g])
+            if point is None:
+                point = path_map[g_path[g]] = len(path_dir) // 2
+                path_dir.extend((path_map[g_path_dir[2 * g_path[g]]],
+                                 name_id[p]))
+            path_id[p] = point
             if run.local_start == 0:
                 # Spine: the document and root subtree now span the
                 # whole shard; attribute ends are their own pre.
@@ -329,7 +344,8 @@ def _build_shard(columns: ColumnarDocument, index: int, spine_len: int,
 
     shard_columns = ColumnarDocument(
         post=post, level=level, end=end, parent=parent, kind=kind,
-        name_id=name_id, text_id=text_id, names=names, texts=texts,
+        name_id=name_id, text_id=text_id, path_id=path_id,
+        path_dir=path_dir, names=names, texts=texts,
         tag_pres=dict(tag_pres), attribute_pres=dict(attribute_pres),
         text_pres=text_pres, element_pres=element_pres, uri=columns.uri)
     return DocumentShard(index=index, columns=shard_columns,

@@ -1,13 +1,19 @@
 """Structural path summary (a DataGuide over tag paths).
 
-A :class:`PathSummary` is built from an :class:`IndexedDocument` in one
-pass and never invalidated (documents are immutable).  It maps every
-distinct root-to-node *tag path* — the tuple of element names from the
-document element down to a node — to its statistics: how many elements
-share the path, the depth range of the subtrees below it, which child
-tags, attributes and text occur under it.
+A :class:`PathSummary` is derived from the path trie a document carries
+in its columns (``path_id`` and ``path_dir``, see
+:mod:`repro.xmltree.columnar`: the scanner, the shard splitter and
+``open`` write them) and never invalidated (documents are immutable).
+Every distinct root-to-node *tag path* — the element names from the
+document element down to a node — is a path index, and the summary
+holds its statistics by index: how many elements share the path, the
+depth range of the subtrees below it, which child tags, attributes and
+text occur under it.  The trie's shape is laid out in one pass over the
+paths; the counts are taken over the columns at C level (``Counter``
+and ``itemgetter`` gathers) when a step or an estimate first needs
+them.  No node is visited and no node object made.
 
-Two consumers sit on top:
+Two consumers sit on top, both working on path indices:
 
 * the **pattern prefilter** (:meth:`PathSummary.can_match`): decide,
   without touching a single document node, whether a pattern path could
@@ -25,19 +31,24 @@ about every input tuple of a ``TupleTreePattern``.  The
 memo is keyed by the pattern *object* and lives exactly as long as it
 (:meth:`PathSummary._memo_for`): a plan that is dropped — plan cache
 off, LRU eviction — takes its entries along.
+
+The tuple-keyed views (:attr:`PathSummary.stats` and its siblings) are
+for readers of the summary's contents; they are built on first access
+and neither consumer touches them.
 """
 
 from __future__ import annotations
 
+import threading
 import weakref
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
-                    Set, Tuple, Union)
+from operator import itemgetter
+from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List,
+                    Optional, Sequence, Set, Tuple)
 
 from .axes import Axis
-from .columnar import KIND_ATTRIBUTE, KIND_ELEMENT, KIND_TEXT
-from .node import AttributeNode, ElementNode, Node, TextNode
+from .node import AttributeNode, Node
 from .nodetest import (AnyKindTest, ElementTest, NameTest, TextTest,
                        WildcardTest)
 
@@ -49,11 +60,11 @@ __all__ = ["PathStats", "PathSummary", "SUMMARY_AXES"]
 #: a root-to-node tag path; ``()`` denotes the document node itself.
 TagPath = Tuple[str, ...]
 
+#: a summary point: a path index (``0`` is the document), or one of the
 #: non-element match points the prefilter tracks symbolically.
-_ATTR = "@attribute"
-_TEXT = "@text"
-
-Point = Union[TagPath, str]
+Point = int
+_ATTR = -1
+_TEXT = -2
 
 #: the axes the summary can reason about; a pattern using any other axis
 #: is outside the downward fragment and is never pruned.
@@ -61,6 +72,13 @@ SUMMARY_AXES = frozenset({
     Axis.CHILD, Axis.DESCENDANT, Axis.DESCENDANT_OR_SELF,
     Axis.SELF, Axis.ATTRIBUTE,
 })
+
+
+def _gather(column, pres: Sequence[int]) -> Sequence[int]:
+    """``column[pre]`` for each of ``pres``, read at C level."""
+    if len(pres) > 1:
+        return itemgetter(*pres)(column)
+    return [column[pre] for pre in pres]
 
 
 class _Unsupported(Exception):
@@ -118,126 +136,205 @@ class PathStats:
 
 
 class PathSummary:
-    """Per-document structural summary over root-to-node tag paths."""
+    """Per-document structural summary over the document's path trie.
+
+    A *point* is an int: a path index of the document's ``path_dir``
+    (``0`` the document itself, ``1..`` the element paths), or one of
+    the sentinels for an attribute or a text node.  The trie's shape —
+    parents, tags, preorder positions — is laid out when the summary is
+    made, in O(paths); the facts counted over the columns (element
+    counts, text counts, attribute names) are lists or maps indexed by
+    point, counted at the first read by the steps and estimates that
+    need them.  The tuple-keyed views (:attr:`stats`, :attr:`children`,
+    :attr:`text_counts`, :attr:`tag_paths`) are built from them on
+    first access only; neither the prefilter nor the cost model reads
+    them.
+    """
 
     def __init__(self, document) -> None:
         self.document = document
-        #: stats per distinct element tag path (length ≥ 1).
-        self.stats: Dict[TagPath, PathStats] = {}
-        #: child tags per path, *including* the document point ``()``.
-        self.children: Dict[TagPath, Set[str]] = {(): set()}
-        #: text-node children per path, including ``()``.
-        self.text_counts: Dict[TagPath, int] = {(): 0}
-        #: all paths ending in a given tag (for descendant steps).
-        self.tag_paths: Dict[str, List[TagPath]] = {}
-        self.total_elements = 0
-        self.total_text = 0
-        self._node_paths: Dict[int, Point] = {}
+        self._columns = columns = document.columns
+        path_dir, names = columns.path_dir, columns.names
+        #: parent point of each point (``-1`` for the document point).
+        self._parent: List[int] = list(path_dir[0::2])
+        #: the tag each point ends in (``None`` for the document point).
+        self._tag: List[Optional[str]] = [None]
+        self._tag += map(names.__getitem__, path_dir[3::2])
+        paths = len(self._parent)
+        self.total_elements = len(columns.element_pres)
+        self.total_text = len(columns.text_pres)
+        # Counted over the columns at the first read, by the steps and
+        # estimates that need them: see _counts, _texts, _attribute_names.
+        self._count: Optional[List[int]] = None
+        self._text: Optional[Tuple[List[int], List[int]]] = None
+        self._attributes: Optional[Dict[int, Set[str]]] = None
+        # A path is numbered after its parent path, so descending index
+        # order is bottom-up: the number of points in each subtree.
+        parents, tags = self._parent, self._tag
+        #: the points ending in each tag.
+        self._tag_points: Dict[str, List[int]] = {}
+        self._size = size = [1] * paths
+        for point in range(paths - 1, 0, -1):
+            size[parents[point]] += size[point]
+            self._tag_points.setdefault(tags[point], []).append(point)
+        # The trie in preorder, top-down: a point takes the next free
+        # slot of its parent's range.  Its strict descendants are the
+        # ``size - 1`` points after it, and its children the points
+        # met there by skipping a child's subtree at a time.
+        self._first = first = [0] * paths
+        self._order = order = [0] * paths
+        free = [1] * paths
+        for point in range(1, paths):
+            above = parents[point]
+            slot = first[point] = free[above]
+            free[above] = slot + size[point]
+            free[point] = slot + 1
+            order[slot] = point
+        self._views: Optional[tuple] = None
+        self._views_lock = threading.Lock()
         self._pattern_memo: Dict[int, _PatternMemo] = {}
-        self._summarize(document.columns)
 
-    def _summarize(self, columns) -> None:
-        """One pass over the ``kind``/``parent``/``name_id`` columns —
-        no node object is touched, so summarising an mmap-opened
-        document leaves its tree unmaterialized — then one pass over
-        the distinct paths, bottom-up."""
-        names = list(columns.names)
-        # The document point: it collects like a path and is not one.
-        document = PathStats(())
-        #: the stats each element (or the document) counts under, by pre.
-        by_pre: List[Optional[PathStats]] = []
-        place = by_pre.append
-        #: (id of the parent's stats, name id) → stats, parents first.
-        interned: Dict[Tuple[int, int], Tuple[PathStats, PathStats]] = {}
-        # Iterated, not indexed: a mapped column unpacks an int per
-        # index, and a list of the column would box every one at once.
-        for kind, parent, name_id in zip(bytes(columns.kind),
-                                         columns.parent, columns.name_id):
-            if kind == KIND_ELEMENT:
-                above = by_pre[parent]
-                found = interned.get((id(above), name_id))
-                if found is None:
-                    stats = PathStats(above.path + (names[name_id],))
-                    found = interned[id(above), name_id] = (stats, above)
-                found[0].count += 1
-                place(found[0])
-            elif kind == KIND_TEXT:
-                by_pre[parent].text_count += 1
-                place(None)
-            elif kind == KIND_ATTRIBUTE:
-                by_pre[parent].attributes.add(names[name_id])
-                place(None)
-            else:
-                place(document)
-        for stats, above in interned.values():
-            path, tag = stats.path, stats.path[-1]
-            self.stats[path] = stats
-            self.children[path] = set()
-            self.children[above.path].add(tag)
-            self.text_counts[path] = stats.text_count
-            self.tag_paths.setdefault(tag, []).append(path)
-            self.total_elements += stats.count
-            self.total_text += stats.text_count
-            above.child_tags[tag] = stats.count
-        self.text_counts[()] = document.text_count
-        self.total_text += document.text_count
-        # A path is first met after its parent path, so the reverse of
-        # that order is bottom-up: subtree height and text reachability.
-        for stats, above in reversed(interned.values()):
-            stats.text_below += stats.text_count
-            above.height = max(above.height, stats.height + 1)
-            above.text_below += stats.text_below
+    # Each fact below is complete before it is stored, so two threads
+    # racing on a first read count the same and either store wins.
+
+    def _counts(self) -> List[int]:
+        """Elements at each point (the document point counts itself)."""
+        counts = self._count
+        if counts is None:
+            counted = Counter(self._columns.path_id)
+            counts = self._count = list(map(counted.__getitem__,
+                                            range(len(self._parent))))
+        return counts
+
+    def _texts(self) -> Tuple[List[int], List[int]]:
+        """Text-node children of the elements at each point, and text
+        nodes anywhere below them (their own included)."""
+        texts = self._text
+        if texts is None:
+            columns, parents = self._columns, self._parent
+            counted = Counter(_gather(columns.path_id,
+                                      _gather(columns.parent,
+                                              columns.text_pres)))
+            children = list(map(counted.__getitem__, range(len(parents))))
+            below = children.copy()
+            for point in range(len(parents) - 1, 0, -1):
+                below[parents[point]] += below[point]
+            texts = self._text = (children, below)
+        return texts
+
+    def _attribute_names(self) -> Dict[int, Set[str]]:
+        """Attribute names seen at each point that has any."""
+        attributes = self._attributes
+        if attributes is None:
+            columns, attributes = self._columns, {}
+            for name, stream in columns.attribute_pres.items():
+                for point in set(_gather(columns.path_id,
+                                         _gather(columns.parent, stream))):
+                    attributes.setdefault(point, set()).add(name)
+            self._attributes = attributes
+        return attributes
+
+    # -- the tuple-keyed views ------------------------------------------------
+
+    @property
+    def stats(self) -> Dict[TagPath, PathStats]:
+        """Stats per distinct element tag path (length ≥ 1), in order
+        of first appearance."""
+        return self._tuple_views()[0]
+
+    @property
+    def children(self) -> Dict[TagPath, Set[str]]:
+        """Child tags per path, *including* the document point ``()``."""
+        return self._tuple_views()[1]
+
+    @property
+    def text_counts(self) -> Dict[TagPath, int]:
+        """Text-node children per path, including ``()``."""
+        return self._tuple_views()[2]
+
+    @property
+    def tag_paths(self) -> Dict[str, List[TagPath]]:
+        """All paths ending in a given tag, in order of first
+        appearance."""
+        return self._tuple_views()[3]
+
+    def _tuple_views(self) -> tuple:
+        views = self._views
+        if views is None:
+            with self._views_lock:
+                if self._views is None:
+                    self._views = self._build_views()
+                views = self._views
+        return views
+
+    def _build_views(self) -> tuple:
+        parents, tags = self._parent, self._tag
+        counts, (text_count, text_below) = self._counts(), self._texts()
+        attributes = self._attribute_names()
+        height = [0] * len(parents)
+        for point in range(len(parents) - 1, 0, -1):
+            above = parents[point]
+            if height[above] <= height[point]:
+                height[above] = height[point] + 1
+        paths: List[TagPath] = [()]
+        stats: Dict[TagPath, PathStats] = {}
+        children: Dict[TagPath, Set[str]] = {(): set()}
+        text_counts: Dict[TagPath, int] = {(): text_count[0]}
+        tag_paths: Dict[str, List[TagPath]] = {}
+        for point in range(1, len(parents)):
+            tag, above = tags[point], parents[point]
+            path = paths[above] + (tag,)
+            paths.append(path)
+            stats[path] = PathStats(
+                path, count=counts[point],
+                attributes=set(attributes.get(point, ())),
+                text_count=text_count[point], height=height[point],
+                text_below=text_below[point])
+            children[path] = set()
+            children[paths[above]].add(tag)
+            text_counts[path] = text_count[point]
+            tag_paths.setdefault(tag, []).append(path)
+            if above:
+                stats[paths[above]].child_tags[tag] = counts[point]
+        return stats, children, text_counts, tag_paths
 
     # -- basic lookups ------------------------------------------------------
 
     def __len__(self) -> int:
         """Number of distinct element tag paths."""
-        return len(self.stats)
+        return len(self._parent) - 1
 
     def path_count(self, path: Iterable[str]) -> int:
         """Elements at exactly this tag path (0 when absent)."""
-        stats = self.stats.get(tuple(path))
-        return stats.count if stats is not None else 0
+        point = 0
+        for tag in path:
+            point = self._child(point, tag)
+            if point is None:
+                return 0
+        return self._counts()[point] if point else 0
+
+    def _children_of(self, point: int) -> Iterator[int]:
+        order, size = self._order, self._size
+        slot = self._first[point] + 1
+        stop = slot + size[point] - 1
+        while slot < stop:
+            child = order[slot]
+            yield child
+            slot += size[child]
+
+    def _child(self, point: int, tag: str) -> Optional[int]:
+        tags = self._tag
+        for child in self._children_of(point):
+            if tags[child] == tag:
+                return child
+        return None
 
     def path_of(self, node: Node) -> Point:
         """The summary point a document node maps to."""
-        if isinstance(node, AttributeNode):
-            return _ATTR
-        if isinstance(node, TextNode):
-            return _TEXT
-        known = self._node_paths
-        cached = known.get(node.pre)
-        if cached is not None:
-            return cached
-        # Climb to the nearest ancestor whose path is known, then name
-        # the way back down: in a deep document a node's neighbours
-        # share all but the last few steps.
-        path: Point = ()
-        unnamed: List[Node] = []
-        while isinstance(node, ElementNode):
-            cached = known.get(node.pre)
-            if cached is not None:
-                path = cached
-                break
-            unnamed.append(node)
-            node = node.parent
-        for node in reversed(unnamed):
-            path = known[node.pre] = path + (node.name,)
-        return path
-
-    def _strict_descendants(self, prefix: TagPath) -> Iterator[TagPath]:
-        stack = [prefix + (tag,) for tag in self.children.get(prefix, ())]
-        while stack:
-            path = stack.pop()
-            yield path
-            stack.extend(path + (tag,)
-                         for tag in self.children.get(path, ()))
-
-    def _text_below(self, path: TagPath) -> int:
-        if not path:
-            return self.total_text
-        stats = self.stats.get(path)
-        return stats.text_below if stats is not None else 0
+        point = self._columns.path_id[node.pre]
+        if point >= 0:
+            return point
+        return _ATTR if isinstance(node, AttributeNode) else _TEXT
 
     # -- the prefilter ------------------------------------------------------
 
@@ -275,9 +372,8 @@ class PathSummary:
         except _Unsupported:
             return [True] * len(contexts)
 
-    def _all_points(self) -> Iterator[Point]:
-        yield ()
-        yield from self.stats
+    def _all_points(self) -> range:
+        return range(len(self._parent))
 
     def _point_embeds(self, path: "PatternPath", embeds: Dict[Point, bool],
                       point: Point) -> bool:
@@ -333,7 +429,7 @@ class PathSummary:
         axis, test = step.axis, step.test
         out: Set[Point] = set()
         for point in points:
-            if point == _ATTR or point == _TEXT:
+            if point < 0:
                 # Attribute and text nodes have no children, descendants
                 # or attributes; only self:: can keep them alive.
                 if axis in (Axis.SELF, Axis.DESCENDANT_OR_SELF):
@@ -353,72 +449,68 @@ class PathSummary:
                     out.add(_ATTR)
         return out
 
-    def _self_points(self, path: TagPath, test, out: Set[Point]) -> None:
-        if not path:
+    def _self_points(self, point: int, test, out: Set[Point]) -> None:
+        if not point:
             # The document node is neither an element nor text.
             if isinstance(test, AnyKindTest):
-                out.add(path)
+                out.add(point)
             return
         if isinstance(test, NameTest):
-            if path[-1] == test.name:
-                out.add(path)
+            if self._tag[point] == test.name:
+                out.add(point)
         elif isinstance(test, ElementTest):
-            if test.name is None or path[-1] == test.name:
-                out.add(path)
+            if test.name is None or self._tag[point] == test.name:
+                out.add(point)
         elif isinstance(test, (WildcardTest, AnyKindTest)):
-            out.add(path)
+            out.add(point)
 
-    def _child_points(self, path: TagPath, test, out: Set[Point]) -> None:
-        children = self.children.get(path)
-        if children is None:
-            return
+    def _child_points(self, point: int, test, out: Set[Point]) -> None:
         if isinstance(test, NameTest) or (isinstance(test, ElementTest)
                                           and test.name is not None):
-            name = test.name
-            if name in children:
-                out.add(path + (name,))
+            child = self._child(point, test.name)
+            if child is not None:
+                out.add(child)
             return
         if isinstance(test, (WildcardTest, ElementTest)):
-            out.update(path + (tag,) for tag in children)
+            out.update(self._children_of(point))
             return
         if isinstance(test, TextTest):
-            if self.text_counts.get(path, 0):
+            if self._texts()[0][point]:
                 out.add(_TEXT)
             return
         if isinstance(test, AnyKindTest):
-            out.update(path + (tag,) for tag in children)
-            if self.text_counts.get(path, 0):
+            out.update(self._children_of(point))
+            if self._texts()[0][point]:
                 out.add(_TEXT)
 
-    def _descendant_points(self, path: TagPath, test,
-                           out: Set[Point]) -> None:
+    def _descendant_points(self, point: int, test, out: Set[Point]) -> None:
+        low = self._first[point]
+        high = low + self._size[point]
         if isinstance(test, NameTest) or (isinstance(test, ElementTest)
                                           and test.name is not None):
-            depth = len(path)
-            for candidate in self.tag_paths.get(test.name, ()):
-                if len(candidate) > depth and candidate[:depth] == path:
-                    out.add(candidate)
+            first = self._first
+            out.update(candidate
+                       for candidate in self._tag_points.get(test.name, ())
+                       if low < first[candidate] < high)
             return
         if isinstance(test, (WildcardTest, ElementTest)):
-            out.update(self._strict_descendants(path))
+            out.update(self._order[low + 1:high])
             return
         if isinstance(test, TextTest):
-            if self._text_below(path):
+            if self._texts()[1][point]:
                 out.add(_TEXT)
             return
         if isinstance(test, AnyKindTest):
-            out.update(self._strict_descendants(path))
-            if self._text_below(path):
+            out.update(self._order[low + 1:high])
+            if self._texts()[1][point]:
                 out.add(_TEXT)
 
-    def _attribute_matches(self, path: TagPath, test) -> bool:
-        stats = self.stats.get(path)
-        if stats is None:
-            return False
+    def _attribute_matches(self, point: int, test) -> bool:
+        attributes = self._attribute_names().get(point, ())
         if isinstance(test, NameTest):
-            return test.name in stats.attributes
+            return test.name in attributes
         if isinstance(test, (WildcardTest, AnyKindTest)):
-            return bool(stats.attributes)
+            return bool(attributes)
         return False
 
     # -- selectivity estimation ---------------------------------------------
@@ -463,19 +555,16 @@ class PathSummary:
 
     def _point_cardinality(self, points: Set[Point], previous: Set[Point],
                            step) -> float:
+        counts = self._counts()
         total = 0.0
         for point in points:
-            if isinstance(point, tuple):
-                if point:
-                    total += self.stats[point].count
-                else:
-                    total += 1.0
+            if point >= 0:
+                # The document point counts itself: one node.
+                total += counts[point]
             elif point == _TEXT:
-                total += sum(self._text_below(prev)
-                             for prev in previous
-                             if isinstance(prev, tuple))
+                below = self._texts()[1]
+                total += sum(below[prev] for prev in previous if prev >= 0)
             else:   # _ATTR: one attribute per matching owner, roughly
-                total += sum(self.stats[prev].count
-                             for prev in previous
-                             if isinstance(prev, tuple) and prev)
+                total += sum(counts[prev]
+                             for prev in previous if prev > 0)
         return total

@@ -9,8 +9,11 @@ silently wrong answer.
 
 import io
 import json
+import os
 import struct
 import sys
+import threading
+from array import array
 from pathlib import Path
 
 import pytest
@@ -29,7 +32,8 @@ XML = ('<site lang="en"><people><person id="p1"><name>John</name>'
        '<person id="p2"><name>Ada</name></person></people>'
        '<regions><item ref="p1">text &amp; more</item></regions></site>')
 
-_INT_COLUMNS = ("post", "level", "end", "parent", "name_id", "text_id")
+_INT_COLUMNS = ("post", "level", "end", "parent", "name_id", "text_id",
+                "path_id")
 
 
 @pytest.fixture()
@@ -59,6 +63,7 @@ class TestRoundTrip:
             {t: list(s) for t, s in original.attribute_pres.items()}
         assert list(reopened.text_pres) == list(original.text_pres)
         assert list(reopened.element_pres) == list(original.element_pres)
+        assert list(reopened.path_dir) == list(original.path_dir)
         assert reopened.uri == "memory://site"
         assert reopened.is_mapped
         reopened.validate()
@@ -78,10 +83,9 @@ class TestRoundTrip:
     @pytest.mark.skipif(sys.byteorder != "little",
                         reason="the fixture was written little-endian")
     def test_file_the_previous_build_path_wrote(self, tmp_path):
-        """``parent_written.rpxc`` was saved by the recursive parser's
-        build path from the ``nested-attributes`` text of
-        ``parser_nodes.json``: today's build writes the same bytes and
-        reads those."""
+        """``parent_written.rpxc`` is a format-2 file saved from the
+        ``nested-attributes`` text of ``parser_nodes.json``: today's
+        build writes the same bytes and reads those."""
         data = Path(__file__).parent / "data"
         text = json.loads((data / "parser_nodes.json").read_text("utf-8"))[
             "nested-attributes"]["text"]
@@ -98,6 +102,16 @@ class TestRoundTrip:
                     == [serialize(n) for n in Engine(doc).run(query)] != []
         finally:
             reopened.close()
+
+    def test_format_1_file_is_refused(self):
+        """The file the format-1 build wrote from the same text has no
+        path sections: it is refused, never read without them."""
+        written = Path(__file__).parent / "data" / \
+            "format1_parent_written.rpxc"
+        with pytest.raises(StorageError) as err:
+            ColumnarDocument.open(written)
+        assert err.value.context["check"] == "version"
+        assert "format version 1" in str(err.value)
 
     def test_open_without_verify(self, saved):
         _, path = saved
@@ -120,7 +134,45 @@ class TestRoundTrip:
         # .tmp leftovers either way.
         doc.save(path)
         assert is_columnar_file(path)
-        assert list(tmp_path.glob("*.tmp.*")) == []
+        assert list(tmp_path.glob("*.tmp*")) == []
+
+    def test_threads_saving_to_one_path(self, saved, tmp_path):
+        """Every save writes a temp file of its own: two threads saving
+        one document to one path leave a whole file and no temp file."""
+        doc, path = saved
+        failures = []
+
+        def save_often():
+            try:
+                for _ in range(50):
+                    doc.save(path)
+            except Exception as error:   # surfaced by the assert below
+                failures.append(error)
+
+        threads = [threading.Thread(target=save_often) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert failures == []
+        reopened = ColumnarDocument.open(path)
+        try:
+            reopened.validate()
+        finally:
+            reopened.close()
+        assert list(tmp_path.glob("*.tmp*")) == []
+
+    def test_failed_rename_leaves_no_temp_file(self, saved, tmp_path,
+                                               monkeypatch):
+        doc, path = saved
+
+        def refuse(source, target):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            doc.save(tmp_path / "other.rpxc")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["site.rpxc"]
 
     def test_close_is_idempotent(self, saved):
         _, path = saved
@@ -216,6 +268,24 @@ class TestCorruption:
         assert wrong == []
         assert "section-table" in checks
 
+    @pytest.mark.parametrize("path_dir, reason", [
+        ((-1, -1, 0, 0, 2, 1), "a forward parent reference"),
+        ((-1, -1, 0, 0, 1), "an odd length"),
+        ((-1, -1, 0, 99), "a name id out of range"),
+        ((0, 0, 0, 0), "no document point"),
+    ])
+    def test_bad_path_directory(self, tmp_path, path_dir, reason):
+        """The path directory's shape is checked with or without the
+        checksum pass: a bad one is a typed ``path-dir`` error."""
+        columns = IndexedDocument.from_string(XML).columns
+        columns.path_dir = array("i", path_dir)
+        path = tmp_path / "bad.rpxc"
+        columns.save(path)
+        for verify in (False, True):
+            with pytest.raises(StorageError) as err:
+                ColumnarDocument.open(path, verify=verify)
+            assert err.value.context["check"] == "path-dir", reason
+
     def test_not_a_file(self, tmp_path):
         with pytest.raises(StorageError):
             ColumnarDocument.open(tmp_path / "missing.rpxc")
@@ -274,6 +344,27 @@ class TestCliIndex:
             "--format", "xml")
         assert expected_code == got_code == 0
         assert got == expected
+
+    @pytest.mark.parametrize("column", ["path_id", "path_dir"])
+    def test_index_verify_compares_the_path_columns(self, tmp_path,
+                                                    monkeypatch, column):
+        """``--verify`` holds the reopened file to the parsed columns,
+        the path trie included."""
+        xml = tmp_path / "d.xml"
+        xml.write_text(XML, encoding="utf-8")
+        save = ColumnarDocument.save
+
+        def save_then_drift(columns, path):
+            size = save(columns, path)
+            drifted = array("i", getattr(columns, column))
+            drifted[-1] += 1
+            setattr(columns, column, drifted)
+            return size
+
+        monkeypatch.setattr(ColumnarDocument, "save", save_then_drift)
+        code, output = run_cli("index", str(xml), "--verify")
+        assert code == 1
+        assert f"column {column!r} differs" in output
 
     def test_index_default_output_name(self, tmp_path):
         xml = tmp_path / "d.xml"

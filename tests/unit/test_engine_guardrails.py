@@ -1,5 +1,7 @@
 """Engine-level guardrails: input validation, budgets, strategy fallback."""
 
+import gc
+
 import pytest
 
 from repro import Engine
@@ -124,14 +126,31 @@ class TestInputValidation:
             assert engine.document.size == depth + 1
             assert engine.document.nodes_by_pre[-1].level == depth
         # The innermost element, found by a pattern with a predicate.
-        # (One engine at depth 5000: the summary's tag paths are tuples
-        # and take O(depth^2) space, see docs/ROBUSTNESS.md.)
-        for engine in engines[:1 if depth > 500 else None]:
+        for engine in engines:
             [innermost] = engine.run("$input//a[not(a)]")
             assert innermost.level == depth
             assert serialize(innermost) == "<a/>"
         assert main(["query", "count($input//a)", "--doc", str(path)]) == 0
         assert capsys.readouterr().out.strip() == str(depth)
+
+
+    def test_deep_document_memory(self):
+        """The path summary keeps one path index per element: parsing
+        a chain 5 000 deep, its summary and the first query allocate
+        in proportion to the depth, not to its square."""
+        import tracemalloc
+        text = self.nested(5000)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            engine = Engine.from_xml(text)
+            engine.document.summary
+            [innermost] = engine.run("$input//a[not(a)]")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert innermost.level == 5000
+        assert peak < 20_000_000
 
 
 class TestFileErrors:

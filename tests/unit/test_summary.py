@@ -14,6 +14,7 @@ from repro.pattern import parse_pattern
 from repro.xmltree import PathSummary
 from repro.xmltree.node import DocumentNode, ElementNode
 from repro.xmltree.serializer import serialize
+from repro.xmltree.shard import split_document
 from tests.support.nodes import (TreeWalkSummary, made_nodes,
                                  summary_contents)
 
@@ -179,6 +180,80 @@ class TestBuiltFromColumns:
             engine.document.close()
 
 
+class TestBuiltOncePerDocument:
+    """The path trie is written with the other columns — by the
+    scanner, the shard splitter and ``save`` — and the summary only
+    counts over it."""
+
+    QUERY = "$input//person[emailaddress]/name"
+
+    def test_doc_load_round_trip(self, tmp_path):
+        """``from_xml`` → query → ``save`` → ``open`` → query, as one
+        ``doc_load`` operation runs it: the opened file's summary is
+        the parsed one's and reads the path column off the map."""
+        path = tmp_path / "load.rpxc"
+        for persons, seed in ((10, 3), (25, 5), (60, 8)):
+            text = serialize(xmark_document(persons, seed=seed).root)
+            parsed = Engine.from_xml(text)
+            first = [serialize(row) for row in parsed.run(self.QUERY)]
+            parsed.document.save(path)
+            opened = Engine.from_columnar_file(str(path))
+            try:
+                second = [serialize(row) for row in opened.run(self.QUERY)]
+                assert first == second
+                columns = opened.document.columns
+                assert isinstance(columns.path_id, memoryview)
+                assert columns.path_id.obj is columns._source
+                assert summary_contents(opened.document.summary) == \
+                    summary_contents(parsed.document.summary) == \
+                    summary_contents(TreeWalkSummary(parsed.document.root))
+            finally:
+                opened.document.close()
+
+    def test_shards_summarize_like_the_tree_walk(self):
+        document = xmark_document(40, seed=2)
+        shards = split_document(document.columns, 3)
+        assert len(shards) == 3
+        for shard in shards:
+            shard.columns.validate()
+            part = IndexedDocument(columns=shard.columns)
+            assert summary_contents(part.summary) == \
+                summary_contents(TreeWalkSummary(part.root))
+
+    def test_no_python_work_per_node(self):
+        """Ten times the nodes on the same paths run the same lines of
+        the summary module: building it and answering every kind of
+        step is counted over the columns, never walked node by node."""
+        unit = '<p a="1"><n>x</n><m/>y</p>'
+
+        def lines(copies):
+            document = IndexedDocument.from_string(
+                f"<r>{unit * copies}</r>")
+            module = sys.modules[PathSummary.__module__].__file__
+            count = 0
+
+            def tracer(frame, event, arg):
+                nonlocal count
+                if frame.f_code.co_filename == module and event == "line":
+                    count += 1
+                return tracer
+
+            previous = sys.gettrace()
+            sys.settrace(tracer)
+            try:
+                summary = PathSummary(document)
+                for text in ("desc::p[child::n/child::text()]/attribute::a",
+                             "desc::*[desc::text()]/child::m"):
+                    summary.pattern_volume(path(text))
+                    summary.can_match(path(text))
+                summary.path_count(("r", "p", "n"))
+            finally:
+                sys.settrace(previous)
+            return count
+
+        assert lines(20) == lines(200)
+
+
 class TestCanMatch:
     @pytest.fixture(scope="class")
     def summary(self):
@@ -212,9 +287,21 @@ class TestCanMatch:
         # Globally <a> under <b> exists; from the deep <b> leaf it
         # cannot (that b has no element children).
         assert summary.can_match(path("child::a"), inner_b)
-        leaf = [node for node in inner_b
-                if summary.path_of(node) == ("a", "a", "a", "b")]
+        leaf = [node for node in inner_b if node.level == 4]
+        assert len(leaf) == 1
         assert not summary.can_match(path("child::a"), leaf)
+
+    def test_points_are_path_indices(self, summary):
+        """An element's point is its path's index, counted from 1 in
+        the order of :attr:`~PathSummary.stats`; the document is 0."""
+        document = summary.document
+        paths = [()] + list(summary.stats)
+        for node in document.all_elements():
+            tags = tuple(above.name for above in
+                         reversed([node] + list(node.iter_ancestors()))
+                         if isinstance(above, ElementNode))
+            assert paths[summary.path_of(node)] == tags
+        assert summary.path_of(document.root) == 0
 
     def test_positions_never_prune(self, summary):
         # [5] cannot be satisfied (single child) but positions are
