@@ -146,7 +146,7 @@ _NEW = object.__new__
 class ColumnarDocument:
     """The region encoding of one document as contiguous integer columns.
 
-    The XML scanner (:func:`~repro.xmltree.parser.parse_columns`) builds
+    The XML parser (:func:`~repro.xmltree.parser.parse_columns`) builds
     one, or :meth:`open` maps a saved file.  All columns are read-only
     sequences of Python ints (``array`` when built in memory,
     ``memoryview`` casts over the mmap when opened from disk); string

@@ -10,7 +10,7 @@ A document is always a :class:`~repro.xmltree.columnar.ColumnarDocument`
 — integer columns and ``pre`` streams — and a node table that starts
 empty.  There are two ways in: XML text (:meth:`IndexedDocument.from_string`,
 which :func:`~repro.xmltree.builder.build_document` and the generators
-of :mod:`repro.data` write before they parse), where the scanner appends
+of :mod:`repro.data` write before they parse), where the parser appends
 to the columns, and a saved file (:meth:`IndexedDocument.open`), which
 maps them.  The joins run on the columns.
 :meth:`IndexedDocument.node_at` makes the one node asked for (and the
@@ -200,6 +200,9 @@ class IndexedDocument:
         ``REPRO-STORAGE`` error."""
         columns = self._columns
         if columns is not None and columns.is_mapped:
+            # The stream dicts hold views on the map: while they live,
+            # it cannot be unmapped.
+            self._tag_pres = self._attribute_pres = {}
             columns.close()
             self._tag_pres = columns.tag_pres
             self._attribute_pres = columns.attribute_pres

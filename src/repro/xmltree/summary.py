@@ -2,7 +2,7 @@
 
 A :class:`PathSummary` is derived from the path trie a document carries
 in its columns (``path_id`` and ``path_dir``, see
-:mod:`repro.xmltree.columnar`: the scanner, the shard splitter and
+:mod:`repro.xmltree.columnar`: the parser, the shard splitter and
 ``open`` write them) and never invalidated (documents are immutable).
 Every distinct root-to-node *tag path* — the element names from the
 document element down to a node — is a path index, and the summary

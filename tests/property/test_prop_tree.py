@@ -135,8 +135,8 @@ def xml_texts(draw, max_depth=4):
     def element(depth):
         tag = draw(st.sampled_from(TAGS + ["n:s", "_u"]))
         attributes = "".join(
-            f"{draw(st.sampled_from([' ', '', '  ']))}{name}="
-            f"{quote}{draw(st.sampled_from(['', 'v', '&quot;', '<']))}"
+            f"{draw(st.sampled_from([' ', chr(10), '  ']))}{name}="
+            f"{quote}{draw(st.sampled_from(['', 'v', '&quot;', '&lt;']))}"
             f"{quote}"
             for name, quote in zip(
                 draw(st.lists(st.sampled_from(["i", "j", "k:l"]),

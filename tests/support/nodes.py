@@ -11,7 +11,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.xmltree import E, IndexedDocument, assign_regions, write_xml
 from repro.xmltree.node import (AttributeNode, DocumentNode, ElementNode,
                                 Node, TextNode)
-from repro.xmltree.parser import parse_nodes, parse_xml
+from repro.xmltree.parser import parse_columns, parse_xml
 from repro.xmltree.summary import PathStats
 
 
@@ -105,7 +105,7 @@ def check_parser_numbering(text: str) -> None:
     """The parser's table is dense, in document order and numbered as
     :func:`assign_regions` numbers the same tree; the streams of
     :class:`IndexedDocument` are what walking the tree gives."""
-    table = parse_nodes(text)
+    table = parse_columns(text).all_nodes()
     root = table[0]
     assert [node.pre for node in table] == list(range(len(table)))
     assert all(ours is walked

@@ -321,6 +321,19 @@ class TestClose:
         finally:
             again.close()
 
+    def test_close_unmaps_at_once(self, path):
+        """The stream dicts of an opened document are views on the map;
+        ``close`` lets go of them first, so the map is closed then and
+        not when the collector gets to them."""
+        opened = IndexedDocument.open(path)
+        held = opened.stream("b")[0]
+        Engine(opened).run("$input//c[@x]/d")
+        source = opened.columns._source
+        opened.close()
+        assert source.closed
+        assert held.string_value() == "t"
+        assert [node.pre for node in opened.attribute_stream("x")] == [5]
+
     def test_a_parsed_document_has_nothing_to_close(self):
         document = IndexedDocument.from_string(self.XML)
         document.close()
