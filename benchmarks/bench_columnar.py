@@ -2,7 +2,7 @@
 
 Three measurements of ``repro.xmltree.columnar`` (docs/STORAGE.md):
 
-* **build & persist** — parse time (the scanner appends straight to
+* **build & persist** — parse time (the parser appends straight to
   the columns), save time and on-disk size for the Table 1 MemBeR
   series;
 * **catalog open** — re-parsing the XML (what ``DocumentCatalog`` paid

@@ -1,7 +1,7 @@
 """The columnar document store: invariants, the facade, node_at.
 
 Property tests drive randomly generated documents — with attributes and
-text, the parts a tag-only generator misses — through the scanner's
+text, the parts a tag-only generator misses — through the parser's
 columns (``build_document``) and check the region-encoding invariants
 the join algorithms rely on: dense ``pre``, ``post`` a permutation,
 subtree intervals properly nested or disjoint, ``parent``/``level``

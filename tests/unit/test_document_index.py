@@ -67,7 +67,7 @@ class TestParserTable:
         assert doc.nodes_by_pre[0] is doc.root
 
     def test_parsing_and_compiling_make_no_node(self):
-        """The scanner appends to columns and a compile reads them: no
+        """The parser appends to columns and a compile reads them: no
         node object exists until a result is asked for."""
         counted = (DocumentNode, ElementNode, AttributeNode, TextNode)
         gc.collect()

@@ -182,7 +182,7 @@ class TestBuiltFromColumns:
 
 class TestBuiltOncePerDocument:
     """The path trie is written with the other columns — by the
-    scanner, the shard splitter and ``save`` — and the summary only
+    parser, the shard splitter and ``save`` — and the summary only
     counts over it."""
 
     QUERY = "$input//person[emailaddress]/name"
