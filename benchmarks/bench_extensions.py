@@ -83,36 +83,6 @@ def generate_positional_table(node_count=None, repeats=3) -> str:
         rows, ["TTPs", "nljoin", "twigjoin", "scjoin"], cells)
 
 
-def generate_multi_output_table(person_count=None, repeats=3) -> str:
-    """Q5-style FLWOR compositions with the multi-variable merge on/off."""
-    person_count = person_count or scaled(300, 50)
-    document = xmark_document(person_count, seed=19992001)
-    engines = {
-        "off": Engine(document),
-        "on": Engine(document, optimizer_options=OptimizerOptions(
-            enable_multi_output=True)),
-    }
-    queries = {
-        "Q5": "for $x in $input//person[emailaddress] return $x/name",
-        "Q5b": "for $a in $input//open_auction return $a/bidder/increase",
-    }
-    cells = {}
-    rows = []
-    for query_name, query in sorted(queries.items()):
-        for mode, engine in engines.items():
-            plan = engine.compile(query)
-            row = f"{query_name} multi={mode}"
-            rows.append(row)
-            cells[(row, "TTPs")] = float(plan.tree_pattern_count())
-            for strategy in ("nljoin", "twigjoin"):
-                cells[(row, strategy)] = time_call(
-                    lambda e=engine, p=plan, s=strategy:
-                    e.execute(p, strategy=s), repeats=repeats)
-    return render_table(
-        f"Multi-variable tree patterns ({person_count} persons)",
-        rows, ["TTPs", "nljoin", "twigjoin"], cells)
-
-
 def generate_chooser_table(repeats=3) -> str:
     # Without the summary prefilter, which proves the branching twig
     # empty on a 100-tag document and would time no algorithm.
@@ -143,7 +113,5 @@ def generate_chooser_table(repeats=3) -> str:
 
 if __name__ == "__main__":
     print(generate_positional_table())
-    print()
-    print(generate_multi_output_table())
     print()
     print(generate_chooser_table())

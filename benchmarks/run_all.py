@@ -40,8 +40,6 @@ def main() -> int:
          bench_xmark_catalog.generate_table),
         ("Extensions: positional patterns (Section 7)",
          bench_extensions.generate_positional_table),
-        ("Extensions: multi-variable patterns (Section 1)",
-         bench_extensions.generate_multi_output_table),
         ("Extensions: cost-based choice (Section 7)",
          bench_extensions.generate_chooser_table),
         ("Serving layer under load (docs/SERVING.md, E8)",

@@ -67,13 +67,6 @@ class OptimizerOptions:
     #: work): fold ``step[n]`` selections into the pattern (rule (g)).
     #: Off by default to keep the paper's Figure 1/Q3 plan shapes.
     enable_positional: bool = False
-    #: the multi-variable tree-pattern extension (the paper's Section 1
-    #: future work): when an order-preserving merge (rule (d)) is not
-    #: available, merge anyway keeping the junction annotated — the
-    #: multi-output pattern's lexical binding order equals the
-    #: composition's order (rule (m)).  Off by default to keep the
-    #: paper's Q5 two-pattern plan shape.
-    enable_multi_output: bool = False
 
 
 class _FieldNamer:
@@ -272,10 +265,6 @@ class _Optimizer:
                 result = self._rule_d(plan, insensitive, live)
                 if result is not plan:
                     return result
-                if self.options.enable_multi_output:
-                    result = self._rule_m(plan)
-                    if result is not plan:
-                        return result
         if isinstance(plan, Select) and self.options.enable_merge:
             result = self._rule_e(plan)
             if result is not plan:
@@ -398,49 +387,6 @@ class _Optimizer:
             return plan
         out = outer_pattern.extraction_point.output_field
         merged = inner_pattern.append_path(outer_pattern.path, out)
-        return TupleTreePattern(merged, inner.input)
-
-    def _rule_m(self, plan: TupleTreePattern) -> Plan:
-        """Multi-variable merge: compose patterns *keeping* the junction.
-
-        When rule (d)'s order guard blocks (the paper's Q5 situation),
-        the composition can still become one pattern by keeping the
-        junction's output annotation: a multi-output pattern returns its
-        bindings in root-to-leaf lexical order (Section 4.1), which is
-        exactly the order and multiplicity of the two composed
-        operators.  The junction field stays in the output tuples, so
-        downstream readers are unaffected.
-
-        Soundness needs the *inner* extraction bindings to enumerate
-        without cross-branch duplicates when the inner pattern is
-        single-output (its per-tuple XPath semantics deduplicates):
-        a single spine step from a singleton context always qualifies;
-        an already-multi-output inner has lexical semantics and composes
-        freely.
-        """
-        inner = plan.input
-        if not isinstance(inner, TupleTreePattern):
-            return plan
-        outer_pattern, inner_pattern = plan.pattern, inner.pattern
-        if outer_pattern.extraction_point.output_field is None:
-            return plan
-        if not (outer_pattern.is_downward() and inner_pattern.is_downward()):
-            return plan
-        junction = inner_pattern.extraction_point.output_field
-        if junction is None or outer_pattern.input_field != junction:
-            return plan
-        if inner_pattern.is_single_output_at_extraction_point():
-            safe = (len(inner_pattern.path.steps) == 1
-                    or all(step.axis in _SEPARATION_PRESERVING_AXES
-                           for step in inner_pattern.path.steps))
-            if not safe:
-                return plan
-            if not _field_is_singleton(inner.input,
-                                       inner_pattern.input_field):
-                return plan
-        out = outer_pattern.extraction_point.output_field
-        merged = inner_pattern.append_path_keeping_output(
-            outer_pattern.path, out)
         return TupleTreePattern(merged, inner.input)
 
     def _composition_order_safe(self, inner: TupleTreePattern) -> bool:

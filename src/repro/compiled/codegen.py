@@ -499,16 +499,6 @@ class _Codegen:
     def _ttp_body(self, plan: TupleTreePattern,
                   push: Callable[[], None]) -> None:
         pattern: TreePattern = plan.pattern
-        main_fields = [step.output_field for step in pattern.path.steps
-                       if step.output_field is not None]
-        if len(main_fields) != len(pattern.output_fields()):
-            # Predicate-branch output fields would be bound dynamically
-            # per binding dict; the optimizer never emits them
-            # (``add_predicates`` strips branch outputs), so refuse
-            # rather than guess.
-            raise CodegenError(
-                "cannot compile a tree pattern with output fields on "
-                f"predicate branches: {pattern.to_string()}")
         if TreePatternAlgorithm.is_pipeline_breaker:
             self.breakers.append("pattern")
         pattern_const = self.const(pattern)
@@ -529,7 +519,8 @@ class _Codegen:
             binding = self.fresh("t")
             self.emit(f"for {binding} in {bindings}:")
             with self.block():
-                locals_ = {name: self.fresh("f") for name in main_fields}
+                locals_ = {name: self.fresh("f")
+                           for name in pattern.output_fields()}
                 for name, local in locals_.items():
                     self.emit(f"{local} = [{binding}[{name!r}]]")
                 with self.scoped_fields(locals_):

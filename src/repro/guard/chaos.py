@@ -25,8 +25,8 @@ point is one global load and an ``is None`` compare.
     assert injector.log  # the fault fired (and the engine fell back)
 
 Site naming: ``<algorithm>.<operation>`` — ``match`` for
-``match_single``, ``enumerate`` for ``enumerate_bindings``, ``choose``
-for a chooser decision — plus ``eval.ttp``, the evaluator-side wrapper
+``match_single``, ``choose`` for a chooser decision — plus
+``eval.ttp``, the evaluator-side wrapper
 around every pattern evaluation.  Specs may use ``fnmatch`` wildcards
 (``"*.match"``); exact names are validated against
 :data:`KNOWN_SITES`.
@@ -55,8 +55,8 @@ __all__ = ["ChaosInjector", "ChaosSpec", "InjectedFault", "KNOWN_SITES",
 #: ``tests/chaos/test_chaos_serve.py``).
 KNOWN_SITES = (
     "eval.ttp",
-    "nljoin.match", "nljoin.enumerate",
-    "twigjoin.match", "twigjoin.enumerate",
+    "nljoin.match",
+    "twigjoin.match",
     "scjoin.match",
     "stacktree.match",
     "streaming.match",

@@ -10,7 +10,8 @@ A tree pattern names the tuple field holding the context nodes
 (``IN#dot``), then a path of steps; each step may carry predicate
 *branches* (existential sub-patterns in square brackets) and an optional
 *output field* annotation in curly braces.  The *extraction point* is
-the last step of the main path (Definition 4.1).
+the last step of the main path (Definition 4.1).  Only main-path steps
+bind a field, each field once: ``parse_pattern`` refuses the rest.
 
 The structure is immutable-by-convention: the merge operations used by
 the algebraic rules (d)/(e) return new patterns.  That is what makes the
@@ -196,17 +197,10 @@ class TreePattern:
 
     @cached_property
     def _output_fields(self) -> tuple[str, ...]:
-        fields: list[str] = []
-
-        def collect(path: PatternPath) -> None:
-            for step in path.steps:
-                if step.output_field is not None:
-                    fields.append(step.output_field)
-                for predicate in step.predicates:
-                    collect(predicate)
-
-        collect(self.path)
-        return tuple(fields)
+        # Predicate branches are existential: no evaluator binds an
+        # annotation inside one, and ``parse_pattern`` refuses them.
+        return tuple(step.output_field for step in self.path.steps
+                     if step.output_field is not None)
 
     @cached_property
     def single_output_field(self) -> Optional[str]:
@@ -240,22 +234,6 @@ class TreePattern:
             continuation.steps[:-1]
             + (continuation.last.with_output(output_field),))
         return TreePattern(self.input_field, trimmed.concat(continuation))
-
-    def append_path_keeping_output(self, continuation: PatternPath,
-                                   output_field: Optional[str]
-                                   ) -> "TreePattern":
-        """The multi-variable merge: extend the main path while *keeping*
-        the old extraction point's output annotation.
-
-        The result is a multi-output pattern whose root-to-leaf lexical
-        binding order coincides with the order of the two composed
-        single-output patterns — the basis of the multi-variable
-        tree-pattern extension (the paper's "future work" in Section 1).
-        """
-        continuation = PatternPath(
-            continuation.steps[:-1]
-            + (continuation.last.with_output(output_field),))
-        return TreePattern(self.input_field, self.path.concat(continuation))
 
     def add_predicates(self, branches: List[PatternPath]) -> "TreePattern":
         """Rule (e): attach existential branches at the extraction point.
@@ -292,9 +270,14 @@ class _PatternParser:
     def __init__(self, text: str) -> None:
         self.text = text.strip()
         self.pos = 0
+        #: how many predicate branches enclose the current step.
+        self.branch_depth = 0
+        #: the main path's output fields so far.
+        self.fields: set[str] = set()
 
-    def error(self, message: str) -> PatternError:
-        return PatternError(f"{message} (at offset {self.pos} in {self.text!r})")
+    def error(self, message: str, at: Optional[int] = None) -> PatternError:
+        offset = self.pos if at is None else at
+        return PatternError(f"{message} (at offset {offset} in {self.text!r})")
 
     def expect(self, token: str) -> None:
         if not self.text.startswith(token, self.pos):
@@ -370,8 +353,20 @@ class _PatternParser:
         position: Optional[int] = None
         while self.pos < len(self.text) and self.text[self.pos] in "{[":
             if self.text[self.pos] == "{":
+                # Only the main path binds, one field per step, each
+                # field once: what the evaluators honour.
+                brace = self.pos
+                if self.branch_depth:
+                    raise self.error("a predicate branch binds no output "
+                                     "field")
+                if output_field is not None:
+                    raise self.error("a step binds at most one output field")
                 self.pos += 1
                 output_field = self._name()
+                if output_field in self.fields:
+                    raise self.error(f"output field {output_field!r} is "
+                                     "bound twice", at=brace)
+                self.fields.add(output_field)
                 self.expect("}")
             else:
                 self.pos += 1
@@ -381,7 +376,9 @@ class _PatternParser:
                         self.pos += 1
                     position = int(self.text[start:self.pos])
                 else:
+                    self.branch_depth += 1
                     predicates.append(self.parse_path())
+                    self.branch_depth -= 1
                 self.expect("]")
         return PatternStep(axis=axis, test=test,
                            predicates=tuple(predicates),

@@ -1,31 +1,29 @@
 """Interface shared by the physical tree-pattern algorithms.
 
-Every algorithm answers two requests about a
-:class:`~repro.pattern.TreePattern`'s path:
+Every algorithm answers one request about a
+:class:`~repro.pattern.TreePattern`'s path, :meth:`match_single`: the
+XPath result of the main path (with its existential predicate
+branches) from a *sequence* of context nodes — document order,
+duplicate-free.  This is the semantics of the single-output patterns
+the optimizer generates (Section 4.1: "the semantics coincide with the
+XPath semantics in the case there is only an output field on the
+extraction point").  A pattern with other annotations — the
+multi-output semantics of Section 4.1's example, all bindings in
+root-to-leaf lexical order — has one evaluator, the reference NLJoin
+(:meth:`~repro.physical.nljoin.NLJoin.enumerate_bindings`), whatever
+the strategy; the optimizer never emits one.
 
-* :meth:`match_single` — the XPath result of the main path (with its
-  existential predicate branches) from a *sequence* of context nodes:
-  document order, duplicate-free.  This is the semantics the optimizer
-  relies on for the single-output patterns it generates (Section 4.1:
-  "the semantics coincide with the XPath semantics in the case there is
-  only an output field on the extraction point").
-* :meth:`enumerate_bindings` — all bindings of the pattern's annotated
-  nodes from a single context node, in root-to-leaf lexical order
-  (the multi-output semantics illustrated in Section 4.1's example).
-
-:meth:`evaluate` is the template method that dispatches between the
-two semantics for one input tuple; :meth:`evaluate_each`, which the
-``TupleTreePattern`` operator calls, answers a whole batch of tuples —
-by looping over :meth:`evaluate` unless the algorithm has a batch
-kernel (SCJoin does).  Every request takes the :class:`Run` it belongs
+:meth:`evaluate` answers one input tuple; :meth:`evaluate_each`, which
+the ``TupleTreePattern`` operator calls, answers a whole batch of
+tuples — by looping over :meth:`evaluate` unless the algorithm has a
+batch kernel (SCJoin does).  Every request takes the :class:`Run` it belongs
 to — counters, budgets, trace and summary — as its last argument and
 hands it on; an algorithm object holds nothing per run, so one instance
 per strategy serves every engine and thread.
 
 Each algorithm declares the fragment it evaluates as class data
-(:attr:`TreePatternAlgorithm.axes` and three flags) and implements
-:meth:`~TreePatternAlgorithm._match` and, if it enumerates,
-:meth:`~TreePatternAlgorithm._enumerate`.  This module alone decides who
+(:attr:`TreePatternAlgorithm.axes` and two flags) and implements
+:meth:`~TreePatternAlgorithm._match`.  This module alone decides who
 evaluates a path: the algorithm inside its fragment, the one shared
 NLJoin outside — whose work counts under ``nljoin`` and passes the
 ``nljoin.*`` chaos sites.
@@ -110,22 +108,21 @@ class TreePatternAlgorithm:
     #: The fragment the algorithm evaluates itself, as data (the
     #: feature catalogue of twig algorithms in Hachicha & Darmont's
     #: survey): the axes it steps along, predicate branches included,
-    #: and whether it takes ``text()`` tests, positional steps and
-    #: binding enumeration.  The defaults are NLJoin's — everything —
-    #: and a chooser's, which hands every pattern to a member.
+    #: and whether it takes ``text()`` tests and positional steps.  The
+    #: defaults are NLJoin's — everything — and a chooser's, which hands
+    #: every pattern to a member.
     axes: FrozenSet[Axis] = _ALL_AXES
     text_tests = True
     positions = True
-    enumerates = True
 
     #: does part of the pattern language lie outside the fragment, for
-    #: the shared NLJoin?  Derived from the four declarations above.
+    #: the shared NLJoin?  Derived from the three declarations above.
     partial = False
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls.partial = (cls.axes != _ALL_AXES or not cls.text_tests
-                       or not cls.positions or not cls.enumerates)
+                       or not cls.positions)
 
     def covers(self, path: PatternPath, contexts: List[Node]) -> bool:
         """Is ``path`` from ``contexts`` inside this algorithm's
@@ -145,22 +142,8 @@ class TreePatternAlgorithm:
             return self._match(document, contexts, path, run)
         return NLJOIN.match_single(document, contexts, path, run)
 
-    def enumerate_bindings(self, document: IndexedDocument, context: Node,
-                           path: PatternPath,
-                           run: Run = NO_RUN) -> List[Binding]:
-        """The algorithm's own :meth:`_enumerate` inside its fragment,
-        the shared NLJoin outside."""
-        if not self.partial or (self.enumerates
-                                and self.covers(path, [context])):
-            return self._enumerate(document, context, path, run)
-        return NLJOIN.enumerate_bindings(document, context, path, run)
-
     def _match(self, document: IndexedDocument, contexts: List[Node],
                path: PatternPath, run: Run) -> List[Node]:
-        raise NotImplementedError
-
-    def _enumerate(self, document: IndexedDocument, context: Node,
-                   path: PatternPath, run: Run) -> List[Binding]:
         raise NotImplementedError
 
     def evaluate(self, document: IndexedDocument, contexts: List[Node],
@@ -245,8 +228,8 @@ class TreePatternAlgorithm:
             return [{out_field: node} for node in nodes]
         bindings: list[Binding] = []
         for context in contexts:
-            bindings.extend(self.enumerate_bindings(document, context,
-                                                    pattern.path, run))
+            bindings.extend(NLJOIN.enumerate_bindings(document, context,
+                                                      pattern.path, run))
         return bindings
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

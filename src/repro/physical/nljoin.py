@@ -11,7 +11,8 @@ streams.
 
 NLJoin is the *reference semantics*: it supports every axis, predicate
 branches and the positional extension, and the other algorithms are
-differentially tested against it.
+differentially tested against it.  It alone enumerates the bindings of
+a multi-output pattern, for every strategy.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from ..pattern import PatternPath, PatternStep
 from ..xmltree.axes import step as axis_step
 from ..xmltree.document import IndexedDocument, ddo
 from ..xmltree.node import Node
-from .base import Binding, Run, TreePatternAlgorithm
+from .base import NO_RUN, Binding, Run, TreePatternAlgorithm
 
 
 class NLJoin(TreePatternAlgorithm):
@@ -42,11 +43,15 @@ class NLJoin(TreePatternAlgorithm):
             current = ddo(produced)
         return chaos_point("nljoin.match", current)
 
-    def _enumerate(self, document: IndexedDocument, context: Node,
-                   path: PatternPath, run: Run) -> List[Binding]:
+    def enumerate_bindings(self, document: IndexedDocument, context: Node,
+                           path: PatternPath,
+                           run: Run = NO_RUN) -> List[Binding]:
+        """All bindings of the main path's annotated steps from one
+        context node, in root-to-leaf lexical order: the multi-output
+        semantics of Section 4.1, which every strategy answers here."""
         bindings: list[Binding] = []
         self._bind(context, path.steps, 0, {}, bindings, run)
-        return chaos_point("nljoin.enumerate", bindings)
+        return bindings
 
     # -- helpers ------------------------------------------------------------
 

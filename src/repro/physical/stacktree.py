@@ -51,9 +51,6 @@ class StackTreeJoin(TreePatternAlgorithm):
                       Axis.ATTRIBUTE))
     text_tests = False
     positions = False
-    #: Binary joins manipulate whole lists; binding enumeration goes to
-    #: the navigational reference.
-    enumerates = False
 
     def _match(self, document: IndexedDocument, contexts: List[Node],
                path: PatternPath, run: Run) -> List[Node]:

@@ -69,11 +69,6 @@ class StaircaseJoin(TreePatternAlgorithm):
 
     name = "scjoin"
     axes = frozenset(axis for axis in Axis if axis.is_downward)
-    #: Binding enumeration is inherently tuple-at-a-time; the staircase
-    #: join is a set-at-a-time algorithm, so multi-output patterns go to
-    #: NLJoin (the optimizer only emits single-output patterns — see
-    #: DESIGN.md).
-    enumerates = False
 
     def _match(self, document: IndexedDocument, contexts: List[Node],
                path: PatternPath, run: Run) -> List[Node]:
@@ -90,7 +85,7 @@ class StaircaseJoin(TreePatternAlgorithm):
                       run: Run = NO_RUN) -> List[List[Binding]]:
         if (pattern.single_output_field is None
                 or not self.covers(pattern.path, contexts)):
-            # Binding enumeration and NLJoin's work are per tuple.
+            # NLJoin's work is per tuple.
             return super().evaluate_each(document, contexts, pattern, run)
         return self._invoke(self._match_each, document, contexts, pattern,
                             True, run)

@@ -111,10 +111,6 @@ class Chooser(TreePatternAlgorithm):
         return self.choose(document, contexts, path, run).match_single(
             document, contexts, path, run)
 
-    def _enumerate(self, document, context, path, run):
-        return self.choose(document, [context], path, run) \
-            .enumerate_bindings(document, context, path, run)
-
 
 class HeuristicChooser(Chooser):
     """Per-evaluation dispatch between NL, Twig and Staircase.

@@ -56,11 +56,9 @@ class StreamingXPath(TreePatternAlgorithm):
     name = "streaming"
     axes = frozenset(axis for axis in Axis if axis.is_downward)
     text_tests = False
-    #: Positional steps need per-anchor ordered buffering, and binding
-    #: enumeration random access to completed matches; this matcher
-    #: implements neither.
+    #: Positional steps need per-anchor ordered buffering, which this
+    #: matcher does not implement.
     positions = False
-    enumerates = False
 
     def _match(self, document: IndexedDocument, contexts: List[Node],
                path: PatternPath, run: Run) -> List[Node]:

@@ -18,8 +18,7 @@ Since the columnar refactor the sweep runs entirely in *integer space*:
 streams, stacks and candidates are ``pre`` numbers, the open/closed
 bookkeeping reads the document's ``end`` column, edges are checked
 against the ``parent``/``kind`` columns, and node objects are
-materialized only at the result boundary (the returned matches or
-bindings).
+materialized only at the result boundary (the returned matches).
 
 Each ``TupleTreePattern`` evaluation scans the streams restricted (by
 binary search) to the context node's region, which gives TwigJoin the
@@ -42,7 +41,7 @@ from ..xmltree.columnar import KIND_ATTRIBUTE, ColumnarDocument
 from ..xmltree.document import IndexedDocument
 from ..xmltree.node import Node
 from ..xmltree.nodetest import NodeTest
-from .base import Binding, Run, TreePatternAlgorithm
+from .base import Run, TreePatternAlgorithm
 
 
 @dataclass
@@ -51,7 +50,6 @@ class _QueryNode:
 
     axis: Axis
     test: NodeTest
-    output_field: Optional[str]
     on_spine: bool
     index: int
     position: Optional[int] = None
@@ -73,7 +71,6 @@ def _build_query_tree(path: PatternPath, on_spine: bool,
     previous: Optional[_QueryNode] = None
     for step in path.steps:
         node = _QueryNode(axis=step.axis, test=step.test,
-                          output_field=step.output_field,
                           on_spine=on_spine, index=len(nodes),
                           position=step.position)
         nodes.append(node)
@@ -82,12 +79,8 @@ def _build_query_tree(path: PatternPath, on_spine: bool,
             previous.children.append(node)
             node.parent = previous
         for branch in step.predicates:
-            # Predicate branches are purely existential: output
-            # annotations inside them are outside the supported fragment
-            # (the optimizer strips them — see TreePattern.add_predicates)
-            # and are ignored, matching the NLJoin reference semantics.
-            branch_root = _build_query_tree(branch.strip_outputs(),
-                                            on_spine=False, nodes=nodes)
+            branch_root = _build_query_tree(branch, on_spine=False,
+                                            nodes=nodes)
             branch_root.parent = node
             node.children.append(branch_root)
         if first is None:
@@ -117,23 +110,6 @@ class TwigJoin(TreePatternAlgorithm):
         return chaos_point("twigjoin.match",
                            [document.node_at(pre)
                             for pre in sorted(set(results))])
-
-    def _enumerate(self, document: IndexedDocument, context: Node,
-                   path: PatternPath, run: Run) -> List[Binding]:
-        columns = document.columns
-        nodes: List[_QueryNode] = []
-        root = _build_query_tree(path, on_spine=True, nodes=nodes)
-        matches = _twig_matches(columns, context.pre, context.end, root,
-                                nodes, run)
-        bindings: List[Binding] = []
-        for match in matches:
-            binding: Binding = {}
-            for query_node in nodes:
-                if query_node.output_field is not None:
-                    binding[query_node.output_field] = \
-                        document.node_at(match[query_node.index])
-            bindings.append(binding)
-        return chaos_point("twigjoin.enumerate", bindings)
 
     def _solve(self, columns: ColumnarDocument, context: Node,
                path: PatternPath, run: Run):
@@ -277,11 +253,9 @@ def _expand(columns: ColumnarDocument, context_pre: int, root: _QueryNode,
             nodes: List[_QueryNode], governor=None) -> list:
     """Merge candidates into full matches, enforcing exact axes.
 
-    Spine nodes are enumerated; branch nodes without output annotations
-    are checked existentially (a semi-join), which keeps extraction-only
-    evaluation linear in the number of spine matches.  Branch nodes that
-    carry output fields are enumerated too, producing bindings in
-    root-to-leaf lexical order.
+    Spine nodes are enumerated; branch nodes are checked existentially
+    (a semi-join), which keeps extraction evaluation linear in the
+    number of spine matches.
     """
     matches: List[List[Optional[int]]] = []
     assignment: dict = {}

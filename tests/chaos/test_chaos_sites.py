@@ -88,52 +88,6 @@ class TestCoverage:
             assert fired > 0, f"site {site} never fired on any QE query"
 
 
-class TestEnumerateSites:
-    """The ``*.enumerate`` sites need a multi-output pattern (QE1–QE6
-    are all single-output)."""
-
-    QUERY = "for $x in $input//person return $x/name"
-    XML = ("<doc><person><name>a</name></person>"
-           "<person><name>b</name><person><name>c</name></person>"
-           "</person></doc>")
-
-    def multi_engine(self, **kwargs):
-        from repro import Engine
-        from repro.algebra.optimizer import OptimizerOptions
-        return Engine.from_xml(
-            self.XML,
-            optimizer_options=OptimizerOptions(enable_multi_output=True),
-            **kwargs)
-
-    @pytest.mark.parametrize("site,strategy", [
-        ("nljoin.enumerate", "nljoin"),
-        ("twigjoin.enumerate", "twigjoin"),
-    ])
-    def test_strict_surfaces_fault(self, site, strategy):
-        engine = self.multi_engine(strict=True)
-        compiled = engine.compile(self.QUERY)
-        assert compiled.tree_pattern_count() == 1  # merged, multi-output
-        with inject(ChaosSpec(site=site)) as injector:
-            with pytest.raises(InjectedFault):
-                engine.execute(compiled, strategy=strategy)
-        assert injector.fired(site) > 0
-
-    @pytest.mark.parametrize("site,strategy", [
-        ("nljoin.enumerate", "nljoin"),
-        ("twigjoin.enumerate", "twigjoin"),
-    ])
-    def test_fallback_recovers(self, site, strategy):
-        engine = self.multi_engine()
-        compiled = engine.compile(self.QUERY)
-        baseline = keys(engine.execute(compiled, strategy="nljoin"))
-        metrics = ExecMetrics()
-        with inject(ChaosSpec(site=site)):
-            recovered = engine.execute(compiled, strategy=strategy,
-                                       metrics=metrics)
-        assert keys(recovered) == baseline
-        assert metrics.fallbacks
-
-
 class TestDelayAndBudgets:
     def test_injected_stall_trips_wall_budget(self, qe_engine):
         """A delay injected into the algorithm is caught by the wall

@@ -41,8 +41,7 @@ class TestCatalog:
         entry = XMARK_CATALOG[name]
         extended = Engine(engine.document,
                           optimizer_options=OptimizerOptions(
-                              enable_positional=True,
-                              enable_multi_output=True))
+                              enable_positional=True))
         reference = keys(engine.run(entry.query, optimize=False))
         assert keys(extended.run(entry.query)) == reference
 

@@ -123,16 +123,6 @@ def test_child_skipping_agrees_with_navigation(doc, path, picks):
             == NL.match_single(doc, [context], path)
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.sampled_from(list(_DOCS)), pattern_paths())
-def test_enumerate_bindings_agreement(seed, path):
-    doc = _DOCS[seed]
-    expected = NL.enumerate_bindings(doc, doc.root, path)
-    twig = TJ.enumerate_bindings(doc, doc.root, path)
-    assert [sorted((k, v.pre) for k, v in b.items()) for b in twig] == \
-        [sorted((k, v.pre) for k, v in b.items()) for b in expected]
-
-
 # -- evaluate_each over the generated-query pattern stream ---------------------
 
 _EACH_ENGINE = Engine(member_document(600, depth=5, tag_count=4, seed=7))

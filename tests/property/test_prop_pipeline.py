@@ -24,12 +24,11 @@ _ENGINES = {seed: Engine(member_document(180, depth=5, tag_count=3,
                                          seed=seed + 100))
             for seed in range(3)}
 
-#: the same documents under the Section 7 extension options — every
-#: random query must behave identically with the extensions enabled.
+#: the same documents under the Section 7 positional extension — every
+#: random query must behave identically with it enabled.
 _EXTENDED = {seed: Engine(engine.document,
                           optimizer_options=OptimizerOptions(
-                              enable_positional=True,
-                              enable_multi_output=True))
+                              enable_positional=True))
              for seed, engine in _ENGINES.items()}
 
 _TAGS = ["t01", "t02", "t03"]
@@ -100,7 +99,7 @@ def test_flwor_queries_preserved(seed, query):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(list(_ENGINES)), flwor_queries())
 def test_extensions_preserve_semantics(seed, query):
-    """Positional + multi-output extensions never change results."""
+    """The positional extension never changes results."""
     expected = reference_keys(_ENGINES[seed], query)
     extended = _EXTENDED[seed]
     for strategy in ("nljoin", "twigjoin", "scjoin"):

@@ -9,7 +9,8 @@ from repro.algebra import (Arith, Compare, Const, DDOPlan, DynamicError,
                            TupleTreePattern, VarPlan, eval_item, eval_tuples)
 from repro.algebra.ops import TypeswitchCase, TypeswitchPlan
 from repro.pattern import parse_pattern
-from repro.physical import NLJoin
+from repro.obs import ExecMetrics
+from repro.physical import NLJoin, Run, Strategy, make_algorithm
 from repro.xmltree import IndexedDocument
 from repro.xmltree.axes import Axis
 from repro.xmltree.nodetest import NameTest
@@ -198,6 +199,27 @@ class TestTupleOperators:
                for t in tuples]
         # first tuple matches twice, second not at all, third once
         assert ids == [("1", "2"), ("1", "3"), ("4", "5")]
+
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=str)
+    def test_ttp_multi_output_bindings_under_every_strategy(self, strategy):
+        """Every strategy answers the Section 4.1 example with NLJoin's
+        tuples, and a chooser decides nothing for it."""
+        doc = IndexedDocument.from_string(
+            '<r><a><c id="1"><d id="2"/><d id="3"/></c></a>'
+            '<a><c/></a>'
+            '<a><c id="4"><d id="5"/></c><c id="6"/></a></r>')
+        var = fresh_var("d", origin="external")
+        run = Run(metrics=ExecMetrics(), summary=doc.summary)
+        context = EvalContext(document=doc, strategy=make_algorithm(strategy),
+                              run=run)
+        context.globals[var] = doc.stream("a")
+        pattern = parse_pattern(
+            "IN#x/descendant-or-self::a/child::c{y}[@id]/child::d{z}")
+        plan = TupleTreePattern(pattern, MapFromItem("x", VarPlan(var)))
+        ids = [(t["y"][0].get_attribute("id"), t["z"][0].get_attribute("id"))
+               for t in eval_tuples(plan, context)]
+        assert ids == [("1", "2"), ("1", "3"), ("4", "5")]
+        assert run.metrics.decisions_total == 0
 
     def test_enclosing_tuple_from_the_context(self):
         """A plan evaluated on its own starts from ``ctx.tuple_stack``:

@@ -39,15 +39,6 @@ class TestChoosers:
         expected = reference.match_single(doc, [doc.root], path)
         assert chooser.match_single(doc, [doc.root], path) == expected
 
-    def test_enumerate_bindings_agrees(self, chooser_factory, doc,
-                                       reference):
-        chooser = chooser_factory(doc)
-        path = parse_pattern(PATHS[3]).path
-        expected = reference.enumerate_bindings(doc, doc.root, path)
-        got = chooser.enumerate_bindings(doc, doc.root, path)
-        assert [sorted((k, v.pre) for k, v in b.items()) for b in got] == \
-            [sorted((k, v.pre) for k, v in b.items()) for b in expected]
-
     def test_decisions_logged(self, chooser_factory, doc):
         chooser = chooser_factory(doc)
         path = parse_pattern(PATHS[0]).path

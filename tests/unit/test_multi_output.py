@@ -1,109 +1,35 @@
-"""The multi-variable tree-pattern extension (optimizer rule (m))."""
+"""Compositions of patterns whose matches nest (the paper's Q5): a
+``for`` over one pattern returning another keeps grouped order."""
 
 import pytest
 
 from repro import Engine
-from repro.algebra import (FieldAccess, MapFromItem, MapToItem,
-                           TupleTreePattern, VarPlan, optimize_plan,
-                           walk_plan)
-from repro.algebra.optimizer import OptimizerOptions
-from repro.data import member_document, xmark_document
-from repro.pattern import parse_pattern
-from repro.xqcore import fresh_var
-
-MULTI = OptimizerOptions(enable_multi_output=True)
+from repro.data import member_document
 
 NESTED_XML = ("<doc><person><name>outer</name><person><name>inner</name>"
               "</person><name>outer2</name></person></doc>")
 
 
-def multi_engine(document_or_xml):
-    if isinstance(document_or_xml, str):
-        return Engine.from_xml(document_or_xml, optimizer_options=MULTI)
-    return Engine(document_or_xml, optimizer_options=MULTI)
-
-
-class TestRuleM:
-    def build_composition(self, inner_pattern, outer_pattern):
-        var = fresh_var("d", origin="external")
-        inner = TupleTreePattern(parse_pattern(inner_pattern),
-                                 MapFromItem("in", VarPlan(var)))
-        outer = TupleTreePattern(parse_pattern(outer_pattern), inner)
-        return MapToItem(FieldAccess("out"), outer)
-
-    def patterns(self, plan):
-        return [node.pattern.to_string() for node in walk_plan(plan)
-                if isinstance(node, TupleTreePattern)]
-
-    def test_merges_keeping_junction(self):
-        plan = self.build_composition("IN#in/descendant::a{mid}",
-                                      "IN#mid/child::b{out}")
-        result = optimize_plan(plan, options=MULTI)
-        assert self.patterns(result) == [
-            "IN#in/descendant::a{mid}/child::b{out}"]
-
-    def test_disabled_by_default(self):
-        plan = self.build_composition("IN#in/descendant::a{mid}",
-                                      "IN#mid/child::b{out}")
-        result = optimize_plan(plan)
-        assert len(self.patterns(result)) == 2
-
-    def test_blocked_for_multi_step_descendant_inner(self):
-        # desc::a/desc::b enumerates b with duplicates across nested a's,
-        # while the single-output inner deduplicates — unsafe to merge.
-        plan = self.build_composition(
-            "IN#in/descendant::a/descendant::b{mid}",
-            "IN#mid/child::c{out}")
-        result = optimize_plan(plan, options=MULTI)
-        assert len(self.patterns(result)) == 2
-
-    def test_allowed_for_child_chain_inner(self):
-        plan = self.build_composition("IN#in/child::a/child::b{mid}",
-                                      "IN#mid/descendant::c{out}")
-        result = optimize_plan(plan, options=MULTI)
-        assert len(self.patterns(result)) == 1
-
-    def test_second_merge_onto_multi_output(self):
-        var = fresh_var("d", origin="external")
-        first = TupleTreePattern(parse_pattern("IN#in/descendant::a{x}"),
-                                 MapFromItem("in", VarPlan(var)))
-        second = TupleTreePattern(
-            parse_pattern("IN#x/descendant::b{y}"), first)
-        third = TupleTreePattern(parse_pattern("IN#y/child::c{out}"),
-                                 second)
-        plan = MapToItem(FieldAccess("out"), third)
-        result = optimize_plan(plan, options=MULTI)
-        assert self.patterns(result) == [
-            "IN#in/descendant::a{x}/descendant::b{y}/child::c{out}"]
-
-
 class TestQ5Semantics:
-    def test_q5_single_pattern(self):
-        engine = multi_engine(NESTED_XML)
-        compiled = engine.compile(
-            "for $x in $input//person return $x/name")
-        assert compiled.tree_pattern_count() == 1
-        (pattern,) = compiled.tree_patterns()
-        assert len(pattern.output_fields()) == 2
-
     @pytest.mark.parametrize("strategy", ["nljoin", "twigjoin", "scjoin"])
     def test_q5_grouped_order_preserved(self, strategy):
         """The Q5 subtlety: grouped order, not document order."""
-        engine = multi_engine(NESTED_XML)
+        engine = Engine.from_xml(NESTED_XML)
         result = engine.run("for $x in $input//person return $x/name",
                             strategy=strategy)
         assert [n.string_value() for n in result] == [
             "outer", "outer2", "inner"]
 
     def test_path_form_still_document_order(self):
-        engine = multi_engine(NESTED_XML)
+        engine = Engine.from_xml(NESTED_XML)
         result = engine.run("$input//person/name")
         assert [n.string_value() for n in result] == [
             "outer", "inner", "outer2"]
 
     def test_junction_still_readable(self):
-        """The kept junction lets the body use the loop variable twice."""
-        engine = multi_engine(NESTED_XML)
+        """A body reading the loop variable answers as the unoptimized
+        plan."""
+        engine = Engine.from_xml(NESTED_XML)
         query = ("for $x in $input//person return count($x/name)")
         reference = engine.run(query, optimize=False)
         assert engine.run(query) == reference
@@ -121,14 +47,14 @@ class TestDifferential:
     @pytest.mark.parametrize("query", QUERIES)
     @pytest.mark.parametrize("strategy", ["nljoin", "twigjoin", "scjoin"])
     def test_xmark_equivalence(self, query, strategy, small_xmark_doc):
-        engine = multi_engine(small_xmark_doc)
+        engine = Engine(small_xmark_doc)
         reference = [n.pre for n in engine.run(query, optimize=False)]
         got = [n.pre for n in engine.run(query, strategy=strategy)]
         assert got == reference
 
     def test_member_doc_equivalence(self):
         doc = member_document(300, depth=5, tag_count=3, seed=17)
-        engine = multi_engine(doc)
+        engine = Engine(doc)
         for query in ("for $x in $input//t01 return $x/t02",
                       "for $x in $input//t01[t03] return $x//t02"):
             reference = [n.pre for n in engine.run(query, optimize=False)]

@@ -59,6 +59,21 @@ class TestParsing:
         with pytest.raises((PatternError, ValueError)):
             parse_pattern(bad)
 
+    @pytest.mark.parametrize("bad,offending", [
+        # two fields on one step: no evaluator binds the first
+        ("IN#x/descendant::a{y}{z}", 21),
+        # one field bound twice on the main path
+        ("IN#x/descendant::a{y}/child::c{y}", 30),
+        # a field in a predicate branch: branches only assert existence
+        ("IN#x/descendant::a{y}[child::b{w}]", 30),
+    ])
+    def test_annotation_no_evaluator_honours(self, bad, offending):
+        assert bad[offending] == "{"
+        with pytest.raises(PatternError) as raised:
+            parse_pattern(bad)
+        assert raised.value.code == "REPRO-PATTERN"
+        assert f"at offset {offending} " in str(raised.value)
+
 
 class TestStructure:
     def test_extraction_point(self):
