@@ -25,34 +25,38 @@ effective-boolean-value consumer.  Rule (f) fires when the pattern
 operator's input carries at most one tuple (then the per-tuple XPath
 semantics of the single-output pattern makes the ``ddo`` the identity,
 as in the paper's P5).
+
+The rules are data: ``_RULES`` lists each operator class's rules in
+firing order, each with the option that enables it.  ``_Optimizer`` is
+one :class:`repro.rewrite.pipeline.RulePass` whose ``scope`` gives each
+child its order-sensitivity and live fields, and :func:`optimize_plan`
+repeats it through the same ``fixpoint`` as the Core rewritings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from typing import FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
-from ..guard.errors import InternalError
 from ..pattern import PatternPath, TreePattern, single_step_pattern
+from ..rewrite.pipeline import _EBV_FUNCTIONS, RulePass, fixpoint
 from ..xmltree.axes import Axis
-from ..xqcore.cast import Var
 from .ops import (Arith, Compare, Const, DDOPlan, FieldAccess, FnCall,
                   IfPlan, InputTuple, ItemPlan, LetPlan, Logical,
                   MapFromItem, MapToItem, Plan, Select, SeqPlan, TreeJoin,
                   TuplePlan, TupleTreePattern, TypeswitchPlan, VarPlan,
                   walk_plan)
 
-_MAX_PASSES = 100
-
-#: functions that consume only the effective boolean value.
-_EBV_FUNCTIONS = frozenset({"fn:boolean", "fn:exists", "fn:empty", "fn:not"})
-
 #: axes that map separated (ancestor-free) context sets to separated
 #: result sets — see repro.rewrite.facts.SEPARATED_PRESERVING_AXES.
 _SEPARATION_PRESERVING_AXES = frozenset({
     Axis.CHILD, Axis.ATTRIBUTE, Axis.SELF,
 })
+
+#: (insensitive, live fields): may the subtree's result be reordered and
+#: deduplicated, and which junction fields does a consumer above read.
+_Context = Tuple[bool, FrozenSet[str]]
 
 
 @dataclass(frozen=True)
@@ -101,17 +105,9 @@ def optimize_plan(plan: ItemPlan,
     if not options.enable_tree_patterns:
         return plan
     optimizer = _Optimizer(options, _FieldNamer(plan))
-    for _ in range(_MAX_PASSES):
-        rewritten = optimizer.rewrite(plan, insensitive=False,
-                                      live=frozenset())
-        if rewritten is plan:
-            return plan
-        plan = rewritten
-    raise InternalError(
-        f"algebraic optimization (optimize_plan) did not reach a fixpoint "
-        f"within {_MAX_PASSES} passes: a rule keeps firing, or rebuilds an "
-        f"operator without changing it (a rule must return its input when "
-        f"it does not fire)", stage="optimize", max_passes=_MAX_PASSES)
+    top: _Context = (False, frozenset())   # the result order matters
+    return fixpoint(plan, [("optimize", lambda p: optimizer.run(p, top))],
+                    "optimize")
 
 
 def _fields_read(plan: Plan) -> FrozenSet[str]:
@@ -164,123 +160,63 @@ def _tuple_cardinality_at_most_one(plan: TuplePlan) -> bool:
     return False
 
 
-class _Optimizer:
+#: The rules each operator class fires, in firing order, each with the
+#: ``OptimizerOptions`` field that enables it (None: always on).
+_RULES = (
+    (MapToItem, "_rule_b", None),
+    (MapToItem, "_rule_g", "enable_positional"),
+    (MapToItem, "_cleanup_hoist_dependent_map", None),
+    (MapToItem, "_cleanup_map_identity", None),
+    (TreeJoin, "_rule_a", None),
+    (MapFromItem, "_rule_c", None),
+    (TupleTreePattern, "_cleanup_retuple", None),
+    (TupleTreePattern, "_rule_d", "enable_merge"),
+    (Select, "_rule_e", "enable_merge"),
+    (DDOPlan, "_cleanup_ddo_of_ddo", None),
+    (DDOPlan, "_rule_f", "enable_ddo_removal"),
+)
+
+
+class _Optimizer(RulePass):
+    inherit = frozenset({TreeJoin, SeqPlan})
+
     def __init__(self, options: OptimizerOptions, namer: _FieldNamer) -> None:
-        self.options = options
         self.namer = namer
+        self.pre: Dict[type, List[Callable]] = {}
+        for kind, rule, option in _RULES:
+            if option is None or getattr(options, option):
+                self.pre.setdefault(kind, []).append(getattr(_Optimizer, rule))
 
-    # -- traversal ----------------------------------------------------------
-
-    def rewrite(self, plan: Plan, insensitive: bool,
-                live: FrozenSet[str]) -> Plan:
-        """One top-down pass; returns ``plan`` itself when nothing fired
-        anywhere below it, so "changed" is an identity test."""
-        plan = self._apply_rules(plan, insensitive, live)
-        children = plan.children()
-        if not children:
-            return plan
-        new_children = self._rewrite_children(plan, insensitive, live)
-        if all(new is old for new, old in zip(new_children, children)):
-            return plan
-        return plan.replace_children(new_children)
-
-    def _rewrite_children(self, plan: Plan, insensitive: bool,
-                          live: FrozenSet[str]) -> List[Plan]:
-        """The rewritten children, in ``plan.children()`` order, each
-        under the order-sensitivity and live fields its position implies."""
-        if isinstance(plan, DDOPlan):
-            return [self.rewrite(plan.input, True, live)]
+    def scope(self, plan: Plan, index: int, done: List[Plan],
+              ctx: _Context) -> _Context:
+        """The order-sensitivity and live fields child ``index`` of
+        ``plan`` is rewritten under (``done``: its rewritten elders)."""
+        insensitive, live = ctx
         if isinstance(plan, MapToItem):
-            dep = self.rewrite(plan.dep, insensitive, frozenset())
-            return [dep, self.rewrite(plan.input, insensitive,
-                                      _fields_read(dep))]
+            return insensitive, _fields_read(done[0]) if index else frozenset()
         if isinstance(plan, MapFromItem):
-            source_insensitive = insensitive and plan.index_field is None
-            return [self.rewrite(plan.input, source_insensitive,
-                                 frozenset())]
+            return insensitive and plan.index_field is None, frozenset()
         if isinstance(plan, Select):
-            predicate = self.rewrite(plan.predicate, True, frozenset())
-            return [predicate,
-                    self.rewrite(plan.input, insensitive,
-                                 live | _fields_read(predicate))]
+            if index == 0:
+                return True, frozenset()
+            return insensitive, live | _fields_read(done[0])
         if isinstance(plan, TupleTreePattern):
-            return [self.rewrite(plan.input, insensitive,
-                                 live | {plan.pattern.input_field})]
-        if isinstance(plan, IfPlan):
-            return [self.rewrite(plan.condition, True, live),
-                    self.rewrite(plan.then_branch, insensitive, live),
-                    self.rewrite(plan.else_branch, insensitive, live)]
-        if isinstance(plan, LetPlan):
-            return [self.rewrite(plan.value, False, live),
-                    self.rewrite(plan.body, insensitive, live)]
+            return insensitive, live | {plan.pattern.input_field}
+        if isinstance(plan, (DDOPlan, Compare, Logical)):
+            return True, live
         if isinstance(plan, FnCall):
-            insensitive = plan.name in _EBV_FUNCTIONS
-        elif isinstance(plan, (Compare, Logical)):
-            insensitive = True
-        elif isinstance(plan, (Arith, TypeswitchPlan)):
-            insensitive = False
-        # ... and TreeJoin and SeqPlan hand theirs down unchanged.
-        return [self.rewrite(child, insensitive, live)
-                for child in plan.children()]
-
-    # -- rule dispatch --------------------------------------------------------
-
-    def _apply_rules(self, plan: Plan, insensitive: bool,
-                     live: FrozenSet[str]) -> Plan:
-        while True:
-            rewritten = self._try_rules(plan, insensitive, live)
-            if rewritten is plan:
-                return plan
-            plan = rewritten
-
-    def _try_rules(self, plan: Plan, insensitive: bool,
-                   live: FrozenSet[str]) -> Plan:
-        if isinstance(plan, MapToItem):
-            result = self._rule_b(plan)
-            if result is not plan:
-                return result
-            if self.options.enable_positional:
-                result = self._rule_g(plan)
-                if result is not plan:
-                    return result
-            result = self._cleanup_hoist_dependent_map(plan)
-            if result is not plan:
-                return result
-            result = self._cleanup_map_identity(plan)
-            if result is not plan:
-                return result
-        if isinstance(plan, TreeJoin):
-            result = self._rule_a(plan)
-            if result is not plan:
-                return result
-        if isinstance(plan, MapFromItem):
-            result = self._rule_c(plan)
-            if result is not plan:
-                return result
-        if isinstance(plan, TupleTreePattern):
-            result = self._cleanup_retuple(plan)
-            if result is not plan:
-                return result
-            if self.options.enable_merge:
-                result = self._rule_d(plan, insensitive, live)
-                if result is not plan:
-                    return result
-        if isinstance(plan, Select) and self.options.enable_merge:
-            result = self._rule_e(plan)
-            if result is not plan:
-                return result
-        if isinstance(plan, DDOPlan):
-            if isinstance(plan.input, DDOPlan):
-                return plan.input
-            if self.options.enable_ddo_removal:
-                result = self._rule_f(plan)
-                if result is not plan:
-                    return result
-        return plan
+            return plan.name in _EBV_FUNCTIONS, live
+        if isinstance(plan, (Arith, TypeswitchPlan)):
+            return False, live
+        if isinstance(plan, IfPlan):
+            return index == 0 or insensitive, live
+        if isinstance(plan, LetPlan):
+            return index > 0 and insensitive, live
+        return ctx
 
     # -- the Figure 3 rules ---------------------------------------------------
 
-    def _rule_a(self, plan: TreeJoin) -> Plan:
+    def _rule_a(self, plan: TreeJoin, ctx: _Context) -> Plan:
         """TreeJoin[step](IN#in) → MapToItem{IN#out}(TTP[...](IN)).
 
         Generalized to independent inputs (no tuple-field reads), where
@@ -310,7 +246,7 @@ class _Optimizer:
                                  MapFromItem(in_field, plan.input)))
         return plan
 
-    def _rule_b(self, plan: MapToItem) -> Plan:
+    def _rule_b(self, plan: MapToItem, ctx: _Context) -> Plan:
         """MapToItem{TreeJoin[step](IN#in)}(Op) →
         MapToItem{IN#out}(TTP[...](Op))."""
         dep = plan.dep
@@ -325,7 +261,7 @@ class _Optimizer:
         return MapToItem(FieldAccess(out),
                          TupleTreePattern(pattern, plan.input))
 
-    def _rule_c(self, plan: MapFromItem) -> Plan:
+    def _rule_c(self, plan: MapFromItem, ctx: _Context) -> Plan:
         """MapFromItem{[f1 : IN]}(MapToItem{IN#f2}(TTP[p{f2}](Op))) →
         TTP[p{f1}](Op).
 
@@ -337,30 +273,19 @@ class _Optimizer:
         the right-hand side keeps are unreadable copies of values the
         enclosing tuple supplies anyway (field names are unique).
         """
-        if plan.index_field is not None:
-            return plan
-        inner = plan.input
-        if not isinstance(inner, MapToItem):
-            return plan
-        if not isinstance(inner.dep, FieldAccess):
-            return plan
-        ttp = inner.input
-        if not isinstance(ttp, TupleTreePattern):
+        ttp = _mapped_pattern(plan.input)
+        if plan.index_field is not None or ttp is None:
             return plan
         pattern = ttp.pattern
-        if not pattern.is_single_output_at_extraction_point():
-            return plan
-        if pattern.extraction_point.output_field != inner.dep.field:
-            return plan
         renamed = TreePattern(
             pattern.input_field,
             pattern.path.replace_last(
                 pattern.path.last.with_output(plan.bind_field)))
         return TupleTreePattern(renamed, ttp.input)
 
-    def _rule_d(self, plan: TupleTreePattern, insensitive: bool,
-                live: FrozenSet[str]) -> Plan:
+    def _rule_d(self, plan: TupleTreePattern, ctx: _Context) -> Plan:
         """Merge consecutive patterns along the spine."""
+        insensitive, live = ctx
         inner = plan.input
         if not isinstance(inner, TupleTreePattern):
             return plan
@@ -404,7 +329,7 @@ class _Optimizer:
         return all(step.axis in _SEPARATION_PRESERVING_AXES
                    for step in pattern.path.steps)
 
-    def _rule_e(self, plan: Select) -> Plan:
+    def _rule_e(self, plan: Select, ctx: _Context) -> Plan:
         """Fold existential tree-pattern conjuncts into predicate branches."""
         inner = plan.input
         if not isinstance(inner, TupleTreePattern):
@@ -442,46 +367,23 @@ class _Optimizer:
                 and conjunct.name in ("fn:boolean", "fn:exists")
                 and len(conjunct.args) == 1):
             return None
-        body = conjunct.args[0]
-        if not (isinstance(body, MapToItem)
-                and isinstance(body.dep, FieldAccess)
-                and isinstance(body.input, TupleTreePattern)
-                and isinstance(body.input.input, InputTuple)):
+        ttp = _mapped_pattern(conjunct.args[0])
+        if (ttp is None or not isinstance(ttp.input, InputTuple)
+                or ttp.pattern.input_field != context_field
+                or not ttp.pattern.is_downward()):
             return None
-        ttp = body.input
-        pattern = ttp.pattern
-        if pattern.input_field != context_field:
-            return None
-        if not pattern.is_single_output_at_extraction_point():
-            return None
-        if pattern.extraction_point.output_field != body.dep.field:
-            return None
-        if not pattern.is_downward():
-            return None
-        return pattern.path
+        return ttp.pattern.path
 
-    def _rule_f(self, plan: DDOPlan) -> Plan:
+    def _rule_f(self, plan: DDOPlan, ctx: _Context) -> Plan:
         """fs:ddo(MapToItem{IN#out}(TTP[p](Op))) → MapToItem(...) when the
         single-output pattern's per-tuple XPath semantics makes the ddo
         the identity (at most one input tuple)."""
-        inner = plan.input
-        if not isinstance(inner, MapToItem):
+        ttp = _mapped_pattern(plan.input)
+        if ttp is None or not _tuple_cardinality_at_most_one(ttp.input):
             return plan
-        if not isinstance(inner.dep, FieldAccess):
-            return plan
-        ttp = inner.input
-        if not isinstance(ttp, TupleTreePattern):
-            return plan
-        pattern = ttp.pattern
-        if not pattern.is_single_output_at_extraction_point():
-            return plan
-        if pattern.extraction_point.output_field != inner.dep.field:
-            return plan
-        if not _tuple_cardinality_at_most_one(ttp.input):
-            return plan
-        return inner
+        return plan.input
 
-    def _rule_g(self, plan: MapToItem) -> Plan:
+    def _rule_g(self, plan: MapToItem, ctx: _Context) -> Plan:
         """Positional extension: fold ``[position() = n]`` selections.
 
         Detects the shape predicate normalization + compilation produce
@@ -512,12 +414,9 @@ class _Optimizer:
                                           retuple.index_field)
         if position is None:
             return plan
-        inner = retuple.input
-        if not (isinstance(inner, MapToItem)
-                and isinstance(inner.dep, FieldAccess)
-                and isinstance(inner.input, TupleTreePattern)):
+        ttp = _mapped_pattern(retuple.input)
+        if ttp is None:
             return plan
-        ttp = inner.input
         pattern = ttp.pattern
         if len(pattern.path.steps) != 1:
             # Positions count per preceding context node; only a
@@ -525,10 +424,6 @@ class _Optimizer:
             return plan
         step = pattern.path.steps[0]
         if step.position is not None:
-            return plan
-        if not pattern.is_single_output_at_extraction_point():
-            return plan
-        if pattern.extraction_point.output_field != inner.dep.field:
             return plan
         out = self.namer.fresh()
         positional = TreePattern(
@@ -540,7 +435,8 @@ class _Optimizer:
 
     # -- cleanups ---------------------------------------------------------------
 
-    def _cleanup_hoist_dependent_map(self, plan: MapToItem) -> Plan:
+    def _cleanup_hoist_dependent_map(self, plan: MapToItem,
+                                     ctx: _Context) -> Plan:
         """MapToItem{MapToItem{IN#o}(TTP[p](IN))}(Op) →
         MapToItem{IN#o}(TTP[p](Op)).
 
@@ -557,7 +453,8 @@ class _Optimizer:
         return MapToItem(dep.dep,
                          TupleTreePattern(dep.input.pattern, plan.input))
 
-    def _cleanup_retuple(self, plan: TupleTreePattern) -> Plan:
+    def _cleanup_retuple(self, plan: TupleTreePattern,
+                         ctx: _Context) -> Plan:
         """TTP[IN#a/p](MapFromItem{[a : IN]}(MapToItem{IN#g}(Op))) →
         TTP[IN#g/p](Op).
 
@@ -581,7 +478,13 @@ class _Optimizer:
         renamed = TreePattern(inner_field, plan.pattern.path)
         return TupleTreePattern(renamed, op)
 
-    def _cleanup_map_identity(self, plan: MapToItem) -> Plan:
+    def _cleanup_ddo_of_ddo(self, plan: DDOPlan, ctx: _Context) -> Plan:
+        """fs:ddo(fs:ddo(item)) → fs:ddo(item)."""
+        if isinstance(plan.input, DDOPlan):
+            return plan.input
+        return plan
+
+    def _cleanup_map_identity(self, plan: MapToItem, ctx: _Context) -> Plan:
         """MapToItem{IN#f}(MapFromItem{[f : IN]}(item)) → item."""
         if not isinstance(plan.dep, FieldAccess):
             return plan
@@ -593,6 +496,19 @@ class _Optimizer:
         if inner.bind_field != plan.dep.field:
             return plan
         return inner.input
+
+
+def _mapped_pattern(plan: Plan) -> Optional[TupleTreePattern]:
+    """The pattern operator of ``MapToItem{IN#f}(TTP[p{f}](Op))``, whose
+    one output ``f``, at the extraction point, is what the map reads."""
+    if not (isinstance(plan, MapToItem) and isinstance(plan.dep, FieldAccess)
+            and isinstance(plan.input, TupleTreePattern)):
+        return None
+    pattern = plan.input.pattern
+    if (pattern.is_single_output_at_extraction_point()
+            and pattern.extraction_point.output_field == plan.dep.field):
+        return plan.input
+    return None
 
 
 def _match_position_filter(predicate: ItemPlan,

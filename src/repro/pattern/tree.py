@@ -11,7 +11,8 @@ A tree pattern names the tuple field holding the context nodes
 *branches* (existential sub-patterns in square brackets) and an optional
 *output field* annotation in curly braces.  The *extraction point* is
 the last step of the main path (Definition 4.1).  Only main-path steps
-bind a field, each field once: ``parse_pattern`` refuses the rest.
+bind a field, each field once, and a step applies its branches before
+its one position (``a[b][1]``): ``parse_pattern`` refuses the rest.
 
 The structure is immutable-by-convention: the merge operations used by
 the algebraic rules (d)/(e) return new patterns.  That is what makes the
@@ -369,6 +370,9 @@ class _PatternParser:
                 self.fields.add(output_field)
                 self.expect("}")
             else:
+                if position is not None:
+                    raise self.error("a predicate after a position: a step "
+                                     "applies its branches first")
                 self.pos += 1
                 if self.text[self.pos:self.pos + 1].isdigit():
                     start = self.pos

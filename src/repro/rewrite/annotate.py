@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..xqcore.cast import (CDDO, CExpr, CFor, CLet, CVar, Var)
+from ..xqcore.cast import CDDO, CExpr, CFor, CLet
 from ..xqcore.pretty import pretty
-from .facts import Facts, SINGLETON, sequence_facts
+from .facts import Facts, sequence_facts
+from .pipeline import FactsPass
 
 
 def facts_label(facts: Facts) -> str:
@@ -65,40 +66,35 @@ def collect_annotations(expr: CExpr) -> Dict[str, str]:
     Returns entries like ``{"for $dot in …": "source: ord,sep"}``; used
     by :func:`annotated_pretty` and directly testable.
     """
-    annotations: Dict[str, str] = {}
+    annotations = _Annotations()
+    annotations.run(expr, None)
+    return annotations.notes
 
-    def visit(node: CExpr, env: Dict[Var, Facts]) -> None:
-        if isinstance(node, CDDO):
-            facts = sequence_facts(node.arg, env)
-            annotations.setdefault(
-                "ddo(", f"ddo argument: {facts_label(facts)}")
-            visit(node.arg, env)
-            return
-        if isinstance(node, CLet):
-            facts = sequence_facts(node.value, env)
-            annotations[f"let ${node.var.name}"] = \
-                f"value: {facts_label(facts)}"
-            visit(node.value, env)
-            visit(node.body, {**env, node.var: facts})
-            return
-        if isinstance(node, CFor):
-            facts = sequence_facts(node.source, env)
-            annotations[f"for ${node.var.name}"] = \
-                f"source: {facts_label(facts)}"
-            visit(node.source, env)
-            inner = dict(env)
-            inner[node.var] = SINGLETON
-            if node.position_var is not None:
-                inner[node.position_var] = SINGLETON
-            if node.where is not None:
-                visit(node.where, inner)
-            visit(node.body, inner)
-            return
-        for child in node.children():
-            visit(child, env)
 
-    visit(expr, {})
-    return annotations
+class _Annotations(FactsPass):
+    """A pass that rewrites nothing: its rules note the facts of each
+    ``ddo`` argument (the first only) and binder value, in pre-order."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.notes: Dict[str, str] = {}
+
+    def _ddo(self, node: CDDO, ctx: None) -> CExpr:
+        self.notes.setdefault(
+            "ddo(", f"ddo argument: {facts_label(self.facts_of(node.arg))}")
+        return node
+
+    def _let(self, node: CLet, ctx: None) -> CExpr:
+        self.notes[f"let ${node.var.name}"] = \
+            f"value: {facts_label(self.facts_of(node.value))}"
+        return node
+
+    def _for(self, node: CFor, ctx: None) -> CExpr:
+        self.notes[f"for ${node.var.name}"] = \
+            f"source: {facts_label(self.facts_of(node.source))}"
+        return node
+
+    pre = {CDDO: (_ddo,), CLet: (_let,), CFor: (_for,)}
 
 
 def whole_expression_facts(expr: CExpr) -> str:

@@ -108,9 +108,8 @@ def _facts(expr: CExpr, env: Dict[Var, Facts], memo: FactsMemo) -> Facts:
     if isinstance(expr, CEmpty):
         return ORDERED_SEPARATED
     if isinstance(expr, CVar):
-        if expr.var in env:
-            return env[expr.var]
-        return _default_var_facts(expr.var)
+        bound = env.get(expr.var)
+        return _default_var_facts(expr.var) if bound is None else bound
     known = memo.get(id(expr))
     if known is None:
         known = memo[id(expr)] = (expr, _derive(expr, env, memo))
@@ -147,11 +146,9 @@ def _derive(expr: CExpr, env: Dict[Var, Facts], memo: FactsMemo) -> Facts:
             return _facts(expr.items[0], env, memo)
         return UNKNOWN
     if isinstance(expr, CTypeswitch):
-        branch_facts = [_facts(case.body, {**env, case.var: UNKNOWN}, memo)
-                        for case in expr.cases]
-        branch_facts.append(
-            _facts(expr.default_body, {**env, expr.default_var: UNKNOWN},
-                   memo))
+        # each clause body under its variable (``bound_vars`` order)
+        branch_facts = [_facts(body, {**env, var: UNKNOWN}, memo) for body, var
+                        in zip(expr.children()[1:], expr.bound_vars())]
         return Facts(
             ord_nodup=all(facts.ord_nodup for facts in branch_facts),
             singleton=all(facts.singleton for facts in branch_facts),

@@ -24,6 +24,7 @@ compilation phase expects (the paper's Q1-tp shape).
 from __future__ import annotations
 
 from ..xqcore.cast import CExpr, CFor, UsageMemo, usage_counts
+from .pipeline import RulePass
 
 
 def split_loops(expr: CExpr) -> CExpr:
@@ -33,31 +34,25 @@ def split_loops(expr: CExpr) -> CExpr:
     another one above it, which the caller's fixpoint loop
     (:func:`repro.rewrite.pipeline.rewrite_to_tpnf`) picks up.
     """
-    return _rewrite(expr, {})
+    return _LoopSplit().run(expr, None)
 
 
-def _rewrite(expr: CExpr, memo: UsageMemo) -> CExpr:
-    """``memo``: free variables per node, derived once per traversal."""
-    expr = _split_here(expr, memo)
-    children = expr.children()
-    if not children:
-        return expr
-    new_children = [_rewrite(child, memo) for child in children]
-    if all(new is old for new, old in zip(new_children, children)):
-        return expr
-    return expr.replace_children(new_children)
+class _LoopSplit(RulePass):
+    def __init__(self) -> None:
+        self.uses: UsageMemo = {}   # free variables per node
 
-
-def _split_here(expr: CExpr, memo: UsageMemo) -> CExpr:
-    while (isinstance(expr, CFor) and expr.position_var is None
-           and isinstance(expr.body, CFor)
-           and expr.body.position_var is None):
-        outer, inner = expr, expr.body
+    def _split(self, outer: CFor, ctx: None) -> CExpr:
+        inner = outer.body
+        if (outer.position_var is not None or not isinstance(inner, CFor)
+                or inner.position_var is not None):
+            return outer
         x = outer.var
-        if inner.where is not None and x in usage_counts(inner.where, memo):
-            break
-        if x in usage_counts(inner.body, memo):
-            break
+        if inner.where is not None and x in usage_counts(inner.where,
+                                                         self.uses):
+            return outer
+        if x in usage_counts(inner.body, self.uses):
+            return outer
         new_source = CFor(x, None, outer.source, outer.where, inner.source)
-        expr = CFor(inner.var, None, new_source, inner.where, inner.body)
-    return expr
+        return CFor(inner.var, None, new_source, inner.where, inner.body)
+
+    pre = {CFor: (_split,)}

@@ -1,37 +1,182 @@
-"""The full Core rewriting pipeline to TPNF' (paper Section 3).
+"""The rule driver of both compile phases, and the Core → TPNF' pipeline.
 
-Runs the four rule families — type rewritings, FLWOR rewritings,
-document-order rewritings and loop splitting — in the paper's order,
-round after round, until a fixpoint.  Each family is one traversal that
-returns **its input object** when no rule fired (every ``_rewrite``
-rebuilds a node only if a child came back different), so the fixpoint
-test is ``is``: the driver stops as soon as every family in a row has
-handed its input back.  Nothing here prints or compares expressions to
-decide anything.  A new rule must keep that contract: return the node it
-was given unless it really rewrote it — a rule that rebuilds an equal
-node never lets the driver stop, and runs into the round cap below.
+The four rule families of Section 3 (type, FLWOR and document-order
+rewritings, loop splitting) and the Figure 3 rules of
+:mod:`repro.algebra.optimizer` state only their rules and scopes; this
+module runs them.  A :class:`RulePass` is one traversal that returns
+**its input object** when no rule fired (it rebuilds a node only if a
+child came back different), so :func:`fixpoint` stops on ``is`` as soon
+as every pass in a row has handed its input back.  Nothing here prints
+or compares expressions.  A rule must keep that contract: return the
+node it was given unless it really rewrote it — a rule that rebuilds an
+equal node never lets the loop stop, and runs into the round cap.
 
-Each family individually shrinks or preserves the expression (no family
-undoes another), so the iteration terminates; the cap turns a
-hypothetical divergence into a loud error instead of a hang.  Static
-analyses (sequence facts, types, variable usage) are derived once per
-node per traversal, in memos owned by the family's pass and dropped with
-it (see :data:`repro.rewrite.facts.FactsMemo`).
+Each family shrinks or preserves the expression (no family undoes
+another), so the iteration terminates; the cap turns a hypothetical
+divergence into a loud error instead of a hang.  Static analyses
+(sequence facts, types, variable usage) are derived once per node per
+traversal, in memos owned by the family's pass and dropped with it (see
+:data:`repro.rewrite.facts.FactsMemo`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Tuple
+from operator import is_not
+from typing import (Any, Callable, Collection, Dict, List, Mapping, Sequence,
+                    Tuple)
 
 from ..guard.errors import InternalError
-from ..xqcore.cast import CExpr
-from .docorder import remove_redundant_ddo
-from .flwor import rewrite_flwor
-from .loopsplit import split_loops
-from .typeswitch import rewrite_typeswitches
+from ..xqcore.cast import (CArith, CCall, CDDO, CExpr, CFor, CGenCmp, CIf,
+                           CLet, CLogical, CSeq, CStep, Var)
+from .facts import SINGLETON, UNKNOWN, Facts, FactsMemo, sequence_facts
 
-_MAX_ROUNDS = 50
+_MAX_ROUNDS = 100
+
+#: built-ins that consume only the effective boolean value of their
+#: argument: an order/duplicate-insensitive context, over Core
+#: (``docorder``) and over plans (the optimizer) alike.
+_EBV_FUNCTIONS = frozenset({"fn:boolean", "fn:exists", "fn:empty", "fn:not"})
+
+#: ``rule(pass, node, ctx)``: a rewritten node, or ``node`` itself.
+Rule = Callable[[Any, Any, Any], Any]
+
+
+class RulePass:
+    """One traversal.  At a node it fires its class's ``pre`` rules until
+    none fires, rewrites the children in ``children()`` order — child
+    ``index`` under ``scope(node, index, done, ctx)``, ``done`` holding
+    its elder siblings, rewritten — and last fires its class's ``post``
+    rule.  A family states these tables as class data, a disabled rule
+    absent, and a ``scope`` for the classes not in ``inherit``."""
+
+    pre: Mapping[type, Sequence[Rule]] = {}
+    post: Mapping[type, Rule] = {}
+    #: node classes whose children all share their parent's context.
+    inherit: Collection[type] = ()
+
+    def scope(self, node: Any, index: int, done: List[Any], ctx: Any) -> Any:
+        return ctx
+
+    def run(self, node: Any, ctx: Any) -> Any:
+        """``node`` rewritten; ``node`` itself when no rule fired below."""
+        # The tables as closure cells: the walk reads them at every node.
+        pre, post, inherit = self.pre, self.post, self.inherit
+        scope, settle = self.scope, self.settle
+
+        def visit(node: Any, ctx: Any) -> Any:
+            kind = type(node)
+            if kind in pre:
+                node = settle(node, ctx)
+                kind = type(node)
+            children = node.children()
+            if children:
+                if kind in inherit:
+                    done = [visit(child, ctx) for child in children]
+                else:
+                    done = []
+                    for index, child in enumerate(children):
+                        done.append(visit(child,
+                                          scope(node, index, done, ctx)))
+                if any(map(is_not, done, children)):
+                    node = node.replace_children(done)
+            return post[kind](self, node, ctx) if kind in post else node
+
+        try:
+            return visit(node, ctx)
+        finally:
+            # ``visit`` refers to itself: unbinding it frees the pass and
+            # its memos now, not at the next cyclic garbage collection.
+            del visit
+
+    def settle(self, node: Any, ctx: Any) -> Any:
+        """Fire ``pre`` rules at ``node`` until none fires."""
+        while True:
+            for rule in self.pre.get(type(node), ()):
+                rewritten = rule(self, node, ctx)
+                if rewritten is not node:
+                    node = rewritten
+                    break
+            else:
+                return node
+
+
+class CorePass(RulePass):
+    """A pass over Core with one environment of variables, valued by the
+    family's :meth:`bind`: a ``let`` binds its variable over its body, a
+    ``for`` its item and ``at`` variables over ``where`` and body, a
+    ``typeswitch`` each clause's variable over that clause.  Binders
+    never shadow (:func:`repro.xqcore.cast.free_vars`), so a binder's
+    variables enter once its first child, the bound value, is rewritten,
+    and never leave."""
+
+    inherit = frozenset({CSeq, CIf, CStep, CDDO, CCall, CGenCmp, CArith,
+                         CLogical})
+
+    def __init__(self) -> None:
+        self.env: Dict[Var, Any] = {}
+
+    def scope(self, node: CExpr, index: int, done: List[CExpr],
+              ctx: Any) -> Any:
+        if index == 1:   # the bound value is done (a non-binder binds none)
+            for var in node.bound_vars():
+                self.env[var] = self.bind(node, var, done)
+        return ctx
+
+    def bind(self, node: CExpr, var: Var, done: List[CExpr]) -> Any:
+        """What the family knows of ``var``, bound by ``node`` over the
+        rewritten value ``done[0]``."""
+        raise NotImplementedError
+
+
+class FactsPass(CorePass):
+    """Sequence facts, the FLWOR and document-order families' analysis:
+    a ``let`` variable has its value's, ``for`` and ``at`` variables
+    are one item each, clause variables unknown."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.facts: FactsMemo = {}
+
+    def bind(self, node: CExpr, var: Var, done: List[CExpr]) -> Facts:
+        if isinstance(node, CFor):
+            return SINGLETON
+        return self.facts_of(done[0]) if isinstance(node, CLet) else UNKNOWN
+
+    def facts_of(self, expr: CExpr) -> Facts:
+        return sequence_facts(expr, self.env, self.facts)
+
+
+def fixpoint(node: Any, passes: Sequence[Tuple[str, Callable[[Any], Any]]],
+             stage: str, trace: "RewriteTrace | None" = None) -> Any:
+    """Run ``passes`` (``(name, pass)`` pairs) round-robin until every
+    one in a row hands its input back; ``trace`` records the others."""
+    quiet = 0   # consecutive passes that returned their input
+    for turn in range(_MAX_ROUNDS * len(passes)):
+        name, rule = passes[turn % len(passes)]
+        rewritten = rule(node)
+        if rewritten is node:
+            quiet += 1
+            if quiet == len(passes):
+                return node
+            continue
+        quiet = 0
+        if trace is not None:
+            trace.record(name, rewritten)
+        node = rewritten
+    raise InternalError(
+        f"the {stage} phase did not reach a fixpoint within {_MAX_ROUNDS} "
+        f"rounds: a rule keeps firing, or rebuilds a node without changing "
+        f"it (a rule must return its input when it does not fire)",
+        stage=stage, max_rounds=_MAX_ROUNDS)
+
+
+# The families are stated on the driver above, so they are imported
+# after it; ``rewrite_to_tpnf`` reads them from this module's namespace.
+from .docorder import remove_redundant_ddo  # noqa: E402
+from .flwor import rewrite_flwor  # noqa: E402
+from .loopsplit import split_loops  # noqa: E402
+from .typeswitch import rewrite_typeswitches  # noqa: E402
 
 
 @dataclass(frozen=True)
@@ -64,33 +209,11 @@ def rewrite_to_tpnf(expr: CExpr,
                     trace: RewriteTrace | None = None) -> CExpr:
     """Rewrite a normalized core expression into TPNF'."""
     options = options or RewriteOptions()
-    passes: list[tuple[str, Callable[[CExpr], CExpr]]] = []
-    if options.typeswitch:
-        passes.append(("typeswitch", rewrite_typeswitches))
-    if options.flwor:
-        passes.append(("flwor", rewrite_flwor))
-    if options.docorder:
-        passes.append(("docorder", remove_redundant_ddo))
-    if options.loop_split:
-        passes.append(("loop-split", split_loops))
-    if not passes:
+    families = [(name, family) for name, family, enabled in (
+        ("typeswitch", rewrite_typeswitches, options.typeswitch),
+        ("flwor", rewrite_flwor, options.flwor),
+        ("docorder", remove_redundant_ddo, options.docorder),
+        ("loop-split", split_loops, options.loop_split)) if enabled]
+    if not families:
         return expr
-
-    quiet = 0   # consecutive passes that returned their input
-    for turn in range(_MAX_ROUNDS * len(passes)):
-        name, rule = passes[turn % len(passes)]
-        rewritten = rule(expr)
-        if rewritten is expr:
-            quiet += 1
-            if quiet == len(passes):
-                return expr
-            continue
-        quiet = 0
-        if trace is not None:
-            trace.record(name, rewritten)
-        expr = rewritten
-    raise InternalError(
-        f"core rewriting (rewrite_to_tpnf) did not reach a fixpoint within "
-        f"{_MAX_ROUNDS} rounds: a rule keeps firing, or rebuilds a node "
-        f"without changing it (a rule must return its input when it does "
-        f"not fire)", stage="rewrite", max_rounds=_MAX_ROUNDS)
+    return fixpoint(expr, families, "rewrite", trace)

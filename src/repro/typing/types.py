@@ -83,15 +83,14 @@ _FUNCTION_TYPES: Dict[str, ItemType] = {
 
 
 class TypeEnv:
-    """Maps variables to item types."""
+    """Maps variables to item types.  Holds ``bindings`` itself, not a
+    copy: a rewriting pass types against the environment it grows."""
 
     def __init__(self, bindings: Dict[Var, ItemType] | None = None) -> None:
-        self.bindings = dict(bindings or {})
+        self.bindings = {} if bindings is None else bindings
 
     def bind(self, var: Var, item_type: ItemType) -> "TypeEnv":
-        child = TypeEnv(self.bindings)
-        child.bindings[var] = item_type
-        return child
+        return TypeEnv({**self.bindings, var: item_type})
 
     def lookup(self, var: Var) -> ItemType:
         return self.bindings.get(var, ItemType.ANY)

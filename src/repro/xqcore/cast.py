@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import is_not
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..xmltree.axes import Axis
@@ -46,7 +47,7 @@ class Var:
         return f"${self.name}_{self.uid}"
 
     def __hash__(self) -> int:
-        return hash(self.uid)
+        return self.uid
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Var) and other.uid == self.uid
@@ -156,11 +157,9 @@ class CFor(CExpr):
     body: CExpr
 
     def children(self) -> Sequence[CExpr]:
-        parts: list[CExpr] = [self.source]
-        if self.where is not None:
-            parts.append(self.where)
-        parts.append(self.body)
-        return parts
+        if self.where is None:
+            return (self.source, self.body)
+        return (self.source, self.where, self.body)
 
     def replace_children(self, new_children: Sequence[CExpr]) -> "CFor":
         if self.where is not None:
@@ -354,8 +353,6 @@ def free_vars(expr: CExpr) -> set[Var]:
         if isinstance(node, CVar):
             used.add(node.var)
         bound.update(node.bound_vars())
-        if isinstance(node, CTypeswitch):
-            bound.update(case.var for case in node.cases)
     return used - bound
 
 
@@ -405,10 +402,14 @@ def usage_counts(expr: CExpr, memo: UsageMemo) -> Dict[Var, int]:
     if known is not None:
         return known[1]
     counts: Dict[Var, int] = {}
+    loop = isinstance(expr, CFor)
     for index, child in enumerate(expr.children()):
-        in_loop = index > 0 and isinstance(expr, CFor)
+        if loop and index:   # a loop's where and body count as many
+            counts.update(dict.fromkeys(usage_counts(child, memo), 2))
+            continue
         for var, uses in usage_counts(child, memo).items():
-            counts[var] = 2 if in_loop else min(2, counts.get(var, 0) + uses)
+            uses += counts.get(var, 0)
+            counts[var] = 2 if uses > 2 else uses
     for var in expr.bound_vars():
         counts.pop(var, None)
     memo[id(expr)] = (expr, counts)
@@ -428,9 +429,9 @@ def substitute(expr: CExpr, var: Var, replacement: CExpr) -> CExpr:
     if not children:
         return expr
     new_children = [substitute(child, var, replacement) for child in children]
-    if all(new is old for new, old in zip(new_children, children)):
-        return expr
-    return expr.replace_children(new_children)
+    if any(map(is_not, new_children, children)):
+        return expr.replace_children(new_children)
+    return expr
 
 
 def count_nodes(expr: CExpr) -> int:

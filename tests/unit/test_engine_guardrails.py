@@ -83,10 +83,10 @@ class TestInputValidation:
 
     def test_too_deep_for_a_later_stage_names_that_stage(self,
                                                          people_engine):
-        """300 steps parse and normalize; the recursive rule families
+        """400 steps parse and normalize; the recursive rule families
         are the first to run out of stack."""
         with pytest.raises(InputError) as exc:
-            people_engine.compile("$input" + "/a" * 300, use_cache=False)
+            people_engine.compile("$input" + "/a" * 400, use_cache=False)
         assert exc.value.context["stage"] in ("rewrite", "compile",
                                               "optimize")
 

@@ -48,9 +48,8 @@ class TestFixpoint:
         from repro.algebra import optimizer
         from repro.guard import InternalError
         monkeypatch.setattr(
-            optimizer._Optimizer, "_apply_rules",
-            lambda self, plan, insensitive, live:
-                plan.replace_children(plan.children()))
+            optimizer._Optimizer, "settle",
+            lambda self, plan, ctx: plan.replace_children(plan.children()))
         var = fresh_var("d", origin="external")
         with pytest.raises(InternalError) as caught:
             optimize_plan(DDOPlan(VarPlan(var)))

@@ -66,9 +66,14 @@ class TestParsing:
         ("IN#x/descendant::a{y}/child::c{y}", 30),
         # a field in a predicate branch: branches only assert existence
         ("IN#x/descendant::a{y}[child::b{w}]", 30),
+        # a branch after a position: a step applies its branches first,
+        # so ``a[1][b]`` would read as ``a[b][1]``
+        ("IN#x/child::r/child::a[1][child::b]{o}", 25),
+        # a second position: ``a[1][2]`` would read as ``a[2]``
+        ("IN#x/child::a[1][2]{o}", 16),
     ])
     def test_annotation_no_evaluator_honours(self, bad, offending):
-        assert bad[offending] == "{"
+        assert bad[offending] in "{["
         with pytest.raises(PatternError) as raised:
             parse_pattern(bad)
         assert raised.value.code == "REPRO-PATTERN"

@@ -203,8 +203,8 @@ class TestBranchSemiJoin:
         "IN#d/descendant::a[child::*[child::*]]{o}",
         "IN#d/descendant::a[child::node()]{o}",
         "IN#d/descendant::*[descendant-or-self::node()[@x]]{o}",
-        # a positional step inside a branch, alone and above a branch
-        "IN#d/descendant::a[child::*[1][self::c]]{o}",
+        # a positional step inside a branch, alone and with a branch
+        "IN#d/descendant::a[child::*[self::c][1]]{o}",
         "IN#d/descendant::a[descendant::b[2]]{o}",
         "IN#d/descendant::a[child::b[child::c][1]/child::c]{o}",
         # a branch under a branch, two branches on one step

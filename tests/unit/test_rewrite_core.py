@@ -9,6 +9,7 @@ import pytest
 
 import repro.rewrite.facts as facts_module
 import repro.rewrite.pipeline as pipeline_module
+from repro.algebra import OptimizerOptions, compile_core, optimize_plan
 from repro.guard import InternalError
 from repro.typing import ItemType, infer_type
 from repro.xmltree.axes import Axis
@@ -395,6 +396,16 @@ class TestIdentityFixpoint:
     @pytest.mark.parametrize("name", sorted(CURATED))
     def test_families_return_a_normal_form_itself(self, name):
         assert_identity_contract(normalized(CURATED[name]))
+
+    @pytest.mark.parametrize("name", sorted(CURATED))
+    def test_the_optimizer_returns_an_optimized_plan_itself(self, name):
+        """``optimize_plan`` reaches a true fixpoint: one more pass over
+        its own output fires nothing, with and without rule (g)."""
+        plan = compile_core(rewrite_to_tpnf(normalized(CURATED[name])))
+        for options in (OptimizerOptions(),
+                        OptimizerOptions(enable_positional=True)):
+            optimized = optimize_plan(plan, options)
+            assert optimize_plan(optimized, options) is optimized
 
     @pytest.mark.parametrize("name", sorted(CURATED))
     def test_same_normal_form_as_the_string_fixpoint(self, name):
