@@ -35,29 +35,27 @@ operator               sort    meaning
 ``Select``             tuple   filter tuples by a dependent predicate
 ``TupleTreePattern``   tuple   the paper's tree-pattern operator
 =====================  ======  ====================================================
+
+An operator names its child fields once, in ``child_fields``
+(``MapToItem``: ``("dep", "input")``), and inherits ``children()`` and
+``replace_children()`` from :class:`repro.xqcore.cast.Term`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from ..pattern import TreePattern
 from ..xmltree.axes import Axis
 from ..xmltree.nodetest import NodeTest
-from ..xqcore.cast import Var
+from ..xqcore.cast import Term, Var, count_nodes, walk
 
 
-class Plan:
+class Plan(Term):
     """Base class of all algebraic operators."""
 
     sort = "item"  # overridden to "tuple" by tuple operators
-
-    def children(self) -> Sequence["Plan"]:
-        raise NotImplementedError
-
-    def replace_children(self, new_children: Sequence["Plan"]) -> "Plan":
-        raise NotImplementedError
 
 
 class ItemPlan(Plan):
@@ -77,12 +75,6 @@ class Const(ItemPlan):
 
     values: Tuple[Union[str, int, float, bool], ...]
 
-    def children(self) -> Sequence[Plan]:
-        return ()
-
-    def replace_children(self, new_children: Sequence[Plan]) -> "Const":
-        return Const(self.values)
-
 
 @dataclass
 class VarPlan(ItemPlan):
@@ -90,24 +82,12 @@ class VarPlan(ItemPlan):
 
     var: Var
 
-    def children(self) -> Sequence[Plan]:
-        return ()
-
-    def replace_children(self, new_children: Sequence[Plan]) -> "VarPlan":
-        return VarPlan(self.var)
-
 
 @dataclass
 class FieldAccess(ItemPlan):
     """``IN#field`` — the field's item sequence in the current tuple."""
 
     field: str
-
-    def children(self) -> Sequence[Plan]:
-        return ()
-
-    def replace_children(self, new_children: Sequence[Plan]) -> "FieldAccess":
-        return FieldAccess(self.field)
 
 
 @dataclass
@@ -117,13 +97,7 @@ class TreeJoin(ItemPlan):
     axis: Axis
     test: NodeTest
     input: ItemPlan
-
-    def children(self) -> Sequence[Plan]:
-        return (self.input,)
-
-    def replace_children(self, new_children: Sequence[Plan]) -> "TreeJoin":
-        (input_plan,) = new_children
-        return TreeJoin(self.axis, self.test, input_plan)
+    child_fields = ("input",)
 
 
 @dataclass
@@ -131,13 +105,7 @@ class DDOPlan(ItemPlan):
     """``fs:ddo`` over an item plan."""
 
     input: ItemPlan
-
-    def children(self) -> Sequence[Plan]:
-        return (self.input,)
-
-    def replace_children(self, new_children: Sequence[Plan]) -> "DDOPlan":
-        (input_plan,) = new_children
-        return DDOPlan(input_plan)
+    child_fields = ("input",)
 
 
 @dataclass
@@ -146,25 +114,14 @@ class MapToItem(ItemPlan):
 
     dep: ItemPlan
     input: TuplePlan
-
-    def children(self) -> Sequence[Plan]:
-        return (self.dep, self.input)
-
-    def replace_children(self, new_children: Sequence[Plan]) -> "MapToItem":
-        dep, input_plan = new_children
-        return MapToItem(dep, input_plan)
+    child_fields = ("dep", "input")
 
 
 @dataclass
 class FnCall(ItemPlan):
     name: str
     args: List[ItemPlan]
-
-    def children(self) -> Sequence[Plan]:
-        return self.args
-
-    def replace_children(self, new_children: Sequence[Plan]) -> "FnCall":
-        return FnCall(self.name, list(new_children))
+    child_fields = ("args",)
 
 
 @dataclass
@@ -172,13 +129,7 @@ class Compare(ItemPlan):
     op: str
     left: ItemPlan
     right: ItemPlan
-
-    def children(self) -> Sequence[Plan]:
-        return (self.left, self.right)
-
-    def replace_children(self, new_children: Sequence[Plan]) -> "Compare":
-        left, right = new_children
-        return Compare(self.op, left, right)
+    child_fields = ("left", "right")
 
 
 @dataclass
@@ -186,13 +137,7 @@ class Logical(ItemPlan):
     op: str
     left: ItemPlan
     right: ItemPlan
-
-    def children(self) -> Sequence[Plan]:
-        return (self.left, self.right)
-
-    def replace_children(self, new_children: Sequence[Plan]) -> "Logical":
-        left, right = new_children
-        return Logical(self.op, left, right)
+    child_fields = ("left", "right")
 
 
 @dataclass
@@ -200,13 +145,7 @@ class Arith(ItemPlan):
     op: str
     left: ItemPlan
     right: ItemPlan
-
-    def children(self) -> Sequence[Plan]:
-        return (self.left, self.right)
-
-    def replace_children(self, new_children: Sequence[Plan]) -> "Arith":
-        left, right = new_children
-        return Arith(self.op, left, right)
+    child_fields = ("left", "right")
 
 
 @dataclass
@@ -214,13 +153,7 @@ class IfPlan(ItemPlan):
     condition: ItemPlan
     then_branch: ItemPlan
     else_branch: ItemPlan
-
-    def children(self) -> Sequence[Plan]:
-        return (self.condition, self.then_branch, self.else_branch)
-
-    def replace_children(self, new_children: Sequence[Plan]) -> "IfPlan":
-        condition, then_branch, else_branch = new_children
-        return IfPlan(condition, then_branch, else_branch)
+    child_fields = ("condition", "then_branch", "else_branch")
 
 
 @dataclass
@@ -228,24 +161,13 @@ class LetPlan(ItemPlan):
     var: Var
     value: ItemPlan
     body: ItemPlan
-
-    def children(self) -> Sequence[Plan]:
-        return (self.value, self.body)
-
-    def replace_children(self, new_children: Sequence[Plan]) -> "LetPlan":
-        value, body = new_children
-        return LetPlan(self.var, value, body)
+    child_fields = ("value", "body")
 
 
 @dataclass
 class SeqPlan(ItemPlan):
     items: List[ItemPlan]
-
-    def children(self) -> Sequence[Plan]:
-        return self.items
-
-    def replace_children(self, new_children: Sequence[Plan]) -> "SeqPlan":
-        return SeqPlan(list(new_children))
+    child_fields = ("items",)
 
 
 @dataclass
@@ -286,12 +208,6 @@ class TypeswitchPlan(ItemPlan):
 class InputTuple(TuplePlan):
     """``IN`` in tuple position: the current tuple as a one-tuple stream."""
 
-    def children(self) -> Sequence[Plan]:
-        return ()
-
-    def replace_children(self, new_children: Sequence[Plan]) -> "InputTuple":
-        return InputTuple()
-
 
 @dataclass
 class MapFromItem(TuplePlan):
@@ -304,13 +220,7 @@ class MapFromItem(TuplePlan):
     bind_field: str
     input: ItemPlan
     index_field: Optional[str] = None
-
-    def children(self) -> Sequence[Plan]:
-        return (self.input,)
-
-    def replace_children(self, new_children: Sequence[Plan]) -> "MapFromItem":
-        (input_plan,) = new_children
-        return MapFromItem(self.bind_field, input_plan, self.index_field)
+    child_fields = ("input",)
 
 
 @dataclass
@@ -319,13 +229,7 @@ class Select(TuplePlan):
 
     predicate: ItemPlan
     input: TuplePlan
-
-    def children(self) -> Sequence[Plan]:
-        return (self.predicate, self.input)
-
-    def replace_children(self, new_children: Sequence[Plan]) -> "Select":
-        predicate, input_plan = new_children
-        return Select(predicate, input_plan)
+    child_fields = ("predicate", "input")
 
 
 @dataclass
@@ -343,26 +247,9 @@ class TupleTreePattern(TuplePlan):
 
     pattern: TreePattern
     input: TuplePlan
-
-    def children(self) -> Sequence[Plan]:
-        return (self.input,)
-
-    def replace_children(self, new_children: Sequence[Plan]) -> "TupleTreePattern":
-        (input_plan,) = new_children
-        return TupleTreePattern(self.pattern, input_plan)
+    child_fields = ("input",)
 
 
-def walk_plan(plan: Plan):
-    """All operators of a plan, pre-order."""
-    stack = [plan]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(node.children()))
-
-
-def count_operators(plan: Plan, kind: type | None = None) -> int:
-    """Number of operators (optionally of one class) in a plan."""
-    if kind is None:
-        return sum(1 for _ in walk_plan(plan))
-    return sum(1 for node in walk_plan(plan) if isinstance(node, kind))
+#: the Core functions, which walk any :class:`repro.xqcore.cast.Term`.
+walk_plan = walk
+count_operators = count_nodes

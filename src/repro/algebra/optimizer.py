@@ -28,7 +28,7 @@ as in the paper's P5).
 
 The rules are data: ``_RULES`` lists each operator class's rules in
 firing order, each with the option that enables it.  ``_Optimizer`` is
-one :class:`repro.rewrite.pipeline.RulePass` whose ``scope`` gives each
+one :class:`repro.rewrite.pipeline.RulePass` whose scope gives each
 child its order-sensitivity and live fields, and :func:`optimize_plan`
 repeats it through the same ``fixpoint`` as the Core rewritings.
 """
@@ -178,8 +178,6 @@ _RULES = (
 
 
 class _Optimizer(RulePass):
-    inherit = frozenset({TreeJoin, SeqPlan})
-
     def __init__(self, options: OptimizerOptions, namer: _FieldNamer) -> None:
         self.namer = namer
         self.pre: Dict[type, List[Callable]] = {}
@@ -187,10 +185,11 @@ class _Optimizer(RulePass):
             if option is None or getattr(options, option):
                 self.pre.setdefault(kind, []).append(getattr(_Optimizer, rule))
 
-    def scope(self, plan: Plan, index: int, done: List[Plan],
-              ctx: _Context) -> _Context:
+    def _scope(self, plan: Plan, index: int, done: List[Plan],
+               ctx: _Context) -> _Context:
         """The order-sensitivity and live fields child ``index`` of
-        ``plan`` is rewritten under (``done``: its rewritten elders)."""
+        ``plan`` is rewritten under (``done``: its rewritten elders);
+        ``TreeJoin`` and ``SeqPlan`` pass their own on."""
         insensitive, live = ctx
         if isinstance(plan, MapToItem):
             return insensitive, _fields_read(done[0]) if index else frozenset()
@@ -213,6 +212,10 @@ class _Optimizer(RulePass):
         if isinstance(plan, LetPlan):
             return index > 0 and insensitive, live
         return ctx
+
+    scopes = dict.fromkeys((MapToItem, MapFromItem, Select, TupleTreePattern,
+                            DDOPlan, Compare, Logical, FnCall, Arith,
+                            TypeswitchPlan, IfPlan, LetPlan), _scope)
 
     # -- the Figure 3 rules ---------------------------------------------------
 

@@ -41,8 +41,8 @@ from __future__ import annotations
 
 from typing import List
 
-from ..xqcore.cast import (CCall, CDDO, CExpr, CFor, CGenCmp, CIf, CLet,
-                           CLogical, CSeq, CStep, CTypeswitch)
+from ..xqcore.cast import (CArith, CCall, CDDO, CExpr, CFor, CGenCmp, CIf,
+                           CLet, CLogical, CTypeswitch)
 from .pipeline import _EBV_FUNCTIONS, FactsPass
 
 
@@ -52,24 +52,47 @@ def remove_redundant_ddo(expr: CExpr) -> CExpr:
 
 
 class _DocOrder(FactsPass):
-    inherit = frozenset({CStep, CSeq})
+    """Each scope says whether child ``index`` of a node is in an
+    insensitive context (the table in the module docstring); steps and
+    sequences pass their own on.  A Core class with children that is
+    neither must have a scope here."""
 
-    def scope(self, node: CExpr, index: int, done: List[CExpr],
+    def _for(self, node: CFor, index: int, done: List[CExpr],
+             insensitive: bool) -> bool:
+        if index == 0:
+            return insensitive and node.position_var is None
+        if index == 1:
+            self.enter(node, done)
+            return insensitive or node.where is not None
+        return insensitive
+
+    def _body(self, node: CExpr, index: int, done: List[CExpr],
               insensitive: bool) -> bool:
-        """Is child ``index`` of ``node`` in an insensitive context (the
-        table in the module docstring)?"""
-        if isinstance(node, (CLet, CFor, CTypeswitch)):
-            super().scope(node, index, done, insensitive)
-            if not isinstance(node, CFor):
-                return index > 0 and insensitive
-            if index == 0:
-                return insensitive and node.position_var is None
-            return insensitive or (index == 1 and node.where is not None)
-        if isinstance(node, CCall):
-            return node.name in _EBV_FUNCTIONS and len(node.args) == 1
-        if isinstance(node, CIf):
-            return index == 0 or insensitive
-        return isinstance(node, (CDDO, CGenCmp, CLogical))
+        """``let`` and ``typeswitch``: the bodies after the value."""
+        if index == 1:
+            self.enter(node, done)
+        return index > 0 and insensitive
+
+    def _if(self, node: CIf, index: int, done: List[CExpr],
+            insensitive: bool) -> bool:
+        return index == 0 or insensitive
+
+    def _call(self, node: CCall, index: int, done: List[CExpr],
+              insensitive: bool) -> bool:
+        return node.name in _EBV_FUNCTIONS and len(node.args) == 1
+
+    def _consumer(self, node: CExpr, index: int, done: List[CExpr],
+                  insensitive: bool) -> bool:
+        """``ddo``, comparisons and ``and``/``or``."""
+        return True
+
+    def _sensitive(self, node: CExpr, index: int, done: List[CExpr],
+                   insensitive: bool) -> bool:
+        return False
+
+    scopes = {CFor: _for, CLet: _body, CTypeswitch: _body, CIf: _if,
+              CCall: _call, CDDO: _consumer, CGenCmp: _consumer,
+              CLogical: _consumer, CArith: _sensitive}
 
     def _ddo(self, expr: CDDO, insensitive: bool) -> CExpr:
         if insensitive or self.facts_of(expr.arg).ord_nodup:

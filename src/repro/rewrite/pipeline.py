@@ -22,13 +22,10 @@ traversal, in memos owned by the family's pass and dropped with it (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import is_not
-from typing import (Any, Callable, Collection, Dict, List, Mapping, Sequence,
-                    Tuple)
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
 from ..guard.errors import InternalError
-from ..xqcore.cast import (CArith, CCall, CDDO, CExpr, CFor, CGenCmp, CIf,
-                           CLet, CLogical, CSeq, CStep, Var)
+from ..xqcore.cast import CExpr, CFor, CLet, CTypeswitch, Var
 from .facts import SINGLETON, UNKNOWN, Facts, FactsMemo, sequence_facts
 
 _MAX_ROUNDS = 100
@@ -44,25 +41,22 @@ Rule = Callable[[Any, Any, Any], Any]
 
 class RulePass:
     """One traversal.  At a node it fires its class's ``pre`` rules until
-    none fires, rewrites the children in ``children()`` order — child
-    ``index`` under ``scope(node, index, done, ctx)``, ``done`` holding
-    its elder siblings, rewritten — and last fires its class's ``post``
-    rule.  A family states these tables as class data, a disabled rule
-    absent, and a ``scope`` for the classes not in ``inherit``."""
+    none fires, rewrites the children in ``children()`` order, each under
+    the context its class's ``scopes`` entry gives it (or the node's own,
+    for a class without one), and last fires its class's ``post`` rule.
+    A family states these tables as class data, a disabled rule absent."""
 
     pre: Mapping[type, Sequence[Rule]] = {}
     post: Mapping[type, Rule] = {}
-    #: node classes whose children all share their parent's context.
-    inherit: Collection[type] = ()
-
-    def scope(self, node: Any, index: int, done: List[Any], ctx: Any) -> Any:
-        return ctx
+    #: ``scope(pass, node, index, done, ctx)``: the context of child
+    #: ``index``, ``done`` holding its elder siblings, rewritten.
+    scopes: Mapping[type, Callable[..., Any]] = {}
 
     def run(self, node: Any, ctx: Any) -> Any:
         """``node`` rewritten; ``node`` itself when no rule fired below."""
         # The tables as closure cells: the walk reads them at every node.
-        pre, post, inherit = self.pre, self.post, self.inherit
-        scope, settle = self.scope, self.settle
+        pre, post, scopes = self.pre, self.post, self.scopes
+        settle = self.settle
 
         def visit(node: Any, ctx: Any) -> Any:
             kind = type(node)
@@ -71,14 +65,15 @@ class RulePass:
                 kind = type(node)
             children = node.children()
             if children:
-                if kind in inherit:
-                    done = [visit(child, ctx) for child in children]
-                else:
-                    done = []
-                    for index, child in enumerate(children):
-                        done.append(visit(child,
-                                          scope(node, index, done, ctx)))
-                if any(map(is_not, done, children)):
+                scope = scopes.get(kind)
+                done = []
+                same = True
+                for index, child in enumerate(children):
+                    new = visit(child, ctx if scope is None else
+                                scope(self, node, index, done, ctx))
+                    same = same and new is child
+                    done.append(new)
+                if not same:
                     node = node.replace_children(done)
             return post[kind](self, node, ctx) if kind in post else node
 
@@ -110,18 +105,22 @@ class CorePass(RulePass):
     variables enter once its first child, the bound value, is rewritten,
     and never leave."""
 
-    inherit = frozenset({CSeq, CIf, CStep, CDDO, CCall, CGenCmp, CArith,
-                         CLogical})
-
     def __init__(self) -> None:
         self.env: Dict[Var, Any] = {}
 
-    def scope(self, node: CExpr, index: int, done: List[CExpr],
-              ctx: Any) -> Any:
-        if index == 1:   # the bound value is done (a non-binder binds none)
-            for var in node.bound_vars():
-                self.env[var] = self.bind(node, var, done)
+    def enter(self, node: CExpr, done: List[CExpr]) -> None:
+        """Bind the variables of the binder ``node``, its value ``done[0]``
+        rewritten: a binder's scope calls this before its second child."""
+        for var in node.bound_vars():
+            self.env[var] = self.bind(node, var, done)
+
+    def _binder(self, node: CExpr, index: int, done: List[CExpr],
+                ctx: Any) -> Any:
+        if index == 1:
+            self.enter(node, done)
         return ctx
+
+    scopes = dict.fromkeys((CLet, CFor, CTypeswitch), _binder)
 
     def bind(self, node: CExpr, var: Var, done: List[CExpr]) -> Any:
         """What the family knows of ``var``, bound by ``node`` over the

@@ -10,12 +10,17 @@ Variables are *identity-based*: every binder introduces a fresh
 :class:`Var` object, so rewrites never capture.  Display names (``dot``,
 ``seq``, ``position``, ``last``, …) are kept for pretty-printing in the
 paper's concrete syntax.
+
+Every Core class and plan operator (:mod:`repro.algebra.ops`) derives
+from :class:`Term`: a new node class is a dataclass that names its child
+fields once, in field order (``child_fields = ("left", "right")``), and
+inherits ``children()`` and ``replace_children()`` written from that.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import is_not
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -57,15 +62,49 @@ def fresh_var(name: str, origin: str = "user") -> Var:
     return Var(name, origin=origin)
 
 
-class CExpr:
+class Term:
+    """Base of Core expressions and plan operators.  ``children()`` lists
+    a node's children in field order; ``replace_children(new)`` builds a
+    new node of the same class, leaves too, with ``new`` in their place.
+    Both are written for each class, when it is made, from its
+    ``child_fields``; a class that writes its own pair keeps it."""
+
+    #: the fields that hold children, in field order.  A ``List[...]``
+    #: field, the class's only one, stands for all of its elements; an
+    #: ``Optional[...]`` field, at most one, counts when it is not None.
+    child_fields: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        if "children" in cls.__dict__:
+            return
+        # Generated source, as dataclasses writes __init__: as fast as
+        # the same code by hand.  The annotations give the field order.
+        kids = cls.child_fields
+        fields = cls.__dict__.get("__annotations__", {})
+        get = "(" + "".join(f"self.{name}, " for name in kids) + ")"
+        put = "(" + "".join(f"{name}, " for name in kids) + ") = new_children"
+        for index, name in enumerate(kids):
+            if fields[name].startswith("List["):   # the one child field
+                get, put = f"self.{name}", f"{name} = list(new_children)"
+            elif fields[name].startswith("Optional["):
+                short = get.replace(f"self.{name}, ", "")
+                get = f"{short} if self.{name} is None else {get}"
+                put += (f" if self.{name} is not None else (*new_children"
+                        f"[:{index}], None, *new_children[{index}:])")
+        call = ", ".join(name if name in kids else f"self.{name}"
+                         for name in fields)
+        namespace: Dict[str, object] = {}
+        exec(f"def children(self):\n    return {get}\n"
+             f"def replace_children(self, new_children):\n    {put}\n"
+             f"    return cls({call})\n", {"cls": cls}, namespace)
+        for name, method in namespace.items():
+            method.__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, method)
+
+
+class CExpr(Term):
     """Base class of core expressions."""
-
-    def children(self) -> Sequence["CExpr"]:
-        raise NotImplementedError
-
-    def replace_children(self, new_children: Sequence["CExpr"]) -> "CExpr":
-        """Rebuild this node with new children (same shapes/arity)."""
-        raise NotImplementedError
 
     def bound_vars(self) -> Sequence[Var]:
         """Variables bound *by this node* (scoping over some children)."""
@@ -78,22 +117,10 @@ class CLit(CExpr):
 
     value: Union[str, int, float, bool]
 
-    def children(self) -> Sequence[CExpr]:
-        return ()
-
-    def replace_children(self, new_children: Sequence[CExpr]) -> "CLit":
-        return CLit(self.value)
-
 
 @dataclass
 class CEmpty(CExpr):
     """The empty sequence ``()``."""
-
-    def children(self) -> Sequence[CExpr]:
-        return ()
-
-    def replace_children(self, new_children: Sequence[CExpr]) -> "CEmpty":
-        return CEmpty()
 
 
 @dataclass
@@ -102,24 +129,13 @@ class CVar(CExpr):
 
     var: Var
 
-    def children(self) -> Sequence[CExpr]:
-        return ()
-
-    def replace_children(self, new_children: Sequence[CExpr]) -> "CVar":
-        return CVar(self.var)
-
 
 @dataclass
 class CSeq(CExpr):
     """Sequence construction ``E1, E2, ...``."""
 
     items: List[CExpr]
-
-    def children(self) -> Sequence[CExpr]:
-        return self.items
-
-    def replace_children(self, new_children: Sequence[CExpr]) -> "CSeq":
-        return CSeq(list(new_children))
+    child_fields = ("items",)
 
 
 @dataclass
@@ -129,13 +145,7 @@ class CLet(CExpr):
     var: Var
     value: CExpr
     body: CExpr
-
-    def children(self) -> Sequence[CExpr]:
-        return (self.value, self.body)
-
-    def replace_children(self, new_children: Sequence[CExpr]) -> "CLet":
-        value, body = new_children
-        return CLet(self.var, value, body)
+    child_fields = ("value", "body")
 
     def bound_vars(self) -> Sequence[Var]:
         return (self.var,)
@@ -155,18 +165,7 @@ class CFor(CExpr):
     source: CExpr
     where: Optional[CExpr]
     body: CExpr
-
-    def children(self) -> Sequence[CExpr]:
-        if self.where is None:
-            return (self.source, self.body)
-        return (self.source, self.where, self.body)
-
-    def replace_children(self, new_children: Sequence[CExpr]) -> "CFor":
-        if self.where is not None:
-            source, where, body = new_children
-            return CFor(self.var, self.position_var, source, where, body)
-        source, body = new_children
-        return CFor(self.var, self.position_var, source, None, body)
+    child_fields = ("source", "where", "body")
 
     def bound_vars(self) -> Sequence[Var]:
         if self.position_var is not None:
@@ -181,13 +180,7 @@ class CIf(CExpr):
     condition: CExpr
     then_branch: CExpr
     else_branch: CExpr
-
-    def children(self) -> Sequence[CExpr]:
-        return (self.condition, self.then_branch, self.else_branch)
-
-    def replace_children(self, new_children: Sequence[CExpr]) -> "CIf":
-        condition, then_branch, else_branch = new_children
-        return CIf(condition, then_branch, else_branch)
+    child_fields = ("condition", "then_branch", "else_branch")
 
 
 @dataclass
@@ -204,13 +197,7 @@ class CStep(CExpr):
     axis: Axis
     test: NodeTest
     input: CExpr
-
-    def children(self) -> Sequence[CExpr]:
-        return (self.input,)
-
-    def replace_children(self, new_children: Sequence[CExpr]) -> "CStep":
-        (input_expr,) = new_children
-        return CStep(self.axis, self.test, input_expr)
+    child_fields = ("input",)
 
 
 @dataclass
@@ -218,13 +205,7 @@ class CDDO(CExpr):
     """``fs:distinct-doc-order(arg)`` — sort by document order + dedup."""
 
     arg: CExpr
-
-    def children(self) -> Sequence[CExpr]:
-        return (self.arg,)
-
-    def replace_children(self, new_children: Sequence[CExpr]) -> "CDDO":
-        (arg,) = new_children
-        return CDDO(arg)
+    child_fields = ("arg",)
 
 
 @dataclass
@@ -233,12 +214,7 @@ class CCall(CExpr):
 
     name: str
     args: List[CExpr]
-
-    def children(self) -> Sequence[CExpr]:
-        return self.args
-
-    def replace_children(self, new_children: Sequence[CExpr]) -> "CCall":
-        return CCall(self.name, list(new_children))
+    child_fields = ("args",)
 
 
 @dataclass
@@ -248,13 +224,7 @@ class CGenCmp(CExpr):
     op: str  # "=" "!=" "<" "<=" ">" ">="
     left: CExpr
     right: CExpr
-
-    def children(self) -> Sequence[CExpr]:
-        return (self.left, self.right)
-
-    def replace_children(self, new_children: Sequence[CExpr]) -> "CGenCmp":
-        left, right = new_children
-        return CGenCmp(self.op, left, right)
+    child_fields = ("left", "right")
 
 
 @dataclass
@@ -264,13 +234,7 @@ class CArith(CExpr):
     op: str  # "+" "-" "*" "div" "mod"
     left: CExpr
     right: CExpr
-
-    def children(self) -> Sequence[CExpr]:
-        return (self.left, self.right)
-
-    def replace_children(self, new_children: Sequence[CExpr]) -> "CArith":
-        left, right = new_children
-        return CArith(self.op, left, right)
+    child_fields = ("left", "right")
 
 
 @dataclass
@@ -280,13 +244,7 @@ class CLogical(CExpr):
     op: str  # "and" | "or"
     left: CExpr
     right: CExpr
-
-    def children(self) -> Sequence[CExpr]:
-        return (self.left, self.right)
-
-    def replace_children(self, new_children: Sequence[CExpr]) -> "CLogical":
-        left, right = new_children
-        return CLogical(self.op, left, right)
+    child_fields = ("left", "right")
 
 
 @dataclass
@@ -332,8 +290,9 @@ class CTypeswitch(CExpr):
 # -- traversal utilities -------------------------------------------------------
 
 
-def walk(expr: CExpr) -> Iterable[CExpr]:
-    """All sub-expressions, pre-order, including ``expr`` itself."""
+def walk(expr: Term) -> Iterable[Term]:
+    """All nodes of a Core expression or a plan, pre-order, including
+    ``expr`` itself (``repro.algebra.walk_plan`` is this function)."""
     stack = [expr]
     while stack:
         node = stack.pop()
@@ -434,9 +393,12 @@ def substitute(expr: CExpr, var: Var, replacement: CExpr) -> CExpr:
     return expr
 
 
-def count_nodes(expr: CExpr) -> int:
-    """Size of the core expression (used to check rewrite termination)."""
-    return sum(1 for _ in walk(expr))
+def count_nodes(expr: Term, kind: type | None = None) -> int:
+    """Number of nodes (optionally of one class) of a Core expression or
+    a plan (``repro.algebra.count_operators`` is this function)."""
+    if kind is None:
+        return sum(1 for _ in walk(expr))
+    return sum(1 for node in walk(expr) if isinstance(node, kind))
 
 
 def smart_ddo(expr: CExpr) -> CExpr:

@@ -1,19 +1,26 @@
-"""Core AST utilities: traversal, free variables, substitution,
-alpha-canonical printing; plus evaluator error paths."""
+"""Core AST utilities: traversal, the child layout of every Core and
+plan class, free variables, substitution, alpha-canonical printing;
+plus evaluator error paths."""
+
+import dataclasses
+import itertools
 
 import pytest
 
 from repro.algebra import (Const, DDOPlan, DynamicError, EvalContext,
                            FieldAccess, TreeJoin, eval_item, eval_tuples)
-from repro.algebra.ops import InputTuple
+from repro.algebra.ops import InputTuple, TypeswitchCase
+from repro.pattern import parse_pattern
 from repro.physical import NLJoin
 from repro.xmltree import IndexedDocument
 from repro.xmltree.axes import Axis
 from repro.xmltree.nodetest import NameTest
-from repro.xqcore import (CCall, CDDO, CFor, CGenCmp, CLet, CLit, CSeq,
+from repro.xqcore import (CaseClause, CCall, CDDO, CExpr, CFor, CGenCmp,
+                          CLet, CLit, CSeq,
                           CStep, CVar, alpha_canonical, count_nodes,
                           free_vars, fresh_var, normalize_query, pretty,
                           substitute, usage_count, walk)
+from repro.xqcore.cast import Term
 from repro.xquery import parse_query
 
 
@@ -32,6 +39,94 @@ class TestWalk:
         x = fresh_var("x")
         expr = CLet(x, CLit(1), CVar(x))
         assert count_nodes(expr) == 3
+
+
+def _concrete(base):
+    """Every dataclass below ``base``: each node class, found anew."""
+    for kind in base.__subclasses__():
+        if dataclasses.is_dataclass(kind):
+            yield kind
+        yield from _concrete(kind)
+
+
+def _sample(kind, where=True):
+    """An instance of ``kind``, every child a distinct leaf."""
+    numbers = itertools.count(1)
+
+    def leaf():
+        number = next(numbers)
+        return CLit(number) if issubclass(kind, CExpr) else Const((number,))
+
+    samples = {"Var": fresh_var("v"), "str": "s", "Axis": Axis.CHILD,
+               "NodeTest": NameTest("a"),
+               "TreePattern": parse_pattern("IN#f/child::b{o}")}
+    values = []
+    for field in dataclasses.fields(kind):
+        optional = field.type.startswith("Optional[")
+        name = field.type[len("Optional["):-1] if optional else field.type
+        if name in ("List[CaseClause]", "List[TypeswitchCase]"):
+            case = CaseClause if issubclass(kind, CExpr) else TypeswitchCase
+            values.append([case("numeric", fresh_var("c"), leaf()),
+                           case("string", fresh_var("c"), leaf())])
+        elif name.startswith("List["):
+            values.append([leaf(), leaf()])
+        elif name.endswith(("CExpr", "Plan")):
+            values.append(leaf() if where or not optional else None)
+        else:
+            values.append(samples.get(name, (1,) if "Tuple" in name else "v"))
+    return kind(*values)
+
+
+def _held(value):
+    """The nodes a field value holds, flattened in order."""
+    if isinstance(value, Term):
+        return [value]
+    if isinstance(value, list):
+        return [node for item in value for node in _held(item)]
+    if dataclasses.is_dataclass(value):   # a typeswitch case
+        return [node for field in dataclasses.fields(value)
+                for node in _held(getattr(value, field.name))]
+    return []
+
+
+_NODES = [_sample(kind) for kind in _concrete(Term)] + [
+    _sample(kind, where=False) for kind in _concrete(Term)
+    if any(field.type == "Optional[CExpr]"
+           for field in dataclasses.fields(kind))]
+
+
+class TestChildLayout:
+    """What each class's ``child_fields`` (or hand-written pair) gives."""
+
+    @pytest.mark.parametrize(
+        "node", _NODES, ids=lambda node: type(node).__name__ + (
+            "-no-where" if getattr(node, "where", 0) is None else ""))
+    def test_children_are_the_node_fields_and_rebuild_one_at_a_time(
+            self, node):
+        fields = [field.name for field in dataclasses.fields(node)]
+        held = {name: _held(getattr(node, name)) for name in fields}
+        children = list(node.children())
+        expected = [child for name in fields for child in held[name]]
+        assert [id(child) for child in children] == \
+            [id(child) for child in expected]
+
+        rebuilt = node.replace_children(node.children())
+        assert rebuilt is not node
+        assert type(rebuilt) is type(node)
+        assert rebuilt == node
+
+        for index, old in enumerate(children):
+            fresh = CLit("new") if isinstance(node, CExpr) \
+                else Const(("new",))
+            new_children = children[:index] + [fresh] + children[index + 1:]
+            changed = node.replace_children(new_children)
+            assert type(changed) is type(node)
+            assert [id(child) for child in changed.children()] == \
+                [id(child) for child in new_children]
+            for name in fields:
+                moved = any(child is old for child in held[name])
+                assert (getattr(changed, name) == getattr(node, name)) \
+                    is not moved, name
 
 
 class TestFreeVars:
