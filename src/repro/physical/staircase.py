@@ -20,18 +20,22 @@ merge of ``pre`` streams against the document's
 result boundary — exactly the staircase join of Grust et al., which is
 defined over the integer pre/post plane, not over heap objects.
 
-Patterns are evaluated spine-step-by-spine-step (each step one
-staircase join).  A predicate branch is a *bottom-up semi-join* that
-filters the step's whole sorted output at once: innermost step first,
-each branch step reads its stream once inside the hull of the
-candidates' regions (two binary searches) and keeps the entries that
-satisfy what hangs below them; the candidates are then filtered against
-that list — one ``parent``-column gather for ``child``/``attribute``,
-one binary search per candidate for ``descendant``.  This is the
-paper's "each branch adds a pass" (Section 5): the cost of a twig is
-one pass per query node over that node's stream, never candidates ×
-region.  Only positional branch steps are walked per candidate, because
-positions count per context node by definition.
+Patterns are evaluated spine-step-by-spine-step (each step one staircase
+join).  A predicate branch is a *bottom-up semi-join* that filters the
+step's whole sorted output at once: innermost step first, each branch
+step reads its stream once inside the hull of the candidates' regions
+and keeps the entries that satisfy what hangs below them; the candidates
+are then filtered against that list.  The hull ends where the outermost
+candidate enclosing the last one ends: a walk up the last one's
+ancestors, one ``bisect`` per level.  The filter is a C-level
+``parent``-set test for ``child``/``attribute``; for ``descendant`` it
+starts from the smaller side: few satisfying entries walk up the
+``parent`` column, each node once, many are merged with the candidates
+in one hinted pass.  This is the paper's "each branch adds a pass"
+(Section 5): the cost of a twig is one pass per query node over that
+node's stream, never candidates × region.  Only positional branch steps
+are walked per candidate, because positions count per context node by
+definition.
 
 A *batch* of input tuples (:meth:`StaircaseJoin.evaluate_each`, one
 context node per tuple) is answered by the same kernels, not by one walk
@@ -47,7 +51,7 @@ Axes outside the downward fragment go to NLJoin (see
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from ..guard.chaos import chaos_point
 from ..pattern import PatternPath, PatternStep, TreePattern
@@ -62,6 +66,11 @@ from .base import NO_RUN, Binding, Run, TreePatternAlgorithm
 #: entries per context (a region scan costs two binary searches and a
 #: slice before it reads its first entry).
 _GATHER_FANOUT = 16
+
+#: A branch semi-join walks up the ``parent`` column instead of passing
+#: over its candidates when ``level`` bounds the walk to under one step
+#: per this many candidates.
+_FEW = 4
 
 
 class StaircaseJoin(TreePatternAlgorithm):
@@ -210,7 +219,7 @@ class StaircaseJoin(TreePatternAlgorithm):
         end_column = columns.end
         parent_column = columns.parent
         low = bisect_left(pres, contexts[0] + 1)
-        high = bisect_right(pres, max(map(end_column.__getitem__, contexts)))
+        high = bisect_right(pres, _hull_end(columns, contexts))
         if 1 < len(contexts) and high - low <= _GATHER_FANOUT * len(contexts):
             # Many contexts close together: one gather of the parent
             # column over the hull slice, which comes out in stream
@@ -308,14 +317,13 @@ class StaircaseJoin(TreePatternAlgorithm):
             satisfying = self._staircase_step(columns, candidates, step,
                                               run)
         else:
-            end_column = columns.end
             # Where a candidate's matches start relative to its ``pre``.
             offset = 0 if axis is Axis.DESCENDANT_OR_SELF else 1
             if axis is Axis.ATTRIBUTE:
                 # Attributes directly follow their owner element.
                 last = columns.attributes_of(candidates[-1]).stop - 1
             else:
-                last = max(map(end_column.__getitem__, candidates))
+                last = _hull_end(columns, candidates)
             pres = step.test.stream(columns, axis is Axis.ATTRIBUTE)
             low = bisect_left(pres, candidates[0] + offset)
             high = bisect_right(pres, last)
@@ -336,16 +344,67 @@ class StaircaseJoin(TreePatternAlgorithm):
             return []
         if axis in (Axis.CHILD, Axis.ATTRIBUTE):
             parents = set(map(columns.parent.__getitem__, satisfying))
-            return [pre for pre in candidates if pre in parents]
-        # descendant(-or-self): the first satisfying entry at or after
-        # the candidate's region start must still lie inside the region.
-        count = len(satisfying)
-        kept: List[int] = []
+            return list(filter(parents.__contains__, candidates))
+        if len(satisfying) * _FEW < len(candidates):
+            kept = _enclosing(columns, candidates, satisfying, offset)
+            if kept is not None:
+                return kept
+        # descendant(-or-self), many entries: one merge, a candidate kept
+        # if the next entry from its region start still lies inside it.
+        entries = list(satisfying)
+        count = len(entries)
+        end_column = columns.end
+        kept = []
+        at = 0
         for pre in candidates:
-            at = bisect_left(satisfying, pre + offset)
-            if at < count and satisfying[at] <= end_column[pre]:
+            at = bisect_left(entries, pre + offset, at)
+            if at == count:
+                break
+            if entries[at] <= end_column[pre]:
                 kept.append(pre)
         return kept
+
+
+def _hull_end(columns: ColumnarDocument, candidates: Sequence[int]) -> int:
+    """``end`` of the candidates' hull (sorted pres).  Regions nest or
+    are disjoint, so it is that of the outermost candidate enclosing the
+    last one: walk the last one's ancestors, one ``bisect`` each, or below
+    a deep last one read the pruned staircase's last region."""
+    end_column = columns.end
+    node = outer = candidates[-1]
+    if columns.level[node] * _FEW >= len(candidates):
+        return end_column[_prune_covered(candidates, end_column)[-1]]
+    parent_column = columns.parent
+    first = candidates[0]
+    while True:
+        node = parent_column[node]
+        if node < first:
+            return end_column[outer]
+        if candidates[bisect_left(candidates, node)] == node:
+            outer = node
+
+
+def _enclosing(columns: ColumnarDocument, candidates: Sequence[int],
+               satisfying: Sequence[int], offset: int) -> Optional[List[int]]:
+    """The candidates with a satisfying entry in their region from
+    ``pre + offset`` on, from the satisfying side: walk up from each
+    entry through the ``parent`` column, stopping at a node an earlier
+    walk reached.  A walk takes at most the entry's level in steps;
+    ``None`` once one could take the walks past one step per ``_FEW``
+    candidates."""
+    parent_column = columns.parent
+    level_column = columns.level
+    first = candidates[0]
+    limit = len(candidates) // _FEW
+    reached = set()
+    for entry in satisfying:
+        if len(reached) + level_column[entry] > limit:
+            return None
+        node = parent_column[entry] if offset else entry
+        while node >= first and node not in reached:
+            reached.add(node)
+            node = parent_column[node]
+    return sorted(reached.intersection(candidates))
 
 
 def _prune_covered(contexts: List[int], end_column) -> List[int]:

@@ -9,7 +9,7 @@ from repro.obs import ExecMetrics
 from repro.pattern import parse_pattern
 from repro.physical import (HeuristicChooser, NLJoin, Run, StackTreeJoin,
                             StaircaseJoin, Strategy, TwigJoin,
-                            make_algorithm)
+                            make_algorithm, staircase)
 from repro.xmltree import IndexedDocument, serialize
 
 DOC = IndexedDocument.from_string(
@@ -232,6 +232,101 @@ class TestBranchSemiJoin:
                    if single(NLJoin(), TWIGS, text)]
         assert len(matched) >= len(self.PATTERNS) - 4
 
+    #: A leaf ``a`` first, forty flat ``a`` with a ``c`` each, then ``a``
+    #: nested four deep: the last ``a`` is enclosed by three others, the
+    #: outermost of which is not the first ``a``, and a ``b`` follows the
+    #: last ``a`` inside that outermost one.  Two ``b`` against 45 ``a``
+    #: and 42 ``c``: a descendant filter from all ``a`` walks up from the
+    #: ``b``s and merges the ``c``s.
+    SIDES = IndexedDocument.from_string(
+        "<r><a/>" + "<a><c/></a>" * 40
+        + "<a><a><c/><a><a><b/></a></a></a><b/><c/></a></r>")
+
+    SIDE_PATTERNS = [
+        # few satisfying entries
+        "IN#d/descendant::a[descendant::b]{o}",
+        "IN#d/descendant::a[descendant-or-self::b]{o}",
+        "IN#d/descendant::*[descendant-or-self::b]{o}",
+        "IN#d/descendant::a[descendant::a[descendant::b]]{o}",
+        # many satisfying entries
+        "IN#d/descendant::a[descendant::c]{o}",
+        "IN#d/descendant::a[descendant-or-self::a[child::c]]{o}",
+        "IN#d/descendant::*[descendant-or-self::c]{o}",
+        # the hull must reach the ``b`` after the last ``a``
+        "IN#d/descendant::a[child::b]{o}",
+        "IN#d/descendant::a[child::a[child::b]]{o}",
+    ]
+
+    @pytest.mark.parametrize("pattern_text", SIDE_PATTERNS)
+    def test_both_sides_of_the_filter_agree_with_nljoin(self, pattern_text):
+        nodes = [self.SIDES.node_at(pre) for pre in range(self.SIDES.size)]
+        for contexts in [[node] for node in nodes] + [nodes]:
+            expected = single(NLJoin(), self.SIDES, pattern_text, contexts)
+            assert single(StaircaseJoin(), self.SIDES, pattern_text,
+                          contexts) == expected
+        assert single(NLJoin(), self.SIDES, pattern_text)
+
+    def test_both_sides_of_the_filter_are_taken(self, monkeypatch):
+        """From the root, the few-entry patterns walk up and the
+        many-entry ones merge, for both descendant axes."""
+        walks = []
+        walk = staircase._enclosing
+
+        def spy(columns, candidates, satisfying, offset):
+            kept = walk(columns, candidates, satisfying, offset)
+            walks.append((offset, kept is not None))
+            return kept
+
+        monkeypatch.setattr(staircase, "_enclosing", spy)
+        sides = {}
+        for text in self.SIDE_PATTERNS[:7]:
+            walks.clear()
+            single(StaircaseJoin(), self.SIDES, text)
+            sides[text] = list(walks)
+        few, many = self.SIDE_PATTERNS[:4], self.SIDE_PATTERNS[4:7]
+        assert all(sides[text] and all(walked for _, walked in sides[text])
+                   for text in few)
+        assert {offset for text in few for offset, _ in sides[text]} \
+            == {0, 1}
+        assert all(not sides[text] for text in many)
+
+    def test_deep_chain(self, chain):
+        """Checked against pres worked out by hand: NLJoin reads every
+        ``a``'s region, 12 million nodes a pattern here."""
+        a_pres = [node.pre for node in chain.stream("a")]
+        (b_pre,) = [node.pre for node in chain.stream("b")]
+        last_c = chain.stream("c")[-1].pre
+        assert a_pres == list(range(last_c + 1, b_pre))
+        expected = {
+            "descendant::a[child::b]": [a_pres[-1]],
+            "descendant::a[descendant::b]": a_pres,
+            "descendant::a[descendant-or-self::b]": a_pres,
+            "descendant::a[descendant::a]": a_pres[:-1],
+            "descendant::c[descendant::b]": [last_c],
+            "descendant::*[descendant-or-self::b]":
+                [1, last_c] + a_pres + [b_pre],
+            "descendant::a[descendant::a[child::b]]": a_pres[:-1],
+        }
+        for text, pres in expected.items():
+            assert single(StaircaseJoin(), chain,
+                          "IN#d/" + text + "{o}") == pres, text
+        # From all ``a`` at once, and from the innermost few.
+        for contexts in (chain.stream("a"), chain.stream("a")[-3:]):
+            assert single(StaircaseJoin(), chain,
+                          "IN#d/descendant-or-self::a[descendant::b]{o}",
+                          contexts) == [node.pre for node in contexts]
+
+
+@pytest.fixture(scope="module")
+def chain():
+    """``a`` nested 5 000 deep under the last of 21 ``c``, a ``b`` at the
+    bottom: the last candidate's ancestors, and the ``b``'s, are far more
+    than a quarter of the candidates."""
+    depth = 5000
+    return IndexedDocument.from_string(
+        "<r>" + "<c/>" * 20 + "<c>" + "<a>" * depth + "<b/>"
+        + "</a>" * depth + "</c></r>")
+
 
 @pytest.fixture(scope="module")
 def forest():
@@ -241,6 +336,21 @@ def forest():
               for index in range(100)]
     return IndexedDocument.from_string(
         "<forest>" + "".join(blocks) + "</forest>")
+
+
+class _CountingColumn:
+    """A column that records the ``pre`` of every entry read from it."""
+
+    def __init__(self, column):
+        self.column = column
+        self.reads = []
+
+    def __len__(self):
+        return len(self.column)
+
+    def __getitem__(self, pre):
+        self.reads.append(pre)
+        return self.column[pre]
 
 
 class TestStaircaseWork:
@@ -313,6 +423,59 @@ class TestStaircaseWork:
         with pytest.raises(BudgetExceeded) as exc:
             algorithm.match_single(forest, [forest.root], self.TWIG, tight)
         assert exc.value.code.startswith("REPRO-BUDGET")
+
+    @staticmethod
+    def column_reads(monkeypatch, document, path):
+        """The ``end`` and ``parent`` entries one evaluation reads, by
+        ``pre`` (the result's nodes are made beforehand, so only the
+        join reads)."""
+        expected = StaircaseJoin().match_single(document, [document.root],
+                                                path)
+        columns = document.columns
+        reads = {name: _CountingColumn(getattr(columns, name))
+                 for name in ("end", "parent")}
+        for name, column in reads.items():
+            monkeypatch.setattr(columns, name, column)
+        assert StaircaseJoin().match_single(document, [document.root],
+                                            path) == expected
+        monkeypatch.undo()
+        return reads["end"].reads, reads["parent"].reads
+
+    def test_branch_hulls_walk_the_depth_not_the_candidates(
+            self, forest, monkeypatch):
+        """QE1: each branch level finds its hull's end from the last
+        candidate's ancestors, not by reading every candidate's
+        ``end``; the ``child`` filters read none."""
+        depth = max(forest.columns.level)
+        ends, parents = self.column_reads(monkeypatch, forest, self.TWIG)
+        levels = 4          # the spine step and three branch steps
+        assert len(ends) <= levels * (depth + 2)
+        assert len(parents) <= levels * (depth + 2) + sum(
+            len(forest.stream(tag)) for tag in ("t02", "t03", "t04"))
+
+    def test_few_satisfying_entries_read_no_candidate_end(
+            self, forest, monkeypatch):
+        """QE4: the ``t02`` and ``t01`` levels have a sixth and a
+        thirtieth as many satisfying entries as candidates, so they walk
+        up from the entries: the one candidate ``end`` each level reads
+        is its hull's."""
+        path = parse_pattern(
+            "IN#d/descendant::t01[descendant::t02[descendant::t03"
+            "[descendant::t04]]]{o}").path
+        ends, _ = self.column_reads(monkeypatch, forest, path)
+        for tag in ("t01", "t02"):
+            pres = {node.pre for node in forest.stream(tag)}
+            assert len(pres.intersection(ends)) <= 1, tag
+
+    def test_a_deep_chain_walks_no_level(self, chain, monkeypatch):
+        """A 5 000-deep chain of candidates: the hull and the descendant
+        filter find from the ``level`` column that a walk would take
+        more steps than a pass, and read no ``parent`` for it."""
+        for text in ("descendant::a[child::b]", "descendant::a[descendant::b]",
+                     "descendant::a[descendant-or-self::b]"):
+            path = parse_pattern("IN#d/" + text + "{o}").path
+            _, parents = self.column_reads(monkeypatch, chain, path)
+            assert len(parents) <= 2, text
 
     def test_chaos_site_still_fires(self, forest):
         with inject(ChaosSpec(site="scjoin.match")) as injector:
