@@ -14,9 +14,10 @@ root-to-leaf lexical order — has one evaluator, the reference NLJoin
 the strategy; the optimizer never emits one.
 
 :meth:`evaluate` answers one input tuple; :meth:`evaluate_each`, which
-the ``TupleTreePattern`` operator calls, answers a whole batch of
-tuples — by looping over :meth:`evaluate` unless the algorithm has a
-batch kernel (SCJoin does).  Every request takes the :class:`Run` it belongs
+the ``TupleTreePattern`` operator calls, answers a whole batch of tuples
+in ``pre`` space, one match column plus offsets — by looping over
+:meth:`evaluate` unless the algorithm has a batch kernel (SCJoin does).
+Every request takes the :class:`Run` it belongs
 to — counters, budgets, trace and summary — as its last argument and
 hands it on; an algorithm object holds nothing per run, so one instance
 per strategy serves every engine and thread.
@@ -31,7 +32,9 @@ NLJoin outside — whose work counts under ``nljoin`` and passes the
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, TYPE_CHECKING
+from itertools import accumulate, chain, compress
+from operator import attrgetter
+from typing import Dict, FrozenSet, List, Optional, Tuple, TYPE_CHECKING
 
 from ..guard.governor import ResourceGovernor
 from ..obs import ExecMetrics
@@ -96,10 +99,10 @@ class TreePatternAlgorithm:
 
     name = "abstract"
 
-    #: every algorithm materializes its binding lists before returning
-    #: from :meth:`evaluate`/:meth:`evaluate_each` (the join's build
-    #: side).  The interpreter hands over a whole batch of tuples and
-    #: gets a list per tuple back; the compiled backend
+    #: every algorithm materializes its results before returning from
+    #: :meth:`evaluate`/:meth:`evaluate_each` (the join's build side).
+    #: The interpreter hands over a whole batch of tuples and gets one
+    #: match column back; the compiled backend
     #: (:mod:`repro.compiled`), which pushes tuples one at a time, treats
     #: each pattern evaluation as a pipeline breaker: the bindings
     #: materialize here and downstream code resumes per binding.
@@ -154,14 +157,18 @@ class TreePatternAlgorithm:
 
     def evaluate_each(self, document: IndexedDocument, contexts: List[Node],
                       pattern: TreePattern,
-                      run: Run = NO_RUN) -> List[List[Binding]]:
-        """Evaluate a pattern for a batch of input tuples: one context
-        node per tuple in, one binding list per tuple out —
-        ``[evaluate(document, [context], pattern, run) for context in
-        contexts]``, which is also the default implementation.  The
-        lists may be shared between tuples; callers do not mutate them."""
-        return [self.evaluate(document, [context], pattern, run)
-                for context in contexts]
+                      run: Run = NO_RUN) -> Tuple[List[int], List[int]]:
+        """A single-output pattern for a batch of tuples, one context
+        node each: ``(matches, offsets)``, tuple *i*'s match ``pre``s
+        (sorted, duplicate-free) at ``matches[offsets[i]:offsets[i +
+        1]]``.  By default :meth:`evaluate` per context."""
+        out_field = pattern.single_output_field
+        if out_field is None:
+            raise ValueError("evaluate_each answers a single-output pattern")
+        return as_column([
+            [binding[out_field].pre for binding
+             in self.evaluate(document, [context], pattern, run)]
+            for context in contexts])
 
     def _invoke(self, kernel, document: IndexedDocument,
                 contexts: List[Node], pattern: TreePattern, each: bool,
@@ -170,9 +177,9 @@ class TreePatternAlgorithm:
         for :meth:`evaluate` (``each=False``: the contexts are one
         tuple's, the kernel returns its bindings) and
         :meth:`evaluate_each` (``each=True``: one tuple per context, the
-        kernel returns a binding list for each): the trace span, the
-        ``pattern_evals`` count, the budget charge and the structural
-        prefilter, which counts and answers per tuple."""
+        kernel maps their ``pre``s to ``(matches, offsets)``): the trace
+        span, the ``pattern_evals`` count, the budget charge and the
+        structural prefilter, which counts and answers per tuple."""
         trace = run.trace
         span = None if trace is None else trace.begin_span(
             f"pattern:{self.name}", contexts=len(contexts))
@@ -186,6 +193,8 @@ class TreePatternAlgorithm:
                 # coarse enough to afford a clock read on top.
                 governor.tick(len(contexts) if each else 1)
                 governor.check_clock()
+            if each:
+                contexts = list(map(attrgetter("pre"), contexts))
             summary = run.summary
             live = None
             if (summary is not None and summary.document is document
@@ -205,19 +214,22 @@ class TreePatternAlgorithm:
                 if trace is not None:
                     trace.event("prune_hit",
                                 pattern=pattern.path.to_string())
-                # Only a batch can be answered in part.
-                answers = iter(kernel(document, [
-                    context for context, alive in zip(contexts, live)
-                    if alive], pattern, run) if misses else ())
-                result = [next(answers) if alive else []
-                          for alive in live] if each else []
+                # Only a batch can be answered in part: a ruled-out
+                # tuple gets an empty range.
+                result = []
+                if each:
+                    matches, kept = kernel(document, list(compress(
+                        contexts, live)), pattern, run) \
+                        if misses else ([], [0])
+                    # A tuple's range ends where the last live one's does.
+                    result = matches, [0, *map(kept.__getitem__,
+                                               accumulate(live))]
         except BaseException:
             if span is not None:
                 trace.end_span(span, error=True)
             raise
         if span is not None:
-            trace.end_span(span, rows=sum(map(len, result)) if each
-                           else len(result))
+            trace.end_span(span, rows=len(result[0] if each else result))
         return result
 
     def _evaluate(self, document: IndexedDocument, contexts: List[Node],
@@ -234,6 +246,13 @@ class TreePatternAlgorithm:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__}>"
+
+
+def as_column(answers: List[List[int]]) -> Tuple[List[int], List[int]]:
+    """Per-tuple match lists as :meth:`~TreePatternAlgorithm.evaluate_each`
+    returns them: one column plus offsets."""
+    return (list(chain.from_iterable(answers)),
+            [0, *accumulate(map(len, answers))])
 
 
 def steps_from_attribute(path: PatternPath, contexts: List[Node]) -> bool:

@@ -39,10 +39,12 @@ definition.
 
 A *batch* of input tuples (:meth:`StaircaseJoin.evaluate_each`, one
 context node per tuple) is answered by the same kernels, not by one walk
-per tuple: the distinct contexts are peeled into layers whose regions do
-not nest, each layer is walked once, and — a downward match inside a
-region can only have been reached from that region's root — the layer's
-sorted result is split back by ``[pre, end[pre]]``.
+per tuple, into one column of match ``pre``s plus each tuple's offset
+in it.  Contexts sorted with disjoint regions (one C-level pass over
+``end``) are one layer; other batches are peeled into layers whose
+regions do not nest.  Each layer is walked once, and — a downward match
+inside a region can only have been reached from that region's root —
+a context's matches start at the first one from its ``pre`` on.
 
 Axes outside the downward fragment go to NLJoin (see
 :mod:`repro.physical.base`).
@@ -51,7 +53,9 @@ Axes outside the downward fragment go to NLJoin (see
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import List, Optional, Sequence
+from itertools import repeat
+from operator import lt
+from typing import List, Optional, Sequence, Tuple
 
 from ..guard.chaos import chaos_point
 from ..pattern import PatternPath, PatternStep, TreePattern
@@ -59,7 +63,7 @@ from ..xmltree.axes import Axis
 from ..xmltree.columnar import KIND_ELEMENT, ColumnarDocument
 from ..xmltree.document import IndexedDocument
 from ..xmltree.node import Node
-from .base import NO_RUN, Binding, Run, TreePatternAlgorithm
+from .base import NO_RUN, Run, TreePatternAlgorithm, as_column
 
 #: ``_child_join`` gathers over the contexts' hull instead of scanning
 #: one region per context when the hull holds at most this many stream
@@ -91,7 +95,7 @@ class StaircaseJoin(TreePatternAlgorithm):
 
     def evaluate_each(self, document: IndexedDocument, contexts: List[Node],
                       pattern: TreePattern,
-                      run: Run = NO_RUN) -> List[List[Binding]]:
+                      run: Run = NO_RUN) -> Tuple[List[int], List[int]]:
         if (pattern.single_output_field is None
                 or not self.covers(pattern.path, contexts)):
             # NLJoin's work is per tuple.
@@ -99,14 +103,16 @@ class StaircaseJoin(TreePatternAlgorithm):
         return self._invoke(self._match_each, document, contexts, pattern,
                             True, run)
 
-    def _match_each(self, document: IndexedDocument, contexts: List[Node],
+    def _match_each(self, document: IndexedDocument, pres: List[int],
                     pattern: TreePattern,
-                    run: Run) -> List[List[Binding]]:
-        """``match_single`` from each context on its own, a layer of
-        contexts per walk."""
+                    run: Run) -> Tuple[List[int], List[int]]:
+        """``match_single`` from each context ``pre`` on its own, a layer
+        of contexts per walk: the match column and its offsets."""
         columns = document.columns
         end_column = columns.end
-        pres = [node.pre for node in contexts]
+        if all(map(lt, map(end_column.__getitem__, pres), pres[1:])):
+            # Sorted, with disjoint regions (``end[pre] >= pre``).
+            return self._walk(columns, pres, pattern.path, run)
         # Peel: a context goes to the layer numbered by how many other
         # contexts enclose it, so regions within a layer are disjoint
         # and each layer is in document order.
@@ -119,20 +125,22 @@ class StaircaseJoin(TreePatternAlgorithm):
                 layers.append([])
             layers[len(enclosing)].append(pre)
             enclosing.append(end_column[pre])
-        out_field = pattern.single_output_field
-        node_at = document.node_at
         answers = {}
         for layer in layers:
-            matches = chaos_point("scjoin.match", self._join_path(
-                columns, layer, pattern.path, run))
-            high = 0
-            for pre in layer:
-                low = bisect_left(matches, pre, high)
-                high = bisect_right(matches, end_column[pre], low)
-                answers[pre] = [{out_field: node_at(match)}
-                                for match in matches[low:high]]
-        # Duplicate contexts share one (never mutated) binding list.
-        return [answers[pre] for pre in pres]
+            matches, offsets = self._walk(columns, layer, pattern.path, run)
+            answers.update(zip(layer, map(matches.__getitem__, map(
+                slice, offsets, offsets[1:]))))
+        return as_column(list(map(answers.__getitem__, pres)))
+
+    def _walk(self, columns: ColumnarDocument, layer: List[int],
+              path: PatternPath, run: Run) -> Tuple[List[int], List[int]]:
+        """One walk from a layer of contexts (sorted, with disjoint
+        regions), each context's matches from the first at its ``pre``."""
+        matches = chaos_point("scjoin.match", self._join_path(
+            columns, layer, path, run))
+        offsets = list(map(bisect_left, repeat(matches), layer))
+        offsets.append(len(matches))
+        return matches, offsets
 
     # -- the join ----------------------------------------------------------------
 

@@ -127,6 +127,17 @@ class TestCorruption:
         assert corrupted != baseline
         assert len(corrupted) == len(baseline) - 1
 
+    def test_corruption_at_the_evaluator_drops_one_match(self, qe_engine):
+        """``eval.ttp`` carries a batch's match column: a corruption
+        there drops exactly one match, and no raw exception escapes."""
+        compiled = qe_engine.compile(QE_QUERIES["QE1"])
+        baseline = keys(qe_engine.execute(compiled, strategy="nljoin"))
+        with inject(ChaosSpec(site="eval.ttp", action="corrupt")) \
+                as injector:
+            corrupted = keys(qe_engine.execute(compiled, strategy="scjoin"))
+        assert injector.fired("eval.ttp")
+        assert len(corrupted) == len(baseline) - 1
+
 
 class TestDeterminism:
     def test_same_seed_same_fires(self, qe_engine):

@@ -135,19 +135,36 @@ def _sample_contexts(document):
     return nodes[1::2] + [document.root] + nodes[::2] + nodes[5:8]
 
 
+def _disjoint(contexts):
+    """The contexts sorted, each kept unless an earlier kept one's
+    region holds it: the batch SCJoin walks once."""
+    kept = []
+    for node in sorted(contexts, key=lambda node: node.pre):
+        if not kept or kept[-1].end < node.pre:
+            kept.append(node)
+    return kept
+
+
 @given(query=qgen.member_queries())
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_evaluate_each_is_evaluate_per_context(query):
     """Every tree pattern the optimizer finds in a generated query,
-    under every strategy: a batch answers as the loop."""
+    under every strategy: a batch answers as the loop, nested or
+    sorted and disjoint."""
     document = _EACH_ENGINE.document
-    contexts = _sample_contexts(document)
+    mixed = _sample_contexts(document)
     for pattern in _EACH_ENGINE.compile(query).tree_patterns():
-        for strategy in Strategy:
-            algorithm = make_algorithm(strategy)
-            run = Run(summary=document.summary)
-            expected = [algorithm.evaluate(document, [context], pattern, run)
-                        for context in contexts]
-            assert algorithm.evaluate_each(document, contexts, pattern,
-                                           run) \
-                == expected, f"{strategy} on {pattern} from {query!r}"
+        out_field = pattern.single_output_field
+        for contexts in (mixed, _disjoint(mixed)):
+            for strategy in Strategy:
+                algorithm = make_algorithm(strategy)
+                run = Run(summary=document.summary)
+                expected = [
+                    [binding[out_field].pre for binding in algorithm.evaluate(
+                        document, [context], pattern, run)]
+                    for context in contexts]
+                matches, offsets = algorithm.evaluate_each(
+                    document, contexts, pattern, run)
+                assert [matches[low:high] for low, high
+                        in zip(offsets, offsets[1:])] == expected, \
+                    f"{strategy} on {pattern} from {query!r}"

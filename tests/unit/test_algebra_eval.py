@@ -254,6 +254,25 @@ class TestTupleOperators:
         assert eval_tuples(TupleTreePattern(pattern, InputTuple()),
                            context) == []
 
+    def test_ttp_context_that_is_not_a_node_is_a_dynamic_error(self):
+        """The batch path (one item per row) and a caller-supplied
+        sequence both check the context column before any pattern runs."""
+        pattern = parse_pattern("IN#dot/descendant::b{out}")
+        var = fresh_var("d", origin="external")
+        context = ctx()
+        context.globals[var] = [DOC.root, 5, DOC.stream("b")[0]]
+        batch = TupleTreePattern(pattern, MapFromItem("dot", VarPlan(var)))
+        supplied = ctx()
+        supplied.tuple_stack.append({"dot": [DOC.root, "x"]})
+        for plan, context in ((batch, context),
+                              (TupleTreePattern(pattern, InputTuple()),
+                               supplied)):
+            with pytest.raises(DynamicError,
+                               match="tree pattern context is not a node") \
+                    as err:
+                eval_tuples(plan, context)
+            assert err.value.code == "REPRO-DYNAMIC"
+
     def test_results_are_copies_at_the_boundary(self):
         context = ctx()
         context.tuple_stack.append({"f": [1, 2]})

@@ -13,7 +13,8 @@ pattern dispatch moved into ``repro.physical.base``:
   ``parent``, attributes, steps from an attribute, binding
   enumeration), evaluated by each algorithm directly: one
   :meth:`evaluate` from the root and one :meth:`evaluate_each` over a
-  batch of nested contexts.
+  batch of nested contexts (a multi-output pattern: one
+  :meth:`evaluate` per context).
 
 Every strategy gives the same answers, so the results are kept once and
 the counters per strategy.
@@ -78,6 +79,20 @@ def _bindings(bindings) -> str:
                     for binding in bindings)
 
 
+def _batch(algorithm, document, contexts, pattern, run) -> list:
+    """One word list per context, as :func:`_bindings` writes it: one
+    :meth:`evaluate_each` for a single-output pattern, one
+    :meth:`evaluate` per context for a multi-output one (as the
+    evaluator runs them)."""
+    if pattern.single_output_field is None:
+        return [_bindings(algorithm.evaluate(document, [context], pattern,
+                                             run)) for context in contexts]
+    matches, offsets = algorithm.evaluate_each(document, contexts, pattern,
+                                               run)
+    return [" ".join(map(str, matches[low:high]))
+            for low, high in zip(offsets, offsets[1:])]
+
+
 def _contexts(document) -> list:
     """Nested contexts for a batch: the root, the top element, its
     children and the first person's attributes."""
@@ -116,10 +131,9 @@ def pinned_runs() -> dict:
                       if strategy in CHOOSERS else None)
             single = algorithm.evaluate(document, [document.root], pattern,
                                         run)
-            batch = algorithm.evaluate_each(document, contexts, pattern, run)
             runs[strategy] = {
                 "results": [_bindings(single)]
-                + [_bindings(bindings) for bindings in batch],
+                + _batch(algorithm, document, contexts, pattern, run),
                 "counters": metrics.counters()}
         patterns[text] = _shared_results(runs)
     return {"queries": queries, "patterns": patterns}

@@ -595,9 +595,38 @@ def each_contexts(document):
             a["6"], root, document.stream("b")[0], a["4"]]
 
 
+def disjoint_contexts(document):
+    """Sorted, with pairwise disjoint regions, of every kind: the batch
+    SCJoin answers in one walk."""
+    a = {node.get_attribute("id"): node for node in document.stream("a")}
+    text, a2, c = a["1"].children
+    first_b, a3, last_b = a2.children
+    a4, b_u = a3.children
+    contexts = [a["1"].attributes[0], text, first_b, a4, b_u, last_b, c,
+                a["5"], a["6"], document.stream("z")[0]]
+    assert all(left.end < right.pre
+               for left, right in zip(contexts, contexts[1:]))
+    return contexts
+
+
+BATCHES = {"mixed": each_contexts, "disjoint": disjoint_contexts}
+
+
 def pres(bindings):
     return [{name: node.pre for name, node in binding.items()}
             for binding in bindings]
+
+
+def outputs(bindings):
+    """A single-output pattern's bindings as their ``pre``s."""
+    return [node.pre for binding in bindings for node in binding.values()]
+
+
+def ranges(answer):
+    """``evaluate_each``'s ``(matches, offsets)`` as a list per tuple."""
+    matches, offsets = answer
+    assert offsets[0] == 0 and offsets[-1] == len(matches)
+    return [matches[low:high] for low, high in zip(offsets, offsets[1:])]
 
 
 @pytest.fixture(scope="module")
@@ -626,22 +655,35 @@ class TestEvaluateEach:
     @pytest.mark.parametrize("use_summary", [False, True])
     def test_equals_evaluate_per_context(self, stores, store, strategy,
                                          use_summary):
+        """On a mixed batch and on a sorted, disjoint one: both sides of
+        SCJoin's one-layer test."""
         document = stores[store]
-        contexts = each_contexts(document)
         algorithm = make_algorithm(strategy, document)
         run = Run(summary=document.summary if use_summary else None)
-        empty = 0
-        for text in EACH_PATTERNS:
-            pattern = parse_pattern(text)
-            expected = [pres(algorithm.evaluate(document, [context],
-                                                pattern, run))
-                        for context in contexts]
-            got = algorithm.evaluate_each(document, contexts, pattern, run)
-            assert [pres(bindings) for bindings in got] == expected, text
-            assert any(expected), text
-            empty += sum(1 for bindings in expected if not bindings)
-            assert algorithm.evaluate_each(document, [], pattern, run) == []
-        assert empty   # contexts without a match sit between the others
+        for batch, make_contexts in BATCHES.items():
+            contexts = make_contexts(document)
+            empty = matched = 0
+            for text in EACH_PATTERNS:
+                pattern = parse_pattern(text)
+                if pattern.single_output_field is None:
+                    # Evaluated per tuple by the caller.
+                    with pytest.raises(ValueError):
+                        algorithm.evaluate_each(document, contexts, pattern,
+                                                run)
+                    continue
+                expected = [outputs(algorithm.evaluate(document, [context],
+                                                       pattern, run))
+                            for context in contexts]
+                got = algorithm.evaluate_each(document, contexts, pattern,
+                                              run)
+                assert ranges(got) == expected, (batch, text)
+                assert batch != "mixed" or any(expected), text
+                empty += sum(1 for answer in expected if not answer)
+                matched += sum(1 for answer in expected if answer)
+                assert algorithm.evaluate_each(document, [], pattern, run) \
+                    == ([], [0])
+            # contexts without a match sit between the others
+            assert empty and matched, batch
 
     def test_one_context_and_all_the_same_context(self, stores, store,
                                                   strategy):
@@ -650,12 +692,12 @@ class TestEvaluateEach:
         pattern = parse_pattern("IN#x/descendant::a[child::b]{o}")
         (inner,) = [node for node in document.stream("a")
                     if node.get_attribute("id") == "2"]
-        once = pres(algorithm.evaluate(document, [inner], pattern))
+        once = outputs(algorithm.evaluate(document, [inner], pattern))
         assert once
         for count in (1, 3):
             got = algorithm.evaluate_each(document, [inner] * count,
                                           pattern)
-            assert [pres(bindings) for bindings in got] == [once] * count
+            assert ranges(got) == [once] * count
 
 
 class TestStaircaseBatch:
@@ -681,24 +723,38 @@ class TestStaircaseBatch:
 
     def test_per_tuple_patterns_keep_one_invocation_per_context(self, document):
         contexts = each_contexts(document)
-        for text in ("IN#x/descendant::a{p}/child::b{o}",
-                     "IN#x/parent::a{o}",
+        for text in ("IN#x/parent::a{o}",
                      "IN#x/descendant-or-self::node(){o}"):
             _, metrics = self.run(document, text, contexts)
             assert metrics.pattern_evals == len(contexts), text
+        with pytest.raises(ValueError):
+            self.run(document, "IN#x/descendant::a{p}/child::b{o}", contexts)
 
     def test_a_batch_the_summary_rules_out_runs_no_kernel(self, document):
         contexts = document.stream("z") + document.stream("c")
         got, metrics = self.run(document, "IN#x/descendant::a{o}", contexts)
-        assert got == [[]] * len(contexts)
+        assert got == ([], [0] * (len(contexts) + 1))
         assert metrics.prune_hits == len(contexts)
         assert not metrics.nodes_visited and not metrics.stream_scanned
 
-    def test_duplicate_contexts_share_their_answer(self, document):
+    def test_repeated_contexts_cost_the_stream_reads_of_one(self, document):
         (outer,) = [node for node in document.stream("a")
                     if node.get_attribute("id") == "2"]
-        got, _ = self.run(document, "IN#x/child::b{o}", [outer, outer])
-        assert got[0] and got[0] is got[1]
+        once, alone = self.run(document, "IN#x/descendant::b{o}", [outer])
+        got, repeated = self.run(document, "IN#x/descendant::b{o}",
+                                 [outer, outer, outer])
+        assert ranges(once)[0] and ranges(got) == ranges(once) * 3
+        assert repeated.stream_scanned == alone.stream_scanned
+        assert repeated.nodes_visited == alone.nodes_visited
+
+    def test_a_sorted_disjoint_batch_is_one_walk(self, document):
+        # The mixed batch nests six deep: document, ``r``, ``a`` 1–4.
+        for contexts, walks in ((disjoint_contexts(document), 1),
+                                (each_contexts(document), 6)):
+            with inject() as injector:
+                StaircaseJoin().evaluate_each(
+                    document, contexts, parse_pattern("IN#x/child::b{o}"))
+            assert injector.visits == ["scjoin.match"] * walks
 
     def test_nesting_costs_a_walk_per_layer_not_per_context(self):
         """Single-tag depth-15 document: 5000 contexts, each inside up
@@ -708,10 +764,10 @@ class TestStaircaseBatch:
         contexts = deep.stream("t1")
         algorithm = StaircaseJoin()
         metrics = ExecMetrics()
-        got = algorithm.evaluate_each(
+        _, offsets = algorithm.evaluate_each(
             deep, contexts, parse_pattern("IN#x/descendant::t1{o}"),
             Run(metrics=metrics))
-        assert [len(bindings) for bindings in got] \
+        assert [high - low for low, high in zip(offsets, offsets[1:])] \
             == [node.end - node.pre for node in contexts]
         assert metrics.stream_scanned["scjoin"] <= 15 * len(contexts)
 
@@ -752,7 +808,9 @@ class TestSharedInstances:
                 algorithm = make_algorithm(strategy)
                 for text in EACH_PATTERNS:
                     pattern = parse_pattern(text)
-                    algorithm.evaluate_each(document, contexts, pattern, run)
+                    if pattern.single_output_field is not None:
+                        algorithm.evaluate_each(document, contexts, pattern,
+                                                run)
                     algorithm.evaluate(document, [document.root], pattern,
                                        run)
         return run.metrics.counters(), run.metrics.decisions_total
