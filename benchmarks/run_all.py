@@ -15,7 +15,6 @@ import time
 
 import bench_ablation
 import bench_columnar
-import bench_compiled
 import bench_extensions
 import bench_figure4
 import bench_figure6
@@ -50,8 +49,6 @@ def main() -> int:
          bench_columnar.generate_table),
         ("Resilience under chaos (docs/ROBUSTNESS.md, E11)",
          bench_serve.generate_chaos_table),
-        ("Compiled backend (docs/PIPELINE.md, E12)",
-         bench_compiled.generate_table),
         ("Multi-process sharded cluster (docs/CLUSTER.md, E13)",
          bench_serve.generate_cluster_table),
         ("Distributed telemetry plane (docs/OBSPLANE.md, E14)",

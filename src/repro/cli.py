@@ -36,7 +36,7 @@ from typing import List, Optional
 from . import __version__
 from .algebra.optimizer import OptimizerOptions
 from .data import deep_member_document, member_document, xmark_document
-from .engine import BACKENDS, DEFAULT_FALLBACK_CHAIN, Engine
+from .engine import DEFAULT_FALLBACK_CHAIN, Engine
 from .guard import Budgets, ReproError
 from .physical import Strategy
 from .xmltree import Node, serialize
@@ -307,13 +307,6 @@ def _add_document_options(parser: argparse.ArgumentParser) -> None:
                         help="disable the structural path summary "
                              "(pattern prefiltering and selectivity-"
                              "aware costing)")
-    parser.add_argument("--backend", choices=list(BACKENDS),
-                        default="interpreted",
-                        help="execution backend: 'compiled' fuses each "
-                             "plan into generated push-based Python "
-                             "(falling back to the interpreter on "
-                             "codegen failure); 'interpreted' (default) "
-                             "walks the plan strictly")
 
 
 def _load_engine(args) -> Engine:
@@ -329,7 +322,6 @@ def _load_engine(args) -> Engine:
         kwargs["strict"] = True
     if getattr(args, "no_summary", False):
         kwargs["use_summary"] = False
-    kwargs["backend"] = getattr(args, "backend", "interpreted")
     chain = getattr(args, "fallback_chain", None)
     if chain is not None:
         kwargs["fallback_chain"] = None if chain.lower() == "none" else chain

@@ -1,8 +1,8 @@
 """The compiled (push-based, produce/consume) execution backend.
 
-Selected with ``Engine(backend="compiled")`` or the CLI's ``--backend
-compiled``; see :mod:`repro.compiled.codegen` for the architecture and
-``docs/PIPELINE.md`` for the breaker rules and escape hatch.
+Selected per call with ``Engine.execute(..., backend="compiled")``, for
+requests with no metrics, budgets or trace; see :mod:`repro.compiled.codegen` for the
+architecture and ``docs/PIPELINE.md`` for the breaker rules.
 """
 
 from .codegen import CodegenError, CompiledPlan, compile_count, compile_plan

@@ -22,21 +22,11 @@ push-based query compilers: each tuple operator's code generator calls
 its input's generator with a *consume* callback that emits the
 downstream per-tuple code into the innermost loop body.
 
-**Parity discipline.**  Two function variants are generated per plan.
-The *fast* variant assumes no observability is attached — exactly the
-interpreter's ``metrics is None and governor is None and trace is None``
-early-out — and keeps only the semantics (including chaos points, which
-fire in plain runs too).  The *instrumented* variant emits the
-interpreter's side effects once per operator *activation* (one tuple):
-one ``operator_evals`` increment, span begin/end, ``record_op``,
-governor ``tick``/``enter``/``leave``/``note_output``, with per-stage
-push counters standing in for the interpreter's result lengths.  The
-evaluator counters (``operator_evals``, ``items_produced``,
-``tuples_produced``) and the per-operator row totals are exactly the
-interpreter's, which charges them per activation too; what is counted
-per *call* — spans, ``record_op`` calls, ``pattern_evals`` — is per
-tuple here and per batch there (``tests/property/test_prop_compiled.py``
-lists what the two backends still share).
+One function is generated per plan, and it counts, charges and traces
+nothing: the engine runs it only for a request with no metrics, budgets
+or trace (the interpreter's own fast-path test) and interprets every
+other request.  Chaos points fire in it as they do in plain interpreted
+runs.
 
 Field names are uniquified at algebra-compile time (see
 ``repro.algebra.compile``), so tuple fields map to Python locals with a
@@ -50,20 +40,19 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..algebra.eval import EvalContext, _is_numeric_singleton
 from ..algebra.functions import call_function
 from ..algebra.ops import (Arith, Compare, Const, DDOPlan, FieldAccess,
                            FnCall, IfPlan, InputTuple, ItemPlan, LetPlan,
-                           Logical, MapFromItem, MapToItem, Plan, Select,
+                           Logical, MapFromItem, MapToItem, Select,
                            SeqPlan, TreeJoin, TuplePlan, TupleTreePattern,
                            TypeswitchPlan, VarPlan, walk_plan)
 from ..algebra.runtime import (DynamicError, Sequence_, arithmetic,
                                effective_boolean_value, general_compare)
 from ..guard.errors import ReproError
 from ..pattern import TreePattern
-from ..physical.base import TreePatternAlgorithm
 from ..xmltree.axes import step as axis_step
 from ..xmltree.document import ddo
 from ..xmltree.node import Node
@@ -77,8 +66,8 @@ class CodegenError(ReproError):
     """The plan compiler cannot generate code for this plan.
 
     Raised at codegen time, never from generated code; the engine
-    reacts by falling back to the interpreted backend (recording a
-    :class:`~repro.guard.FallbackEvent`)."""
+    interprets the plan instead and keeps the error, so the plan is not
+    generated again."""
 
     code = "REPRO-CODEGEN"
 
@@ -119,26 +108,19 @@ _PIPELINE_SINKS = (MapToItem,)
 
 @dataclass
 class CompiledPlan:
-    """One plan compiled to Python, in both variants.
+    """One plan compiled to Python.
 
-    ``source`` is the fast variant's text (the snapshot the unit tests
-    pin); ``breakers`` names every materialization point, in emission
-    order.
+    ``source`` is the generated text (the snapshot the unit tests pin);
+    ``breakers`` names every materialization point, in emission order;
+    ``run`` evaluates the plan in an
+    :class:`~repro.algebra.eval.EvalContext` whose run has no metrics,
+    budgets or trace.
     """
 
     plan: ItemPlan
     source: str
-    instrumented_source: str
     breakers: Tuple[str, ...]
-    _fast: Callable[[EvalContext], Sequence_]
-    _instrumented: Callable[[EvalContext], Sequence_]
-
-    def run(self, ctx: EvalContext) -> Sequence_:
-        """Evaluate; the same one-test dispatch as the interpreter's
-        ``eval_item`` picks the variant."""
-        if not ctx.run.instrumented:
-            return self._fast(ctx)
-        return self._instrumented(ctx)
+    run: Callable[[EvalContext], Sequence_]
 
 
 def compile_plan(plan: ItemPlan) -> CompiledPlan:
@@ -153,20 +135,16 @@ def compile_plan(plan: ItemPlan) -> CompiledPlan:
             f"can only compile item-sorted root plans, "
             f"got {type(plan).__name__}")
     try:
-        fast = _Codegen(instrumented=False).generate(plan)
-        instrumented = _Codegen(instrumented=True).generate(plan)
-        fast_fn = _assemble(*fast[:2])
-        instrumented_fn = _assemble(*instrumented[:2])
+        source, consts, breakers = _Codegen().generate(plan)
+        function = _assemble(source, consts)
     except CodegenError:
         raise
     except Exception as err:  # defensive: never leak codegen bugs
         raise CodegenError(
             f"plan code generation failed: {err}") from err
     _COMPILED_TOTAL = next(_COMPILE_COUNT) + 1
-    return CompiledPlan(plan=plan, source=fast[0],
-                        instrumented_source=instrumented[0],
-                        breakers=tuple(fast[2]),
-                        _fast=fast_fn, _instrumented=instrumented_fn)
+    return CompiledPlan(plan=plan, source=source, breakers=tuple(breakers),
+                        run=function)
 
 
 def _assemble(source: str, consts: List[object]) -> Callable:
@@ -179,10 +157,9 @@ def _assemble(source: str, consts: List[object]) -> Callable:
 
 
 class _Codegen:
-    """One generation pass over a plan (fast or instrumented)."""
+    """One generation pass over a plan."""
 
-    def __init__(self, instrumented: bool) -> None:
-        self.instrumented = instrumented
+    def __init__(self) -> None:
         self.lines: List[str] = []
         self.indent = 1
         self.consts: List[object] = []
@@ -258,43 +235,6 @@ class _Codegen:
         finally:
             self.in_tuple -= 1
 
-    # -- instrumentation (parity with eval_item / eval_tuples) --------------
-
-    def begin_op(self, plan: Plan) -> Optional[str]:
-        """Per-activation pre-instrumentation, mirroring the interpreter
-        wrapper order: metrics count, span begin, governor tick+enter."""
-        if not self.instrumented:
-            return None
-        name = type(plan).__name__
-        span = self.fresh("sp")
-        self.emit(f"if _m is not None: _m.operator_evals[{name!r}] += 1")
-        self.emit(f"{span} = _tr.begin_span({name!r}) "
-                  f"if _tr is not None else None")
-        self.emit("if _gov is not None:")
-        with self.block():
-            self.emit("_gov.tick()")
-            self.emit("_gov.enter()")
-        return span
-
-    def end_op(self, plan: Plan, span: Optional[str], count: str,
-               produced: str) -> None:
-        """Per-activation post-instrumentation: governor leave +
-        note_output, span end + record_op, produced counter.  ``count``
-        is a runtime expression for the activation's cardinality."""
-        if not self.instrumented:
-            return
-        name = type(plan).__name__
-        self.emit("if _gov is not None:")
-        with self.block():
-            self.emit("_gov.leave()")
-            self.emit(f"_gov.note_output({count})")
-        self.emit(f"if {span} is not None:")
-        with self.block():
-            self.emit(f"_tr.end_span({span}, rows={count})")
-            self.emit(f"_tr.record_op(id({self.const(plan)}), {name!r}, "
-                      f"{span}.duration, {count})")
-        self.emit(f"if _m is not None: _m.{produced} += {count}")
-
     # -- entry point --------------------------------------------------------
 
     def generate(self, plan: ItemPlan):
@@ -305,10 +245,6 @@ class _Codegen:
                   "    _doc = ctx.document",
                   "    _strategy = ctx.strategy",
                   "    _lookupv = ctx.lookup_var"]
-        if self.instrumented:
-            header += ["    _m = ctx.run.metrics",
-                       "    _gov = ctx.run.governor",
-                       "    _tr = ctx.run.trace"]
         source = "\n".join(header + self.lines) + "\n"
         return source, self.consts, self.breakers
 
@@ -317,12 +253,6 @@ class _Codegen:
     def item(self, plan: ItemPlan) -> str:
         """Emit one item-operator activation; returns the local holding
         its materialized result list."""
-        span = self.begin_op(plan)
-        out = self._item_body(plan)
-        self.end_op(plan, span, f"len({out})", "items_produced")
-        return out
-
-    def _item_body(self, plan: ItemPlan) -> str:
         out = self.fresh("s")
         if isinstance(plan, Const):
             self.emit(f"{out} = list({self.const(plan.values)})")
@@ -441,25 +371,9 @@ class _Codegen:
 
     # -- tuple-sorted operators (the fused pipelines) ------------------------
 
-    def tuples(self, plan: TuplePlan, consume: Callable[[], None]) -> None:
-        """Emit the pipeline rooted at ``plan``, calling ``consume`` to
+    def tuples(self, plan: TuplePlan, push: Callable[[], None]) -> None:
+        """Emit the pipeline rooted at ``plan``, calling ``push`` to
         emit the downstream per-tuple code into the innermost loop."""
-        span = self.begin_op(plan)
-        counter = None
-        if self.instrumented:
-            counter = self.fresh("n")
-            self.emit(f"{counter} = 0")
-
-        def push() -> None:
-            if counter is not None:
-                self.emit(f"{counter} += 1")
-            consume()
-
-        self._tuples_body(plan, push)
-        self.end_op(plan, span, counter or "0", "tuples_produced")
-
-    def _tuples_body(self, plan: TuplePlan,
-                     push: Callable[[], None]) -> None:
         if isinstance(plan, InputTuple):
             if not self.in_tuple:
                 self.emit('_raise_dyn("IN used outside a dependent plan")')
@@ -499,8 +413,9 @@ class _Codegen:
     def _ttp_body(self, plan: TupleTreePattern,
                   push: Callable[[], None]) -> None:
         pattern: TreePattern = plan.pattern
-        if TreePatternAlgorithm.is_pipeline_breaker:
-            self.breakers.append("pattern")
+        # Every algorithm returns a pattern's bindings in one call: the
+        # join's build side materializes, then code resumes per binding.
+        self.breakers.append("pattern")
         pattern_const = self.const(pattern)
         self.emit("if _doc is None:")
         with self.block():

@@ -20,7 +20,7 @@ physical algorithm choice at execution time.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -56,9 +56,10 @@ DEFAULT_FALLBACK_CHAIN: Tuple[str, ...] = ("nljoin", ITEM_EVALUATOR)
 #: refuses larger inputs unless ``max_document_size`` is raised/``None``.
 DEFAULT_MAX_DOCUMENT_SIZE = 64 * 1024 * 1024
 
-#: execution backends: the set-at-a-time (loop-lifted) interpreter
-#: (:mod:`repro.algebra.eval`) and the tuple-at-a-time produce/consume
-#: plan compiler (:mod:`repro.compiled`).
+#: execution backends of ``Engine.execute``: the set-at-a-time
+#: (loop-lifted) interpreter (:mod:`repro.algebra.eval`) and the
+#: tuple-at-a-time produce/consume plan compiler (:mod:`repro.compiled`),
+#: which runs uninstrumented requests only.
 BACKENDS = ("interpreted", "compiled")
 
 
@@ -93,7 +94,8 @@ class CompiledQuery:
     #: wall-clock seconds per compilation stage (see :mod:`repro.obs`).
     pipeline_metrics: Optional[PipelineMetrics] = None
     #: codegen artifacts for the compiled backend, keyed by plan role
-    #: (``"optimized"`` / ``"plan"``): a
+    #: (``"optimized"`` / ``"plan"``) and generated at the first
+    #: uninstrumented ``backend="compiled"`` execute: a
     #: :class:`~repro.compiled.CompiledPlan`, or the
     #: :class:`~repro.compiled.CodegenError` that refused it (a negative
     #: cache, so a failing plan is not re-attempted every execute).
@@ -155,8 +157,7 @@ class Engine:
                  fallback_chain: Optional[Sequence[str]]
                  = DEFAULT_FALLBACK_CHAIN,
                  strict: bool = False,
-                 use_summary: bool = True,
-                 backend: str = "interpreted") -> None:
+                 use_summary: bool = True) -> None:
         self.document = document
         self.rewrite_options = rewrite_options or RewriteOptions()
         self.optimizer_options = optimizer_options or OptimizerOptions()
@@ -177,13 +178,6 @@ class Engine:
         #: prefiltering plus selectivity-aware costing.  ``False`` (the
         #: CLI's ``--no-summary``) runs on flat tag statistics only.
         self.use_summary = use_summary
-        #: how plans execute: ``"interpreted"`` walks them with
-        #: :func:`repro.algebra.eval.eval_item`; ``"compiled"``
-        #: generates fused push-based Python per plan (see
-        #: :mod:`repro.compiled` and ``docs/PIPELINE.md``), falling back
-        #: to the interpreter — with a recorded
-        #: :class:`~repro.guard.FallbackEvent` — on codegen failure.
-        self.backend = self._normalize_backend(backend)
 
     # -- construction ---------------------------------------------------------
 
@@ -313,24 +307,11 @@ class Engine:
                         plan, options=self.optimizer_options)
                 else:
                     optimized = plan
-            codegen: Dict[str, Any] = {}
-            if self.backend == "compiled":
-                # Generate the optimized plan's Python eagerly so the
-                # cost lands in compile (visible as a stage), not in the
-                # first execute; the unoptimized plan — only needed by
-                # the "item" fallback — is generated lazily, as is the
-                # optimized one when an interpreted engine compiled it.
-                with metrics.stage("codegen"), \
-                        maybe_span(tracing, "codegen"):
-                    try:
-                        codegen["optimized"] = compile_plan(optimized)
-                    except CodegenError as err:
-                        codegen["optimized"] = err
         return CompiledQuery(text=query, surface=surface,
                              normalized=normalized, tpnf=tpnf, plan=plan,
                              optimized=optimized,
                              rewrite_trace=rewrite_trace,
-                             pipeline_metrics=metrics, codegen=codegen)
+                             pipeline_metrics=metrics)
 
     # -- execution ---------------------------------------------------------------
 
@@ -340,10 +321,8 @@ class Engine:
                 optimized: bool = True,
                 metrics: Optional[ExecMetrics] = None,
                 budgets: Optional[Budgets] = None,
-                strict: Optional[bool] = None,
-                fallback_chain: Optional[Sequence[str]] = None,
                 tracing: Optional[Trace] = None,
-                backend: Optional[str] = None) -> List:
+                backend: str = "interpreted") -> List:
         """Evaluate a compiled query and return the result sequence.
 
         Every free query variable (``$input``, ``$d``, …) that is not
@@ -358,37 +337,34 @@ class Engine:
         per-operator spans from the evaluator (see :mod:`repro.trace`);
         fallbacks and budget trips become span events.
 
-        Guardrails (all defaulting to the engine's configuration): work
-        is charged against ``budgets`` and trips raise
-        :class:`~repro.guard.BudgetExceeded`; when a physical algorithm
-        fails — or a non-wall budget trips — the run is retried on each
-        strategy of ``fallback_chain`` in turn (the wall deadline is
-        *shared* across attempts), each decision recorded in ``metrics``
-        as a :class:`~repro.guard.FallbackEvent`.  With ``strict=True``
-        nothing is retried and the algorithm's original exception
-        propagates.
+        Work is charged against ``budgets`` (default: the engine's) and
+        trips raise :class:`~repro.guard.BudgetExceeded`; when a physical
+        algorithm fails — or a non-wall budget trips — the run is retried
+        on each strategy of the engine's ``fallback_chain`` in turn (the
+        wall deadline is *shared* across attempts), each decision
+        recorded in ``metrics`` as a :class:`~repro.guard.FallbackEvent`.
+        On a ``strict`` engine nothing is retried and the algorithm's
+        original exception propagates.
 
-        ``backend`` overrides the engine's execution backend for this
-        call (``"interpreted"``/``"compiled"``).  A codegen failure
-        under the compiled backend steps back to the interpreter — the
-        two are semantically identical, so this happens even under
-        ``strict`` — and records a :class:`~repro.guard.FallbackEvent`
-        with ``from_strategy="compiled"``.
+        ``backend="compiled"`` runs the plan as generated Python (see
+        :mod:`repro.compiled`) when the request has no metrics, budgets
+        or trace; any other request, and a plan the code generator
+        refuses, is interpreted with the same results.
         """
-        strict = self.strict if strict is None else strict
-        backend = self.backend if backend is None \
-            else self._normalize_backend(backend)
+        if backend not in BACKENDS:
+            raise InputError(
+                f"unknown backend {backend!r}; valid backends: "
+                f"{', '.join(BACKENDS)}", backend=repr(backend))
         if budgets is None:
             budgets = self.budgets
         if budgets is not None and not budgets.enabled():
             budgets = None
-        chain = self.fallback_chain if fallback_chain is None \
-            else self._normalize_chain(fallback_chain)
         requested = self._strategy_name(
             strategy if strategy is not None else self.default_strategy)
         attempts = [requested]
-        if not strict:
-            attempts.extend(name for name in chain if name != requested)
+        if not self.strict:
+            attempts.extend(name for name in self.fallback_chain
+                            if name != requested)
         deadline = None
         if budgets is not None and budgets.wall_seconds is not None:
             deadline = time.perf_counter() + budgets.wall_seconds
@@ -416,7 +392,7 @@ class Engine:
                 if attempt_span is not None:
                     tracing.end_span(attempt_span, error=code)
                 if isinstance(err, AlgorithmError):
-                    if strict:
+                    if self.strict:
                         cause = err.__cause__
                         if isinstance(cause, Exception):
                             raise cause
@@ -424,7 +400,7 @@ class Engine:
                     if index == last:
                         raise
                 else:
-                    if strict or err.kind == "wall" or index == last:
+                    if self.strict or err.kind == "wall" or index == last:
                         raise
                 self._record_fallback(metrics, name, attempts[index + 1],
                                       err)
@@ -444,8 +420,7 @@ class Engine:
                       variables: Optional[Dict[str, Sequence]],
                       optimized: bool, metrics: Optional[ExecMetrics],
                       governor: Optional[ResourceGovernor],
-                      tracing: Optional[Trace] = None,
-                      backend: str = "interpreted") -> List:
+                      tracing: Optional[Trace], backend: str) -> List:
         if strategy_name == ITEM_EVALUATOR:
             # The unoptimized plan has no TupleTreePattern operators, so
             # the strategy is never consulted; evaluating it sidesteps
@@ -473,38 +448,20 @@ class Engine:
         context = EvalContext(document=self.document, strategy=algorithm,
                               globals=bindings,
                               run=Run(metrics, governor, tracing, summary))
-        if backend == "compiled":
+        if backend == "compiled" and not context.run.instrumented:
+            # Generated once per plan role and kept on the query, a
+            # refusal too; a refused plan is interpreted.
             role = "optimized" if plan is compiled.optimized else "plan"
-            program = self._codegen_for(compiled, role, plan, tracing)
+            program = compiled.codegen.get(role)
+            if program is None:
+                try:
+                    program = compile_plan(plan)
+                except CodegenError as err:
+                    program = err
+                compiled.codegen[role] = program
             if isinstance(program, CompiledPlan):
                 return program.run(context)
-            # Codegen refused the plan: run interpreted — identical
-            # semantics — and record the degradation.
-            self._record_fallback(metrics, "compiled", strategy_name,
-                                  program)
-            if tracing is not None:
-                tracing.event("fallback", from_strategy="compiled",
-                              to_strategy=strategy_name,
-                              error_code=program.code)
         return eval_item(plan, context)
-
-    def _codegen_for(self, compiled: CompiledQuery, role: str,
-                     plan: ItemPlan, tracing: Optional[Trace]):
-        """The plan's codegen artifact, generating (and caching it on
-        the query, success or refusal) on first use; the generation time
-        is charged to the ``codegen`` pipeline stage."""
-        entry = compiled.codegen.get(role)
-        if entry is None:
-            pipeline = compiled.pipeline_metrics
-            stage = pipeline.stage("codegen") if pipeline is not None \
-                else nullcontext()
-            with stage, maybe_span(tracing, "codegen"):
-                try:
-                    entry = compile_plan(plan)
-                except CodegenError as err:
-                    entry = err
-            compiled.codegen[role] = entry
-        return entry
 
     @staticmethod
     def _record_fallback(metrics: Optional[ExecMetrics], from_name: str,
@@ -519,20 +476,17 @@ class Engine:
     def run(self, query: str,
             strategy: Optional[Strategy | str] = None,
             variables: Optional[Dict[str, Sequence]] = None,
-            optimize: bool = True,
-            backend: Optional[str] = None) -> List:
+            optimize: bool = True) -> List:
         """Compile and evaluate in one call."""
         compiled = self.compile(query, optimize=optimize)
         return self.execute(compiled, strategy=strategy,
-                            variables=variables, optimized=optimize,
-                            backend=backend)
+                            variables=variables, optimized=optimize)
 
     def run_traced(self, query: str,
                    strategy: Optional[Strategy | str] = None,
                    variables: Optional[Dict[str, Sequence]] = None,
                    optimize: bool = True,
-                   tracer: Optional[Tracer] = None,
-                   backend: Optional[str] = None) -> TracedRun:
+                   tracer: Optional[Tracer] = None) -> TracedRun:
         """Compile and evaluate with full observability.
 
         Returns a :class:`repro.obs.TracedRun` carrying the result
@@ -554,8 +508,7 @@ class Engine:
         try:
             results = self.execute(compiled, strategy=strategy,
                                    variables=variables, optimized=optimize,
-                                   metrics=metrics, tracing=trace,
-                                   backend=backend)
+                                   metrics=metrics, tracing=trace)
         finally:
             if trace is not None:
                 trace.finish()
@@ -641,15 +594,6 @@ class Engine:
         raise InputError(
             f"strategy must be a Strategy or a strategy name string, "
             f"got {type(strategy).__name__}", strategy=repr(strategy))
-
-    @staticmethod
-    def _normalize_backend(backend: str) -> str:
-        """Validate an execution-backend designator."""
-        if backend in BACKENDS:
-            return backend
-        raise InputError(
-            f"unknown backend {backend!r}; valid backends: "
-            f"{', '.join(BACKENDS)}", backend=repr(backend))
 
     def _normalize_chain(self,
                          chain: Optional[Sequence[str]]) -> Tuple[str, ...]:

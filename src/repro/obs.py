@@ -47,11 +47,9 @@ __all__ = [
 #: only bounds the per-decision *detail* log (chooser inputs).
 DECISION_RING_SIZE = 256
 
-#: the compilation stages, in pipeline order (paper Figure 2, plus
-#: Python code generation when the compiled backend is selected).  None
+#: the compilation stages, in pipeline order (paper Figure 2).  None
 #: reads the document: a compiled plan is shared by every engine.
-PIPELINE_STAGES = ("parse", "normalize", "rewrite", "compile", "optimize",
-                   "codegen")
+PIPELINE_STAGES = ("parse", "normalize", "rewrite", "compile", "optimize")
 
 
 # -- compile-time metrics ------------------------------------------------------

@@ -99,15 +99,6 @@ class TreePatternAlgorithm:
 
     name = "abstract"
 
-    #: every algorithm materializes its results before returning from
-    #: :meth:`evaluate`/:meth:`evaluate_each` (the join's build side).
-    #: The interpreter hands over a whole batch of tuples and gets one
-    #: match column back; the compiled backend
-    #: (:mod:`repro.compiled`), which pushes tuples one at a time, treats
-    #: each pattern evaluation as a pipeline breaker: the bindings
-    #: materialize here and downstream code resumes per binding.
-    is_pipeline_breaker = True
-
     #: The fragment the algorithm evaluates itself, as data (the
     #: feature catalogue of twig algorithms in Hachicha & Darmont's
     #: survey): the axes it steps along, predicate branches included,

@@ -71,9 +71,10 @@ class TestGoldenCorpusCompiled:
     @pytest.mark.parametrize("stem", sorted(_QUERIES))
     def test_golden_bytes_compiled(self, stem, strategy):
         name = stem.split("_", 1)[0]
-        got = render_results(
-            _COLUMNAR_ENGINES[name].run(_QUERIES[stem], strategy=strategy,
-                                        backend="compiled"))
+        engine = _COLUMNAR_ENGINES[name]
+        got = render_results(engine.execute(
+            engine.compile(_QUERIES[stem]), strategy=strategy,
+            backend="compiled"))
         assert got == _expected(stem), (
             f"{stem} under {strategy} (compiled) drifted from the golden "
             f"corpus")

@@ -9,9 +9,9 @@ adapted XMark catalog, with NLJoin-on-the-unoptimized-plan as the
 executable reference.
 
 The same wall holds across *execution backends*: every strategy is
-re-run under ``backend="compiled"`` (the produce/consume plan compiler,
-:mod:`repro.compiled`) against the interpreted reference, on optimized
-and unoptimized plans alike.
+re-run through ``Engine.execute(..., backend="compiled")`` (the
+produce/consume plan compiler, :mod:`repro.compiled`) against the
+interpreted reference, on optimized and unoptimized plans alike.
 """
 
 import pytest
@@ -26,6 +26,14 @@ ALL_STRATEGIES = ("nljoin", "twigjoin", "scjoin", "stacktree",
 def keys(sequence):
     """Node identities (pre numbers) or plain values, order-preserving."""
     return [getattr(item, "pre", item) for item in sequence]
+
+
+def run_compiled(engine, query, strategy, optimize=True):
+    """The query's plan run as generated code (an uninstrumented
+    request, so the compiled backend answers it)."""
+    return engine.execute(engine.compile(query, optimize=optimize),
+                          strategy=strategy, optimized=optimize,
+                          backend="compiled")
 
 
 @pytest.fixture(scope="module")
@@ -91,8 +99,7 @@ def test_unoptimized_plans_agree_too(member_engine, qe_references,
 def test_qe_queries_agree_compiled(member_engine, qe_references,
                                    query_name, strategy):
     query = QE_QUERIES[query_name]
-    got = keys(member_engine.run(query, strategy=strategy,
-                                 backend="compiled"))
+    got = keys(run_compiled(member_engine, query, strategy))
     assert got == qe_references[query_name], (
         f"{query_name} under {strategy} (compiled) diverged from the "
         f"NLJoin reference")
@@ -103,8 +110,7 @@ def test_qe_queries_agree_compiled(member_engine, qe_references,
 def test_xmark_catalog_agrees_compiled(xmark_engine, xmark_references,
                                        query_name, strategy):
     entry = XMARK_CATALOG[query_name]
-    got = keys(xmark_engine.run(entry.query, strategy=strategy,
-                                backend="compiled"))
+    got = keys(run_compiled(xmark_engine, entry.query, strategy))
     assert got == xmark_references[query_name], (
         f"{query_name} under {strategy} (compiled) diverged from the "
         f"NLJoin reference")
@@ -116,6 +122,6 @@ def test_unoptimized_plans_agree_compiled(member_engine, qe_references,
     """The compiled backend also covers unoptimized plans (the codegen
     role the ``item`` fallback strategy executes)."""
     for name, query in QE_QUERIES.items():
-        got = keys(member_engine.run(query, strategy=strategy,
-                                     optimize=False, backend="compiled"))
+        got = keys(run_compiled(member_engine, query, strategy,
+                                optimize=False))
         assert got == qe_references[name], (name, strategy, "compiled")

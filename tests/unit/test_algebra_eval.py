@@ -386,7 +386,8 @@ class TestLaziness:
             "<r><v>0</v><v>1</v><v>0</v><v>4</v><v>0</v></r>")
         answer = engine.run(query)
         assert answer == engine.run(query, optimize=False)
-        assert answer == engine.run(query, backend="compiled")
+        assert answer == engine.execute(engine.compile(query),
+                                        backend="compiled")
         assert len(answer) == 5
 
     def test_a_query_whose_right_operand_must_raise(self):

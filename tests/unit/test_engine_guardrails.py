@@ -264,13 +264,6 @@ class TestFallback:
                 engine.execute(compiled, strategy="twigjoin")
         assert exc.value.code == "REPRO-ALGO"
 
-    def test_strict_surfaces_original_fault(self, people_engine):
-        compiled = people_engine.compile(QUERY)
-        with inject(ChaosSpec(site="twigjoin.match")):
-            with pytest.raises(InjectedFault):
-                people_engine.execute(compiled, strategy="twigjoin",
-                                      strict=True)
-
     def test_strict_engine_configuration(self, people_doc):
         engine = Engine(people_doc, strict=True)
         with inject(ChaosSpec(site="scjoin.match")):
@@ -299,51 +292,68 @@ class TestFallback:
         assert exc.value.kind == "wall"
         assert metrics.fallbacks == []
 
+    @staticmethod
+    def refuse_codegen(monkeypatch):
+        """Make every code generation fail; returns the plans asked for."""
+        from repro.compiled import CodegenError
+        calls = []
+
+        def refusing(plan):
+            calls.append(plan)
+            raise CodegenError("forced")
+
+        monkeypatch.setattr("repro.engine.compile_plan", refusing)
+        return calls
+
     def test_codegen_failure_steps_to_interpreted(self, people_doc,
                                                   monkeypatch):
-        """The compiled backend's fallback chain starts before the
-        strategy chain: codegen failure steps compiled→interpreted and
-        records it, without consuming a strategy retry."""
-        from repro.compiled import CodegenError
-        monkeypatch.setattr(
-            "repro.engine.compile_plan",
-            lambda plan: (_ for _ in ()).throw(CodegenError("forced")))
+        """A plan the code generator refuses is interpreted with the same
+        results, without consuming a strategy retry; the refusal is kept
+        on the query, so the plan is not generated again."""
+        calls = self.refuse_codegen(monkeypatch)
         baseline = Engine(people_doc).run(QUERY)
-        engine = Engine(people_doc, backend="compiled")
+        engine = Engine(people_doc)
+        compiled = engine.compile(QUERY)
+        for _ in range(2):
+            results = engine.execute(compiled, backend="compiled")
+            assert people_values(results) == people_values(baseline)
+        assert len(calls) == 1
+        assert compiled.codegen["optimized"].code == "REPRO-CODEGEN"
         metrics = ExecMetrics()
-        results = engine.execute(engine.compile(QUERY), metrics=metrics)
-        assert people_values(results) == people_values(baseline)
-        assert len(metrics.fallbacks) == 1
-        event = metrics.fallbacks[0]
-        assert event.from_strategy == "compiled"
-        assert event.error_code == "REPRO-CODEGEN"
+        engine.execute(compiled, metrics=metrics, backend="compiled")
+        assert metrics.fallbacks == []
 
     def test_codegen_failure_falls_back_even_under_strict(self, people_doc,
                                                           monkeypatch):
         # The two backends are semantically identical, so strict mode
         # (which pins the *strategy*) still allows this degradation.
-        from repro.compiled import CodegenError
-        monkeypatch.setattr(
-            "repro.engine.compile_plan",
-            lambda plan: (_ for _ in ()).throw(CodegenError("forced")))
+        self.refuse_codegen(monkeypatch)
         baseline = Engine(people_doc).run(QUERY)
-        engine = Engine(people_doc, backend="compiled", strict=True)
-        assert people_values(engine.run(QUERY)) == people_values(baseline)
+        engine = Engine(people_doc, strict=True)
+        results = engine.execute(engine.compile(QUERY), backend="compiled")
+        assert people_values(results) == people_values(baseline)
 
     def test_codegen_fallback_visible_in_trace(self, people_doc,
                                                monkeypatch):
-        from repro.compiled import CodegenError
-        monkeypatch.setattr(
-            "repro.engine.compile_plan",
-            lambda plan: (_ for _ in ()).throw(CodegenError("forced")))
+        """A traced request is interpreted under either backend: its
+        trace shows the interpreter's operator rows, no code is
+        generated for it, and so no codegen fallback is recorded."""
         from repro.trace import Tracer
-        engine = Engine(people_doc, backend="compiled")
-        traced = engine.run_traced(QUERY, tracer=Tracer())
-        assert [e.from_strategy for e in traced.fallbacks] == ["compiled"]
-        events = [attrs for span in traced.trace.spans
-                  for _, name, attrs in span.events if name == "fallback"]
-        assert any(attrs.get("from_strategy") == "compiled"
-                   for attrs in events)
+        calls = self.refuse_codegen(monkeypatch)
+        engine = Engine(people_doc)
+        compiled = engine.compile(QUERY)
+        rows = {}
+        for backend in ("interpreted", "compiled"):
+            trace = Tracer().begin("query")
+            engine.execute(compiled, tracing=trace, backend=backend)
+            trace.finish()
+            rows[backend] = sorted((stat.name, stat.rows)
+                                   for stat in trace.op_stats.values())
+            assert not [name for span in trace.spans
+                        for _, name, _ in span.events
+                        if name == "fallback"]
+        assert rows["compiled"] == rows["interpreted"] != []
+        assert calls == [] and compiled.codegen == {}
 
     def test_step_trip_can_recover_on_cheaper_strategy(self, people_doc):
         # The streaming matcher charges a step per document event, more

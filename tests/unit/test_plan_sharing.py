@@ -86,9 +86,10 @@ def test_compiled_backend_generates_a_shared_plan_lazily(documents):
     interpreted = Engine(other)
     compiled = interpreted.compile(QUERY)
     assert compiled.codegen == {}
-    generated = Engine(reference, backend="compiled")
+    generated = Engine(reference)
     assert generated.compile(QUERY) is compiled
-    got = render_results(generated.run(QUERY))
+    got = render_results(generated.execute(generated.compile(QUERY),
+                                           backend="compiled"))
     assert "optimized" in compiled.codegen
     assert got == render_results(Engine(reference).run(QUERY))
 
