@@ -27,8 +27,8 @@ def plan_to_dot(plan: Plan, name: str = "plan",
     """Render a plan as a DOT digraph.
 
     ``annotations`` optionally maps ``id(node)`` to an extra label line
-    (e.g. EXPLAIN ANALYZE per-operator time/cardinality annotations from
-    :meth:`repro.trace.ExplainAnalysis.dot_annotations`); annotated
+    (e.g. the EXPLAIN ANALYZE per-operator time/cardinality annotations
+    of :meth:`repro.obs.TracedRun.to_dot`); annotated
     nodes render bold so hot operators stand out.
     """
     lines: List[str] = [f'digraph "{_escape(name)}" {{',
@@ -110,7 +110,7 @@ def _describe(node: Plan):
 
 
 #: public alias: (label, dependent children, input children) — shared
-#: with the EXPLAIN ANALYZE renderer in :mod:`repro.trace.analyze`.
+#: with the EXPLAIN ANALYZE renderer, :meth:`repro.obs.TracedRun.render`.
 describe_plan = _describe
 
 

@@ -39,6 +39,7 @@ from .data import deep_member_document, member_document, xmark_document
 from .engine import DEFAULT_FALLBACK_CHAIN, Engine
 from .guard import Budgets, ReproError
 from .physical import Strategy
+from .trace import Tracer
 from .xmltree import Node, serialize
 
 SAMPLE_DOCUMENT = """<site><people>
@@ -358,12 +359,12 @@ def _command_query(args, out) -> int:
 def _command_explain(args, out) -> int:
     engine = _load_engine(args)
     if args.analyze:
-        analysis = engine.explain_analyze(args.expression,
-                                          strategy=args.strategy)
-        print(analysis.render(), file=out)
+        traced = engine.run_traced(args.expression, strategy=args.strategy,
+                                   tracer=Tracer())
+        print(traced.render(), file=out)
         if args.dot:
             with open(args.dot, "w", encoding="utf-8") as handle:
-                handle.write(analysis.to_dot() + "\n")
+                handle.write(traced.to_dot() + "\n")
             print(file=out)
             print(f"wrote annotated plan graph to {args.dot}", file=out)
         return 0
@@ -431,8 +432,7 @@ def _command_serve_bench(args, out) -> int:
     from .serve import (BreakerPolicy, ClusterService, QueryService,
                         RetryPolicy, default_catalog, mixed_workload,
                         run_load, sequential_baseline)
-    from .trace import (FlightRecorder, Tracer, write_chrome_trace,
-                        write_prometheus)
+    from .trace import FlightRecorder, write_chrome_trace, write_prometheus
     from .trace.recorder import DEFAULT_RECENT
     tracing_on = bool(args.trace or args.trace_sample is not None
                       or args.trace_out or args.flight_out)

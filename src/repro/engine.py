@@ -35,7 +35,7 @@ from .obs import ExecMetrics, PipelineMetrics, PlanCache, TracedRun
 from .pattern import TreePattern
 from .physical import Run, Strategy, make_algorithm
 from .rewrite import RewriteOptions, RewriteTrace, rewrite_to_tpnf
-from .trace import ExplainAnalysis, Trace, Tracer, maybe_span
+from .trace import Trace, Tracer, maybe_span
 from .typing import infer_type
 from .xmltree import IndexedDocument, Node, is_columnar_file, parse_xml
 from .xqcore import CExpr, NormalizedQuery, Var, alpha_canonical, normalize_query, pretty
@@ -76,6 +76,15 @@ def _typed_depth_errors(metrics: PipelineMetrics):
         raise InputError(
             f"query nests too deeply: the {stage} stage exceeded the "
             f"recursion limit", stage=stage) from err
+
+
+def _check_query(query: Any) -> None:
+    """Query text is external input: refuse a non-string or a blank."""
+    if not isinstance(query, str):
+        raise InputError(
+            f"query must be a string, got {type(query).__name__}")
+    if not query.strip():
+        raise InputError("empty query text")
 
 
 @dataclass
@@ -261,47 +270,43 @@ class Engine:
 
         ``tracing`` optionally attaches the compile to a span
         :class:`~repro.trace.Trace`: one span per pipeline stage nested
-        under a ``compile_pipeline`` span (a cache hit records only a
-        ``plan_cache_hit`` event).
+        under a ``compile_pipeline`` span (a cache hit records none).
         """
-        if not isinstance(query, str):
-            raise InputError(
-                f"query must be a string, got {type(query).__name__}")
-        if not query.strip():
-            raise InputError("empty query text")
+        _check_query(query)
         if trace or not use_cache:
             return self._compile(query, optimize, trace, tracing)
+        return self._cached(query, optimize, tracing)[0]
+
+    def _cached(self, query: str, optimize: bool,
+                tracing: Optional[Trace]) -> Tuple[CompiledQuery, bool]:
+        """The plan cache's entry for ``query``, compiled on a miss, and
+        whether it was a hit."""
         # The options are frozen, so they key the entry as they are.
         key = (query, optimize, self.rewrite_options,
                self.optimizer_options)
-        compiled, hit = self.plan_cache.get_or_build(
+        return self.plan_cache.get_or_build(
             key, self._compile, query, optimize, False, tracing)
-        if hit and tracing is not None:
-            tracing.event("plan_cache_hit")
-        return compiled
 
     def _compile(self, query: str, optimize: bool, trace: bool,
                  tracing: Optional[Trace]) -> CompiledQuery:
         metrics = PipelineMetrics()
         with _typed_depth_errors(metrics), \
                 maybe_span(tracing, "compile_pipeline"):
-            with metrics.stage("parse"), maybe_span(tracing, "parse"):
+            with metrics.stage("parse", tracing):
                 surface = resolve_abbreviations(parse_query(query))
-            with metrics.stage("normalize"), \
-                    maybe_span(tracing, "normalize"):
+            with metrics.stage("normalize", tracing):
                 normalized = normalize_query(surface)
             rewrite_trace = RewriteTrace() if trace else None
-            with metrics.stage("rewrite"), maybe_span(tracing, "rewrite"):
+            with metrics.stage("rewrite", tracing):
                 if optimize:
                     tpnf = rewrite_to_tpnf(normalized.core,
                                            options=self.rewrite_options,
                                            trace=rewrite_trace)
                 else:
                     tpnf = normalized.core
-            with metrics.stage("compile"), maybe_span(tracing, "compile"):
+            with metrics.stage("compile", tracing):
                 plan = compile_core(tpnf)
-            with metrics.stage("optimize"), \
-                    maybe_span(tracing, "optimize"):
+            with metrics.stage("optimize", tracing):
                 if optimize:
                     optimized = optimize_plan(
                         plan, options=self.optimizer_options)
@@ -490,29 +495,34 @@ class Engine:
         """Compile and evaluate with full observability.
 
         Returns a :class:`repro.obs.TracedRun` carrying the result
-        sequence plus per-stage compile timings, execution counters
-        (operator evaluations, per-algorithm nodes visited / streams
-        scanned, chooser decisions) and plan-cache statistics.  When a
-        :class:`~repro.trace.Tracer` is supplied (and admits the run),
-        the result additionally carries a finished span
-        :class:`~repro.trace.Trace` on its ``trace`` field.
+        sequence plus the compile stages this run paid (none on a
+        plan-cache hit), execution counters (operator evaluations,
+        per-algorithm nodes visited / streams scanned, chooser
+        decisions) and plan-cache statistics.  When a
+        :class:`~repro.trace.Tracer` is supplied and admits the run, the
+        query compiles past the plan cache, so every stage span is
+        measured, and the result carries the finished span
+        :class:`~repro.trace.Trace` on its ``trace`` field: its
+        ``render()`` is EXPLAIN ANALYZE.
         """
-        stats = self.plan_cache.stats
-        hits_before = stats.hits
+        _check_query(query)
         trace = tracer.begin("query", query=query) \
             if tracer is not None else None
-        compiled = self.compile(query, optimize=optimize, tracing=trace)
-        cache_hit = stats.hits > hits_before
+        if trace is None:
+            compiled, cache_hit = self._cached(query, optimize, None)
+        else:
+            compiled, cache_hit = self._compile(query, optimize, False,
+                                                trace), False
         metrics = ExecMetrics()
         start = time.perf_counter()
         try:
             results = self.execute(compiled, strategy=strategy,
                                    variables=variables, optimized=optimize,
                                    metrics=metrics, tracing=trace)
+            wall = time.perf_counter() - start
         finally:
             if trace is not None:
                 trace.finish()
-        wall = time.perf_counter() - start
         chosen = self._strategy_name(
             strategy if strategy is not None else self.default_strategy)
         # The strategy that actually produced the results: the last
@@ -522,10 +532,11 @@ class Engine:
             if metrics.fallbacks else chosen
         return TracedRun(results=results, strategy=chosen,
                          wall_seconds=wall, metrics=metrics,
-                         pipeline=compiled.pipeline_metrics,
-                         cache=stats.snapshot(), cache_hit=cache_hit,
-                         effective_strategy=effective, trace=trace,
-                         compiled=compiled)
+                         pipeline=PipelineMetrics() if cache_hit
+                         else compiled.pipeline_metrics,
+                         cache=self.plan_cache.stats.snapshot(),
+                         cache_hit=cache_hit, effective_strategy=effective,
+                         trace=trace, compiled=compiled)
 
     # -- explain ---------------------------------------------------------------
 
@@ -538,42 +549,8 @@ class Engine:
         cardinalities from one traced execution."""
         if not analyze:
             return self.compile(query).explain(metrics=metrics)
-        return self.explain_analyze(query, strategy=strategy).render()
-
-    def explain_analyze(self, query: str,
-                        strategy: Optional[Strategy | str] = None,
-                        variables: Optional[Dict[str, Sequence]] = None,
-                        tracer: Optional[Tracer] = None
-                        ) -> ExplainAnalysis:
-        """Compile and execute once under a full trace and return the
-        :class:`~repro.trace.ExplainAnalysis` (render with
-        ``.render()``, or ``.to_dot()`` for an annotated plan graph).
-
-        Compilation bypasses the plan cache so stage spans are always
-        measured.  The supplied ``tracer`` must admit the run (default:
-        a fresh unsampled one).
-        """
-        tracer = tracer if tracer is not None else Tracer()
-        trace = tracer.begin("explain", query=query)
-        if trace is None:
-            raise InputError(
-                "explain_analyze needs a tracer that admits this run "
-                "(enabled, not sampled out)")
-        exec_metrics = ExecMetrics()
-        compiled = self.compile(query, use_cache=False, tracing=trace)
-        requested = self._strategy_name(
-            strategy if strategy is not None else self.default_strategy)
-        try:
-            results = self.execute(compiled, strategy=requested,
-                                   variables=variables,
-                                   metrics=exec_metrics, tracing=trace)
-        finally:
-            trace.finish()
-        effective = exec_metrics.fallbacks[-1].to_strategy \
-            if exec_metrics.fallbacks else requested
-        return ExplainAnalysis(query=query, compiled=compiled, trace=trace,
-                               strategy=effective, results=results,
-                               metrics=exec_metrics)
+        return self.run_traced(query, strategy=strategy,
+                               tracer=Tracer()).render()
 
     def _strategy_name(self, strategy: Strategy | str) -> str:
         """Validate a strategy designator, returning its canonical name

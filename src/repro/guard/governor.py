@@ -129,9 +129,8 @@ class ResourceGovernor:
         self.steps = 0
         self.depth = 0
         self._until_clock = CLOCK_CHECK_INTERVAL
-        #: optional :class:`repro.trace.Trace`: clock-interval ticks and
-        #: budget trips become span events (bounded by the interval, so
-        #: tracing a governed run stays cheap).
+        #: optional :class:`repro.trace.Trace`: a budget trip becomes a
+        #: span event.
         self.trace = trace
 
     @property
@@ -152,8 +151,6 @@ class ResourceGovernor:
             self._until_clock -= count
             if self._until_clock <= 0:
                 self._until_clock = CLOCK_CHECK_INTERVAL
-                if self.trace is not None:
-                    self.trace.event("governor_tick", steps=self.steps)
                 self.check_clock()
 
     def check_clock(self) -> None:

@@ -19,12 +19,18 @@ This module provides that visibility for the whole stack:
   :class:`CacheStats` hit/miss/eviction accounting, on one process-wide
   LRU of compiled plans keyed by ``(query, optimize, options)``, so
   repeated ``Engine.run()`` calls — on any engine — skip recompilation;
-* :class:`TracedRun` — the bundle ``Engine.run_traced`` returns:
-  results plus all of the above.
+* :class:`Run` — one execution attempt's instruments (metrics,
+  governor, trace, summary), handed to every pattern algorithm call;
+  a kernel reports its work in one :meth:`Run.work` call and a
+  chooser its decision in one :meth:`Run.decide`;
+* :class:`TracedRun` — the one record ``Engine.run_traced`` returns:
+  results plus all of the above, and with a span trace the EXPLAIN
+  ANALYZE views (:meth:`~TracedRun.render`, :meth:`~TracedRun.to_dot`).
 
-Counting discipline: the hot loops increment in *batches* (``+= len(...)``
-once per scan rather than once per node) and only when a metrics object
-is attached, so plain ``run()`` calls pay a single ``is None`` check.
+Counting discipline: the hot loops count in *batches* (once per scan
+rather than once per node), through :meth:`Run.work`, and only when the
+run is instrumented, so plain ``run()`` calls pay one attribute test
+per site.
 """
 
 from __future__ import annotations
@@ -35,11 +41,18 @@ from collections import Counter, OrderedDict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import (Any, Callable, Deque, Dict, Hashable, Iterator, List,
-                    Optional, Tuple)
+                    Optional, Tuple, TYPE_CHECKING)
+
+from .trace.tracer import format_seconds
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .guard.governor import ResourceGovernor
+    from .trace import Trace
+    from .xmltree.summary import PathSummary
 
 __all__ = [
     "CacheStats", "DecisionRecord", "ExecMetrics", "PipelineMetrics",
-    "PlanCache", "TracedRun", "DECISION_RING_SIZE", "PIPELINE_STAGES",
+    "PlanCache", "Run", "TracedRun", "DECISION_RING_SIZE", "PIPELINE_STAGES",
 ]
 
 #: how many individual chooser decisions the ring retains.  The tally in
@@ -61,21 +74,23 @@ class PipelineMetrics:
     stages: "OrderedDict[str, float]" = field(default_factory=OrderedDict)
 
     @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        """Time a ``with``-block and record it under ``name``."""
+    def stage(self, name: str,
+              trace: "Optional[Trace]" = None) -> Iterator[None]:
+        """Time a ``with``-block and record it under ``name``; with a
+        ``trace`` the block is a span of that name, and the span's
+        duration is what is recorded."""
+        span = None if trace is None else trace.begin_span(name)
         start = time.perf_counter()
         try:
             yield
         finally:
-            elapsed = time.perf_counter() - start
+            elapsed = time.perf_counter() - start if span is None \
+                else trace.end_span(span).duration
             self.stages[name] = self.stages.get(name, 0.0) + elapsed
 
     @property
     def total_seconds(self) -> float:
         return sum(self.stages.values())
-
-    def to_dict(self) -> Dict[str, float]:
-        return dict(self.stages)
 
     def report(self) -> str:
         width = max((len(name) for name in self.stages), default=5)
@@ -254,6 +269,74 @@ def _counter_text(counter: Counter) -> str:
                      for name, count in sorted(counter.items()))
 
 
+# -- one run's instruments -----------------------------------------------------
+
+class Run:
+    """One execution's instruments, handed to every algorithm call.
+
+    The engine builds one per attempt; the algorithms keep none of it,
+    so one algorithm object serves any number of concurrent runs.  Each
+    instrument left ``None`` is switched off: no counting into
+    ``metrics``, no charging against ``governor``'s budgets, no spans in
+    ``trace``, no structural prefilter from ``summary``.  Frozen."""
+
+    __slots__ = ("metrics", "governor", "trace", "summary", "instrumented")
+
+    metrics: Optional[ExecMetrics]
+    governor: Optional[ResourceGovernor]
+    trace: "Optional[Trace]"
+    summary: Optional[PathSummary]
+    #: is any of ``metrics``, ``governor`` and ``trace`` set?  Computed
+    #: once, so the evaluator's uninstrumented path is one test.
+    instrumented: bool
+
+    def __init__(self, metrics: Optional[ExecMetrics] = None,
+                 governor: Optional[ResourceGovernor] = None,
+                 trace: "Optional[Trace]" = None,
+                 summary: Optional[PathSummary] = None) -> None:
+        init = object.__setattr__
+        init(self, "metrics", metrics)
+        init(self, "governor", governor)
+        init(self, "trace", trace)
+        init(self, "summary", summary)
+        init(self, "instrumented", metrics is not None
+             or governor is not None or trace is not None)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"a Run is frozen: cannot set {name!r}")
+
+    # Kernels report through these two, asked only when ``instrumented``,
+    # so an uninstrumented run pays one attribute test per site.
+
+    def work(self, algorithm: str, steps: Optional[int] = None, *,
+             visited: Optional[int] = None, scanned: Optional[int] = None,
+             pushes: Optional[int] = None) -> None:
+        """One kernel's work: ``visited`` nodes, ``scanned`` stream
+        entries and stack ``pushes`` counted under ``algorithm``, then
+        ``steps`` charged to the budgets.  A count left ``None`` is not
+        recorded; a ``0`` still enters its counter."""
+        metrics = self.metrics
+        if metrics is not None:
+            if visited is not None:
+                metrics.nodes_visited[algorithm] += visited
+            if scanned is not None:
+                metrics.stream_scanned[algorithm] += scanned
+            if pushes is not None:
+                metrics.stack_pushes[algorithm] += pushes
+        if steps is not None and self.governor is not None:
+            self.governor.tick(steps)
+
+    def decide(self, chooser: str, algorithm: str, inputs: dict) -> None:
+        """One chooser decision: recorded with its ``inputs`` (a bounded
+        ring and an exact tally), a ``decision`` trace event, a step."""
+        if self.metrics is not None:
+            self.metrics.record_decision(chooser, algorithm, **inputs)
+        if self.trace is not None:
+            self.trace.event("decision", chooser=chooser, algorithm=algorithm)
+        if self.governor is not None:
+            self.governor.tick()
+
+
 # -- plan cache ----------------------------------------------------------------
 
 @dataclass
@@ -419,23 +502,44 @@ class PlanCache:
 
 # -- traced runs ---------------------------------------------------------------
 
+#: width of the plan column of an EXPLAIN ANALYZE report.
+_LABEL_WIDTH = 46
+
+
+def _annotation(stat: Any) -> str:
+    """An operator's measured calls (omitted for one), time and rows."""
+    calls = f"{stat.calls}x " if stat.calls != 1 else ""
+    return f"{calls}{format_seconds(stat.seconds)} -> {stat.rows} rows"
+
+
 @dataclass
 class TracedRun:
-    """Everything ``Engine.run_traced`` observed about one query run."""
+    """Everything ``Engine.run_traced`` observed about one query run.
+
+    :meth:`report` is the ``query --metrics`` view.  A run given a
+    tracer also carries its span :attr:`trace`, and :meth:`render` is
+    then EXPLAIN ANALYZE: the optimized plan with every operator's
+    measured calls, wall time and rows (from the trace's exact
+    ``op_stats``, so buffer truncation never loses a node), the stage
+    timings and the events the run emitted; :meth:`to_dot` draws the
+    same annotated plan as Graphviz."""
 
     results: List
     #: the strategy the caller asked for (or the engine default).
     strategy: str
+    #: seconds ``Engine.execute`` took.
     wall_seconds: float
     metrics: ExecMetrics
-    pipeline: Optional[PipelineMetrics]
+    #: the compile stages this run paid: none on a plan-cache hit.
+    pipeline: PipelineMetrics
     cache: CacheStats
     cache_hit: bool
     #: the strategy that actually produced the results — differs from
     #: :attr:`strategy` when graceful fallback re-ran the query.
     effective_strategy: str = ""
     #: the span trace of this run, when ``run_traced`` was given a
-    #: tracer (see :mod:`repro.trace`); ``None`` otherwise.
+    #: tracer that admitted it (see :mod:`repro.trace`); ``None``
+    #: otherwise.
     trace: Any = None
     compiled: Any = None    # the CompiledQuery (kept last: verbose repr)
 
@@ -448,6 +552,30 @@ class TracedRun:
         """Graceful-degradation decisions taken during this run (see
         :class:`repro.guard.FallbackEvent`)."""
         return self.metrics.fallbacks
+
+    @property
+    def op_stats(self) -> Dict[int, Any]:
+        """Exact per-plan-operator aggregates, keyed by ``id(node)``
+        (empty without a trace)."""
+        return self.trace.op_stats if self.trace is not None else {}
+
+    def _spans(self) -> List[Any]:
+        return self.trace.spans if self.trace is not None else []
+
+    def stage_seconds(self) -> Dict[str, float]:
+        """Stage name → seconds this run paid: the compile stages, then
+        the document summary's build when the trace shows one."""
+        stages = dict(self.pipeline.stages)
+        for span in self._spans():
+            if span.name == "summary":
+                stages["summary"] = span.duration
+                break
+        return stages
+
+    def event_counts(self) -> Counter:
+        """Trace event name → occurrences across the whole run."""
+        return Counter(name for span in self._spans()
+                       for _offset, name, _attrs in span.events)
 
     def report(self) -> str:
         strategy = self.strategy
@@ -462,7 +590,7 @@ class TracedRun:
         if self.trace is not None:
             lines.append(f"trace      : {self.trace.trace_id} "
                          f"({len(self.trace.spans)} spans)")
-        if self.pipeline is not None:
+        if self.pipeline.stages:
             lines.append("compile stages:")
             lines.extend("  " + line
                          for line in self.pipeline.report().splitlines())
@@ -470,3 +598,81 @@ class TracedRun:
         lines.extend("  " + line
                      for line in self.metrics.report().splitlines())
         return "\n".join(lines)
+
+    def render(self) -> str:
+        """EXPLAIN ANALYZE when the run carries a trace, else
+        :meth:`report`."""
+        if self.trace is None:
+            return self.report()
+        # Imported here: the algebra imports this module (through Run).
+        from .algebra.dot import describe_plan
+        lines = [
+            f"EXPLAIN ANALYZE  {self.compiled.text}",
+            f"strategy={self.effective_strategy}  "
+            f"items={len(self.results)}  "
+            f"total={format_seconds(self.trace.duration)}  "
+            f"execute={format_seconds(self.wall_seconds)}",
+        ]
+        stages = self.stage_seconds()
+        if stages:
+            lines.append("stages: " + "  ".join(
+                f"{name}={format_seconds(seconds)}"
+                for name, seconds in stages.items()))
+        lines.append("")
+        op_stats = self.op_stats
+
+        def walk(node: Any, depth: int, role: str) -> None:
+            label, dependents, inputs = describe_plan(node)
+            text = "  " * depth + (f"{role}: " if role else "") \
+                + label.replace("\\n", " ")
+            stat = op_stats.get(id(node))
+            lines.append(f"{text}{' ' * max(_LABEL_WIDTH - len(text), 2)}"
+                         + ("(not executed)" if stat is None
+                            else _annotation(stat)))
+            for dependent in dependents:
+                walk(dependent, depth + 1, "dep")
+            for input_plan in inputs:
+                walk(input_plan, depth + 1, "")
+
+        walk(self.compiled.optimized, 0, "")
+        events = self.event_counts()
+        if events:
+            lines.append("")
+            lines.append("events: " + "  ".join(
+                f"{name}={count}" for name, count in sorted(events.items())))
+        for event in self.fallbacks:
+            lines.append(f"fallback: {event.from_strategy} -> "
+                         f"{event.to_strategy} ({event.error_code})")
+        if self.trace.dropped_spans or self.trace.dropped_events:
+            lines.append(f"note: trace buffers dropped "
+                         f"{self.trace.dropped_spans} spans, "
+                         f"{self.trace.dropped_events} events "
+                         f"(op stats remain exact)")
+        return "\n".join(lines)
+
+    def to_dot(self, name: Optional[str] = None) -> str:
+        """The optimized plan as DOT, each executed operator annotated
+        with its calls, time and rows."""
+        from .algebra.dot import plan_to_dot
+        return plan_to_dot(self.compiled.optimized,
+                           name=name or self.compiled.text,
+                           annotations={op_id: _annotation(stat) for op_id,
+                                        stat in self.op_stats.items()})
+
+    def to_dict(self) -> Dict[str, Any]:
+        payload = {
+            "query": self.compiled.text, "strategy": self.strategy,
+            "effective_strategy": self.effective_strategy,
+            "items": len(self.results), "wall_seconds": self.wall_seconds,
+            "cache_hit": self.cache_hit, "cache": self.cache.to_dict(),
+            "stages": self.stage_seconds(),
+            "metrics": self.metrics.to_dict(),
+        }
+        if self.trace is not None:
+            payload.update(
+                total_seconds=self.trace.duration,
+                operators=[stat.to_dict()
+                           for stat in self.op_stats.values()],
+                events=dict(self.event_counts()),
+                trace=self.trace.to_dict())
+        return payload

@@ -34,57 +34,17 @@ from __future__ import annotations
 
 from itertools import accumulate, chain, compress
 from operator import attrgetter
-from typing import Dict, FrozenSet, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, FrozenSet, List, Tuple
 
-from ..guard.governor import ResourceGovernor
-from ..obs import ExecMetrics
+from ..obs import Run
 from ..pattern import PatternPath, TreePattern
 from ..xmltree.axes import Axis
 from ..xmltree.document import IndexedDocument
 from ..xmltree.node import AttributeNode, Node
-from ..xmltree.summary import PathSummary
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..trace import Trace
 
 Binding = Dict[str, Node]
 
 _ALL_AXES = frozenset(Axis)
-
-
-class Run:
-    """One execution's instruments, handed to every algorithm call.
-
-    The engine builds one per attempt; the algorithms keep none of it,
-    so one algorithm object serves any number of concurrent runs.  Each
-    instrument left ``None`` is switched off: no counting into
-    ``metrics``, no charging against ``governor``'s budgets, no spans in
-    ``trace``, no structural prefilter from ``summary``.  Frozen."""
-
-    __slots__ = ("metrics", "governor", "trace", "summary", "instrumented")
-
-    metrics: Optional[ExecMetrics]
-    governor: Optional[ResourceGovernor]
-    trace: "Optional[Trace]"
-    summary: Optional[PathSummary]
-    #: is any of ``metrics``, ``governor`` and ``trace`` set?  Computed
-    #: once, so the evaluator's uninstrumented path is one test.
-    instrumented: bool
-
-    def __init__(self, metrics: Optional[ExecMetrics] = None,
-                 governor: Optional[ResourceGovernor] = None,
-                 trace: "Optional[Trace]" = None,
-                 summary: Optional[PathSummary] = None) -> None:
-        init = object.__setattr__
-        init(self, "metrics", metrics)
-        init(self, "governor", governor)
-        init(self, "trace", trace)
-        init(self, "summary", summary)
-        init(self, "instrumented", metrics is not None
-             or governor is not None or trace is not None)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"a Run is frozen: cannot set {name!r}")
 
 
 #: the run of a call made without one: nothing counted, charged, traced

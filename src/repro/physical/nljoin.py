@@ -59,12 +59,11 @@ class NLJoin(TreePatternAlgorithm):
                          run: Run) -> List[Node]:
         """One step from one context: axis, then branches, then position."""
         candidates = axis_step(context, pattern_step.axis, pattern_step.test)
-        if run.metrics is not None:
-            run.metrics.nodes_visited[self.name] += len(candidates)
-        if run.governor is not None:
+        if run.instrumented:
             # +1 so empty steps in deep recursions still make progress
             # against the step budget.
-            run.governor.tick(len(candidates) + 1)
+            run.work(self.name, len(candidates) + 1,
+                     visited=len(candidates))
         survivors = [candidate for candidate in candidates
                      if self._satisfies(candidate, pattern_step, run)]
         if pattern_step.position is None:

@@ -72,10 +72,9 @@ class StackTreeJoin(TreePatternAlgorithm):
         predicate branches are satisfied (computed bottom-up,
         list-at-a-time)."""
         candidates = step.test.stream(columns, step.axis is Axis.ATTRIBUTE)
-        if run.metrics is not None:
-            run.metrics.stream_scanned[self.name] += len(candidates)
-        if run.governor is not None:
-            run.governor.tick(len(candidates) + 1)
+        if run.instrumented:
+            run.work(self.name, len(candidates) + 1,
+                     scanned=len(candidates))
         for branch in step.predicates:
             candidates = self._filter_by_branch(columns, candidates, branch,
                                                 run)
@@ -110,11 +109,9 @@ def stack_tree_descendants(columns: ColumnarDocument,
     stand in ``axis`` relation to some ancestor, in document order —
     one merge sweep with a stack of open ancestors.
     """
-    metrics, governor = run.metrics, run.governor
-    if metrics is not None:
-        metrics.nodes_visited[StackTreeJoin.name] += len(descendants)
-    if governor is not None:
-        governor.tick(len(descendants) + 1)
+    if run.instrumented:
+        run.work(StackTreeJoin.name, len(descendants) + 1,
+                 visited=len(descendants))
     end_column = columns.end
     parent_column = columns.parent
     include_self = axis is Axis.DESCENDANT_OR_SELF
@@ -150,8 +147,8 @@ def stack_tree_descendants(columns: ColumnarDocument,
                 result.append(descendant)
         elif stack[-1] < descendant:
             result.append(descendant)
-    if metrics is not None:
-        metrics.stack_pushes[StackTreeJoin.name] += pushes
+    if run.instrumented:
+        run.work(StackTreeJoin.name, pushes=pushes)
     return result
 
 

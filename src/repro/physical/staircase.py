@@ -168,12 +168,12 @@ class StaircaseJoin(TreePatternAlgorithm):
         if not contexts:
             return []
         axis = step.axis
-        if run.governor is not None:
-            run.governor.tick(len(contexts) + 1)
+        if run.instrumented:
+            run.work(self.name, len(contexts) + 1)
         if axis is Axis.SELF:
             kind = axis.principal_kind
-            if run.metrics is not None:
-                run.metrics.nodes_visited[self.name] += len(contexts)
+            if run.instrumented:
+                run.work(self.name, visited=len(contexts))
             test = step.test
             return [pre for pre in contexts
                     if columns.test_matches(pre, test, kind)]
@@ -184,9 +184,8 @@ class StaircaseJoin(TreePatternAlgorithm):
             for context in contexts:
                 if kind_column[context] == KIND_ELEMENT:
                     attributes = columns.attributes_of(context)
-                    if run.metrics is not None:
-                        run.metrics.nodes_visited[self.name] += \
-                            len(attributes)
+                    if run.instrumented:
+                        run.work(self.name, visited=len(attributes))
                     result.extend(
                         pre for pre in attributes
                         if columns.test_matches(pre, test, "attribute"))
@@ -214,11 +213,9 @@ class StaircaseJoin(TreePatternAlgorithm):
             low = bisect_left(pres, low_key)
             high = bisect_right(pres, end_column[context])
             result.extend(pres[low:high])
-        if run.metrics is not None:
-            run.metrics.stream_scanned[self.name] += len(result)
-            run.metrics.nodes_visited[self.name] += len(result)
-        if run.governor is not None:
-            run.governor.tick(len(result))
+        if run.instrumented:
+            run.work(self.name, len(result), visited=len(result),
+                     scanned=len(result))
         return result
 
     def _child_join(self, columns: ColumnarDocument, contexts: List[int],
@@ -232,11 +229,9 @@ class StaircaseJoin(TreePatternAlgorithm):
             # Many contexts close together: one gather of the parent
             # column over the hull slice, which comes out in stream
             # order — sorted and duplicate-free.
-            if run.metrics is not None:
-                run.metrics.stream_scanned[self.name] += high - low
-                run.metrics.nodes_visited[self.name] += high - low
-            if run.governor is not None:
-                run.governor.tick(high - low + 1)
+            if run.instrumented:
+                run.work(self.name, high - low + 1, visited=high - low,
+                         scanned=high - low)
             members = set(contexts)
             return [pre for pre in pres[low:high]
                     if parent_column[pre] in members]
@@ -265,11 +260,9 @@ class StaircaseJoin(TreePatternAlgorithm):
                 at += 1
                 if at < stop and pres[at] <= end_column[pre]:
                     at = bisect_right(pres, end_column[pre], at, stop)
-            if run.metrics is not None:
-                run.metrics.stream_scanned[self.name] += visited
-                run.metrics.nodes_visited[self.name] += visited
-            if run.governor is not None:
-                run.governor.tick(visited + 1)
+            if run.instrumented:
+                run.work(self.name, visited + 1, visited=visited,
+                         scanned=visited)
         if nested:
             merged = sorted(set(merged))
         return merged
@@ -336,11 +329,9 @@ class StaircaseJoin(TreePatternAlgorithm):
             low = bisect_left(pres, candidates[0] + offset)
             high = bisect_right(pres, last)
             satisfying = pres[low:high]
-            if run.metrics is not None:
-                run.metrics.stream_scanned[self.name] += high - low
-                run.metrics.nodes_visited[self.name] += high - low
-            if run.governor is not None:
-                run.governor.tick(high - low + len(candidates) + 1)
+            if run.instrumented:
+                run.work(self.name, high - low + len(candidates) + 1,
+                         visited=high - low, scanned=high - low)
         for branch in step.predicates:
             satisfying = self._semi_join(columns, satisfying, branch, run)
         if index + 1 < len(steps):

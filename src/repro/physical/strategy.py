@@ -96,14 +96,8 @@ class Chooser(TreePatternAlgorithm):
     def choose(self, document: IndexedDocument, contexts, path: PatternPath,
                run: Run) -> TreePatternAlgorithm:
         name, inputs = self.pick(document, contexts, path, run)
-        # Decisions are recorded in the run's ExecMetrics (bounded ring
-        # + exact tally), so long-running engines never leak.
-        if run.metrics is not None:
-            run.metrics.record_decision(self.name, name, **inputs)
-        if run.trace is not None:
-            run.trace.event("decision", chooser=self.name, algorithm=name)
-        if run.governor is not None:
-            run.governor.tick()
+        if run.instrumented:
+            run.decide(self.name, name, inputs)
         chaos_point(self.chaos_site, name)
         return _INSTANCES[name]
 

@@ -158,18 +158,18 @@ class StreamingXPath(TreePatternAlgorithm):
                     if query.on_spine:
                         anchor.pending.extend(candidacy.pending)
 
-        governor = run.governor
+        instrumented = run.instrumented
         for kind, node in _events(context):
             if kind == ENTER:
                 events_seen += 1
-                if governor is not None:
-                    governor.tick()
+                if instrumented:
+                    run.work(self.name, 1)
                 on_enter(node)
             else:
                 on_leave(node)
-        if run.metrics is not None:
-            run.metrics.nodes_visited[self.name] += events_seen
-            run.metrics.stack_pushes[self.name] += candidacy_pushes
+        if instrumented:
+            run.work(self.name, visited=events_seen,
+                     pushes=candidacy_pushes)
         return results
 
 

@@ -146,28 +146,25 @@ def _region_slice(pres: Sequence[int], context_pre: int, context_end: int,
 def _twig_matches(columns: ColumnarDocument, context_pre: int,
                   context_end: int, root: _QueryNode,
                   nodes: List[_QueryNode], run: Run) -> list:
-    metrics, governor = run.metrics, run.governor
     for query_node in nodes:
         query_node.stream = _stream_for(columns, context_pre, context_end,
                                         query_node)
         query_node.stack = []
         query_node.candidates = []
     total_stream = sum(len(query_node.stream) for query_node in nodes)
-    if metrics is not None:
-        metrics.stream_scanned[TwigJoin.name] += total_stream
-    if governor is not None:
+    if run.instrumented:
         # Pre-charge the sweep about to happen so the budget trips
         # before the work, not after.
-        governor.tick(total_stream + 1)
-    _stack_phase(columns, context_pre, context_end, nodes, metrics=metrics)
+        run.work(TwigJoin.name, total_stream + 1, scanned=total_stream)
+    _stack_phase(columns, context_pre, context_end, nodes, run)
     if any(not query_node.candidates for query_node in nodes):
         return []
-    return _expand(columns, context_pre, root, nodes, governor=governor)
+    return _expand(columns, context_pre, root, nodes, run)
 
 
 def _stack_phase(columns: ColumnarDocument, context_pre: int,
                  context_end: int, nodes: List[_QueryNode],
-                 metrics=None) -> None:
+                 run: Run) -> None:
     """Sweep all streams in document order, keeping per-query-node stacks
     of open elements; an element is a candidate when an element of its
     parent query node (or the context, for roots) is open."""
@@ -201,9 +198,8 @@ def _stack_phase(columns: ColumnarDocument, context_pre: int,
         pushes += 1
         query_node.candidates.append(pre)
         candidates_kept += 1
-    if metrics is not None:
-        metrics.stack_pushes[TwigJoin.name] += pushes
-        metrics.nodes_visited[TwigJoin.name] += candidates_kept
+    if run.instrumented:
+        run.work(TwigJoin.name, pushes=pushes, visited=candidates_kept)
 
 
 def _candidates_under(columns: ColumnarDocument, query_node: _QueryNode,
@@ -250,7 +246,7 @@ def _branch_exists(columns: ColumnarDocument, query_node: _QueryNode,
 
 
 def _expand(columns: ColumnarDocument, context_pre: int, root: _QueryNode,
-            nodes: List[_QueryNode], governor=None) -> list:
+            nodes: List[_QueryNode], run: Run) -> list:
     """Merge candidates into full matches, enforcing exact axes.
 
     Spine nodes are enumerated; branch nodes are checked existentially
@@ -271,10 +267,10 @@ def _expand(columns: ColumnarDocument, context_pre: int, root: _QueryNode,
                           if child.is_continuation]
         for candidate in _surviving_candidates(columns, query_node,
                                                anchor):
-            if governor is not None:
+            if run.instrumented:
                 # The expansion is the one phase that can blow up
                 # combinatorially; charge per candidate considered.
-                governor.tick()
+                run.work(TwigJoin.name, 1)
             assignment[query_node.index] = candidate
             enumerate_node(spine_children + todo[1:])
             del assignment[query_node.index]

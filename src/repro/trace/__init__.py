@@ -8,9 +8,6 @@ operators and individual served requests.  This package provides:
 * :class:`Tracer` / :class:`Trace` / :class:`Span` — nested spans with
   monotonic timing, typed attributes, point events, bounded buffers and
   a deterministic :class:`RatioSampler` (:mod:`repro.trace.tracer`);
-* :class:`ExplainAnalysis` — EXPLAIN ANALYZE rendering of a plan tree
-  annotated with measured per-operator time and cardinalities
-  (:mod:`repro.trace.analyze`);
 * exporters — Chrome ``chrome://tracing`` JSON, Prometheus text format,
   JSONL span logs, each with a validator (:mod:`repro.trace.export`);
 * :class:`FlightRecorder` — bounded retention of the slowest and most
@@ -20,7 +17,6 @@ operators and individual served requests.  This package provides:
 See docs/TRACING.md for the span model and format references.
 """
 
-from .analyze import ExplainAnalysis, format_seconds
 from .distrib import TraceContext, graft_remote, pack_trace
 from .export import (chrome_trace, prometheus_text, spans_jsonl,
                      validate_chrome_trace, validate_prometheus,
@@ -28,10 +24,11 @@ from .export import (chrome_trace, prometheus_text, spans_jsonl,
                      write_spans_jsonl)
 from .recorder import FlightEntry, FlightRecorder, FlightSnapshot
 from .tracer import (MAX_EVENTS, MAX_SPANS, OpStat, RatioSampler, Span,
-                     Trace, TraceAggregates, Tracer, maybe_span)
+                     Trace, TraceAggregates, Tracer, format_seconds,
+                     maybe_span)
 
 __all__ = [
-    "ExplainAnalysis", "FlightEntry", "FlightRecorder", "FlightSnapshot",
+    "FlightEntry", "FlightRecorder", "FlightSnapshot",
     "MAX_EVENTS", "MAX_SPANS", "OpStat", "RatioSampler", "Span", "Trace",
     "TraceAggregates", "TraceContext", "Tracer", "chrome_trace",
     "format_seconds", "graft_remote", "maybe_span", "pack_trace",

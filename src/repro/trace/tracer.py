@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 __all__ = ["MAX_EVENTS", "MAX_SPANS", "RatioSampler", "Span", "Trace",
-           "TraceAggregates", "Tracer", "maybe_span"]
+           "TraceAggregates", "Tracer", "format_seconds", "maybe_span"]
 
 #: default cap on spans stored per trace (drops counted, never silent).
 MAX_SPANS = 10_000
@@ -289,18 +289,6 @@ class TraceAggregates:
     #: span name → [count, total seconds].
     span_totals: Dict[str, List[float]] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "traces_started": self.traces_started,
-            "traces_finished": self.traces_finished,
-            "traces_sampled_out": self.traces_sampled_out,
-            "spans_dropped": self.spans_dropped,
-            "events_dropped": self.events_dropped,
-            "span_totals": {name: {"count": int(count), "seconds": seconds}
-                            for name, (count, seconds)
-                            in sorted(self.span_totals.items())},
-        }
-
 
 class Tracer:
     """Hands out traces; disabled tracers hand out ``None``.
@@ -380,3 +368,12 @@ def maybe_span(trace: Optional[Trace], name: str, **attrs: Any):
     if trace is None:
         return _NULL_CONTEXT
     return trace.span(name, **attrs)
+
+
+def format_seconds(seconds: float) -> str:
+    """Adaptive µs/ms/s rendering (traces span six orders of magnitude)."""
+    if seconds < 0.001:
+        return f"{seconds * 1e6:.1f}us"
+    if seconds < 1.0:
+        return f"{seconds * 1e3:.3f}ms"
+    return f"{seconds:.3f}s"

@@ -2,9 +2,9 @@
 
 Tracing is an observer — the central integration guarantee is that a
 traced run returns **byte-identical** results to an untraced one, for
-every strategy.  On top of that: ``Engine.explain_analyze`` must
-produce per-operator wall times and cardinalities for the full QE1–QE6
-set, and a traced ``QueryService`` must stamp responses with trace ids
+every strategy.  On top of that: a run traced through
+``Engine.run_traced`` must render EXPLAIN ANALYZE with per-operator
+wall times and cardinalities for the full QE1–QE6 set, and a traced ``QueryService`` must stamp responses with trace ids
 and feed its flight recorder.
 """
 
@@ -50,8 +50,9 @@ def test_traced_results_byte_identical(member_engine, query_name,
 
 @pytest.mark.parametrize("query_name", sorted(QE_QUERIES))
 def test_explain_analyze_qe_queries(member_engine, query_name):
-    analysis = member_engine.explain_analyze(QE_QUERIES[query_name],
-                                             strategy="twigjoin")
+    analysis = member_engine.run_traced(QE_QUERIES[query_name],
+                                        strategy="twigjoin",
+                                        tracer=Tracer())
     rendered = analysis.render()
     assert "EXPLAIN ANALYZE" in rendered
     assert "strategy=twigjoin" in rendered
@@ -71,7 +72,8 @@ def test_explain_analyze_qe_queries(member_engine, query_name):
 
 
 def test_explain_analyze_dot_carries_annotations(member_engine):
-    analysis = member_engine.explain_analyze(QE_QUERIES["QE1"])
+    analysis = member_engine.run_traced(QE_QUERIES["QE1"],
+                                        tracer=Tracer())
     dot = analysis.to_dot()
     assert "digraph" in dot
     assert "rows" in dot       # per-operator cardinality annotations

@@ -93,6 +93,21 @@ class TestOtherCommands:
         assert "visited=" in output
         assert "decisions=" in output       # the auto/cost rows
 
+    def test_explain_analyze_flag(self, tmp_path):
+        dot = tmp_path / "plan.dot"
+        code, output = run_cli("explain", "$input//person/name",
+                               "--analyze", "--strategy", "twigjoin",
+                               "--dot", str(dot))
+        assert code == 0
+        assert "EXPLAIN ANALYZE  $input//person/name" in output
+        assert "strategy=twigjoin  items=2" in output
+        assert "TupleTreePattern" in output and "rows" in output
+        for stage in ("parse", "normalize", "rewrite", "optimize",
+                      "summary"):
+            assert f"{stage}=" in output
+        assert f"wrote annotated plan graph to {dot}" in output
+        assert "digraph" in dot.read_text(encoding="utf-8")
+
     def test_explain_metrics_flag(self):
         code, output = run_cli("explain", "$input//person/name",
                                "--metrics")

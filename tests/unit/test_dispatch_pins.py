@@ -19,7 +19,12 @@ pattern dispatch moved into ``repro.physical.base``:
 Every strategy gives the same answers, so the results are kept once and
 the counters per strategy.
 
-Regenerate, only when a dispatch change is intended, with::
+A third table, ``data/physical_steps.json``, holds the steps a governed
+run charges for every golden-corpus query under each strategy: the
+evaluator's own and every kernel's, as ``governor.steps`` reads them
+after the run.
+
+Regenerate, only when a dispatch or charging change is intended, with::
 
     PYTHONPATH=src python -m tests.unit.test_dispatch_pins
 """
@@ -31,6 +36,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.algebra import EvalContext, eval_item
+from repro.guard import Budgets
+from repro.guard.governor import ResourceGovernor
 from repro.obs import ExecMetrics
 from repro.pattern import parse_pattern
 from repro.physical import Run, Strategy, make_algorithm
@@ -39,6 +47,7 @@ from repro.xmltree import Node
 from tests.support.make_golden import golden_queries, reference_engines
 
 PINS = Path(__file__).resolve().parent / "data" / "physical_counters.json"
+STEP_PINS = PINS.with_name("physical_steps.json")
 
 STRATEGIES = tuple(strategy.value for strategy in Strategy)
 CHOOSERS = (Strategy.AUTO.value, Strategy.COST.value)
@@ -139,6 +148,33 @@ def pinned_runs() -> dict:
     return {"queries": queries, "patterns": patterns}
 
 
+def governed_steps(engine, compiled, strategy: str) -> int:
+    """``governor.steps`` after one run of the optimized plan under
+    ``Budgets(max_steps=10**9)``, with the run ``Engine.execute``
+    builds: the governor and the document's summary."""
+    governor = ResourceGovernor(Budgets(max_steps=10**9))
+    root = [engine.document.root]
+    bindings = {var: root
+                for var in compiled.normalized.global_vars.values()}
+    bindings[compiled.normalized.context_var] = root
+    eval_item(compiled.optimized, EvalContext(
+        document=engine.document, strategy=make_algorithm(strategy),
+        globals=bindings,
+        run=Run(governor=governor, summary=engine.document.summary)))
+    return governor.steps
+
+
+def pinned_steps() -> dict:
+    engines = reference_engines()
+    steps = {}
+    for stem, query in sorted(golden_queries().items()):
+        engine = engines[stem.split("_", 1)[0]]
+        compiled = engine.compile(query)
+        steps[stem] = {strategy: governed_steps(engine, compiled, strategy)
+                       for strategy in STRATEGIES}
+    return steps
+
+
 def _shared_results(runs: dict) -> dict:
     """The results once — every strategy must give them — and the
     counters per strategy."""
@@ -177,10 +213,26 @@ def test_border_pattern_dispatch_is_pinned(runs, pins, text):
     assert_pinned(runs["patterns"][text], pins["patterns"][text])
 
 
+@pytest.fixture(scope="module")
+def step_runs():
+    return pinned_steps()
+
+
+@pytest.fixture(scope="module")
+def step_pins():
+    return json.loads(STEP_PINS.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("stem", sorted(golden_queries()))
+def test_golden_query_step_charges_are_pinned(step_runs, step_pins, stem):
+    assert step_runs[stem] == step_pins[stem]
+
+
 def main() -> int:
-    PINS.write_text(json.dumps(pinned_runs(), indent=1, sort_keys=True)
-                    + "\n", encoding="utf-8")
-    print(f"wrote {PINS}")
+    for path, table in ((PINS, pinned_runs()), (STEP_PINS, pinned_steps())):
+        path.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n",
+                        encoding="utf-8")
+        print(f"wrote {path}")
     return 0
 
 

@@ -7,10 +7,11 @@ import pytest
 from repro import Engine
 from repro.bench import geometric_mean, measure_strategy, render_measurements
 from repro.data import member_document
-from repro.obs import (DECISION_RING_SIZE, CacheStats, ExecMetrics,
-                       PipelineMetrics, PlanCache, TracedRun)
+from repro.obs import (DECISION_RING_SIZE, PIPELINE_STAGES, CacheStats,
+                       ExecMetrics, PipelineMetrics, PlanCache, TracedRun)
 from repro.pattern import parse_pattern
 from repro.physical import CostBasedChooser, HeuristicChooser, Run
+from repro.trace import Tracer
 
 QUERY = "$input//person[emailaddress]/name"
 
@@ -124,6 +125,34 @@ class TestEngineObservability:
         again = engine.run_traced(QUERY)
         assert again.cache_hit is True
         assert keyed(again.results) == keyed(traced.results)
+
+    def test_a_cache_hit_reports_no_compile_stages(self, people_doc):
+        engine = Engine(people_doc)
+        engine.run_traced(QUERY)
+        again = engine.run_traced(QUERY)
+        assert again.cache_hit is True
+        # The hit paid no compile: the first run's stage times are not
+        # shown as if it had.
+        assert dict(again.pipeline.stages) == {}
+        assert again.stage_seconds() == {}
+        report = again.report()
+        assert "plan cache : hit" in report
+        assert "compile stages:" not in report
+
+    def test_a_traced_run_compiles_past_the_cache(self, people_doc):
+        engine = Engine(people_doc)
+        engine.run(QUERY)
+        lookups = engine.plan_cache.stats.lookups
+        traced = engine.run_traced(QUERY, tracer=Tracer())
+        assert traced.cache_hit is False
+        assert engine.plan_cache.stats.lookups == lookups
+        # Each stage is timed once: its recorded seconds are its span's.
+        spans = {span.name: span.duration for span in traced.trace.spans}
+        assert dict(traced.pipeline.stages) == \
+            {name: spans[name] for name in PIPELINE_STAGES}
+        assert set(traced.stage_seconds()) == {*PIPELINE_STAGES, "summary"}
+        assert "EXPLAIN ANALYZE" in traced.render()
+        assert traced.to_dict()["stages"] == traced.stage_seconds()
 
     def test_run_traced_report_readable(self, people_doc):
         engine = Engine(people_doc)

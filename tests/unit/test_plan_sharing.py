@@ -22,6 +22,7 @@ from repro.bench.harness import QE_QUERIES
 from repro.data import member_document, xmark_document
 from repro.obs import PlanCache
 from repro.rewrite import RewriteOptions
+from repro.trace import Tracer
 from repro.xmltree import serialize
 from repro.xqcore import pretty
 
@@ -148,7 +149,7 @@ def test_the_summary_is_built_at_execute_not_compile():
     engine = Engine(document)
     engine.compile(QUERY)
     assert document._summary is None
-    analysis = engine.explain_analyze(QUERY)
+    analysis = engine.run_traced(QUERY, tracer=Tracer())
     assert {"parse", "optimize", "summary"} <= set(analysis.stage_seconds())
     assert document._summary is not None
 
