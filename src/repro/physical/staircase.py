@@ -41,10 +41,13 @@ A *batch* of input tuples (:meth:`StaircaseJoin.evaluate_each`, one
 context node per tuple) is answered by the same kernels, not by one walk
 per tuple, into one column of match ``pre``s plus each tuple's offset
 in it.  Contexts sorted with disjoint regions (one C-level pass over
-``end``) are one layer; other batches are peeled into layers whose
-regions do not nest.  Each layer is walked once, and — a downward match
-inside a region can only have been reached from that region's root —
-a context's matches start at the first one from its ``pre`` on.
+``end``) are one walk, and — a downward match inside a region can only
+have been reached from that region's root — a context's matches start
+at the first one from its ``pre`` on.  A one-step ``child`` or
+``descendant`` pattern is one walk however the contexts nest: a child
+belongs to its parent, a descendant to every context whose region holds
+it.  Other batches are peeled into layers whose regions do not nest,
+one walk per layer.
 
 Axes outside the downward fragment go to NLJoin (see
 :mod:`repro.physical.base`).
@@ -106,19 +109,45 @@ class StaircaseJoin(TreePatternAlgorithm):
     def _match_each(self, document: IndexedDocument, pres: List[int],
                     pattern: TreePattern,
                     run: Run) -> Tuple[List[int], List[int]]:
-        """``match_single`` from each context ``pre`` on its own, a layer
-        of contexts per walk: the match column and its offsets."""
+        """``match_single`` from each context ``pre`` on its own: the
+        match column and its offsets.  One walk for sorted, disjoint
+        contexts or a one-step pattern, else one walk per layer of
+        contexts whose regions do not nest."""
         columns = document.columns
         end_column = columns.end
         if all(map(lt, map(end_column.__getitem__, pres), pres[1:])):
             # Sorted, with disjoint regions (``end[pre] >= pre``).
             return self._walk(columns, pres, pattern.path, run)
+        distinct = sorted(set(pres))
+        steps = pattern.path.steps
+        if (len(steps) == 1 and steps[0].position is None
+                and steps[0].axis in (Axis.CHILD, Axis.DESCENDANT)):
+            # One step: a match's context follows from the match, so one
+            # walk from every distinct context answers the whole batch.
+            matches = chaos_point("scjoin.match", self._join_path(
+                columns, distinct, pattern.path, run))
+            if steps[0].axis is Axis.CHILD:
+                # A child belongs to its parent: group by it (the sort is
+                # stable, so each group stays in document order).
+                owner = columns.parent.__getitem__
+                matches = sorted(matches, key=owner)
+                owners = list(map(owner, matches))
+                lows = map(bisect_left, repeat(owners), pres)
+                highs = map(bisect_right, repeat(owners), pres)
+            else:
+                # A descendant belongs to every context whose region
+                # ``(pre, end[pre]]`` holds it.
+                lows = map(bisect_right, repeat(matches), pres)
+                highs = map(bisect_right, repeat(matches),
+                            map(end_column.__getitem__, pres))
+            return as_column(list(map(matches.__getitem__,
+                                      map(slice, lows, highs))))
         # Peel: a context goes to the layer numbered by how many other
         # contexts enclose it, so regions within a layer are disjoint
         # and each layer is in document order.
         layers: List[List[int]] = []
         enclosing: List[int] = []       # ends of the open outer contexts
-        for pre in sorted(set(pres)):
+        for pre in distinct:
             while enclosing and enclosing[-1] < pre:
                 enclosing.pop()
             if len(enclosing) == len(layers):

@@ -4,8 +4,8 @@ against random documents (NLJoin is the executable specification)."""
 from hypothesis import given, settings, strategies as st
 
 from repro import Engine
-from repro.data import member_document
-from repro.pattern import PatternPath, PatternStep, TreePattern
+from repro.data import member_document, xmark_document
+from repro.pattern import PatternPath, PatternStep, TreePattern, parse_pattern
 from repro.physical import (NLJoin, Run, StackTreeJoin, StaircaseJoin,
                             Strategy, StreamingXPath, TwigJoin,
                             make_algorithm)
@@ -145,15 +145,42 @@ def _disjoint(contexts):
     return kept
 
 
-@given(query=qgen.member_queries())
+#: A document with text nodes, for the hand-written batch patterns.
+_TEXT_DOCUMENT = xmark_document(person_count=5, seed=3)
+
+#: One-step ``child`` and ``descendant`` patterns, which SCJoin answers
+#: from one walk however the batch nests, over a name, ``*``, ``node()``
+#: and ``text()``, each with and without a branch; then a two-step, a
+#: ``descendant-or-self`` and a positional pattern, which keep the
+#: walk per layer of nesting contexts.
+_BATCH_PATTERNS = [
+    f"IN#x/{axis}::{test}{branch}{{o}}"
+    for axis in ("child", "descendant")
+    for test, predicate in (("name", "[child::text()]"),
+                            ("*", "[attribute::id]"),
+                            ("node()", "[descendant::text()]"),
+                            ("text()", "[self::text()]"))
+    for branch in ("", predicate)] + [
+    "IN#x/child::*/child::text(){o}",
+    "IN#x/descendant-or-self::text(){o}",
+    "IN#x/descendant::text()[2]{o}"]
+
+
+@given(query=qgen.member_queries(),
+       batch_patterns=st.lists(st.sampled_from(_BATCH_PATTERNS),
+                               min_size=3, max_size=3, unique=True))
 @settings(max_examples=60, deadline=None, derandomize=True)
-def test_evaluate_each_is_evaluate_per_context(query):
-    """Every tree pattern the optimizer finds in a generated query,
-    under every strategy: a batch answers as the loop, nested or
+def test_evaluate_each_is_evaluate_per_context(query, batch_patterns):
+    """Every tree pattern the optimizer finds in a generated query, and
+    hand-written one-step and multi-step patterns over a document with
+    text, under every strategy: a batch answers as the loop, nested or
     sorted and disjoint."""
-    document = _EACH_ENGINE.document
-    mixed = _sample_contexts(document)
-    for pattern in _EACH_ENGINE.compile(query).tree_patterns():
+    cases = [(_EACH_ENGINE.document, pattern)
+             for pattern in _EACH_ENGINE.compile(query).tree_patterns()]
+    cases += [(_TEXT_DOCUMENT, parse_pattern(text))
+              for text in batch_patterns]
+    for document, pattern in cases:
+        mixed = _sample_contexts(document)
         out_field = pattern.single_output_field
         for contexts in (mixed, _disjoint(mixed)):
             for strategy in Strategy:

@@ -748,28 +748,35 @@ class TestStaircaseBatch:
         assert repeated.nodes_visited == alone.nodes_visited
 
     def test_a_sorted_disjoint_batch_is_one_walk(self, document):
-        # The mixed batch nests six deep: document, ``r``, ``a`` 1–4.
-        for contexts, walks in ((disjoint_contexts(document), 1),
-                                (each_contexts(document), 6)):
+        # The mixed batch nests six deep: document, ``r``, ``a`` 1–4.  A
+        # one-step pattern answers it in one walk, a longer one peels it
+        # into a walk per layer.
+        for contexts, text, walks in (
+                (disjoint_contexts(document), "IN#x/child::b{o}", 1),
+                (each_contexts(document), "IN#x/child::b{o}", 1),
+                (each_contexts(document), "IN#x/child::a/child::b{o}", 6)):
             with inject() as injector:
                 StaircaseJoin().evaluate_each(
-                    document, contexts, parse_pattern("IN#x/child::b{o}"))
-            assert injector.visits == ["scjoin.match"] * walks
+                    document, contexts, parse_pattern(text))
+            assert injector.visits == ["scjoin.match"] * walks, text
 
     def test_nesting_costs_a_walk_per_layer_not_per_context(self):
         """Single-tag depth-15 document: 5000 contexts, each inside up
-        to 14 others, are answered by at most 15 stream reads."""
+        to 14 others, are answered by at most 15 stream reads, or by one
+        for a one-step ``child`` or ``descendant`` pattern."""
         from repro.data import deep_member_document
         deep = deep_member_document(5000, depth=15)
         contexts = deep.stream("t1")
         algorithm = StaircaseJoin()
-        metrics = ExecMetrics()
-        _, offsets = algorithm.evaluate_each(
-            deep, contexts, parse_pattern("IN#x/descendant::t1{o}"),
-            Run(metrics=metrics))
-        assert [high - low for low, high in zip(offsets, offsets[1:])] \
-            == [node.end - node.pre for node in contexts]
-        assert metrics.stream_scanned["scjoin"] <= 15 * len(contexts)
+        for text, include_self, reads in (
+                ("IN#x/descendant::t1{o}", 0, 1),
+                ("IN#x/descendant-or-self::t1{o}", 1, 15)):
+            metrics = ExecMetrics()
+            _, offsets = algorithm.evaluate_each(
+                deep, contexts, parse_pattern(text), Run(metrics=metrics))
+            assert [high - low for low, high in zip(offsets, offsets[1:])] \
+                == [node.end - node.pre + include_self for node in contexts]
+            assert metrics.stream_scanned["scjoin"] <= reads * len(contexts)
 
     def test_chaos_sites_fire_per_batch(self, document):
         contexts = each_contexts(document)
